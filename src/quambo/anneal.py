@@ -13,9 +13,9 @@ from typing import Callable
 
 import numpy as np
 
-from .problems import FacilityProblem, encode_start_dest, feasible_indices, feasible_spectrum
-from .qaoa import RunMetrics
-from .qubo import CapacityError, IsingModel, energy_vector, index_from_string
+from .problems import FacilityProblem, encode_start_dest
+from .qaoa import RunMetrics, Scorer, metrics
+from .qubo import TIE_TOL, CapacityError, IsingModel, energies_at, energy_vector, index_from_string
 from .simulator import StateVector, uniform_state, basis_state
 
 ANNEAL_CAP = 10
@@ -49,7 +49,7 @@ def _driver(n: int) -> np.ndarray:
 
 
 def _ground_indices(diag: np.ndarray) -> np.ndarray:
-    return np.flatnonzero(np.abs(diag - diag.min()) < 1e-9)
+    return np.flatnonzero(np.abs(diag - diag.min()) < TIE_TOL)
 
 
 def _propagate(
@@ -171,36 +171,15 @@ def anneal_parameter_sweep(
     """Re-encode per lambda ratio, draw `reads` samples, score the multiset.
 
     The sampler is called as sampler(model, reads, seed) and returns one
-    bitstring per read.
+    bitstring per read.  ev is the mean model energy over all reads.
     """
     out = []
     for j, ratio in enumerate(lambda_ratios):
         prob = replace(problem, lambda_=None, lambda_ratio=ratio)
         model, encoding = encode_start_dest(prob)
-        oracle = feasible_spectrum(model, encoding)
-        feas = set(feasible_indices(encoding))
-        gnd = {index_from_string(s) for s in oracle[0].states}
-        diag_min, diag_max = oracle[0].energy, oracle[-1].energy
-        energies = {index_from_string(s): e.energy for e in oracle for s in e.states}
+        scorer = Scorer.of(model, encoding)
         states = sampler(model, reads, int(np.random.default_rng([seed, j]).integers(2**31)))
-        n_feas = n_gnd = 0
-        feas_sum = 0.0
-        for s in states:
-            idx = index_from_string(s)
-            if idx in feas:
-                n_feas += 1
-                feas_sum += energies[idx]
-                if idx in gnd:
-                    n_gnd += 1
-        p_feas = n_feas / reads
-        p_gnd = n_gnd / reads
-        if n_feas == 0:
-            metrics = RunMetrics(ev=float("nan"), r_approx=0.0, p_feas=0.0, p_gnd=0.0, no_feasible_mass=True)
-        else:
-            if diag_min == diag_max:
-                r = 1.0
-            else:
-                r = (feas_sum / reads - diag_max * p_feas) / (p_feas * (diag_min - diag_max))
-            metrics = RunMetrics(ev=feas_sum / n_feas, r_approx=r, p_feas=p_feas, p_gnd=p_gnd)
-        out.append((ratio, metrics))
+        read_indices = np.array([index_from_string(s) for s in states])
+        ev = float(energies_at(model, read_indices).mean())
+        out.append((ratio, metrics(scorer, scorer.counts(read_indices), total=reads, ev=ev)))
     return out

@@ -1,7 +1,8 @@
 """Config-driven command line front end.
 
 Subcommands: encode, oracle, qaoa, vqe, baseline, anneal, tts, summarize.
-Configs are INI-style key-value files; results are written as RFC-4180 CSV
+Configs are INI-style key-value files whose sections and keys are checked
+against CONFIG_KEYS; results are written as RFC-4180 CSV
 plus a JSON manifest (config echo, version, master seed, wall time).
 
 CSV schemas:
@@ -24,26 +25,45 @@ from pathlib import Path
 
 import numpy as np
 
+from . import __version__, heuristics, qaoa, vqe
 from . import anneal as anneal_mod
-from . import heuristics, qaoa, vqe
 from .optimize import FdQuasiNewton, NelderMead, Spsa
 from .problems import (
     FacilityProblem,
     encode_position_linear,
     encode_single_complement,
     encode_start_dest,
-    feasible_spectrum,
     problem_from_text,
 )
 from .qubo import model_to_text, qubo_to_ising
 
-VERSION = "quambo-0.1.0"
+# Every key a config may set, per section.  `quambo encode` reads `form` from
+# [qaoa] when the config has no [encode] section.
+ENCODING_KEYS = ("encoding", "include_penalty")
+HEURISTIC_KEYS = ("algorithm", "restarts", "sweeps", "beta_initial", "beta_final", "tenure", "max_iter")
+CONFIG_KEYS = {
+    "problem": ("geometry", "rows", "cols", "ambulances", "metric", "lambda", "lambda_ratio", "forbid_colocation"),
+    "encode": (*ENCODING_KEYS, "form"),
+    "qaoa": (*ENCODING_KEYS, "form", "mixer", "angle_scheme", "init", "p", "restarts", "strategy", "p_max"),
+    "vqe": (*ENCODING_KEYS, "initial_layer", "layers", "method", "shots", "restarts"),
+    "optimizer": ("kind", "max_iter", "f_tol", "x_tol", "init_simplex_scale", "a", "c", "n_iter", "eps", "g_tol"),
+    "heuristic": HEURISTIC_KEYS,
+    "run": HEURISTIC_KEYS,
+    "anneal": ("lambda_ratios", "reads", "sweeps"),
+}
 
 
 def load_config(path: str) -> configparser.ConfigParser:
     cp = configparser.ConfigParser()
     if not cp.read(path):
         raise SystemExit(f"error: cannot read config file {path!r}")
+    for section in cp.sections():
+        if section not in CONFIG_KEYS:
+            raise ValueError(f"unknown config section [{section}]; valid sections: {', '.join(CONFIG_KEYS)}")
+        for key in cp[section]:
+            if key not in CONFIG_KEYS[section]:
+                valid = ", ".join(CONFIG_KEYS[section])
+                raise ValueError(f"unknown key {key!r} in [{section}]; valid keys: {valid}")
     return cp
 
 
@@ -102,7 +122,7 @@ def write_csv(path: str, header: list[str], rows: list[list]) -> None:
 def write_manifest(out: str, cp: configparser.ConfigParser, seed: int, started: float) -> None:
     echo = {s: dict(cp[s]) for s in cp.sections()}
     manifest = {
-        "version": VERSION,
+        "version": f"quambo-{__version__}",
         "seed": seed,
         "config": echo,
         "wall_time_s": round(time.time() - started, 3),
@@ -164,7 +184,7 @@ def cmd_qaoa(args: argparse.Namespace) -> int:
         mixer = qaoa.MixerSpec("ThreeXY", angle_scheme=scheme)
     else:
         mixer = qaoa.MixerSpec("X")
-    init = qaoa.InitSpec(sec.get("init", "Uniform"))
+    init = qaoa.InitSpec(sec.get("init", "Uniform"), seed=args.seed)
     p = sec.getint("p", 1)
     restarts = sec.getint("restarts", 100)
     strategy = sec.get("strategy", "")
@@ -173,9 +193,9 @@ def cmd_qaoa(args: argparse.Namespace) -> int:
 
     header = ["run_id", "p", "strategy", "mixer", "init", "ev", "r_approx", "p_feas", "p_gnd", "evals", "seed"]
     rows = []
+    search = qaoa.random_restart_search(config, model, restarts, optimizer, args.seed)
     if strategy:
         p_max = sec.getint("p_max", 10)
-        search = qaoa.random_restart_search(config, model, restarts, optimizer, args.seed)
         seed_angles = search.best[0]
         levels = qaoa.increasing_p_schedule(strategy, seed_angles, p_max, optimizer, config, model, seed=args.seed)
         for i, level in enumerate(levels):
@@ -183,7 +203,6 @@ def cmd_qaoa(args: argparse.Namespace) -> int:
             rows.append([i, level.p, strategy, mixer_kind, init.kind, _fmt(m.ev), _fmt(m.r_approx),
                          _fmt(m.p_feas), _fmt(m.p_gnd), m.evals, args.seed])
     else:
-        search = qaoa.random_restart_search(config, model, restarts, optimizer, args.seed)
         for i, (_, m) in enumerate(search.runs):
             rows.append([i, p, "", mixer_kind, init.kind, _fmt(m.ev), _fmt(m.r_approx),
                          _fmt(m.p_feas), _fmt(m.p_gnd), m.evals, args.seed])
@@ -211,10 +230,10 @@ def cmd_vqe(args: argparse.Namespace) -> int:
     shots = sec.getint("shots", 9000)
     restarts = sec.getint("restarts", 100)
     optimizer = optimizer_from_config(cp)
-    oracle = feasible_spectrum(model, enc)
+    scorer = qaoa.Scorer.of(model, enc)
 
     def oracle_metrics(state):
-        return qaoa.metrics(state, enc, oracle, model)
+        return qaoa.metrics(scorer, state.probabilities()[scorer.indices])
 
     objective = None
     if method == "sample":

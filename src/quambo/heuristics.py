@@ -17,7 +17,6 @@ class SimAnneal:
     sweeps: int = 1000
     beta_initial: float = 0.1
     beta_final: float = 10.0
-    schedule: str = "geometric"
 
     def __post_init__(self) -> None:
         if self.sweeps < 1 or self.beta_final <= self.beta_initial:
@@ -28,7 +27,6 @@ class SimAnneal:
 class Tabu:
     tenure: int | None = None  # default max(10, n/4)
     max_iter: int = 400
-    neighborhood: str = "single-bit-flip"
 
     def __post_init__(self) -> None:
         if self.max_iter < 1:
@@ -70,20 +68,10 @@ def exact_facility_optimum(problem: FacilityProblem) -> tuple[float, list[tuple[
     return float(best), placements
 
 
-def _dense_form(model: QuboModel) -> tuple[np.ndarray, np.ndarray]:
-    lin = np.zeros(model.n)
-    W = np.zeros((model.n, model.n))
-    for i, c in model.linear.items():
-        lin[i] = c
-    for (i, j), c in model.quadratic.items():
-        W[i, j] = W[j, i] = c
-    return lin, W
-
-
 def simulated_annealing(model: QuboModel, config: SimAnneal, seed: int) -> tuple[str, float]:
     """Metropolis single-flip sweeps under a geometric inverse-temperature ramp."""
     n = model.n
-    lin, W = _dense_form(model)
+    lin, W = model.dense
     rng = np.random.default_rng(seed)
     s = rng.integers(0, 2, size=n).astype(float)
     field = W @ s
@@ -109,7 +97,7 @@ def simulated_annealing(model: QuboModel, config: SimAnneal, seed: int) -> tuple
 def tabu_search(model: QuboModel, config: Tabu, seed: int) -> tuple[str, float]:
     """Steepest single-flip descent with a recency tabu list and aspiration."""
     n = model.n
-    lin, W = _dense_form(model)
+    lin, W = model.dense
     tenure = config.tenure if config.tenure is not None else max(10, n // 4)
     rng = np.random.default_rng(seed)
     s = rng.integers(0, 2, size=n).astype(float)

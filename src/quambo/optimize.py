@@ -121,20 +121,17 @@ def minimize(
         simplex = np.tile(x0, (len(x0) + 1, 1))
         for i in range(len(x0)):
             simplex[i + 1, i] += config.init_simplex_scale
-        try:
-            scipy_minimize(
-                tracker,
-                x0,
-                method="Nelder-Mead",
-                options={
-                    "maxiter": config.max_iter,
-                    "fatol": config.f_tol,
-                    "xatol": config.x_tol,
-                    "initial_simplex": simplex,
-                },
-            )
-        except FloatingPointError:
-            raise
+        scipy_minimize(
+            tracker,
+            x0,
+            method="Nelder-Mead",
+            options={
+                "maxiter": config.max_iter,
+                "fatol": config.f_tol,
+                "xatol": config.x_tol,
+                "initial_simplex": simplex,
+            },
+        )
         return tracker.result()
 
     if isinstance(config, FdQuasiNewton):

@@ -21,7 +21,7 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .qubo import QuboModel, SpectrumEntry, bits_from_string, enumerate_spectrum, string_from_index
+from .qubo import QuboModel, SpectrumEntry, bits_from_string, energies_at, enumerate_spectrum
 
 
 @dataclass
@@ -314,8 +314,8 @@ def decode_solution(encoding: Encoding, s: str) -> Placement:
     return Placement(positions=positions, assignments=assignments, total_distance=total)
 
 
-def feasible_spectrum(model: QuboModel, encoding: Encoding) -> list[SpectrumEntry]:
-    """Spectrum over the feasible sector with the penalty floor removed.
+def feasible_sector(model: QuboModel, encoding: Encoding) -> tuple[np.ndarray, np.ndarray]:
+    """Feasible basis indices, in feasible_indices order, and their energies with the penalty floor removed.
 
     Each feasible state's energy is the full model energy minus the constant
     min-over-feasible penalty contribution (full minus objective).  For
@@ -323,20 +323,16 @@ def feasible_spectrum(model: QuboModel, encoding: Encoding) -> list[SpectrumEntr
     entirely; otherwise intra-sector penalty variation is kept so the ground
     set matches the full cost function.
     """
-    states = list(feasible_indices(encoding))
-    full = np.array([_energy_of_index(model, i) for i in states])
-    obj = np.array([_energy_of_index(encoding.objective, i) for i in states])
-    floor = float((full - obj).min())
-    return enumerate_spectrum(model, states=states, energies=full - floor)
+    indices = np.fromiter(feasible_indices(encoding), dtype=np.int64)
+    full = energies_at(model, indices)
+    floor = float((full - energies_at(encoding.objective, indices)).min())
+    return indices, full - floor
 
 
-def _energy_of_index(model: QuboModel, index: int) -> float:
-    e = model.offset
-    for i, c in model.linear.items():
-        e += c * ((index >> i) & 1)
-    for (i, j), c in model.quadratic.items():
-        e += c * ((index >> i) & 1) * ((index >> j) & 1)
-    return float(e)
+def feasible_spectrum(model: QuboModel, encoding: Encoding) -> list[SpectrumEntry]:
+    """Spectrum over the feasible sector with the penalty floor removed (see feasible_sector)."""
+    indices, energies = feasible_sector(model, encoding)
+    return enumerate_spectrum(model, states=indices, energies=energies)
 
 
 # --- problem description files ----------------------------------------------

@@ -15,8 +15,8 @@ from typing import Sequence
 import numpy as np
 
 from .optimize import OptimizerConfig, OptResult, minimize
-from .problems import Encoding, feasible_indices, feasible_spectrum, is_feasible
-from .qubo import QuboModel, SpectrumEntry, energy_vector, index_from_string, string_from_index
+from .problems import Encoding, feasible_sector, is_feasible
+from .qubo import TIE_TOL, QuboModel, energy_vector, enumerate_spectrum, string_from_index
 from .simulator import (
     StateVector,
     apply_phase_vector,
@@ -69,6 +69,10 @@ class InitSpec:
     def __post_init__(self) -> None:
         if self.kind not in ("Uniform", "Dicke", "DickeBlocks", "PureFeasible", "RandomFeasible"):
             raise ValueError(f"unknown init kind {self.kind!r}")
+        if self.kind == "PureFeasible" and self.bitstring is None:
+            raise ValueError("init PureFeasible needs a bitstring")
+        if self.kind == "RandomFeasible" and self.seed is None:
+            raise ValueError("init RandomFeasible needs a seed")
 
 
 @dataclass
@@ -106,6 +110,32 @@ class RunMetrics:
     p_gnd: float
     evals: int = 0
     no_feasible_mass: bool = False
+
+
+class Scorer:
+    """The feasible sector of one (model, encoding), ready to score masses over it.
+
+    indices are the feasible basis indices in feasible_indices order and
+    energies their model energies with the penalty floor removed.
+    """
+
+    def __init__(self, indices: np.ndarray, energies: np.ndarray):
+        self.indices = indices
+        self.energies = energies
+        self.c_min = float(energies.min())
+        self.c_max = float(energies.max())
+        self.ground = np.abs(energies - self.c_min) < TIE_TOL
+
+    @classmethod
+    def of(cls, model: QuboModel, encoding: Encoding) -> "Scorer":
+        return cls(*feasible_sector(model, encoding))
+
+    def counts(self, reads: np.ndarray) -> np.ndarray:
+        """Integer read counts per feasible state, from the basis indices of the reads."""
+        order = np.argsort(self.indices)
+        pos = np.minimum(np.searchsorted(self.indices, reads, sorter=order), len(order) - 1)
+        hit = self.indices[order[pos]] == reads
+        return np.bincount(order[pos[hit]], minlength=len(self.indices))
 
 
 @dataclass
@@ -221,13 +251,8 @@ class QaoaContext:
             self.rings = []
             self.phase_diags = [energy_vector(model)]
 
-        self.oracle = feasible_spectrum(model, encoding)
-        self._feas_idx = np.array(list(feasible_indices(encoding)))
-        energies = {index_from_string(s): e.energy for e in self.oracle for s in e.states}
-        self._feas_energy = np.array([energies[i] for i in self._feas_idx])
-        self.c_min = self.oracle[0].energy
-        self.c_max = self.oracle[-1].energy
-        self._gnd_idx = self._feas_idx[np.abs(self._feas_energy - self.c_min) < 1e-9]
+        self.scorer = Scorer.of(model, encoding)
+        self.oracle = enumerate_spectrum(model, states=self.scorer.indices, energies=self.scorer.energies)
 
         self._sector: _SectorEngine | None = None
         if use_sector is not False and self._sector_applicable():
@@ -255,11 +280,10 @@ class QaoaContext:
 
     def _split_phase_diagonals(self, rings: list[list[int]]) -> list[np.ndarray]:
         """One diagonal per gamma family; cross-block terms follow their start-block qubit."""
-        subs = [QuboModel(n=self.n) for _ in range(3)]
-        subs[0].offset = self.model.offset
+        linear: list[dict[int, float]] = [{}, {}, {}]
+        quadratic: list[dict[tuple[int, int], float]] = [{}, {}, {}]
         for i, c in self.model.linear.items():
-            b = self._block_of(i)
-            subs[b].linear[i] = c
+            linear[self._block_of(i)][i] = c
         n_start = len(rings[0]) + len(rings[1])
         for (i, j), c in self.model.quadratic.items():
             bi, bj = self._block_of(i), self._block_of(j)
@@ -268,7 +292,9 @@ class QaoaContext:
             else:
                 start_blocks = [b for b, q in ((bi, i), (bj, j)) if q < n_start]
                 b = min(start_blocks) if start_blocks else min(bi, bj)
-            subs[b].quadratic[(i, j)] = c
+            quadratic[b][(i, j)] = c
+        offsets = [self.model.offset, 0.0, 0.0]
+        subs = [QuboModel(self.n, lin, quad, off) for lin, quad, off in zip(linear, quadratic, offsets)]
         return [energy_vector(sub, n_override=self.n) for sub in subs]
 
     def initial_state(self) -> StateVector:
@@ -342,17 +368,7 @@ class QaoaContext:
     def metrics(self, state: StateVector, evals: int = 0) -> RunMetrics:
         probs = state.probabilities()
         full_diag = self.phase_diags[0] if len(self.phase_diags) == 1 else sum(self.phase_diags)
-        ev = float(probs @ full_diag)
-        p_feas = float(probs[self._feas_idx].sum())
-        if p_feas <= 0.0:
-            return RunMetrics(ev=ev, r_approx=0.0, p_feas=0.0, p_gnd=0.0, evals=evals, no_feasible_mass=True)
-        p_gnd = float(probs[self._gnd_idx].sum())
-        if self.c_min == self.c_max:
-            r = 1.0
-        else:
-            feas_ev = float(probs[self._feas_idx] @ self._feas_energy)
-            r = (feas_ev - self.c_max * p_feas) / (p_feas * (self.c_min - self.c_max))
-        return RunMetrics(ev=ev, r_approx=r, p_feas=p_feas, p_gnd=p_gnd, evals=evals)
+        return metrics(self.scorer, probs[self.scorer.indices], ev=float(probs @ full_diag), evals=evals)
 
     def ev(self, x: np.ndarray, p: int) -> float:
         angles = Angles.unflatten(x, p, self.mixer.n_beta, self.mixer.n_gamma)
@@ -365,40 +381,26 @@ class QaoaContext:
         return float(state.probabilities() @ full_diag)
 
 
-def run_ansatz(
-    encoding: Encoding, model: QuboModel, mixer: MixerSpec, init: InitSpec, angles: Angles
-) -> StateVector:
-    return QaoaContext(encoding, model, mixer, init).run(angles)
-
-
 def metrics(
-    state: StateVector,
-    encoding: Encoding,
-    oracle: list[SpectrumEntry],
-    model: QuboModel | None = None,
+    scorer: Scorer, mass: np.ndarray, total: float = 1.0, ev: float = float("nan"), evals: int = 0
 ) -> RunMetrics:
-    """Figures of merit from a feasible-sector spectrum (penalty floor removed)."""
-    probs = state.probabilities()
-    feas_idx, feas_e = [], []
-    for entry in oracle:
-        for s in entry.states:
-            feas_idx.append(index_from_string(s))
-            feas_e.append(entry.energy)
-    feas_idx = np.array(feas_idx)
-    feas_e = np.array(feas_e)
-    c_min, c_max = oracle[0].energy, oracle[-1].energy
-    p_feas = float(probs[feas_idx].sum())
-    ev = float(probs @ energy_vector(model)) if model is not None else float("nan")
+    """p_feas, p_gnd and r_approx of a mass over the scorer's feasible states.
+
+    mass is aligned with scorer.indices: |psi|^2 at those states (total 1)
+    or integer read counts (total = number of reads).  Sums are taken over
+    the raw mass and divided by the total once, at the end.  ev is passed
+    through, since the feasible sector alone does not determine it.
+    """
+    p_feas = float(mass.sum() / total)
     if p_feas <= 0.0:
-        return RunMetrics(ev=ev, r_approx=0.0, p_feas=0.0, p_gnd=0.0, no_feasible_mass=True)
-    gnd = feas_idx[np.abs(feas_e - c_min) < 1e-9]
-    p_gnd = float(probs[gnd].sum())
-    if c_min == c_max:
+        return RunMetrics(ev=ev, r_approx=0.0, p_feas=0.0, p_gnd=0.0, evals=evals, no_feasible_mass=True)
+    p_gnd = float(mass[scorer.ground].sum() / total)
+    if scorer.c_min == scorer.c_max:
         r = 1.0
     else:
-        feas_ev = float(probs[feas_idx] @ feas_e)
-        r = (feas_ev - c_max * p_feas) / (p_feas * (c_min - c_max))
-    return RunMetrics(ev=ev, r_approx=r, p_feas=p_feas, p_gnd=p_gnd)
+        feas_ev = float(mass @ scorer.energies / total)
+        r = (feas_ev - scorer.c_max * p_feas) / (p_feas * (scorer.c_min - scorer.c_max))
+    return RunMetrics(ev=ev, r_approx=r, p_feas=p_feas, p_gnd=p_gnd, evals=evals)
 
 
 @dataclass

@@ -8,11 +8,14 @@ rendered as a string, variable 0 is the leftmost character.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
 SPECTRUM_CAP = 26
+# Energies closer than this are one level: spectrum grouping and every ground set.
+TIE_TOL = 1e-9
 
 
 class CapacityError(Exception):
@@ -41,6 +44,20 @@ class QuboModel:
                 raise ValueError(f"quadratic key {(i, j)} not strictly upper triangular")
         self.linear = {i: float(c) for i, c in self.linear.items() if c != 0.0}
         self.quadratic = {k: float(c) for k, c in self.quadratic.items() if c != 0.0}
+
+    @cached_property
+    def dense(self) -> tuple[np.ndarray, np.ndarray]:
+        """(lin, W): the linear coefficients and the symmetric coupling matrix.
+
+        Built on first use and kept, so the model must not change afterwards.
+        """
+        lin = np.zeros(self.n)
+        W = np.zeros((self.n, self.n))
+        for i, c in self.linear.items():
+            lin[i] = c
+        for (i, j), c in self.quadratic.items():
+            W[i, j] = W[j, i] = c
+        return lin, W
 
 
 @dataclass
@@ -80,8 +97,26 @@ def string_from_index(index: int, n: int) -> str:
     return "".join(str((index >> i) & 1) for i in range(n))
 
 
-def index_from_string(s: str) -> int:
+def index_from_string(s: str | Sequence[int] | np.ndarray) -> int:
+    """Basis index of a bitstring or 0/1 sequence, variable 0 first."""
     return sum(int(c) << i for i, c in enumerate(s))
+
+
+def energies_at(model: QuboModel, indices: Sequence[int] | np.ndarray) -> np.ndarray:
+    """QUBO energies at an array of basis indices: the one energy kernel.
+
+    Terms are added in a fixed order (offset, then linear, then quadratic
+    terms, each in dict order), so every evaluation agrees bit for bit.
+    Indices that need more than 63 bits arrive as an object array of Python
+    ints and take the same path.
+    """
+    idx = np.asarray(indices)
+    e = np.full(idx.shape, float(model.offset))
+    for i, c in model.linear.items():
+        e = e + c * ((idx >> i) & 1)
+    for (i, j), c in model.quadratic.items():
+        e = e + c * ((idx >> i) & (idx >> j) & 1)
+    return np.asarray(e, dtype=float)
 
 
 def energy_qubo(model: QuboModel, s: str | Sequence[int] | np.ndarray) -> float:
@@ -89,12 +124,9 @@ def energy_qubo(model: QuboModel, s: str | Sequence[int] | np.ndarray) -> float:
     bits = bits_from_string(s) if isinstance(s, str) else np.asarray(s)
     if len(bits) != model.n:
         raise ValueError(f"state length {len(bits)} != n={model.n}")
-    e = model.offset
-    for i, c in model.linear.items():
-        e += c * bits[i]
-    for (i, j), c in model.quadratic.items():
-        e += c * bits[i] * bits[j]
-    return float(e)
+    if not np.isin(bits, (0, 1)).all():
+        raise ValueError(f"not a binary assignment: {s!r}")
+    return float(energies_at(model, [index_from_string(bits)])[0])
 
 
 def energy_ising(model: IsingModel, z: Sequence[int] | np.ndarray) -> float:
@@ -149,26 +181,17 @@ def ising_to_qubo(model: IsingModel) -> QuboModel:
 
 
 def energy_vector(model: QuboModel | IsingModel, n_override: int | None = None) -> np.ndarray:
-    """Energies of all 2^n basis states, indexed by basis index.
-
-    Shared kernel for spectra and diagonal phase evolution.
-    """
+    """Energies of all 2^n basis states, indexed by basis index (the cost diagonal)."""
     n = model.n if n_override is None else n_override
-    dim = 1 << n
-    energies = np.full(dim, float(model.offset))
-    idx = np.arange(dim)
+    idx = np.arange(1 << n)
     if isinstance(model, QuboModel):
-        bit = lambda i: ((idx >> i) & 1).astype(float)  # noqa: E731
-        for i, c in model.linear.items():
-            energies += c * bit(i)
-        for (i, j), c in model.quadratic.items():
-            energies += c * bit(i) * bit(j)
-    else:
-        spin = lambda i: 1.0 - 2.0 * ((idx >> i) & 1)  # noqa: E731
-        for i, c in model.h.items():
-            energies += c * spin(i)
-        for (i, j), c in model.J.items():
-            energies += c * spin(i) * spin(j)
+        return energies_at(model, idx)
+    energies = np.full(1 << n, float(model.offset))
+    spin = lambda i: 1.0 - 2.0 * ((idx >> i) & 1)  # noqa: E731
+    for i, c in model.h.items():
+        energies += c * spin(i)
+    for (i, j), c in model.J.items():
+        energies += c * spin(i) * spin(j)
     return energies
 
 
@@ -182,33 +205,26 @@ def enumerate_spectrum(
     """Exact sorted spectrum over all 2^n states (or the feasible subset), ties grouped.
 
     `states`/`energies` let callers restrict to a precomputed subset without
-    touching the full space (used for large constrained sectors).
+    touching the full space (used for large constrained sectors).  A level
+    holds every state within TIE_TOL of its lowest energy, which it reports.
     """
     if states is None:
         if model.n > SPECTRUM_CAP:
             raise CapacityError(f"n={model.n} exceeds spectrum cap {SPECTRUM_CAP}")
-        all_e = energy_vector(model)
         indices = np.arange(1 << model.n)
-        if feasible is not None:
-            mask = np.array([feasible(string_from_index(i, model.n)) for i in indices])
-            indices = indices[mask]
-        values = all_e[indices]
     else:
         indices = np.asarray(list(states))
-        if energies is not None:
-            values = np.asarray(energies, dtype=float)
-        else:
-            values = np.array([energy_qubo(model, string_from_index(i, model.n)) for i in indices])
-        if feasible is not None:
-            mask = np.array([feasible(string_from_index(i, model.n)) for i in indices])
-            indices, values = indices[mask], values[mask]
+    values = energies_at(model, indices) if energies is None else np.asarray(energies, dtype=float)
+    if feasible is not None:
+        mask = np.array([feasible(string_from_index(i, model.n)) for i in indices])
+        indices, values = indices[mask], values[mask]
 
     order = np.argsort(values, kind="stable")
     entries: list[SpectrumEntry] = []
     for k in order:
         e = float(values[k])
         s = string_from_index(int(indices[k]), model.n)
-        if entries and entries[-1].energy == e:
+        if entries and e - entries[-1].energy < TIE_TOL:
             entries[-1].states.append(s)
         else:
             entries.append(SpectrumEntry(energy=e, states=[s]))

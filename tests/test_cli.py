@@ -96,6 +96,28 @@ class TestQaoa:
         main(["qaoa", "--config", cfg, "--out", b, "--seed", "7"])
         assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
 
+    def test_random_feasible_byte_identical_given_seed(self, tmp_path):
+        text = self.CONFIG.replace("mixer = X\ninit = Uniform", "mixer = XY\ninit = RandomFeasible")
+        cfg = write(tmp_path, "q.ini", text)
+        a, b = str(tmp_path / "a.csv"), str(tmp_path / "b.csv")
+        assert main(["qaoa", "--config", cfg, "--out", a, "--seed", "7"]) == 0
+        assert main(["qaoa", "--config", cfg, "--out", b, "--seed", "7"]) == 0
+        assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
+
+    def test_pure_feasible_without_bitstring_is_an_error(self, tmp_path, capsys):
+        text = self.CONFIG.replace("mixer = X\ninit = Uniform", "mixer = XY\ninit = PureFeasible")
+        cfg = write(tmp_path, "q.ini", text)
+        assert main(["qaoa", "--config", cfg, "--out", str(tmp_path / "q.csv")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "bitstring" in err
+
+    def test_unknown_key_rejected(self, tmp_path, capsys):
+        cfg = write(tmp_path, "q.ini", self.CONFIG.replace("restarts = 2", "restart = 3"))
+        assert main(["qaoa", "--config", cfg, "--out", str(tmp_path / "q.csv")]) == 1
+        err = capsys.readouterr().err
+        assert "'restart'" in err and "[qaoa]" in err and "restarts" in err
+        assert not (tmp_path / "q.csv").exists()
+
     def test_schedule_strategy_rows(self, tmp_path):
         cfg = write(
             tmp_path,

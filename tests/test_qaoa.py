@@ -2,11 +2,14 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from quambo.problems import (
     FacilityProblem,
     encode_single_complement,
     encode_start_dest,
+    feasible_sector,
     problem_variant,
 )
 from quambo.optimize import NelderMead
@@ -17,10 +20,12 @@ from quambo.qaoa import (
     QaoaConfig,
     QaoaContext,
     RunMetrics,
+    Scorer,
     extrap_extend,
     gain_decomposition,
     increasing_p_schedule,
     interp_extend,
+    metrics,
     random_restart_search,
     summarize_metrics,
 )
@@ -63,6 +68,10 @@ class TestSpecs:
     def test_init_kind(self):
         with pytest.raises(ValueError):
             InitSpec(kind="Thermal")
+        # the feasible kinds need their bitstring / seed
+        for kind in ("PureFeasible", "RandomFeasible"):
+            with pytest.raises(ValueError):
+                InitSpec(kind=kind)
 
     def test_angles_round_trip(self):
         angles = Angles(beta=np.arange(6.0).reshape(2, 3), gamma=np.arange(2.0).reshape(2, 1))
@@ -187,6 +196,74 @@ class TestMetrics:
         s = summarize_metrics(runs)
         assert s["mean_p_gnd"] == pytest.approx(0.5)
         assert s["err_p_gnd"] == pytest.approx(0.7071, abs=1e-4)
+
+
+def random_scorer(rng, n):
+    """A scorer over a random non-empty subset of the 2^n states with random energies."""
+    indices = rng.permutation(1 << n)[: int(rng.integers(1, (1 << n) + 1))]
+    return Scorer(indices, rng.normal(size=len(indices)))
+
+
+class TestScorer:
+    def test_split_level_reads_count_as_ground(self):
+        # the four edge-centre placements of a euclidean 3x3 grid differ by ~1e-13;
+        # without the unique centre optimum they are the ground level
+        problem = FacilityProblem(("grid", 3, 3), 1, metric="euclidean", lambda_=10.0)
+        indices, energies = feasible_sector(*encode_single_complement(problem))
+        keep = energies > energies.min()
+        scorer = Scorer(indices[keep], energies[keep])
+        level = scorer.indices[np.argsort(scorer.energies)[:4]]
+        assert np.ptp(scorer.energies[np.isin(scorer.indices, level)]) > 0.0
+        m = metrics(scorer, scorer.counts(np.repeat(level, 3)), total=12)
+        assert m.p_gnd == 1.0
+
+    def test_reads_outside_the_sector(self):
+        scorer = Scorer(np.array([5, 2, 7]), np.array([1.0, 0.0, 3.0]))
+        assert scorer.counts(np.array([2, 0, 7, 8, 2, 5, 1])).tolist() == [1, 2, 1]
+
+    @given(st.integers(min_value=0, max_value=2**31 - 1))
+    @settings(max_examples=50, deadline=None)
+    def test_basis_state_equals_reads_of_it(self, seed):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(1, 7))
+        scorer = random_scorer(rng, n)
+        b = int(rng.integers(1 << n))
+        reads = int(rng.integers(1, 50))
+        probs = np.zeros(1 << n)
+        probs[b] = 1.0
+        dense = metrics(scorer, probs[scorer.indices])
+        sampled = metrics(scorer, scorer.counts(np.full(reads, b)), total=reads)
+        assert sampled.no_feasible_mass == dense.no_feasible_mass
+        for name in ("p_feas", "p_gnd", "r_approx"):
+            assert getattr(sampled, name) == pytest.approx(getattr(dense, name), rel=1e-12, abs=1e-12)
+
+    @given(st.integers(min_value=0, max_value=2**31 - 1))
+    @settings(max_examples=30, deadline=None)
+    def test_probabilities_match_seeded_samples(self, seed):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(1, 7))
+        scorer = random_scorer(rng, n)
+        amps = rng.normal(size=1 << n) + 1j * rng.normal(size=1 << n)
+        probs = np.abs(amps) ** 2
+        probs /= probs.sum()
+        shots = 4000
+        reads = np.repeat(np.arange(1 << n), rng.multinomial(shots, probs))
+        exact = metrics(scorer, probs[scorer.indices])
+        sampled = metrics(scorer, scorer.counts(reads), total=shots)
+
+        def within_5_se(got, want, var, count):
+            assert abs(got - want) <= 5.0 * np.sqrt(max(var, 0.0) / count) + 1e-12
+
+        for name in ("p_feas", "p_gnd"):
+            p = getattr(exact, name)
+            within_5_se(getattr(sampled, name), p, p * (1.0 - p), shots)
+        if sampled.no_feasible_mass or scorer.c_min == scorer.c_max:
+            return
+        # r_approx is the mean of (c_max - e) / (c_max - c_min) over feasible reads
+        cond = probs[scorer.indices] / exact.p_feas
+        r_of_state = (scorer.c_max - scorer.energies) / (scorer.c_max - scorer.c_min)
+        var = cond @ (r_of_state - exact.r_approx) ** 2
+        within_5_se(sampled.r_approx, exact.r_approx, var, shots * sampled.p_feas)
 
 
 class TestSchedules:

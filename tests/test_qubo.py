@@ -5,14 +5,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from quambo.problems import FacilityProblem, encode_single_complement
+from quambo.problems import FacilityProblem, encode_single_complement, feasible_spectrum
 from quambo.qubo import (
     CapacityError,
     IsingModel,
     QuboModel,
     bits_from_string,
+    energies_at,
     energy_ising,
     energy_qubo,
+    energy_vector,
     enumerate_spectrum,
     ising_to_qubo,
     model_from_text,
@@ -32,6 +34,60 @@ def random_qubo(n, rng):
     linear = {i: float(rng.normal()) for i in range(n)}
     quadratic = {(i, j): float(rng.normal()) for i in range(n) for j in range(i + 1, n)}
     return QuboModel(n=n, linear=linear, quadratic=quadratic, offset=float(rng.normal()))
+
+
+def reference_energy(model, index):
+    """Per-state loop over the terms, in the kernel's order: the reference for energies_at."""
+    e = model.offset
+    for i, c in model.linear.items():
+        e += c * ((index >> i) & 1)
+    for (i, j), c in model.quadratic.items():
+        e += c * ((index >> i) & 1) * ((index >> j) & 1)
+    return float(e)
+
+
+COEFFICIENTS = st.floats(min_value=-1e3, max_value=1e3, allow_nan=False)
+
+
+@st.composite
+def qubo_models(draw, max_n=10):
+    """QUBOs with float coefficients, terms in arbitrary dict order."""
+    n = draw(st.integers(min_value=1, max_value=max_n))
+    linear = draw(st.dictionaries(st.integers(min_value=0, max_value=n - 1), COEFFICIENTS))
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    quadratic = draw(st.dictionaries(st.sampled_from(pairs), COEFFICIENTS)) if pairs else {}
+    return QuboModel(n=n, linear=linear, quadratic=quadratic, offset=draw(COEFFICIENTS))
+
+
+class TestEnergyKernel:
+    @given(qubo_models(), st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_every_evaluator_equals_reference(self, model, data):
+        dim = 1 << model.n
+        reference = np.array([reference_energy(model, i) for i in range(dim)])
+        assert np.array_equal(energy_vector(model), reference)
+        indices = data.draw(st.lists(st.integers(min_value=0, max_value=dim - 1), max_size=20))
+        assert np.array_equal(energies_at(model, np.array(indices, dtype=np.int64)), reference[indices])
+        for i in indices:
+            assert energy_qubo(model, string_from_index(i, model.n)) == reference[i]
+
+    @given(qubo_models())
+    @settings(max_examples=40, deadline=None)
+    def test_ising_round_trip_through_energy_vector(self, model):
+        scale = max(1.0, abs(model.offset) + sum(map(abs, model.linear.values()))
+                    + sum(map(abs, model.quadratic.values())))
+        qubo = energy_vector(model)
+        ising = qubo_to_ising(model)
+        assert np.abs(energy_vector(ising) - qubo).max() <= 1e-9 * scale
+        assert np.abs(energy_vector(ising_to_qubo(ising)) - qubo).max() <= 1e-9 * scale
+
+    def test_indices_beyond_63_bits(self):
+        model = QuboModel(n=100, linear={99: 2.0}, quadratic={(0, 99): -5.0}, offset=1.0)
+        assert energy_qubo(model, "1" + "0" * 98 + "1") == -2.0
+
+    def test_non_binary_assignment(self):
+        with pytest.raises(ValueError):
+            energy_qubo(QuboModel(n=2, linear={0: 1.0}), [2, 0])
 
 
 class TestEnergyQubo:
@@ -153,6 +209,13 @@ class TestSpectrum:
     def test_cap(self):
         with pytest.raises(CapacityError):
             enumerate_spectrum(QuboModel(n=27))
+
+    def test_rounding_does_not_split_a_level(self):
+        # sqrt distances summed in different orders: the four edge-centre
+        # placements of a 3x3 grid differ by ~1e-13
+        problem = FacilityProblem(("grid", 3, 3), 1, metric="euclidean", lambda_=10.0)
+        spectrum = feasible_spectrum(*encode_single_complement(problem))
+        assert [len(e.states) for e in spectrum] == [1, 4, 4]
 
 
 class TestSerialization:
