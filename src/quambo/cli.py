@@ -3,7 +3,9 @@
 Subcommands: encode, oracle, qaoa, vqe, baseline, anneal, tts, summarize.
 Configs are INI-style key-value files whose sections and keys are checked
 against CONFIG_KEYS; results are written as RFC-4180 CSV
-plus a JSON manifest (config echo, version, master seed, wall time).
+plus a JSON manifest (config echo, version, master seed, wall time; for
+qaoa also the engine's basis, state and block dimensions, and why the
+weight sector was not used).
 
 CSV schemas:
   qaoa     run_id,p,strategy,mixer,init,ev,r_approx,p_feas,p_gnd,evals,seed
@@ -119,13 +121,14 @@ def write_csv(path: str, header: list[str], rows: list[list]) -> None:
         writer.writerows(rows)
 
 
-def write_manifest(out: str, cp: configparser.ConfigParser, seed: int, started: float) -> None:
+def write_manifest(out: str, cp: configparser.ConfigParser, seed: int, started: float, **extra) -> None:
     echo = {s: dict(cp[s]) for s in cp.sections()}
     manifest = {
         "version": f"quambo-{__version__}",
         "seed": seed,
         "config": echo,
         "wall_time_s": round(time.time() - started, 3),
+        **extra,
     }
     Path(out).with_suffix(Path(out).suffix + ".manifest.json").write_text(
         json.dumps(manifest, indent=2) + "\n"
@@ -211,7 +214,7 @@ def cmd_qaoa(args: argparse.Namespace) -> int:
                      _fmt(s["mean_p_feas"]), _fmt(s["mean_p_gnd"]), "", args.seed])
     out = args.out or "qaoa.csv"
     write_csv(out, header, rows)
-    write_manifest(out, cp, args.seed, started)
+    write_manifest(out, cp, args.seed, started, engine=search.engine)
     return 0
 
 

@@ -10,22 +10,22 @@ the gamma of their start-block qubit.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from functools import cached_property, lru_cache
 from typing import Sequence
 
 import numpy as np
 
 from .optimize import OptimizerConfig, OptResult, minimize
 from .problems import Encoding, feasible_sector, is_feasible
-from .qubo import TIE_TOL, QuboModel, energy_vector, enumerate_spectrum, string_from_index
+from .qubo import TIE_TOL, QuboModel, energy_vector, enumerate_spectrum, read_only, string_from_index
 from .simulator import (
     StateVector,
-    apply_phase_vector,
-    apply_x_mixer,
-    apply_xy_ring_mixer,
     basis_state,
     block_product_state,
     dicke_state,
+    popcounts,
     uniform_state,
+    xy_ring_eigensystem,
 )
 
 
@@ -146,81 +146,57 @@ class QaoaConfig:
     p: int
 
 
-class _SectorEngine:
-    """Exact evolution restricted to the block-Hamming-weight sector.
+# Largest number of qubits in one Hadamard block of the X-mixer engine.
+X_BLOCK_CAP = 5
 
-    When every mixer ring coincides with a Hamming-target block and the
-    initial state lives in the sector, the phase separator (diagonal) and
-    the XY ring mixers (weight conserving per block) never move amplitude
-    out of it.  The state is then a tensor with one axis per block, of
-    dimension C(block length, block weight), which is far smaller than 2^n.
+
+@lru_cache(maxsize=16)
+def _hadamard_eigensystem(w: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(patterns, vals, vecs) of sum_t X_t on w qubits: the normalised Hadamard matrix, eigenvalues w - 2 popcount."""
+    vecs = np.ones((1, 1))
+    for _ in range(w):
+        vecs = np.kron(vecs, [[1.0, 1.0], [1.0, -1.0]])
+    vecs /= 2.0 ** (w / 2)
+    return read_only(np.arange(1 << w)), read_only(w - 2.0 * popcounts(w)), read_only(vecs)
+
+
+def _phase_table(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct columns of rows (angle count x dim) and the index that restores them.
+
+    A phase exp(-i angles . rows) is then computed once per distinct column:
+    the X eigenvalue sums take n + 1 values, and cost diagonals repeat too.
     """
+    table, index = np.unique(rows.T, axis=0, return_inverse=True)
+    return read_only(np.ascontiguousarray(table.T)), read_only(index.reshape(-1))
 
-    def __init__(self, n: int, blocks: list[tuple[tuple[int, int], int]], diags: list[np.ndarray]):
-        from itertools import combinations
 
-        self.n = n
-        self.blocks = blocks
-        self.patterns: list[np.ndarray] = []
-        for (lo, hi), w in blocks:
-            width = hi - lo
-            pats = sorted(sum(1 << b for b in combo) for combo in combinations(range(width), w))
-            self.patterns.append(np.array(pats, dtype=np.int64))
-        self.shape = tuple(len(p) for p in self.patterns)
-        grids = np.meshgrid(*[p << lo for p, ((lo, _hi), _w) in zip(self.patterns, blocks)], indexing="ij")
-        self.global_indices = np.zeros(self.shape, dtype=np.int64)
-        for g in grids:
-            self.global_indices += g
-        flat = self.global_indices.reshape(-1)
-        self.diags = [d[flat].reshape(self.shape) for d in diags]
-        self._eigs = [self._block_eigensystem(k) for k in range(len(blocks))]
-
-    def _block_eigensystem(self, k: int) -> tuple[np.ndarray, np.ndarray]:
-        """Eigensystem of the XY ring Hamiltonian restricted to the block's weight sector."""
-        pats = self.patterns[k]
-        width = self.blocks[k][0][1] - self.blocks[k][0][0]
-        pos = {int(p): i for i, p in enumerate(pats)}
-        dim = len(pats)
-        H = np.zeros((dim, dim))
-        edges = [(0, 1)] if width == 2 else [(t, (t + 1) % width) for t in range(width)]
-        for i, p in enumerate(pats):
-            for a, b in edges:
-                if ((p >> a) & 1) != ((p >> b) & 1):
-                    H[pos[int(p) ^ (1 << a) ^ (1 << b)], i] += 1.0
-        vals, vecs = np.linalg.eigh(H)
-        return vals, vecs
-
-    def uniform_sector_state(self) -> np.ndarray:
-        size = int(np.prod(self.shape))
-        return np.full(self.shape, 1.0 / np.sqrt(size), dtype=complex)
-
-    def basis_sector_state(self, bitstring: str) -> np.ndarray:
-        amps = np.zeros(self.shape, dtype=complex)
-        coords = []
-        for pats, ((lo, hi), _w) in zip(self.patterns, self.blocks):
-            block = int(bitstring[lo:hi][::-1], 2)
-            coords.append(int(np.flatnonzero(pats == block)[0]))
-        amps[tuple(coords)] = 1.0
-        return amps
-
-    def apply_phase(self, amps: np.ndarray, diag_index: int, gamma: float) -> np.ndarray:
-        return amps * np.exp(-1j * gamma * self.diags[diag_index])
-
-    def apply_block_mixer(self, amps: np.ndarray, k: int, beta: float) -> np.ndarray:
-        vals, vecs = self._eigs[k]
-        U = (vecs * np.exp(-1j * beta * vals)) @ vecs.conj().T
-        moved = np.moveaxis(amps, k, 0)
-        out = np.tensordot(U, moved, axes=([1], [0]))
-        return np.moveaxis(out, 0, k)
-
-    def expand(self, amps: np.ndarray) -> StateVector:
-        full = np.zeros(1 << self.n, dtype=complex)
-        full[self.global_indices.reshape(-1)] = amps.reshape(-1)
-        return StateVector(self.n, full)
+def _check_rings(rings: list[list[int]], n: int) -> None:
+    for k, ring in enumerate(rings):
+        if len(ring) < 2:
+            raise ValueError(f"XY ring {ring} has fewer than 2 qubits")
+        if any(not 0 <= q < n for q in ring):
+            raise ValueError(f"XY ring {ring} has a qubit outside 0..{n - 1}")
+        if len(set(ring)) != len(ring):
+            raise ValueError(f"XY ring {ring} repeats a qubit")
+        if set(ring) & set().union(*rings[:k]):
+            raise ValueError(f"XY ring {ring} overlaps another ring")
 
 
 class QaoaContext:
-    """Precomputed machinery for repeated ansatz evaluations on one problem."""
+    """Precomputed machinery for repeated ansatz evaluations on one problem.
+
+    One engine evolves every mixer.  Its state is a flat complex array viewed
+    as a tensor with one axis per mixer block: a Hadamard block of at most
+    X_BLOCK_CAP qubits for X, one XY ring per block otherwise (qubits in no
+    ring form one block the mixer leaves alone).  A block's basis is all its
+    bit patterns, or, when the rings tile the Hamming blocks and the initial
+    state lies in the feasible sector, the patterns of the block's Hamming
+    weight (`basis` is then "sector"; otherwise "full", with the cause in
+    `sector_reason`).  A layer multiplies by the cost phase, applies V^T of
+    every block's real mixer eigensystem (V, lambda), multiplies by
+    exp(-i sum_b beta_b lambda_b) and applies V again.  Diagonals, eigensystems
+    and the initial state are built once, read-only, in the engine basis.
+    """
 
     def __init__(
         self,
@@ -235,42 +211,80 @@ class QaoaContext:
         self.mixer = mixer
         self.init = init
         self.n = model.n
+        targets = [list(range(lo, hi)) for (lo, hi), _w in encoding.hamming_targets]
 
-        if mixer.kind == "ThreeXY":
-            rings = mixer.rings or [list(range(lo, hi)) for (lo, hi), _ in encoding.hamming_targets]
-            if len(rings) != 3:
-                raise ValueError("ThreeXY needs exactly three rings")
-            self.rings = rings
-            self.phase_diags = self._split_phase_diagonals(rings) if mixer.n_gamma == 3 else [energy_vector(model)]
-        elif mixer.kind == "XY":
-            if not mixer.rings:
+        self.rings: list[list[int]] = []
+        if mixer.kind != "X":
+            rings = mixer.rings or (targets if mixer.kind == "ThreeXY" else None)
+            if not rings:
                 raise ValueError("XY mixer needs explicit rings")
-            self.rings = mixer.rings
-            self.phase_diags = [energy_vector(model)]
-        else:
-            self.rings = []
-            self.phase_diags = [energy_vector(model)]
+            if mixer.kind == "ThreeXY" and len(rings) != 3:
+                raise ValueError("ThreeXY needs exactly three rings")
+            _check_rings(rings, self.n)
+            self.rings = [list(ring) for ring in rings]
+        self.phase_diags = self._split_phase_diagonals(self.rings) if mixer.n_gamma == 3 else [model.diagonal]
+        self._energy = read_only(sum(self.phase_diags[1:], self.phase_diags[0]))
 
         self.scorer = Scorer.of(model, encoding)
         self.oracle = enumerate_spectrum(model, states=self.scorer.indices, energies=self.scorer.energies)
 
-        self._sector: _SectorEngine | None = None
-        if use_sector is not False and self._sector_applicable():
-            self._sector = _SectorEngine(self.n, list(encoding.hamming_targets), self.phase_diags)
+        self.sector_reason = self._sector_reason(use_sector, targets)
+        self.basis = "full" if self.sector_reason else "sector"
+        blocks = self._blocks()
+        self.block_dims = [len(patterns) for _q, patterns, _l, _v in blocks]
+        index = np.zeros((), dtype=np.int64)
+        self._steps = []
+        for axis, (qubits, patterns, _vals, vecs) in enumerate(blocks):
+            shape = [1] * len(blocks)
+            shape[axis] = -1
+            index = index + sum(((patterns >> t) & 1) << q for t, q in enumerate(qubits)).reshape(shape)
+            if vecs is not None:
+                pre, post = int(np.prod(self.block_dims[:axis])), int(np.prod(self.block_dims[axis + 1:]))
+                self._steps.append(((pre, len(patterns), 2 * post), read_only(np.ascontiguousarray(vecs.T)), vecs))
+        # engine amplitude i is the computational basis state _index[i]
+        self._index = read_only(index.reshape(-1))
+        # drive[c, b] = 1 when beta column c is the angle of block b (the rings' blocks come first)
+        columns = [0] * len(blocks)
+        if mixer.kind == "ThreeXY":
+            columns = {1: [0, 0, 0], 2: [0, 0, 1], 3: [0, 1, 2]}[mixer.n_beta]
+        drive = np.zeros((mixer.n_beta, len(blocks)))
+        drive[columns, range(len(columns))] = 1.0
+        # beta . _mix_rows lists beta_b lambda_b of every block, block after block
+        self._mix_rows = read_only(np.hstack([np.outer(drive[:, b], block[2]) for b, block in enumerate(blocks)]))
+        edges = np.cumsum([0] + self.block_dims)
+        self._mix_slices = [slice(lo, hi) for lo, hi in zip(edges, edges[1:])]
+        self._cost_table, self._cost_index = _phase_table(np.array([d[self._index] for d in self.phase_diags]))
+        self._cost = read_only(self._energy[self._index])
 
-    def _sector_applicable(self) -> bool:
-        """Weight-sector evolution is exact when rings tile the Hamming blocks."""
-        if self.mixer.kind not in ("XY", "ThreeXY"):
-            return False
-        if self.init.kind not in ("Dicke", "DickeBlocks", "PureFeasible"):
-            return False
+    def _sector_reason(self, use_sector: bool | None, targets: list[list[int]]) -> str:
+        """Why the engine cannot run in the Hamming-weight sector ("" when it can)."""
+        if use_sector is False:
+            return "use_sector=False"
+        if self.mixer.kind == "X":
+            return "the X mixer does not conserve Hamming weight"
+        if self.rings != targets:
+            return "the mixer rings do not tile the Hamming blocks"
         blocks = self.encoding.hamming_targets
-        if self.rings != [list(range(lo, hi)) for (lo, hi), _w in blocks]:
-            return False
-        if self.init.kind == "Dicke":
-            k = self.init.k if self.init.k is not None else blocks[0][1]
-            return blocks == [((0, self.n), k)]
-        return True
+        k = self.init.k if self.init.k is not None else blocks[0][1]
+        if self.init.kind == "Uniform" or (self.init.kind == "Dicke" and blocks != [((0, self.n), k)]):
+            return f"the {self.init.kind} initial state is not inside the sector"
+        return ""
+
+    def _blocks(self) -> list[tuple[list[int], np.ndarray, np.ndarray, np.ndarray | None]]:
+        """(qubits, patterns, vals, vecs) per engine axis; local bit t of a pattern is qubits[t]."""
+        if self.mixer.kind == "X":
+            # near-equal blocks, highest qubits on axis 0, so the engine basis is the computational one
+            count = -(-self.n // X_BLOCK_CAP)
+            sizes = [self.n // count + (b < self.n % count) for b in range(count)]
+            tops = np.cumsum([0] + sizes)
+            return [(list(range(self.n - hi, self.n - lo)), *_hadamard_eigensystem(hi - lo))
+                    for lo, hi in zip(tops, tops[1:])]
+        weights = [w for _r, w in self.encoding.hamming_targets] if self.basis == "sector" else [None] * len(self.rings)
+        blocks = [(ring, *xy_ring_eigensystem(len(ring), w)) for ring, w in zip(self.rings, weights)]
+        idle = sorted(set(range(self.n)).difference(*self.rings))
+        if idle:
+            blocks.append((idle, np.arange(1 << len(idle)), np.zeros(1 << len(idle)), None))
+        return blocks
 
     def _block_of(self, q: int) -> int:
         for r, ring in enumerate(self.rings):
@@ -295,7 +309,13 @@ class QaoaContext:
             quadratic[b][(i, j)] = c
         offsets = [self.model.offset, 0.0, 0.0]
         subs = [QuboModel(self.n, lin, quad, off) for lin, quad, off in zip(linear, quadratic, offsets)]
-        return [energy_vector(sub, n_override=self.n) for sub in subs]
+        return [read_only(energy_vector(sub, n_override=self.n)) for sub in subs]
+
+    @property
+    def engine(self) -> dict:
+        """The engine's basis, state dimension and block dimensions, and why the sector was not used."""
+        info = {"basis": self.basis, "dim": len(self._index), "block_dims": self.block_dims}
+        return {**info, "reason": self.sector_reason} if self.sector_reason else info
 
     def initial_state(self) -> StateVector:
         init, enc = self.init, self.encoding
@@ -318,67 +338,42 @@ class QaoaContext:
             if is_feasible(enc, s):
                 return basis_state(self.n, s)
 
-    def _ring_betas(self, beta_row: np.ndarray) -> list[float]:
-        nb = len(beta_row)
-        if nb == 1:
-            return [beta_row[0]] * 3
-        if nb == 2:
-            return [beta_row[0], beta_row[0], beta_row[1]]
-        return list(beta_row)
+    @cached_property
+    def _psi0(self) -> np.ndarray:
+        return read_only(self.initial_state().amplitudes[self._index])
 
-    def _run_sector(self, angles: Angles) -> np.ndarray:
-        sector = self._sector
-        if self.init.kind == "PureFeasible":
-            if not is_feasible(self.encoding, self.init.bitstring):
-                raise ValueError(f"init state {self.init.bitstring!r} is not feasible")
-            amps = sector.basis_sector_state(self.init.bitstring)
-        else:
-            amps = sector.uniform_sector_state()
-        n_blocks = len(sector.blocks)
-        for r in range(angles.p):
-            for d, g in enumerate(angles.gamma[r]):
-                amps = sector.apply_phase(amps, d, g)
-            if self.mixer.kind == "XY":
-                betas = [angles.beta[r, 0]] * n_blocks
-            else:
-                betas = self._ring_betas(angles.beta[r])
-            for k, b in enumerate(betas):
-                amps = sector.apply_block_mixer(amps, k, b)
-        return amps
-
-    def run(self, angles: Angles) -> StateVector:
+    def _evolve(self, angles: Angles) -> np.ndarray:
+        """The ansatz state in the engine basis."""
         if angles.beta.shape[1] != self.mixer.n_beta or angles.gamma.shape[1] != self.mixer.n_gamma:
             raise ValueError("angle columns do not match the mixer's angle scheme")
-        if self._sector is not None:
-            return self._sector.expand(self._run_sector(angles))
-        state = self.initial_state()
+        cost = np.exp(-1j * (angles.gamma @ self._cost_table))[:, self._cost_index]
+        mix = np.exp(-1j * (angles.beta @ self._mix_rows))
+        psi = self._psi0
         for r in range(angles.p):
-            for diag, g in zip(self.phase_diags, angles.gamma[r]):
-                apply_phase_vector(state, diag, g)
-            if self.mixer.kind == "X":
-                apply_x_mixer(state, angles.beta[r, 0])
-            elif self.mixer.kind == "XY":
-                for ring in self.rings:
-                    apply_xy_ring_mixer(state, ring, angles.beta[r, 0])
-            else:
-                for ring, b in zip(self.rings, self._ring_betas(angles.beta[r])):
-                    apply_xy_ring_mixer(state, ring, b)
-        return state
+            psi = psi * cost[r]
+            for shape, vt, _v in self._steps:
+                psi = np.matmul(vt, psi.view(float).reshape(shape)).reshape(-1).view(complex)
+            # exp(-i sum_b beta_b lambda_b) is the outer product of the blocks' phases
+            phase = mix[r, self._mix_slices[0]]
+            for part in self._mix_slices[1:]:
+                phase = np.multiply.outer(phase, mix[r, part])
+            psi *= phase.reshape(-1)
+            for shape, _vt, v in self._steps:
+                psi = np.matmul(v, psi.view(float).reshape(shape)).reshape(-1).view(complex)
+        return psi
+
+    def run(self, angles: Angles) -> StateVector:
+        amps = np.zeros(1 << self.n, dtype=complex)
+        amps[self._index] = self._evolve(angles)
+        return StateVector(self.n, amps)
 
     def metrics(self, state: StateVector, evals: int = 0) -> RunMetrics:
         probs = state.probabilities()
-        full_diag = self.phase_diags[0] if len(self.phase_diags) == 1 else sum(self.phase_diags)
-        return metrics(self.scorer, probs[self.scorer.indices], ev=float(probs @ full_diag), evals=evals)
+        return metrics(self.scorer, probs[self.scorer.indices], ev=float(probs @ self._energy), evals=evals)
 
     def ev(self, x: np.ndarray, p: int) -> float:
-        angles = Angles.unflatten(x, p, self.mixer.n_beta, self.mixer.n_gamma)
-        if self._sector is not None:
-            amps = self._run_sector(angles)
-            diag = self._sector.diags[0] if len(self._sector.diags) == 1 else sum(self._sector.diags)
-            return float(np.abs(amps.reshape(-1)) ** 2 @ diag.reshape(-1))
-        state = self.run(angles)
-        full_diag = self.phase_diags[0] if len(self.phase_diags) == 1 else sum(self.phase_diags)
-        return float(state.probabilities() @ full_diag)
+        psi = self._evolve(Angles.unflatten(x, p, self.mixer.n_beta, self.mixer.n_gamma))
+        return float(np.abs(psi) ** 2 @ self._cost)
 
 
 def metrics(
@@ -408,6 +403,7 @@ class RestartResult:
     runs: list[tuple[Angles, RunMetrics]]
     summary: dict[str, float]
     best_index: int
+    engine: dict = field(default_factory=dict)
 
     @property
     def best(self) -> tuple[Angles, RunMetrics]:
@@ -446,7 +442,7 @@ def random_restart_search(
         runs.append((angles, m))
     summary = summarize_metrics([m for _, m in runs])
     best = int(np.argmin([m.ev for _, m in runs]))
-    return RestartResult(runs=runs, summary=summary, best_index=best)
+    return RestartResult(runs=runs, summary=summary, best_index=best, engine=ctx.engine)
 
 
 def interp_extend(angles: Angles) -> Angles:

@@ -22,6 +22,12 @@ class CapacityError(Exception):
     """Raised when a brute-force operation exceeds its size cap."""
 
 
+def read_only(arr: np.ndarray) -> np.ndarray:
+    """arr, marked read-only: cached arrays are shared by every caller."""
+    arr.flags.writeable = False
+    return arr
+
+
 @dataclass
 class QuboModel:
     """Quadratic binary cost  offset + sum_i linear[i] s_i + sum_{i<j} quadratic[i,j] s_i s_j.
@@ -59,6 +65,11 @@ class QuboModel:
             W[i, j] = W[j, i] = c
         return lin, W
 
+    @cached_property
+    def diagonal(self) -> np.ndarray:
+        """energy_vector(self), built on first use and kept read-only; the model must not change afterwards."""
+        return read_only(energy_vector(self))
+
 
 @dataclass
 class IsingModel:
@@ -79,6 +90,11 @@ class IsingModel:
         self.h = {i: float(c) for i, c in self.h.items() if c != 0.0}
         self.J = {k: float(c) for k, c in self.J.items() if c != 0.0}
 
+    @cached_property
+    def diagonal(self) -> np.ndarray:
+        """energy_vector(self), built on first use and kept read-only; the model must not change afterwards."""
+        return read_only(energy_vector(self))
+
 
 @dataclass
 class SpectrumEntry:
@@ -95,6 +111,14 @@ def bits_from_string(s: str) -> np.ndarray:
 def string_from_index(index: int, n: int) -> str:
     """Render basis index as a bitstring, variable 0 leftmost."""
     return "".join(str((index >> i) & 1) for i in range(n))
+
+
+def strings_from_indices(indices: Sequence[int] | np.ndarray, n: int) -> list[str]:
+    """string_from_index of every index, rendered from one bit table."""
+    idx = np.asarray(indices)
+    bits = (idx[:, None] >> np.arange(n).astype(idx.dtype)) & 1
+    table = np.ascontiguousarray(bits.astype(np.uint8) + ord("0"))
+    return table.view(f"S{n}").ravel().astype(str).tolist()
 
 
 def index_from_string(s: str | Sequence[int] | np.ndarray) -> int:
@@ -216,14 +240,12 @@ def enumerate_spectrum(
         indices = np.asarray(list(states))
     values = energies_at(model, indices) if energies is None else np.asarray(energies, dtype=float)
     if feasible is not None:
-        mask = np.array([feasible(string_from_index(i, model.n)) for i in indices])
+        mask = np.array([feasible(s) for s in strings_from_indices(indices, model.n)], dtype=bool)
         indices, values = indices[mask], values[mask]
 
     order = np.argsort(values, kind="stable")
     entries: list[SpectrumEntry] = []
-    for k in order:
-        e = float(values[k])
-        s = string_from_index(int(indices[k]), model.n)
+    for e, s in zip(values[order].tolist(), strings_from_indices(indices[order], model.n)):
         if entries and e - entries[-1].energy < TIE_TOL:
             entries[-1].states.append(s)
         else:

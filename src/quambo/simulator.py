@@ -13,7 +13,7 @@ from math import comb
 
 import numpy as np
 
-from .qubo import IsingModel, QuboModel, energy_vector, string_from_index
+from .qubo import IsingModel, QuboModel, energy_vector, read_only, string_from_index
 
 STATE_CAP = 24
 LOCAL_UNITARY_CAP = 12
@@ -131,6 +131,8 @@ def apply_local_unitary(state: StateVector, qubits: list[int], unitary: np.ndarr
         raise ValueError("unitary has wrong shape")
     if len(set(qubits)) != k:
         raise ValueError("duplicate qubits")
+    if any(not 0 <= q < state.n for q in qubits):
+        raise ValueError(f"qubits {qubits} outside 0..{state.n - 1}")
     err = np.abs(unitary @ unitary.conj().T - np.eye(1 << k)).max()
     if err > 1e-10:
         raise ValueError(f"matrix is not unitary (deviation {err:.2e})")
@@ -161,30 +163,32 @@ def apply_x_mixer(state: StateVector, beta: float) -> StateVector:
     return state
 
 
-@lru_cache(maxsize=16)
-def _xy_ring_eigensystem(m: int) -> tuple[np.ndarray, np.ndarray]:
-    """Eigendecomposition of H_XY = 1/2 sum_ring (XX + YY) on an m-qubit ring.
+@lru_cache(maxsize=32)
+def xy_ring_eigensystem(m: int, weight: int | None = None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(patterns, vals, vecs): H_XY = 1/2 sum_ring (XX + YY) on an m-qubit ring, diagonalised.
 
-    In the computational basis, (XX+YY)/2 on a pair swaps |01> and |10>.
-    A length-2 ring has a single coupling edge.
+    patterns is the local basis in increasing order: all 2^m bit patterns, or
+    those of one Hamming weight, which H_XY conserves.  (XX+YY)/2 on a pair
+    swaps |01> and |10>; a length-2 ring has a single coupling edge.  The
+    real eigensystem is cached, and the arrays are read-only.
     """
-    if not 2 <= m <= XY_RING_CAP:
-        raise ValueError(f"ring length {m} outside [2, {XY_RING_CAP}]")
-    dim = 1 << m
+    dim = 1 << m if weight is None else comb(m, weight)
+    if not 2 <= m <= STATE_CAP or dim > 1 << XY_RING_CAP:
+        raise ValueError(f"ring of length {m} (basis dimension {dim}) exceeds the XY ring cap of {XY_RING_CAP} qubits")
+    patterns = np.arange(1 << m)
+    if weight is not None:
+        patterns = patterns[popcounts(m) == weight]
     H = np.zeros((dim, dim))
     edges = [(0, 1)] if m == 2 else [(t, (t + 1) % m) for t in range(m)]
     for a, b in edges:
-        for idx in range(dim):
-            ba, bb = (idx >> a) & 1, (idx >> b) & 1
-            if ba != bb:
-                swapped = idx ^ (1 << a) ^ (1 << b)
-                H[swapped, idx] += 1.0
+        hop = np.flatnonzero(((patterns >> a) ^ (patterns >> b)) & 1)
+        H[np.searchsorted(patterns, patterns[hop] ^ (1 << a) ^ (1 << b)), hop] += 1.0
     vals, vecs = np.linalg.eigh(H)
-    return vals, vecs
+    return read_only(patterns), read_only(vals), read_only(vecs)
 
 
 def xy_ring_unitary(m: int, beta: float) -> np.ndarray:
-    vals, vecs = _xy_ring_eigensystem(m)
+    _, vals, vecs = xy_ring_eigensystem(m)
     return (vecs * np.exp(-1j * beta * vals)) @ vecs.conj().T
 
 

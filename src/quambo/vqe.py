@@ -8,13 +8,13 @@ R_y on qubits 1..n-1.  Parameter count = n*[initial] + 2(n-1)*layers.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
 
 from .optimize import OptimizerConfig, minimize
-from .qubo import IsingModel, QuboModel, energy_vector
+from .qubo import IsingModel, QuboModel
 from .simulator import StateVector, apply_cnot, apply_ry, basis_state, sample
 
 
@@ -27,9 +27,12 @@ class Gate:
 
 @dataclass
 class VqeAnsatz:
+    """The circuit's shape.  Cone circuits are built once per term and kept, so it must not change afterwards."""
+
     n: int
     initial_layer: bool = False
     entangling_layers: int = 1
+    _cones: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.n < 2 or self.entangling_layers < 0:
@@ -83,7 +86,7 @@ def apply_ansatz(ansatz: VqeAnsatz, theta: Sequence[float]) -> StateVector:
 
 def ev_statevector(ansatz: VqeAnsatz, theta: Sequence[float], model: QuboModel | IsingModel) -> float:
     state = apply_ansatz(ansatz, theta)
-    return float(state.probabilities() @ energy_vector(model))
+    return float(state.probabilities() @ model.diagonal)
 
 
 def ev_all_qubit_sampling(
@@ -98,7 +101,7 @@ def ev_all_qubit_sampling(
     probs = state.probabilities()
     rng = np.random.default_rng(seed)
     draws = rng.multinomial(shots, probs / probs.sum())
-    return float(draws @ energy_vector(model)) / shots
+    return float(draws @ model.diagonal) / shots
 
 
 def causal_cone(ansatz: VqeAnsatz, term: int | tuple[int, int]) -> tuple[set[int], ReducedAnsatz]:
@@ -151,10 +154,13 @@ def ev_causal_cone_sampling(
     terms += [(i, c) for i, c in sorted(ising.h.items())]
     terms += [(ij, c) for ij, c in sorted(ising.J.items())]
     for t, (term, coeff) in enumerate(terms):
-        _, reduced = causal_cone(ansatz, term)
+        if term not in ansatz._cones:
+            _, reduced = causal_cone(ansatz, term)
+            targets = (term,) if isinstance(term, int) else term
+            ansatz._cones[term] = reduced, [reduced.qubits.index(q) for q in targets]
+        reduced, local = ansatz._cones[term]
         state = run_reduced(reduced, theta)
         counts = sample(state, shots_per_term, seed=int(np.random.default_rng([seed, t]).integers(2**31)))
-        local = [reduced.qubits.index(q) for q in ((term,) if isinstance(term, int) else term)]
         est = 0.0
         for s, c in counts.counts.items():
             z = 1.0
@@ -189,7 +195,7 @@ def vqe_restart_search(
     oracle_metrics(state) -> RunMetrics-like object; objective defaults to the
     exact statevector EV.
     """
-    diag = energy_vector(model)
+    diag = model.diagonal
 
     def default_objective(theta: np.ndarray) -> float:
         return float(apply_ansatz(ansatz, theta).probabilities() @ diag)

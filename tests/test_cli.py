@@ -89,6 +89,18 @@ class TestQaoa:
         assert len(lines) == 1 + 2 + 1  # header, runs, summary row
         assert lines[-1].startswith("summary,")
 
+    @pytest.mark.parametrize("mixer, init, engine", [
+        ("XY", "Dicke", {"basis": "sector", "dim": 5, "block_dims": [5]}),
+        ("X", "Uniform", {"basis": "full", "dim": 32, "block_dims": [32],
+                          "reason": "the X mixer does not conserve Hamming weight"}),
+        ("XY", "Uniform", {"basis": "full", "dim": 32, "block_dims": [32],
+                           "reason": "the Uniform initial state is not inside the sector"}),
+    ])
+    def test_manifest_engine_block(self, tmp_path, mixer, init, engine):
+        cfg = write(tmp_path, "q.ini", self.CONFIG.replace("mixer = X\ninit = Uniform", f"mixer = {mixer}\ninit = {init}"))
+        assert main(["qaoa", "--config", cfg, "--out", str(tmp_path / "q.csv")]) == 0
+        assert json.loads((tmp_path / "q.csv.manifest.json").read_text())["engine"] == engine
+
     def test_byte_identical_given_seed(self, tmp_path):
         cfg = write(tmp_path, "q.ini", self.CONFIG)
         a, b = str(tmp_path / "a.csv"), str(tmp_path / "b.csv")

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from quambo.problems import (
     FacilityProblem,
+    encode_position_linear,
     encode_single_complement,
     encode_start_dest,
     feasible_sector,
@@ -29,8 +30,14 @@ from quambo.qaoa import (
     random_restart_search,
     summarize_metrics,
 )
-from quambo.qubo import energy_vector
-from quambo.simulator import basis_state, dicke_state
+from quambo.qubo import energy_vector, string_from_index
+from quambo.simulator import (
+    apply_phase_vector,
+    apply_x_mixer,
+    apply_xy_ring_mixer,
+    basis_state,
+    dicke_state,
+)
 
 
 @pytest.fixture(scope="module")
@@ -118,7 +125,7 @@ class TestAnsatz:
         mixer = MixerSpec(kind="ThreeXY", angle_scheme=scheme)
         fast = QaoaContext(enc, model, mixer, InitSpec(kind="DickeBlocks"))
         slow = QaoaContext(enc, model, mixer, InitSpec(kind="DickeBlocks"), use_sector=False)
-        assert fast._sector is not None and slow._sector is None
+        assert fast.basis == "sector" and slow.basis == "full"
         rng = np.random.default_rng(2)
         angles = Angles(
             beta=rng.uniform(0, 2 * np.pi, (2, scheme[0])),
@@ -131,7 +138,7 @@ class TestAnsatz:
     def test_x_mixer_never_uses_sector(self, problem_a):
         model, enc = problem_a
         ctx = QaoaContext(enc, model, MixerSpec(kind="X"), InitSpec(kind="Uniform"))
-        assert ctx._sector is None
+        assert ctx.basis == "full"
 
     def test_three_xy_zero_leakage(self, encoded_b):
         model, enc = encoded_b
@@ -140,6 +147,76 @@ class TestAnsatz:
         angles = Angles(beta=rng.uniform(0, 2 * np.pi, (1, 3)), gamma=rng.uniform(0, 2 * np.pi, (1, 3)))
         m = ctx.metrics(ctx.run(angles))
         assert abs(m.p_feas - 1.0) < 1e-12
+
+
+class TestRings:
+    @pytest.mark.parametrize("rings, message", [
+        ([[0, 7]], "outside"),
+        ([[0, -1]], "outside"),
+        ([[0, 1, 1]], "repeats"),
+        ([[0, 1, 2], [2, 3, 4]], "overlaps"),
+        ([[0]], "fewer than 2"),
+    ])
+    def test_bad_ring_rejected_at_build(self, problem_a, rings, message):
+        model, enc = problem_a
+        with pytest.raises(ValueError, match=message):
+            QaoaContext(enc, model, MixerSpec(kind="XY", rings=rings), InitSpec(kind="Uniform"))
+
+    def test_three_xy_rings_checked(self, encoded_b):
+        model, enc = encoded_b
+        rings = [[0, 1, 2, 3], [3, 4, 5, 6], list(range(8, 16))]
+        with pytest.raises(ValueError, match="overlaps"):
+            QaoaContext(enc, model, MixerSpec(kind="ThreeXY", rings=rings), InitSpec(kind="Uniform"))
+
+
+# Small instances of the three encodings; start/dest has the three Hamming blocks ThreeXY needs.
+ENCODINGS = {
+    "complement": encode_single_complement(FacilityProblem(("line", 5), 1, lambda_=40)),
+    "position-linear": encode_position_linear(FacilityProblem(("line", 5), 2, lambda_ratio=1.0)),
+    "start-dest": encode_start_dest(FacilityProblem(("line", 2), 2, lambda_ratio=1.0)),
+}
+MIXERS = [(enc, kind, None) for enc in ENCODINGS for kind in ("X", "XY")]
+MIXERS += [("start-dest", "ThreeXY", scheme) for scheme in ((1, 1), (2, 1), (3, 1), (3, 3))]
+INITS = ["Uniform", "Dicke", "DickeBlocks", "PureFeasible", "RandomFeasible"]
+
+
+def reference_state(ctx, angles):
+    """The ansatz built gate by gate from the simulator primitives alone."""
+    state = ctx.initial_state()
+    for r in range(angles.p):
+        for diag, g in zip(ctx.phase_diags, angles.gamma[r]):
+            apply_phase_vector(state, diag, g)
+        beta = angles.beta[r]
+        if ctx.mixer.kind == "X":
+            apply_x_mixer(state, beta[0])
+            continue
+        ring_betas = {1: [0, 0, 0], 2: [0, 0, 1], 3: [0, 1, 2]}[len(beta)]
+        for t, ring in enumerate(ctx.rings):
+            apply_xy_ring_mixer(state, ring, beta[ring_betas[t] if ctx.mixer.kind == "ThreeXY" else 0])
+    return state
+
+
+class TestEngineAgainstPrimitives:
+    @pytest.mark.parametrize("encoding, kind, scheme", MIXERS)
+    def test_run_and_ev_match_the_gate_by_gate_reference(self, encoding, kind, scheme):
+        model, enc = ENCODINGS[encoding]
+        rings = [list(range(lo, hi)) for (lo, hi), _w in enc.hamming_targets]
+        mixer = MixerSpec(kind, rings=rings if kind == "XY" else None, angle_scheme=scheme or (1, 1))
+        feasible = string_from_index(int(feasible_sector(model, enc)[0][-1]), model.n)
+        rng = np.random.default_rng([len(encoding), len(kind), *(scheme or ())])
+        angles = Angles(beta=rng.uniform(0, 2 * np.pi, (2, mixer.n_beta)),
+                        gamma=rng.uniform(0, 2 * np.pi, (2, mixer.n_gamma)) / 10)
+        for init in INITS:
+            spec = InitSpec(init, bitstring=feasible if init == "PureFeasible" else None, seed=5)
+            in_sector = kind != "X" and init != "Uniform" and not (init == "Dicke" and len(rings) > 1)
+            want = None
+            for use_sector in (None, False):
+                ctx = QaoaContext(enc, model, mixer, spec, use_sector=use_sector)
+                assert ctx.basis == ("sector" if in_sector and use_sector is None else "full")
+                want = want or reference_state(ctx, angles)
+                assert np.abs(ctx.run(angles).amplitudes - want.amplitudes).max() < 1e-12
+                assert ctx.ev(angles.flatten(), 2) == pytest.approx(want.probabilities() @ sum(ctx.phase_diags),
+                                                                   rel=1e-12, abs=1e-12)
 
 
 class TestInitialStates:

@@ -21,6 +21,7 @@ from quambo.qubo import (
     model_to_text,
     qubo_to_ising,
     string_from_index,
+    strings_from_indices,
 )
 
 
@@ -84,6 +85,13 @@ class TestEnergyKernel:
     def test_indices_beyond_63_bits(self):
         model = QuboModel(n=100, linear={99: 2.0}, quadratic={(0, 99): -5.0}, offset=1.0)
         assert energy_qubo(model, "1" + "0" * 98 + "1") == -2.0
+
+    def test_cached_diagonal(self):
+        model = random_qubo(5, np.random.default_rng(3))
+        for m in (model, qubo_to_ising(model)):
+            assert m.diagonal is m.diagonal
+            assert np.array_equal(m.diagonal, energy_vector(m))
+            assert not m.diagonal.flags.writeable
 
     def test_non_binary_assignment(self):
         with pytest.raises(ValueError):
@@ -209,6 +217,15 @@ class TestSpectrum:
     def test_cap(self):
         with pytest.raises(CapacityError):
             enumerate_spectrum(QuboModel(n=27))
+
+    @pytest.mark.parametrize("n", range(1, 25))
+    def test_strings_from_bit_table(self, n):
+        indices = np.random.default_rng(n).integers(0, 1 << n, size=50)
+        assert strings_from_indices(indices, n) == [string_from_index(int(i), n) for i in indices]
+
+    def test_strings_beyond_63_bits(self):
+        indices = [1 << 69, (1 << 70) - 1, 5]
+        assert strings_from_indices(indices, 70) == [string_from_index(i, 70) for i in indices]
 
     def test_rounding_does_not_split_a_level(self):
         # sqrt distances summed in different orders: the four edge-centre

@@ -191,6 +191,12 @@ class TestLocalUnitary:
         apply_local_unitary(b, [0], u0)
         assert np.abs(a.amplitudes - b.amplitudes).max() < 1e-12
 
+    @pytest.mark.parametrize("qubits", [[3], [0, -1]])
+    def test_qubit_outside_register_rejected(self, qubits):
+        # a negative or too-large qubit must not wrap round to another axis
+        with pytest.raises(ValueError, match="outside"):
+            apply_local_unitary(uniform_state(3), qubits, np.eye(1 << len(qubits), dtype=complex))
+
     def test_non_unitary_rejected(self):
         with pytest.raises(ValueError):
             apply_local_unitary(uniform_state(2), [0], np.array([[1, 0], [0, 2]], dtype=complex))

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from quambo import qubo, vqe
 from quambo.optimize import NelderMead
 from quambo.problems import FacilityProblem, encode_single_complement
 from quambo.qaoa import InitSpec, MixerSpec, QaoaContext
@@ -138,6 +139,23 @@ class TestEstimators:
         # per-term binomial error, coefficients bounded by the largest term
         worst = sum(abs(c) for c in list(ising.h.values()) + list(ising.J.values()))
         assert abs(est - exact) < 5 * worst / np.sqrt(10**5)
+
+    def test_cones_built_once_per_ansatz(self, setup, monkeypatch):
+        model, ansatz, theta = setup
+        ising = qubo_to_ising(model)
+        fresh = VqeAnsatz(ansatz.n, ansatz.initial_layer, ansatz.entangling_layers)
+        calls = []
+        monkeypatch.setattr(vqe, "causal_cone", lambda a, t: calls.append(t) or causal_cone(a, t))
+        first = ev_causal_cone_sampling(fresh, theta, ising, 200, seed=4)
+        again = ev_causal_cone_sampling(fresh, theta, ising, 200, seed=4)
+        assert first == again
+        assert len(calls) == len(set(calls)) == len(ising.h) + len(ising.J)
+
+    def test_sampling_reads_the_cached_diagonal(self, setup, monkeypatch):
+        model, ansatz, theta = setup
+        before = ev_all_qubit_sampling(ansatz, theta, model, 500, seed=3)
+        monkeypatch.setattr(qubo, "energy_vector", None)
+        assert ev_all_qubit_sampling(ansatz, theta, model, 500, seed=3) == before
 
     def test_ising_offset_passes_through(self):
         ising = IsingModel(n=2, offset=3.5)
