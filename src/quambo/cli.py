@@ -5,7 +5,11 @@ Configs are INI-style key-value files whose sections and keys are checked
 against CONFIG_KEYS; results are written as RFC-4180 CSV
 plus a JSON manifest (config echo, version, master seed, wall time; for
 qaoa also the engine's basis, state and block dimensions, and why the
-weight sector was not used).
+weight sector was not used; for vqe the compiled circuit: qubits, gates,
+R_y steps, fused CNOT permutations, amplitude dtype, method, shots and
+total objective evaluations).  The vqe method is sv (exact statevector),
+sample (all-qubit sampling) or cone (per-term causal-cone sampling); the
+sampling methods need shots >= 1.
 
 CSV schemas:
   qaoa     run_id,p,strategy,mixer,init,ev,r_approx,p_feas,p_gnd,evals,seed
@@ -53,6 +57,7 @@ CONFIG_KEYS = {
     "run": HEURISTIC_KEYS,
     "anneal": ("lambda_ratios", "reads", "sweeps"),
 }
+VQE_METHODS = ("sv", "sample", "cone")
 
 
 def load_config(path: str) -> configparser.ConfigParser:
@@ -221,16 +226,22 @@ def cmd_qaoa(args: argparse.Namespace) -> int:
 def cmd_vqe(args: argparse.Namespace) -> int:
     started = time.time()
     cp = load_config(args.config)
+    sec = cp["vqe"]
+    method = sec.get("method", "sv")
+    if method not in VQE_METHODS:
+        raise ValueError(f"unknown vqe method {method!r}; valid methods: {', '.join(VQE_METHODS)}")
+    shots = 0
+    if method != "sv":
+        shots = sec.getint("shots", 9000)
+        if shots < 1:
+            raise ValueError(f"shots must be >= 1 for method {method!r}, got {shots}")
     problem = problem_from_config(cp)
     model, enc = encoding_from_config(cp, problem, "vqe")
-    sec = cp["vqe"]
     ansatz = vqe.VqeAnsatz(
         n=model.n,
         initial_layer=sec.getboolean("initial_layer", False),
         entangling_layers=sec.getint("layers", 1),
     )
-    method = sec.get("method", "sv")
-    shots = sec.getint("shots", 9000)
     restarts = sec.getint("restarts", 100)
     optimizer = optimizer_from_config(cp)
     scorer = qaoa.Scorer.of(model, enc)
@@ -257,13 +268,14 @@ def cmd_vqe(args: argparse.Namespace) -> int:
     runs = vqe.vqe_restart_search(ansatz, model, oracle_metrics, restarts, optimizer, args.seed, objective=objective)
     header = ["run_id", "params", "layers", "method", "shots", "ev", "r_approx", "p_feas", "p_gnd", "evals", "seed"]
     rows = [
-        [i, ansatz.n_params, ansatz.entangling_layers, method, shots if method != "sv" else 0,
+        [i, ansatz.n_params, ansatz.entangling_layers, method, shots,
          _fmt(r.ev), _fmt(r.r_approx), _fmt(r.p_feas), _fmt(r.p_gnd), r.evals, args.seed]
         for i, r in enumerate(runs)
     ]
     out = args.out or "vqe.csv"
     write_csv(out, header, rows)
-    write_manifest(out, cp, args.seed, started)
+    circuit = {**ansatz.program.summary, "method": method, "shots": shots, "evals": sum(r.evals for r in runs)}
+    write_manifest(out, cp, args.seed, started, circuit=circuit)
     return 0
 
 

@@ -1,8 +1,12 @@
-"""Exact complex-amplitude simulation: state preparation, mixers, gates, sampling.
+"""Exact statevector simulation: state preparation, mixers, gates, sampling.
 
 Amplitude array index encodes qubit i at bit i (least significant bit =
 qubit 0); string rendering puts qubit 0 leftmost.  States are mutated in
-place by the apply_* operations.
+place by the apply_* operations.  The states built here are complex; a
+StateVector may also hold real amplitudes (the compiled VQE circuits in
+`quambo.vqe` produce float64 ones), which probabilities() and sampling
+accept alike.  The gate primitives are the reference the faster engines
+are tested against.
 """
 
 from __future__ import annotations
@@ -13,7 +17,7 @@ from math import comb
 
 import numpy as np
 
-from .qubo import IsingModel, QuboModel, energy_vector, read_only, string_from_index
+from .qubo import IsingModel, QuboModel, energy_vector, read_only, strings_from_indices
 
 STATE_CAP = 24
 LOCAL_UNITARY_CAP = 12
@@ -224,15 +228,17 @@ def expectation(state: StateVector, model: QuboModel | IsingModel) -> float:
     return float(np.real(state.probabilities() @ energy_vector(model)))
 
 
-def sample(state: StateVector, shots: int, seed: int) -> SampleSet:
-    """Seeded i.i.d. computational-basis measurements."""
+def sample_indices(state: StateVector, shots: int, seed) -> np.ndarray:
+    """Seeded i.i.d. computational-basis measurements: the number of draws of every basis index."""
     if shots < 1:
         raise ValueError("shots must be >= 1")
     probs = state.probabilities()
-    probs = probs / probs.sum()
-    rng = np.random.default_rng(seed)
-    draws = rng.multinomial(shots, probs)
-    counts = {
-        string_from_index(int(i), state.n): int(draws[i]) for i in np.flatnonzero(draws)
-    }
+    return np.random.default_rng(seed).multinomial(shots, probs / probs.sum())
+
+
+def sample(state: StateVector, shots: int, seed: int) -> SampleSet:
+    """Seeded i.i.d. computational-basis measurements, as bitstring counts."""
+    draws = sample_indices(state, shots, seed)
+    drawn = np.flatnonzero(draws)
+    counts = dict(zip(strings_from_indices(drawn, state.n), draws[drawn].tolist()))
     return SampleSet(counts=counts, shots=shots)

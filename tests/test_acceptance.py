@@ -66,6 +66,8 @@ from quambo.vqe import (
     run_reduced,
 )
 
+pytestmark = pytest.mark.acceptance
+
 
 def report(number: int, ok: bool, detail: str) -> None:
     status = "PASS" if ok else "FAIL"

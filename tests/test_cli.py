@@ -148,6 +148,40 @@ class TestQaoa:
 
 
 class TestVqe:
+    CONFIG = PROBLEM_A + (
+        "[vqe]\nencoding = complement\nlayers = 1\nrestarts = 2\nmethod = sample\nshots = 200\n"
+        "[optimizer]\nkind = spsa\nn_iter = 3\n"
+    )
+
+    @pytest.mark.parametrize("method", ["cones", "SV", ""])
+    def test_unknown_method_is_an_error(self, tmp_path, capsys, method):
+        cfg = write(tmp_path, "v.ini", self.CONFIG.replace("method = sample", f"method = {method}"))
+        assert main(["vqe", "--config", cfg, "--out", str(tmp_path / "v.csv")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert "sv, sample, cone" in err
+        assert not (tmp_path / "v.csv").exists()
+
+    @pytest.mark.parametrize("method", ["sample", "cone"])
+    @pytest.mark.parametrize("shots", [0, -5])
+    def test_shots_below_one_is_an_error(self, tmp_path, capsys, monkeypatch, method, shots):
+        monkeypatch.setattr("quambo.cli.encoding_from_config", None)  # rejected before any work
+        text = self.CONFIG.replace("method = sample", f"method = {method}").replace("shots = 200", f"shots = {shots}")
+        cfg = write(tmp_path, "v.ini", text)
+        assert main(["vqe", "--config", cfg, "--out", str(tmp_path / "v.csv")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1 and "shots must be >= 1" in err
+        assert not (tmp_path / "v.csv").exists()
+
+    @pytest.mark.parametrize("method, shots", [("sv", 0), ("sample", 200), ("cone", 200)])
+    def test_manifest_circuit_block(self, tmp_path, method, shots):
+        cfg = write(tmp_path, "v.ini", self.CONFIG.replace("method = sample", f"method = {method}"))
+        assert main(["vqe", "--config", cfg, "--out", str(tmp_path / "v.csv")]) == 0
+        circuit = json.loads((tmp_path / "v.csv.manifest.json").read_text())["circuit"]
+        rows = (tmp_path / "v.csv").read_text().strip().splitlines()[1:]
+        assert circuit == {"n": 5, "gates": 12, "ry_steps": 8, "fused_permutations": 2, "amplitude_dtype": "float64",
+                           "method": method, "shots": shots, "evals": sum(int(r.split(",")[9]) for r in rows)}
+
     def test_csv_schema(self, tmp_path):
         cfg = write(
             tmp_path,

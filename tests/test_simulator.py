@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from quambo.problems import FacilityProblem, encode_single_complement
-from quambo.qubo import IsingModel, QuboModel, energy_vector
+from quambo.qubo import IsingModel, QuboModel, energy_vector, string_from_index
 from quambo.simulator import (
     SampleSet,
     StateVector,
@@ -22,6 +22,7 @@ from quambo.simulator import (
     expectation,
     popcounts,
     sample,
+    sample_indices,
     uniform_state,
 )
 
@@ -267,6 +268,25 @@ class TestExpectationAndSampling:
     def test_sampleset_consistency(self):
         with pytest.raises(ValueError):
             SampleSet(counts={"00": 3}, shots=4)
+
+    @pytest.mark.parametrize("dtype", [float, complex])
+    def test_sample_renders_one_multinomial_draw(self, dtype):
+        rng = np.random.default_rng(12)
+        amps = rng.normal(size=64).astype(dtype)
+        state = StateVector(6, amps / np.linalg.norm(amps))
+        probs = np.abs(state.amplitudes) ** 2
+        want = np.random.default_rng(31).multinomial(700, probs / probs.sum())
+        draws = sample_indices(state, 700, seed=31)
+        assert np.array_equal(draws, want)
+        expected = {string_from_index(int(i), 6): int(want[i]) for i in np.flatnonzero(want)}
+        counts = sample(state, 700, seed=31).counts
+        assert counts == expected and list(counts) == list(expected)
+
+    @pytest.mark.parametrize("shots", [0, -5])
+    def test_shots_below_one_rejected(self, shots):
+        for fn in (sample, sample_indices):
+            with pytest.raises(ValueError, match="shots must be >= 1"):
+                fn(uniform_state(2), shots, seed=0)
 
 
 @given(st.integers(min_value=0, max_value=2**31 - 1))

@@ -1,13 +1,17 @@
 """Tests for the hardware-efficient VQE layer, estimators and causal cones."""
 
+import dataclasses
+import itertools
+
 import numpy as np
 import pytest
 
-from quambo import qubo, vqe
+from quambo import qubo, simulator, vqe
 from quambo.optimize import NelderMead
 from quambo.problems import FacilityProblem, encode_single_complement
 from quambo.qaoa import InitSpec, MixerSpec, QaoaContext
 from quambo.qubo import IsingModel, QuboModel, energy_vector, qubo_to_ising
+from quambo.simulator import apply_cnot, apply_ry, basis_state, sample
 from quambo.vqe import (
     VqeAnsatz,
     apply_ansatz,
@@ -121,6 +125,80 @@ def setup(problem_a):
     return model, ansatz, theta
 
 
+def reference_circuit(m, gates, theta):
+    """The circuit gate by gate through the simulator's reference primitives."""
+    state = basis_state(m, 0)
+    for gate in gates:
+        if gate.kind == "ry":
+            apply_ry(state, gate.qubits[0], theta[gate.param_index])
+        else:
+            apply_cnot(state, *gate.qubits)
+    return state.amplitudes
+
+
+class TestCompiledCircuit:
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 7, 8, 16])
+    def test_ansatz_matches_primitives(self, n):
+        for initial, layers in itertools.product((False, True), range(4)):
+            ansatz = VqeAnsatz(n, initial_layer=initial, entangling_layers=layers)
+            theta = np.random.default_rng([n, initial, layers]).uniform(0, 2 * np.pi, ansatz.n_params)
+            got = apply_ansatz(ansatz, theta).amplitudes
+            assert got.dtype == np.float64
+            want = reference_circuit(n, ansatz.gates(), theta)
+            assert np.abs(got - want).max() <= 1e-12
+
+    def test_every_cone_circuit_matches_primitives(self):
+        ansatz = VqeAnsatz(6, initial_layer=True, entangling_layers=2)
+        theta = np.random.default_rng(5).uniform(0, 2 * np.pi, ansatz.n_params)
+        terms = list(range(6)) + list(itertools.combinations(range(6), 2))
+        for term in terms:
+            _, reduced = causal_cone(ansatz, term)
+            got = run_reduced(reduced, theta).amplitudes
+            want = reference_circuit(len(reduced.qubits), reduced.gates, theta)
+            assert np.abs(got - want).max() <= 1e-12
+
+    def test_cnot_runs_are_fused(self):
+        summary = VqeAnsatz(5, entangling_layers=3).program.summary
+        assert summary == {"n": 5, "gates": 36, "ry_steps": 24, "fused_permutations": 6, "amplitude_dtype": "float64"}
+
+    def test_program_built_once_per_ansatz_and_cone(self, setup, monkeypatch):
+        model, ansatz, theta = setup
+        ising = qubo_to_ising(model)
+        built = []
+        compile_circuit = vqe.compile_circuit
+        monkeypatch.setattr(vqe, "compile_circuit", lambda m, gates: built.append(m) or compile_circuit(m, gates))
+        fresh = VqeAnsatz(ansatz.n, ansatz.initial_layer, ansatz.entangling_layers)
+        for _ in range(3):
+            apply_ansatz(fresh, theta)
+        assert len(built) == 1
+        for _ in range(3):
+            ev_causal_cone_sampling(fresh, theta, ising, 50, seed=1)
+        assert len(built) == 1 + len(ising.h) + len(ising.J)
+
+    def test_no_gate_primitive_is_called(self, setup, monkeypatch):
+        model, ansatz, theta = setup
+        want = apply_ansatz(ansatz, theta).amplitudes
+
+        def forbidden(*args):
+            raise AssertionError("gate primitive called")
+
+        for module, name in itertools.product((simulator, vqe), ("apply_local_unitary", "apply_ry", "apply_cnot")):
+            monkeypatch.setattr(module, name, forbidden, raising=False)
+        fresh = VqeAnsatz(ansatz.n, ansatz.initial_layer, ansatz.entangling_layers)
+        assert np.array_equal(apply_ansatz(fresh, theta).amplitudes, want)
+        ev_causal_cone_sampling(fresh, theta, qubo_to_ising(model), 50, seed=1)
+
+    def test_shape_is_frozen(self, setup):
+        model, ansatz, theta = setup
+        fresh = VqeAnsatz(ansatz.n, ansatz.initial_layer, ansatz.entangling_layers)
+        ev_causal_cone_sampling(fresh, theta, qubo_to_ising(model), 50, seed=1)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            fresh.entangling_layers = 2
+        _, reduced = causal_cone(fresh, 0)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            reduced.qubits = [0]
+
+
 class TestEstimators:
     def test_all_qubit_sampling_agrees(self, setup):
         model, ansatz, theta = setup
@@ -156,6 +234,27 @@ class TestEstimators:
         before = ev_all_qubit_sampling(ansatz, theta, model, 500, seed=3)
         monkeypatch.setattr(qubo, "energy_vector", None)
         assert ev_all_qubit_sampling(ansatz, theta, model, 500, seed=3) == before
+
+    def test_cone_estimate_equals_the_per_string_sum(self, setup):
+        """The parity dot product is bitwise the old per-bitstring loop over the same draws."""
+        model, ansatz, theta = setup
+        ising = qubo_to_ising(model)
+        terms = sorted(ising.h.items()) + sorted(ising.J.items())
+        for seed in range(3):
+            total = ising.offset
+            for t, (term, coeff) in enumerate(terms):
+                _, reduced = causal_cone(ansatz, term)
+                local = [reduced.qubits.index(q) for q in ((term,) if isinstance(term, int) else term)]
+                state = run_reduced(reduced, theta)
+                counts = sample(state, 300, seed=int(np.random.default_rng([seed, t]).integers(2**31)))
+                est = 0.0
+                for bits, c in counts.counts.items():
+                    z = 1.0
+                    for q in local:
+                        z *= 1.0 - 2.0 * int(bits[q])
+                    est += z * c
+                total += coeff * est / 300
+            assert ev_causal_cone_sampling(ansatz, theta, ising, 300, seed=seed) == float(total)
 
     def test_ising_offset_passes_through(self):
         ising = IsingModel(n=2, offset=3.5)
