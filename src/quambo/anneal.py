@@ -147,16 +147,17 @@ def resolve_chain_majority(
 
 
 def sim_anneal_sampler(sweeps: int = 30, beta_initial: float = 0.1, beta_final: float = 10.0):
-    """Stand-in annealer: each read is one short simulated-annealing run."""
-    from .heuristics import SimAnneal, simulated_annealing
+    """Stand-in annealer: each read is one short simulated-annealing chain.
+
+    All reads run as one batch of chains; read r is seeded as restart r of
+    `heuristics.restart_harness`.
+    """
+    from .heuristics import SimAnneal, batched_simulated_annealing, restart_seeds
 
     config = SimAnneal(sweeps=sweeps, beta_initial=beta_initial, beta_final=beta_final)
 
     def sampler(model, reads: int, seed: int) -> list[str]:
-        return [
-            simulated_annealing(model, config, int(np.random.default_rng([seed, r]).integers(2**31)))[0]
-            for r in range(reads)
-        ]
+        return batched_simulated_annealing(model, config, restart_seeds(seed, reads))[0]
 
     return sampler
 
@@ -173,6 +174,8 @@ def anneal_parameter_sweep(
     The sampler is called as sampler(model, reads, seed) and returns one
     bitstring per read.  ev is the mean model energy over all reads.
     """
+    if reads < 1:
+        raise ValueError(f"need reads >= 1, got {reads}")
     out = []
     for j, ratio in enumerate(lambda_ratios):
         prob = replace(problem, lambda_=None, lambda_ratio=ratio)

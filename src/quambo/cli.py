@@ -7,9 +7,12 @@ plus a JSON manifest (config echo, version, master seed, wall time; for
 qaoa also the engine's basis, state and block dimensions, and why the
 weight sector was not used; for vqe the compiled circuit: qubits, gates,
 R_y steps, fused CNOT permutations, amplitude dtype, method, shots and
-total objective evaluations).  The vqe method is sv (exact statevector),
-sample (all-qubit sampling) or cone (per-term causal-cone sampling); the
-sampling methods need shots >= 1.
+total objective evaluations; for baseline the search: algorithm, restarts,
+n, the (restarts, n) batch shape and the oracle and search times).  The vqe
+method is sv (exact statevector), sample (all-qubit sampling) or cone
+(per-term causal-cone sampling); the sampling methods need shots >= 1.  The
+baseline algorithm is tabu or sa and needs restarts >= 1; anneal needs
+reads >= 1.
 
 CSV schemas:
   qaoa     run_id,p,strategy,mixer,init,ev,r_approx,p_feas,p_gnd,evals,seed
@@ -58,6 +61,7 @@ CONFIG_KEYS = {
     "anneal": ("lambda_ratios", "reads", "sweeps"),
 }
 VQE_METHODS = ("sv", "sample", "cone")
+BASELINE_ALGORITHMS = ("tabu", "sa")
 
 
 def load_config(path: str) -> configparser.ConfigParser:
@@ -285,7 +289,12 @@ def cmd_baseline(args: argparse.Namespace) -> int:
     problem = problem_from_config(cp)
     sec = cp["heuristic"] if cp.has_section("heuristic") else cp["run"]
     algorithm = sec.get("algorithm", "tabu")
+    if algorithm not in BASELINE_ALGORITHMS:
+        valid = ", ".join(BASELINE_ALGORITHMS)
+        raise ValueError(f"unknown baseline algorithm {algorithm!r}; valid algorithms: {valid}")
     restarts = sec.getint("restarts", 100)
+    if restarts < 1:
+        raise ValueError(f"need restarts >= 1, got {restarts}")
     if algorithm == "sa":
         config = heuristics.SimAnneal(
             sweeps=sec.getint("sweeps", 1000),
@@ -293,20 +302,24 @@ def cmd_baseline(args: argparse.Namespace) -> int:
             beta_final=sec.getfloat("beta_final", 10.0),
         )
     else:
-        tenure = sec.getint("tenure", 0)
-        config = heuristics.Tabu(tenure=tenure or None, max_iter=sec.getint("max_iter", 400))
+        config = heuristics.Tabu(tenure=sec.getint("tenure", fallback=None), max_iter=sec.getint("max_iter", 400))
     model, enc = encode_start_dest(problem)
+    t0 = time.perf_counter()
     d_min, _ = heuristics.exact_facility_optimum(problem)
+    t1 = time.perf_counter()
     result = heuristics.restart_harness(
         heuristics.make_solver(config), model, restarts, args.seed, encoding=enc, d_min=d_min
     )
+    t2 = time.perf_counter()
     geom = problem.geometry
     grid = f"{geom[1]}x{geom[2]}" if geom[0] == "grid" else f"line{geom[1]}"
     rows = [[grid, algorithm, restarts, _fmt(result.best_energy), _fmt(result.frequency_of_best),
              _fmt(float(d_min)), _fmt(result.ratio if result.ratio is not None else float("nan"))]]
     out = args.out or "baseline.csv"
     write_csv(out, ["grid", "algorithm", "restarts", "best", "frequency", "d_min", "ratio"], rows)
-    write_manifest(out, cp, args.seed, started)
+    search = {"algorithm": algorithm, "restarts": restarts, "n": model.n, "batch_shape": [restarts, model.n],
+              "oracle_s": round(t1 - t0, 6), "search_s": round(t2 - t1, 6)}
+    write_manifest(out, cp, args.seed, started, search=search)
     return 0
 
 

@@ -1,15 +1,28 @@
-"""Classical references: exact placement enumeration, simulated annealing, tabu search."""
+"""Classical references: exact placement enumeration, simulated annealing, tabu search.
+
+Tabu search and simulated annealing run R seeded restarts (chains) together
+as one array program: the spins Q = 1 - 2s of the states, the local fields
+F = W s and the energies E are (R, n), (R, n) and (R,) arrays, and every
+update is elementwise on the rows that move.  Each chain draws from its own
+generator in the order a single run would (initial bits, then per sweep a
+permutation and n uniforms), and each row's start is computed as a single
+run computes it, so a chain's result is bitwise the same alone or in any
+batch.  `tabu_search` and `simulated_annealing` are batches of one.
+"""
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
 
 from .problems import Encoding, FacilityProblem, decode_solution, distance_matrix
 from .qubo import CapacityError, QuboModel
+
+ORACLE_CAP = 10_000_000  # placements exact_facility_optimum may enumerate
 
 
 @dataclass
@@ -19,8 +32,8 @@ class SimAnneal:
     beta_final: float = 10.0
 
     def __post_init__(self) -> None:
-        if self.sweeps < 1 or self.beta_final <= self.beta_initial:
-            raise ValueError("need sweeps >= 1 and beta_final > beta_initial")
+        if self.sweeps < 1 or not 0 < self.beta_initial < self.beta_final:
+            raise ValueError("need sweeps >= 1 and 0 < beta_initial < beta_final")
 
 
 @dataclass
@@ -31,6 +44,8 @@ class Tabu:
     def __post_init__(self) -> None:
         if self.max_iter < 1:
             raise ValueError("need max_iter >= 1")
+        if self.tenure is not None and self.tenure < 1:
+            raise ValueError(f"need tenure >= 1, got {self.tenure}")
 
 
 HeuristicConfig = SimAnneal | Tabu
@@ -39,99 +54,176 @@ HeuristicConfig = SimAnneal | Tabu
 def exact_facility_optimum(problem: FacilityProblem) -> tuple[float, list[tuple[int, ...]]]:
     """Enumerate all ambulance position sets, assigning each site to its nearest.
 
-    Nearest-assignment ties break toward the lower position index (this can
-    change assignments, never the total distance).
+    Position sets are scored in lexicographic blocks that share all but the
+    last position.  A block whose lowest total is more than 1e-12 below the
+    incumbent replaces it; one within 1e-12 of it adds its placements within
+    1e-12 of the block's lowest.  Nearest-assignment ties break toward the
+    lower position index (this can change assignments, never the total
+    distance).
     """
     L = problem.num_locations
+    m = problem.ambulances
     if L > 1000:
         raise CapacityError(f"{L} locations exceeds the enumeration cap")
+    count = math.comb(L, m)
+    if count > ORACLE_CAP:
+        raise CapacityError(f"{count} placements of {m} ambulances on {L} locations exceed the "
+                            f"enumeration cap {ORACLE_CAP}")
     D = distance_matrix(problem)
-    m = problem.ambulances
     best = np.inf
     placements: list[tuple[int, ...]] = []
-    if m == 2:
-        for i in range(L - 1):
-            totals = np.minimum(D[i + 1 :], D[i][None, :]).sum(axis=1)
-            lo = totals.min()
-            if lo < best - 1e-12:
-                best = lo
-                placements = [(i, i + 1 + int(j)) for j in np.flatnonzero(np.abs(totals - lo) < 1e-12)]
-            elif abs(lo - best) <= 1e-12:
-                placements += [(i, i + 1 + int(j)) for j in np.flatnonzero(np.abs(totals - lo) < 1e-12)]
-    else:
-        for combo in itertools.combinations(range(L), m):
-            total = D[list(combo)].min(axis=0).sum()
-            if total < best - 1e-12:
-                best, placements = total, [combo]
-            elif abs(total - best) <= 1e-12:
-                placements.append(combo)
+    for prefix in itertools.combinations(range(L - 1), m - 1):
+        start = prefix[-1] + 1 if prefix else 0
+        totals = (np.minimum(D[start:], D[list(prefix)].min(axis=0)) if prefix else D).sum(axis=1)
+        lo = totals.min()
+        if lo < best - 1e-12:
+            best, placements = lo, []
+        elif abs(lo - best) > 1e-12:
+            continue
+        placements += [(*prefix, start + int(j)) for j in np.flatnonzero(np.abs(totals - lo) < 1e-12)]
     return float(best), placements
 
 
-def simulated_annealing(model: QuboModel, config: SimAnneal, seed: int) -> tuple[str, float]:
-    """Metropolis single-flip sweeps under a geometric inverse-temperature ramp."""
-    n = model.n
+def restart_seeds(seed: int, count: int) -> list[int]:
+    """The seed of each of `count` restarts (or reads): one draw from default_rng([seed, r])."""
+    return [int(np.random.default_rng([seed, r]).integers(2**31)) for r in range(count)]
+
+
+def _start(model: QuboModel, seeds: Sequence[int]):
+    """Per-chain generators, then the spins Q = 1 - 2s of random initial states, their fields and energies.
+
+    Each row is drawn and evaluated exactly as a single run does it (a batched
+    matmul could round differently).  Q[r, i] is the energy change factor of
+    flipping bit i of chain r: exactly +1 or -1, negated by the flip.
+    """
     lin, W = model.dense
-    rng = np.random.default_rng(seed)
-    s = rng.integers(0, 2, size=n).astype(float)
-    field = W @ s
-    energy = model.offset + lin @ s + 0.5 * s @ field
-    best_e, best_s = energy, s.copy()
-    betas = np.geomspace(config.beta_initial, config.beta_final, config.sweeps)
-    for beta in betas:
-        order = rng.permutation(n)
-        accept_u = rng.random(n)
-        for t, i in enumerate(order):
-            delta = (1.0 - 2.0 * s[i]) * (lin[i] + field[i])
-            if delta <= 0.0 or accept_u[t] < np.exp(-beta * delta):
-                ds = 1.0 - 2.0 * s[i]
-                s[i] += ds
-                field += W[:, i] * ds
-                energy += delta
-                if energy < best_e - 1e-12:
-                    best_e, best_s = energy, s.copy()
-    bitstring = "".join(str(int(b)) for b in best_s)
-    return bitstring, float(best_e)
+    rngs = [np.random.default_rng(seed) for seed in seeds]
+    Q = np.zeros((len(rngs), model.n))
+    F = np.zeros_like(Q)
+    E = np.zeros(len(rngs))
+    for r, rng in enumerate(rngs):
+        s = rng.integers(0, 2, size=model.n).astype(float)
+        f = W @ s
+        Q[r], F[r], E[r] = 1.0 - 2.0 * s, f, model.offset + lin @ s + 0.5 * s @ f
+    return rngs, Q, F, E
+
+
+def _rows(mask: np.ndarray):
+    """The rows where mask holds: None if none, a slice if all (updates then stay in place), else their indices."""
+    count = np.count_nonzero(mask)
+    if count == mask.size:
+        return slice(None)
+    return np.flatnonzero(mask) if count else None
+
+
+def _bitstrings(Q: np.ndarray) -> list[str]:
+    return [row.tobytes().decode("ascii") for row in ((Q < 0) + ord("0")).astype(np.uint8)]
+
+
+class _Best:
+    """Each chain's lowest energy so far and its spins; a chain improves when it gets more than 1e-12 lower."""
+
+    def __init__(self, Q: np.ndarray, E: np.ndarray) -> None:
+        self.Q, self.E, self.bar = Q.copy(), E.copy(), E - 1e-12
+
+    def update(self, Q: np.ndarray, E: np.ndarray) -> None:
+        better = np.flatnonzero(E < self.bar)
+        if better.size:
+            self.Q[better], self.E[better], self.bar[better] = Q[better], E[better], E[better] - 1e-12
+
+
+def batched_simulated_annealing(
+    model: QuboModel, config: SimAnneal, seeds: Sequence[int]
+) -> tuple[list[str], np.ndarray]:
+    """One SA chain per seed, run in lockstep: each chain's best state and energy.
+
+    Metropolis single-flip sweeps in a per-chain random order under a
+    geometric inverse-temperature ramp.
+    """
+    lin, W = model.dense
+    n = model.n
+    rngs, Q, F, E = _start(model, seeds)
+    best = _Best(Q, E)
+    Qf, Ff = Q.reshape(-1), F.reshape(-1)  # flat views: [r, i] is [r * n + i]
+    base = np.arange(len(rngs)) * n
+    order = np.zeros(Q.shape, dtype=np.intp)
+    U = np.zeros_like(Q)
+    # exp(-beta * delta) may overflow on downhill moves, which are accepted without it
+    with np.errstate(over="ignore"):
+        for beta in np.geomspace(config.beta_initial, config.beta_final, config.sweeps):
+            for r, rng in enumerate(rngs):
+                order[r] = rng.permutation(n)
+                U[r] = rng.random(n)
+            # row t of each: the t-th flip of every chain
+            sites, flat = order.T.copy(), (order + base[:, None]).T.copy()
+            lin_t, U_t = lin[order].T.copy(), U.T.copy()
+            for t in range(n):
+                k = flat[t]
+                q = Qf[k]
+                delta = q * (lin_t[t] + Ff[k])
+                a = _rows((delta <= 0.0) | (U_t[t] < np.exp(-beta * delta)))
+                if a is None:
+                    continue
+                q = q[a]
+                Qf[k[a]] = -q
+                F[a] += W[sites[t][a]] * q[:, None]  # W is symmetric: row i is column i
+                E[a] += delta[a]
+                best.update(Q, E)
+    return _bitstrings(best.Q), best.E
+
+
+def batched_tabu_search(model: QuboModel, config: Tabu, seeds: Sequence[int]) -> tuple[list[str], np.ndarray]:
+    """One tabu search per seed, run in lockstep: each search's best state and energy.
+
+    Steepest single-flip descent (first index on ties) with a recency tabu
+    list and aspiration; a row with no allowed move skips the iteration.
+    """
+    lin, W = model.dense
+    tenure = config.tenure if config.tenure is not None else max(10, model.n // 4)
+    _, Q, F, E = _start(model, seeds)
+    best = _Best(Q, E)
+    Qf, tabu_until = Q.reshape(-1), np.zeros(Q.size, dtype=np.int64)
+    base = np.arange(len(E)) * model.n
+    for it in range(config.max_iter):
+        delta = Q * (lin + F)
+        allowed = tabu_until.reshape(Q.shape) <= it
+        # aspiration: a tabu move is allowed if it beats the incumbent
+        allowed |= E[:, None] + delta < best.bar[:, None]
+        moves = np.where(allowed, delta, np.inf).argmin(axis=1)
+        rows = _rows(allowed.any(axis=1))
+        if rows is None:
+            continue
+        I = moves[rows]
+        k = base[rows] + I
+        q = Qf[k]
+        Qf[k] = -q
+        F[rows] += W[I] * q[:, None]  # W is symmetric: row i is column i
+        E[rows] += delta.reshape(-1)[k]
+        tabu_until[k] = it + 1 + tenure
+        best.update(Q, E)
+    return _bitstrings(best.Q), best.E
+
+
+def simulated_annealing(model: QuboModel, config: SimAnneal, seed: int) -> tuple[str, float]:
+    """One SA chain: a batch of one."""
+    states, energies = batched_simulated_annealing(model, config, [seed])
+    return states[0], float(energies[0])
 
 
 def tabu_search(model: QuboModel, config: Tabu, seed: int) -> tuple[str, float]:
-    """Steepest single-flip descent with a recency tabu list and aspiration."""
-    n = model.n
-    lin, W = model.dense
-    tenure = config.tenure if config.tenure is not None else max(10, n // 4)
-    rng = np.random.default_rng(seed)
-    s = rng.integers(0, 2, size=n).astype(float)
-    field = W @ s
-    energy = model.offset + lin @ s + 0.5 * s @ field
-    best_e, best_s = energy, s.copy()
-    tabu_until = np.zeros(n, dtype=np.int64)
-    for it in range(config.max_iter):
-        delta = (1.0 - 2.0 * s) * (lin + field)
-        allowed = tabu_until <= it
-        # aspiration: a tabu move is allowed if it beats the incumbent
-        allowed |= energy + delta < best_e - 1e-12
-        if not allowed.any():
-            continue
-        cand = np.where(allowed, delta, np.inf)
-        i = int(cand.argmin())
-        ds = 1.0 - 2.0 * s[i]
-        s[i] += ds
-        field += W[:, i] * ds
-        energy += delta[i]
-        tabu_until[i] = it + 1 + tenure
-        if energy < best_e - 1e-12:
-            best_e, best_s = energy, s.copy()
-    bitstring = "".join(str(int(b)) for b in best_s)
-    return bitstring, float(best_e)
+    """One tabu search: a batch of one."""
+    states, energies = batched_tabu_search(model, config, [seed])
+    return states[0], float(energies[0])
 
 
-Solver = Callable[[QuboModel, int], tuple[str, float]]
+# solver(model, seeds) -> (best state per seed, best energy per seed)
+Solver = Callable[[QuboModel, Sequence[int]], tuple[list[str], np.ndarray]]
 
 
 def make_solver(config: HeuristicConfig) -> Solver:
     if isinstance(config, SimAnneal):
-        return lambda model, seed: simulated_annealing(model, config, seed)
-    return lambda model, seed: tabu_search(model, config, seed)
+        return lambda model, seeds: batched_simulated_annealing(model, config, seeds)
+    return lambda model, seeds: batched_tabu_search(model, config, seeds)
 
 
 @dataclass
@@ -153,28 +245,32 @@ def restart_harness(
 ) -> HarnessResult:
     """Aggregate seeded restarts: best energy, its frequency, and d_sol/d_min.
 
-    d_sol is the smallest decoded total distance over restarts whose returned
-    state decodes to a proper placement.
+    All restarts run as one batch and are aggregated in restart order.  d_sol
+    is the smallest decoded total distance over restarts whose returned state
+    decodes to a proper placement.
     """
+    if restarts < 1:
+        raise ValueError(f"need restarts >= 1, got {restarts}")
+    states, energies = solver(model, restart_seeds(seed, restarts))
     best_e = np.inf
     best_state = ""
     hits = 0
     d_sol: float | None = None
-    for r in range(restarts):
-        sub = int(np.random.default_rng([seed, r]).integers(2**31))
-        state, e = solver(model, sub)
+    distances: dict[str, float | None] = {}  # decoded total distance per distinct state
+    for state, e in zip(states, energies.tolist()):
         if e < best_e - 1e-9:
             best_e, best_state, hits = e, state, 1
         elif abs(e - best_e) <= 1e-9:
             hits += 1
         if encoding is not None:
-            try:
-                placement = decode_solution(encoding, state)
-            except ValueError:
-                pass
-            else:
-                if d_sol is None or placement.total_distance < d_sol:
-                    d_sol = placement.total_distance
+            if state not in distances:
+                try:
+                    distances[state] = decode_solution(encoding, state).total_distance
+                except ValueError:
+                    distances[state] = None
+            d = distances[state]
+            if d is not None and (d_sol is None or d < d_sol):
+                d_sol = d
     ratio = None
     if d_sol is not None and d_min:
         ratio = d_sol / d_min

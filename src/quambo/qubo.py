@@ -55,7 +55,7 @@ class QuboModel:
     def dense(self) -> tuple[np.ndarray, np.ndarray]:
         """(lin, W): the linear coefficients and the symmetric coupling matrix.
 
-        Built on first use and kept, so the model must not change afterwards.
+        Built on first use and kept read-only, so the model must not change afterwards.
         """
         lin = np.zeros(self.n)
         W = np.zeros((self.n, self.n))
@@ -63,7 +63,7 @@ class QuboModel:
             lin[i] = c
         for (i, j), c in self.quadratic.items():
             W[i, j] = W[j, i] = c
-        return lin, W
+        return read_only(lin), read_only(W)
 
     @cached_property
     def diagonal(self) -> np.ndarray:

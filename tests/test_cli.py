@@ -213,6 +213,31 @@ class TestBaseline:
         assert cells[1] == "sa" and cells[2] == "5"
         assert float(cells[5]) == 2.0
 
+    def test_manifest_search_block(self, tmp_path):
+        cfg = write(tmp_path, "b.ini", PROBLEM_LINE4 + "[heuristic]\nalgorithm = tabu\nrestarts = 7\n")
+        out = str(tmp_path / "base.csv")
+        assert main(["baseline", "--config", cfg, "--out", out]) == 0
+        search = json.loads((tmp_path / "base.csv.manifest.json").read_text())["search"]
+        # start/destination encoding of 4 locations and 2 ambulances: 2*4 + 2*4 bits
+        assert {k: search[k] for k in ("algorithm", "restarts", "n", "batch_shape")} == {
+            "algorithm": "tabu", "restarts": 7, "n": 16, "batch_shape": [7, 16]}
+        assert search["oracle_s"] >= 0 and search["search_s"] > 0
+
+    @pytest.mark.parametrize("setting, message", [
+        ("algorithm = sas", "unknown baseline algorithm 'sas'; valid algorithms: tabu, sa"),
+        ("restarts = 0", "need restarts >= 1, got 0"),
+        ("algorithm = tabu\ntenure = -3", "need tenure >= 1, got -3"),
+        ("algorithm = tabu\ntenure = 0", "need tenure >= 1, got 0"),
+        ("algorithm = sa\nbeta_initial = -1", "need sweeps >= 1 and 0 < beta_initial < beta_final"),
+    ])
+    def test_bad_input_is_an_error(self, tmp_path, capsys, monkeypatch, setting, message):
+        monkeypatch.setattr("quambo.cli.encode_start_dest", None)  # rejected before any work
+        cfg = write(tmp_path, "b.ini", PROBLEM_LINE4 + f"[heuristic]\n{setting}\n")
+        assert main(["baseline", "--config", cfg, "--out", str(tmp_path / "b.csv")]) == 1
+        err = capsys.readouterr().err
+        assert err == f"error: {message}\n"
+        assert not (tmp_path / "b.csv").exists()
+
 
 class TestAnneal:
     def test_csv_schema(self, tmp_path):
@@ -228,6 +253,18 @@ class TestAnneal:
         assert lines[0] == "lambda_ratio,p_gnd,p_feas,r_approx,reads,seed"
         assert len(lines) == 3
         assert [line.split(",")[0] for line in lines[1:]] == ["1.0", "5.0"]
+
+    @pytest.mark.parametrize("reads", [0, -2])
+    def test_reads_below_one_is_an_error(self, tmp_path, capsys, monkeypatch, reads):
+        monkeypatch.setattr("quambo.anneal.encode_start_dest", None)  # rejected before any work
+        cfg = write(
+            tmp_path,
+            "an.ini",
+            f"[problem]\ngeometry = line\ncols = 2\nambulances = 1\nlambda_ratio = 1.0\n[anneal]\nreads = {reads}\n",
+        )
+        assert main(["anneal", "--config", cfg, "--out", str(tmp_path / "a.csv")]) == 1
+        assert capsys.readouterr().err == f"error: need reads >= 1, got {reads}\n"
+        assert not (tmp_path / "a.csv").exists()
 
 
 class TestTts:

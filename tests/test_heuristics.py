@@ -1,29 +1,252 @@
-"""Tests for the classical baselines: exact enumeration, SA, tabu, restart harness."""
+"""Tests for the classical baselines: exact enumeration, SA, tabu, restart harness.
+
+The batched tabu and SA kernels are checked bit for bit against the
+per-restart loops they replaced, kept here as the reference.
+"""
+
+import itertools
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from quambo.anneal import sim_anneal_sampler
 from quambo.heuristics import (
+    ORACLE_CAP,
     SimAnneal,
     Tabu,
+    batched_simulated_annealing,
+    batched_tabu_search,
     exact_facility_optimum,
     make_solver,
     restart_harness,
     simulated_annealing,
     tabu_search,
 )
-from quambo.problems import FacilityProblem, encode_single_complement, encode_start_dest
+from quambo.problems import (
+    FacilityProblem,
+    decode_solution,
+    distance_matrix,
+    encode_single_complement,
+    encode_start_dest,
+)
 from quambo.qubo import CapacityError, QuboModel, energy_qubo, energy_vector, string_from_index
 
 
-def random_qubo(n, rng):
+def random_qubo(n, rng, integral=False):
+    draw = (lambda: float(rng.integers(-3, 4))) if integral else (lambda: float(rng.normal()))
     return QuboModel(
         n=n,
-        linear={i: float(rng.normal()) for i in range(n)},
-        quadratic={(i, j): float(rng.normal()) for i in range(n) for j in range(i + 1, n)},
+        linear={i: draw() for i in range(n)},
+        quadratic={(i, j): draw() for i in range(n) for j in range(i + 1, n)},
     )
+
+
+# --- the per-restart loops the batched kernels replaced ------------------------
+
+
+def reference_simulated_annealing(model, config, seed):
+    n = model.n
+    lin, W = model.dense
+    rng = np.random.default_rng(seed)
+    s = rng.integers(0, 2, size=n).astype(float)
+    field = W @ s
+    energy = model.offset + lin @ s + 0.5 * s @ field
+    best_e, best_s = energy, s.copy()
+    betas = np.geomspace(config.beta_initial, config.beta_final, config.sweeps)
+    for beta in betas:
+        order = rng.permutation(n)
+        accept_u = rng.random(n)
+        for t, i in enumerate(order):
+            delta = (1.0 - 2.0 * s[i]) * (lin[i] + field[i])
+            if delta <= 0.0 or accept_u[t] < np.exp(-beta * delta):
+                ds = 1.0 - 2.0 * s[i]
+                s[i] += ds
+                field += W[:, i] * ds
+                energy += delta
+                if energy < best_e - 1e-12:
+                    best_e, best_s = energy, s.copy()
+    bitstring = "".join(str(int(b)) for b in best_s)
+    return bitstring, float(best_e)
+
+
+def reference_tabu_search(model, config, seed, skipped=None):
+    """The old tabu loop; appends to `skipped` each iteration that had no allowed move."""
+    n = model.n
+    lin, W = model.dense
+    tenure = config.tenure if config.tenure is not None else max(10, n // 4)
+    rng = np.random.default_rng(seed)
+    s = rng.integers(0, 2, size=n).astype(float)
+    field = W @ s
+    energy = model.offset + lin @ s + 0.5 * s @ field
+    best_e, best_s = energy, s.copy()
+    tabu_until = np.zeros(n, dtype=np.int64)
+    for it in range(config.max_iter):
+        delta = (1.0 - 2.0 * s) * (lin + field)
+        allowed = tabu_until <= it
+        allowed |= energy + delta < best_e - 1e-12
+        if not allowed.any():
+            if skipped is not None:
+                skipped.append(it)
+            continue
+        cand = np.where(allowed, delta, np.inf)
+        i = int(cand.argmin())
+        ds = 1.0 - 2.0 * s[i]
+        s[i] += ds
+        field += W[:, i] * ds
+        energy += delta[i]
+        tabu_until[i] = it + 1 + tenure
+        if energy < best_e - 1e-12:
+            best_e, best_s = energy, s.copy()
+    bitstring = "".join(str(int(b)) for b in best_s)
+    return bitstring, float(best_e)
+
+
+def reference_solver(config):
+    if isinstance(config, SimAnneal):
+        return lambda model, seed: reference_simulated_annealing(model, config, seed)
+    return lambda model, seed: reference_tabu_search(model, config, seed)
+
+
+def reference_seed(seed, r):
+    return int(np.random.default_rng([seed, r]).integers(2**31))
+
+
+def reference_harness(solver, model, restarts, seed, encoding=None, d_min=None):
+    """The old restart loop: one scalar solver call per restart."""
+    best_e, best_state, hits, d_sol = np.inf, "", 0, None
+    for r in range(restarts):
+        state, e = solver(model, reference_seed(seed, r))
+        if e < best_e - 1e-9:
+            best_e, best_state, hits = e, state, 1
+        elif abs(e - best_e) <= 1e-9:
+            hits += 1
+        if encoding is not None:
+            try:
+                placement = decode_solution(encoding, state)
+            except ValueError:
+                pass
+            else:
+                if d_sol is None or placement.total_distance < d_sol:
+                    d_sol = placement.total_distance
+    ratio = d_sol / d_min if d_sol is not None and d_min else None
+    return float(best_e), hits / restarts, d_sol, ratio, best_state
+
+
+def reference_oracle(problem):
+    """Every placement through itertools.combinations, one at a time."""
+    D = distance_matrix(problem)
+    best, placements = np.inf, []
+    for combo in itertools.combinations(range(problem.num_locations), problem.ambulances):
+        total = D[list(combo)].min(axis=0).sum()
+        if total < best - 1e-12:
+            best, placements = total, [combo]
+        elif abs(total - best) <= 1e-12:
+            placements.append(combo)
+    return float(best), placements
+
+
+tabu_configs = st.builds(
+    lambda tenure, max_iter: Tabu(tenure=tenure, max_iter=max_iter),
+    st.one_of(st.none(), st.integers(1, 15)),
+    st.integers(1, 60),
+)
+sa_configs = st.builds(
+    lambda sweeps, beta: SimAnneal(sweeps=sweeps, beta_initial=beta, beta_final=10.0 * beta),
+    st.integers(1, 30),
+    st.sampled_from([0.01, 0.1, 1.0, 1e6]),
+)
+
+
+class TestBatchedKernels:
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 12), st.integers(1, 9), st.booleans(), tabu_configs)
+    @settings(max_examples=60, deadline=None)
+    def test_tabu_equals_the_per_restart_loop(self, seed, n, R, integral, config):
+        rng = np.random.default_rng(seed)
+        model = random_qubo(n, rng, integral)
+        seeds = [int(x) for x in rng.integers(2**31, size=R)]
+        states, energies = batched_tabu_search(model, config, seeds)
+        assert list(zip(states, energies.tolist())) == [reference_tabu_search(model, config, s) for s in seeds]
+        assert tabu_search(model, config, seeds[0]) == reference_tabu_search(model, config, seeds[0])
+
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 12), st.integers(1, 9), st.booleans(), sa_configs)
+    @settings(max_examples=60, deadline=None)
+    def test_sa_equals_the_per_chain_loop(self, seed, n, R, integral, config):
+        rng = np.random.default_rng(seed)
+        model = random_qubo(n, rng, integral)
+        seeds = [int(x) for x in rng.integers(2**31, size=R)]
+        states, energies = batched_simulated_annealing(model, config, seeds)
+        assert list(zip(states, energies.tolist())) == [reference_simulated_annealing(model, config, s) for s in seeds]
+        assert simulated_annealing(model, config, seeds[0]) == reference_simulated_annealing(model, config, seeds[0])
+
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 10), st.integers(1, 9), st.booleans(),
+           st.one_of(tabu_configs, sa_configs))
+    @settings(max_examples=40, deadline=None)
+    def test_harness_equals_the_per_restart_loop(self, seed, n, restarts, integral, config):
+        model = random_qubo(n, np.random.default_rng(seed), integral)
+        res = restart_harness(make_solver(config), model, restarts, seed)
+        expected = reference_harness(reference_solver(config), model, restarts, seed)
+        assert (res.best_energy, res.frequency_of_best, res.d_sol, res.ratio, res.best_state) == expected
+
+    @pytest.mark.parametrize("config", [Tabu(max_iter=40), SimAnneal(sweeps=40)])
+    @pytest.mark.parametrize("geometry, ambulances, encode", [
+        (("line", 4), 2, encode_start_dest),
+        (("line", 5), 1, encode_single_complement),
+    ])
+    def test_harness_d_sol_equals_the_per_restart_loop(self, config, geometry, ambulances, encode):
+        problem = FacilityProblem(geometry, ambulances, lambda_ratio=1.5)
+        model, enc = encode(problem)
+        d_min, _ = exact_facility_optimum(problem)
+        res = restart_harness(make_solver(config), model, 30, 5, encoding=enc, d_min=d_min)
+        expected = reference_harness(reference_solver(config), model, 30, 5, encoding=enc, d_min=d_min)
+        assert (res.best_energy, res.frequency_of_best, res.d_sol, res.ratio, res.best_state) == expected
+        assert res.d_sol is not None
+
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 12), st.integers(0, 9), st.integers(1, 12))
+    @settings(max_examples=30, deadline=None)
+    def test_sampler_equals_one_chain_per_read(self, seed, n, reads, sweeps):
+        model = random_qubo(n, np.random.default_rng(seed))
+        config = SimAnneal(sweeps=sweeps, beta_initial=0.2, beta_final=5.0)
+        expected = [reference_simulated_annealing(model, config, reference_seed(seed, r))[0] for r in range(reads)]
+        assert sim_anneal_sampler(sweeps=sweeps, beta_initial=0.2, beta_final=5.0)(model, reads, seed) == expected
+
+    def test_tabu_rows_without_an_allowed_move_are_skipped(self):
+        # with a tenure of at least n every flip can be tabu at once, so some
+        # restarts skip an iteration while others in the batch move
+        mixed = 0
+        for trial in range(300):
+            rng = np.random.default_rng(trial)
+            n = int(rng.integers(2, 7))
+            model = random_qubo(n, rng, integral=bool(rng.integers(2)))
+            config = Tabu(tenure=int(rng.integers(n, n + 3)), max_iter=int(rng.integers(10, 40)))
+            seeds = [int(x) for x in rng.integers(2**31, size=4)]
+            skipped = [[] for _ in seeds]
+            expected = [reference_tabu_search(model, config, s, skipped[r]) for r, s in enumerate(seeds)]
+            mixed += bool(set().union(*skipped) - set.intersection(*map(set, skipped)))
+            states, energies = batched_tabu_search(model, config, seeds)
+            assert list(zip(states, energies.tolist())) == expected, trial
+        assert mixed
+
+    def test_sa_rejects_every_uphill_move_at_high_beta(self):
+        rng = np.random.default_rng(23)
+        model = random_qubo(8, rng)
+        config = SimAnneal(sweeps=20, beta_initial=1e8, beta_final=1e9)
+        seeds = [int(x) for x in rng.integers(2**31, size=7)]
+        states, energies = batched_simulated_annealing(model, config, seeds)
+        assert list(zip(states, energies.tolist())) == [reference_simulated_annealing(model, config, s) for s in seeds]
+        # pure descent ends in a single-flip local minimum
+        for state, e in zip(states, energies):
+            assert e == pytest.approx(energy_qubo(model, state))
+            for i in range(model.n):
+                flipped = state[:i] + str(1 - int(state[i])) + state[i + 1 :]
+                assert energy_qubo(model, flipped) >= e - 1e-9
+
+    def test_empty_batch(self):
+        model = random_qubo(4, np.random.default_rng(0))
+        for states, energies in (batched_tabu_search(model, Tabu(), []),
+                                 batched_simulated_annealing(model, SimAnneal(sweeps=5), [])):
+            assert states == [] and energies.shape == (0,)
 
 
 class TestExactOptimum:
@@ -55,6 +278,27 @@ class TestExactOptimum:
     def test_enumeration_cap(self):
         with pytest.raises(CapacityError):
             exact_facility_optimum(FacilityProblem(("grid", 40, 40), 2, lambda_=1.0))
+
+    def test_placement_count_cap(self, monkeypatch):
+        # C(900, 3) = 121 095 300 placements on only 900 locations
+        monkeypatch.setattr("quambo.heuristics.distance_matrix", None)  # refused before any allocation
+        with pytest.raises(CapacityError, match="121095300 placements"):
+            exact_facility_optimum(FacilityProblem(("grid", 30, 30), 3, lambda_=1.0))
+        assert ORACLE_CAP < 121095300
+
+    @pytest.mark.parametrize("length, ambulances", [(L, m) for L in range(1, 10) for m in range(1, min(L, 4) + 1)])
+    def test_equals_itertools_reference_on_lines(self, length, ambulances):
+        problem = FacilityProblem(("line", length), ambulances, lambda_=1.0)
+        assert exact_facility_optimum(problem) == reference_oracle(problem)
+
+    @pytest.mark.parametrize("geometry, ambulances, metric", [
+        (("grid", 4, 4), 2, "manhattan"),
+        (("grid", 4, 3), 3, "euclidean"),
+        (("grid", 3, 3), 4, "squared-euclidean"),
+    ])
+    def test_equals_itertools_reference_on_grids(self, geometry, ambulances, metric):
+        problem = FacilityProblem(geometry, ambulances, lambda_=1.0, metric=metric)
+        assert exact_facility_optimum(problem) == reference_oracle(problem)
 
 
 class TestSimulatedAnnealing:

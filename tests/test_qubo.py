@@ -93,6 +93,16 @@ class TestEnergyKernel:
             assert np.array_equal(m.diagonal, energy_vector(m))
             assert not m.diagonal.flags.writeable
 
+    def test_cached_dense_form_is_read_only(self):
+        model = random_qubo(5, np.random.default_rng(4))
+        lin, W = model.dense
+        assert model.dense[1] is W
+        assert np.array_equal(W, W.T)
+        with pytest.raises(ValueError, match="read-only"):
+            W[0, 1] = 1.0
+        with pytest.raises(ValueError, match="read-only"):
+            lin[0] += 1.0
+
     def test_non_binary_assignment(self):
         with pytest.raises(ValueError):
             energy_qubo(QuboModel(n=2, linear={0: 1.0}), [2, 0])
