@@ -5,10 +5,13 @@ Configs are INI-style key-value files whose sections and keys are checked
 against CONFIG_KEYS; results are written as RFC-4180 CSV
 plus a JSON manifest (config echo, version, master seed, wall time; for
 qaoa also the engine's basis, state and block dimensions, and why the
-weight sector was not used; for vqe the compiled circuit: qubits, gates,
-R_y steps, fused CNOT permutations, amplitude dtype, method, shots and
-total objective evaluations; for baseline the search: algorithm, restarts,
-n, the (restarts, n) batch shape and the oracle and search times).  The vqe
+weight sector was not used, and the optimizer: kind, restarts run in
+lockstep, batched objective calls, mean rows per call, mean evaluations per
+restart, and the seconds of the restart search and of the depth schedule;
+for vqe the compiled circuit: qubits, gates, R_y steps, fused CNOT
+permutations, amplitude dtype, method, shots and total objective
+evaluations; for baseline the search: algorithm, restarts, n, the
+(restarts, n) batch shape and the oracle and search times).  The vqe
 method is sv (exact statevector), sample (all-qubit sampling) or cone
 (per-term causal-cone sampling); the sampling methods need shots >= 1.  The
 baseline algorithm is tabu or sa and needs restarts >= 1; anneal needs
@@ -100,21 +103,21 @@ def optimizer_from_config(cp: configparser.ConfigParser):
     if not cp.has_section("optimizer"):
         return NelderMead()
     sec = cp["optimizer"]
-    kind = sec.get("kind", "nelder-mead")
-    if kind == "nelder-mead":
+    kind = sec.get("kind", NelderMead.kind)
+    if kind == NelderMead.kind:
         return NelderMead(
             max_iter=sec.getint("max_iter", 500),
             f_tol=sec.getfloat("f_tol", 1e-8),
             x_tol=sec.getfloat("x_tol", 1e-8),
             init_simplex_scale=sec.getfloat("init_simplex_scale", 0.1),
         )
-    if kind == "spsa":
+    if kind == Spsa.kind:
         return Spsa(
             a=sec.getfloat("a", 0.1),
             c=sec.getfloat("c", 0.1),
             n_iter=sec.getint("n_iter", 100),
         )
-    if kind == "fd-quasi-newton":
+    if kind == FdQuasiNewton.kind:
         return FdQuasiNewton(
             eps=sec.getfloat("eps", 0.1),
             max_iter=sec.getint("max_iter", 200),
@@ -184,6 +187,7 @@ def cmd_oracle(args: argparse.Namespace) -> int:
 def cmd_qaoa(args: argparse.Namespace) -> int:
     started = time.time()
     cp = load_config(args.config)
+    optimizer = optimizer_from_config(cp)
     problem = problem_from_config(cp)
     model, enc = encoding_from_config(cp, problem, "qaoa")
     sec = cp["qaoa"]
@@ -200,16 +204,18 @@ def cmd_qaoa(args: argparse.Namespace) -> int:
     p = sec.getint("p", 1)
     restarts = sec.getint("restarts", 100)
     strategy = sec.get("strategy", "")
-    optimizer = optimizer_from_config(cp)
     config = qaoa.QaoaConfig(enc, mixer, init, p)
 
     header = ["run_id", "p", "strategy", "mixer", "init", "ev", "r_approx", "p_feas", "p_gnd", "evals", "seed"]
     rows = []
     search = qaoa.random_restart_search(config, model, restarts, optimizer, args.seed)
+    telemetry = search.optimizer
     if strategy:
         p_max = sec.getint("p_max", 10)
         seed_angles = search.best[0]
+        t0 = time.perf_counter()
         levels = qaoa.increasing_p_schedule(strategy, seed_angles, p_max, optimizer, config, model, seed=args.seed)
+        telemetry = {**telemetry, "schedule_s": round(time.perf_counter() - t0, 6)}
         for i, level in enumerate(levels):
             m = level.metrics
             rows.append([i, level.p, strategy, mixer_kind, init.kind, _fmt(m.ev), _fmt(m.r_approx),
@@ -223,13 +229,14 @@ def cmd_qaoa(args: argparse.Namespace) -> int:
                      _fmt(s["mean_p_feas"]), _fmt(s["mean_p_gnd"]), "", args.seed])
     out = args.out or "qaoa.csv"
     write_csv(out, header, rows)
-    write_manifest(out, cp, args.seed, started, engine=search.engine)
+    write_manifest(out, cp, args.seed, started, engine=search.engine, optimizer=telemetry)
     return 0
 
 
 def cmd_vqe(args: argparse.Namespace) -> int:
     started = time.time()
     cp = load_config(args.config)
+    optimizer = optimizer_from_config(cp)
     sec = cp["vqe"]
     method = sec.get("method", "sv")
     if method not in VQE_METHODS:
@@ -247,7 +254,6 @@ def cmd_vqe(args: argparse.Namespace) -> int:
         entangling_layers=sec.getint("layers", 1),
     )
     restarts = sec.getint("restarts", 100)
-    optimizer = optimizer_from_config(cp)
     scorer = qaoa.Scorer.of(model, enc)
 
     def oracle_metrics(state):

@@ -20,9 +20,10 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .problems import Encoding, FacilityProblem, decode_solution, distance_matrix
-from .qubo import CapacityError, QuboModel
+from .qubo import CapacityError, QuboModel, rows_where
 
 ORACLE_CAP = 10_000_000  # placements exact_facility_optimum may enumerate
+TABU_CHUNK_ROWS = 256  # tabu searches batched_tabu_search runs together
 
 
 @dataclass
@@ -108,14 +109,6 @@ def _start(model: QuboModel, seeds: Sequence[int]):
     return rngs, Q, F, E
 
 
-def _rows(mask: np.ndarray):
-    """The rows where mask holds: None if none, a slice if all (updates then stay in place), else their indices."""
-    count = np.count_nonzero(mask)
-    if count == mask.size:
-        return slice(None)
-    return np.flatnonzero(mask) if count else None
-
-
 def _bitstrings(Q: np.ndarray) -> list[str]:
     return [row.tobytes().decode("ascii") for row in ((Q < 0) + ord("0")).astype(np.uint8)]
 
@@ -161,7 +154,7 @@ def batched_simulated_annealing(
                 k = flat[t]
                 q = Qf[k]
                 delta = q * (lin_t[t] + Ff[k])
-                a = _rows((delta <= 0.0) | (U_t[t] < np.exp(-beta * delta)))
+                a = rows_where((delta <= 0.0) | (U_t[t] < np.exp(-beta * delta)))
                 if a is None:
                     continue
                 q = q[a]
@@ -177,7 +170,13 @@ def batched_tabu_search(model: QuboModel, config: Tabu, seeds: Sequence[int]) ->
 
     Steepest single-flip descent (first index on ties) with a recency tabu
     list and aspiration; a row with no allowed move skips the iteration.
+    Searches run TABU_CHUNK_ROWS at a time, which bounds the memory of the
+    (rows, n) working arrays; rows are independent, so results are the same.
     """
+    if len(seeds) > TABU_CHUNK_ROWS:
+        parts = [batched_tabu_search(model, config, seeds[k:k + TABU_CHUNK_ROWS])
+                 for k in range(0, len(seeds), TABU_CHUNK_ROWS)]
+        return [state for states, _e in parts for state in states], np.concatenate([e for _s, e in parts])
     lin, W = model.dense
     tenure = config.tenure if config.tenure is not None else max(10, model.n // 4)
     _, Q, F, E = _start(model, seeds)
@@ -190,7 +189,7 @@ def batched_tabu_search(model: QuboModel, config: Tabu, seeds: Sequence[int]) ->
         # aspiration: a tabu move is allowed if it beats the incumbent
         allowed |= E[:, None] + delta < best.bar[:, None]
         moves = np.where(allowed, delta, np.inf).argmin(axis=1)
-        rows = _rows(allowed.any(axis=1))
+        rows = rows_where(allowed.any(axis=1))
         if rows is None:
             continue
         I = moves[rows]

@@ -2,27 +2,61 @@
 
 Every variant honors the best-seen contract: OptResult.f_best is the minimum
 over all objective values computed during the run, never the last iterate.
+
+Nelder-Mead is implemented here.  `minimize_batch` runs R simplices in
+lockstep against an objective that takes a (K, N) array of points and returns
+their K values.  Each row follows scipy's `_minimize_neldermead` (standard
+coefficients, no bounds, maxiter only) step for step: the same initial
+simplex, centroid, trial points, per-row argsort and stopping tests, so it
+evaluates the points scipy would, bitwise, in the same order.  An iteration
+makes at most three objective calls: the reflections of every running row,
+then their expansion or contraction points, then the vertices of the rows
+that shrink; the initial simplices are one call.  Rows stop independently.
+`minimize` with a NelderMead config is a batch of one.  SPSA and the
+quasi-Newton method (scipy's BFGS, imported only when it runs) take one row
+at a time.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, ClassVar, Sequence
 
 import numpy as np
-from scipy.optimize import minimize as scipy_minimize
+
+from .qubo import rows_where
+
+# scipy's non-adaptive Nelder-Mead coefficients: reflection, expansion, contraction, shrink
+RHO, CHI, PSI, SIGMA = 1, 2, 0.5, 0.5
+# (centroid, worst-vertex) coefficients c of the trial point c[0] * xbar - c[1] * worst, by case:
+# expansion, reflection, outside contraction, inside contraction ((1 - PSI) * xbar + PSI * worst)
+_TRIAL = np.array([[1 + RHO * CHI, RHO * CHI], [1 + RHO, RHO], [1 + PSI * RHO, PSI * RHO], [1 - PSI, -PSI]])
+# by case: whether a trial point equal in value to its bound is kept
+_TIES_TAKE = np.array([False, True, True, False])
 
 
 @dataclass
 class NelderMead:
+    kind: ClassVar[str] = "nelder-mead"
     max_iter: int = 500
     f_tol: float = 1e-8
     x_tol: float = 1e-8
     init_simplex_scale: float = 0.1
 
+    def __post_init__(self) -> None:
+        if self.max_iter < 1:
+            raise ValueError(f"need max_iter >= 1, got {self.max_iter}")
+        for name in ("f_tol", "x_tol"):
+            if not (math.isfinite(getattr(self, name)) and getattr(self, name) >= 0):
+                raise ValueError(f"need a finite {name} >= 0, got {getattr(self, name)}")
+        if not (math.isfinite(self.init_simplex_scale) and self.init_simplex_scale > 0):
+            raise ValueError(f"need a finite init_simplex_scale > 0, got {self.init_simplex_scale}")
+
 
 @dataclass
 class Spsa:
+    kind: ClassVar[str] = "spsa"
     a: float = 0.1
     c: float = 0.1
     n_iter: int = 100
@@ -36,6 +70,7 @@ class Spsa:
 
 @dataclass
 class FdQuasiNewton:
+    kind: ClassVar[str] = "fd-quasi-newton"
     eps: float = 0.1
     max_iter: int = 200
     g_tol: float = 1e-6
@@ -57,7 +92,7 @@ class OptResult:
 
 
 class _Tracker:
-    """Wraps the objective, counts evaluations and records the best-seen point."""
+    """Wraps a one-point objective, counts evaluations and records the best-seen point."""
 
     def __init__(self, objective: Callable[[np.ndarray], float]):
         self.objective = objective
@@ -79,6 +114,166 @@ class _Tracker:
 
     def result(self) -> OptResult:
         return OptResult(x_best=self.x_best, f_best=self.f_best, evals=self.evals, trace=self.trace)
+
+
+class _Log:
+    """Evaluates batches of points for R rows; per row, the evaluations in order and the best-seen point.
+
+    A call evaluates the same number of points for each of some distinct rows,
+    row-major, so a row's evaluations keep the order a one-row run makes
+    them in, and its best-seen point is the first point with its lowest value.
+    """
+
+    def __init__(self, objective_batch: Callable[[np.ndarray], np.ndarray], R: int, N: int):
+        self.objective = objective_batch
+        self.f_best = np.full(R, np.inf)
+        self.x_best = np.zeros((R, N))
+        self.calls: list[tuple[np.ndarray, np.ndarray]] = []  # (rows, values)
+
+    def __call__(self, rows: np.ndarray, X: np.ndarray) -> np.ndarray:
+        """The values of X, (k, N) or (k, m, N): one or m points for each of the k rows."""
+        points = X.reshape(-1, X.shape[-1])
+        f = np.asarray(self.objective(points), dtype=float)
+        if not np.isfinite(f).all():
+            i = int(np.argmin(np.isfinite(f)))
+            raise FloatingPointError(f"objective returned non-finite value {f[i]} at {points[i]}")
+        self.calls.append((rows, f))
+        if len(f) == 1:  # as scalars: the common call of a one-row run
+            if f[0] < self.f_best[rows[0]]:
+                self.f_best[rows[0]], self.x_best[rows[0]] = f[0], points[0]
+        else:
+            per_row = f.reshape(len(rows), -1)
+            first = per_row.argmin(axis=1)
+            low = per_row[np.arange(len(rows)), first]
+            better = np.flatnonzero(low < self.f_best[rows])
+            if better.size:
+                self.f_best[rows[better]] = low[better]
+                self.x_best[rows[better]] = points.reshape(len(rows), -1, points.shape[1])[better, first[better]]
+        return f.reshape(X.shape[:-1])
+
+    def results(self) -> list[OptResult]:
+        """Each row's best-seen point and value, evaluation count and trace."""
+        rows = np.concatenate([np.repeat(r, len(f) // len(r)) for r, f in self.calls])
+        values = np.concatenate([f for _r, f in self.calls])[np.argsort(rows, kind="stable")].tolist()
+        evals = np.bincount(rows, minlength=len(self.f_best)).tolist()
+        edges = np.cumsum([0] + evals).tolist()
+        return [
+            OptResult(x_best=x, f_best=float(f), evals=n, trace=list(zip(range(1, n + 1), values[lo:hi])))
+            for x, f, n, lo, hi in zip(self.x_best, self.f_best, evals, edges, edges[1:])
+        ]
+
+
+def _sort(sim: np.ndarray, fsim: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each row's simplex in value order, as scipy orders one (np.argsort, default kind); new arrays."""
+    order = np.argsort(fsim, axis=1)
+    at = np.arange(len(fsim))[:, None]
+    return sim[at, order], fsim[at, order]
+
+
+def _nelder_mead_row(log: _Log, x0: np.ndarray, config: NelderMead) -> None:
+    """One row, with Python branching in place of the row masks: the same arithmetic, fewer numpy calls."""
+    N = len(x0)
+    row = np.zeros(1, dtype=np.intp)
+    sim = np.repeat(x0[None], N + 1, axis=0)
+    sim[np.arange(1, N + 1), np.arange(N)] += config.init_simplex_scale
+    fsim = log(row, sim[None])[0]
+    for _ in range(2):
+        order = np.argsort(fsim)
+        sim, fsim = sim[order], fsim[order]
+    for _ in range(config.max_iter - 1):
+        if fsim[-1] - fsim[0] <= config.f_tol and np.abs(sim[1:] - sim[0]).max() <= config.x_tol:
+            break
+        xbar = np.add.reduce(sim[:-1], 0) / N
+        xr = (1 + RHO) * xbar - RHO * sim[-1]
+        fxr = log(row, xr[None])[0]
+        case = 3 - (fxr < fsim[0]) - (fxr < fsim[-2]) - (fxr < fsim[-1])
+        x, f = xr, fxr
+        if case != 1:
+            c = _TRIAL[case]
+            xt = c[0] * xbar - c[1] * sim[-1]
+            ft = log(row, xt[None])[0]
+            bound = fsim[-1] if case == 3 else fxr
+            if ft < bound or (_TIES_TAKE[case] and ft == bound):
+                x, f = xt, ft
+            elif case >= 2:
+                sim[1:] = sim[0] + SIGMA * (sim[1:] - sim[0])
+                fsim[1:] = log(row, sim[None, 1:])[0]
+                x = None
+        if x is not None:
+            sim[-1], fsim[-1] = x, f
+        order = np.argsort(fsim)
+        sim, fsim = sim[order], fsim[order]
+
+
+def _nelder_mead(objective_batch: Callable[[np.ndarray], np.ndarray], X0: np.ndarray, config: NelderMead) -> _Log:
+    """Run a simplex from every row of X0 (R, N), in lockstep; the log of their evaluations."""
+    R, N = X0.shape
+    log = _Log(objective_batch, R, N)
+    if R == 1:
+        _nelder_mead_row(log, X0[0], config)
+        return log
+    ids = np.arange(R)  # the rows still running; sim and fsim hold only theirs
+    sim = np.repeat(X0[:, None, :], N + 1, axis=1)
+    sim[:, np.arange(1, N + 1), np.arange(N)] += config.init_simplex_scale
+    fsim = log(ids, sim)
+    # scipy sorts the initial simplex twice; an unstable sort may reorder ties the second time
+    sim, fsim = _sort(*_sort(sim, fsim))
+    for _ in range(config.max_iter - 1):
+        # rows of fsim are sorted, so max |fsim[0] - fsim[1:]| is fsim[-1] - fsim[0]
+        done = fsim[:, -1] - fsim[:, 0] <= config.f_tol
+        if done.any():
+            done &= np.abs(sim[:, 1:] - sim[:, :1]).reshape(len(ids), -1).max(axis=1) <= config.x_tol
+            if done.any():
+                ids, sim, fsim = ids[~done], sim[~done], fsim[~done]
+                if not ids.size:
+                    break
+        xbar = np.add.reduce(sim[:, :-1], 1) / N
+        worst = sim[:, -1]
+        xr = (1 + RHO) * xbar - RHO * worst
+        fxr = log(ids, xr)
+        # rows of fsim are sorted, so case is 0 expand, 1 keep the reflection, 2 contract outside, 3 contract inside
+        case = 3 - (fxr < fsim[:, 0]) - (fxr < fsim[:, -2]) - (fxr < fsim[:, -1])
+        c = _TRIAL[case]
+        xt = c[:, :1] * xbar - c[:, 1:] * worst  # the reflection again where case is 1
+        ft = fxr
+        trial = rows_where(case != 1)
+        if trial is not None:
+            ft = fxr.copy()
+            ft[trial] = log(ids[trial], xt[trial])
+        # an expansion is kept if lower than the reflection, an outside contraction (or the
+        # reflection) if not higher, an inside contraction if lower than the worst vertex
+        bound = np.where(case == 3, fsim[:, -1], fxr)
+        take = (ft < bound) | (_TIES_TAKE[case] & (ft == bound))
+        shrink = rows_where(~take & (case >= 2))
+        if shrink is None:
+            sim[:, -1], fsim[:, -1] = np.where(take[:, None], xt, xr), np.where(take, ft, fxr)
+        else:
+            stay = np.ones(len(ids), dtype=bool)
+            stay[shrink] = False
+            sim[stay, -1] = np.where(take[stay, None], xt[stay], xr[stay])
+            fsim[stay, -1] = np.where(take[stay], ft[stay], fxr[stay])
+            sim[shrink, 1:] = sim[shrink, :1] + SIGMA * (sim[shrink, 1:] - sim[shrink, :1])
+            fsim[shrink, 1:] = log(ids[shrink], sim[shrink, 1:])
+        sim, fsim = _sort(sim, fsim)
+    return log
+
+
+def minimize_batch(
+    objective_batch: Callable[[np.ndarray], np.ndarray],
+    X0: np.ndarray,
+    config: OptimizerConfig,
+    seeds: Sequence[int] | None = None,
+) -> list[OptResult]:
+    """Minimize from each row of X0 (R, N); objective_batch maps (K, N) points to K values.
+
+    Nelder-Mead rows run in lockstep; other optimizers run row after row,
+    row r with seeds[r] (default 0).
+    """
+    X0 = np.array(X0, dtype=float, ndmin=2)
+    if isinstance(config, NelderMead):
+        return _nelder_mead(objective_batch, X0, config).results()
+    seeds = [0] * len(X0) if seeds is None else seeds
+    return [minimize(lambda x: objective_batch(x[None])[0], x0, config, seed) for x0, seed in zip(X0, seeds)]
 
 
 def spsa_schedules(config: Spsa, k: int) -> tuple[float, float]:
@@ -115,26 +310,17 @@ def minimize(
 ) -> OptResult:
     """Run the configured minimizer from x0; deterministic given seed."""
     x0 = np.asarray(x0, dtype=float)
-    tracker = _Tracker(objective)
 
     if isinstance(config, NelderMead):
-        simplex = np.tile(x0, (len(x0) + 1, 1))
-        for i in range(len(x0)):
-            simplex[i + 1, i] += config.init_simplex_scale
-        scipy_minimize(
-            tracker,
-            x0,
-            method="Nelder-Mead",
-            options={
-                "maxiter": config.max_iter,
-                "fatol": config.f_tol,
-                "xatol": config.x_tol,
-                "initial_simplex": simplex,
-            },
-        )
-        return tracker.result()
+        def objective_batch(X: np.ndarray) -> np.ndarray:
+            return np.fromiter((objective(x.copy()) for x in X), dtype=float, count=len(X))
 
+        return _nelder_mead(objective_batch, x0[None], config).results()[0]
+
+    tracker = _Tracker(objective)
     if isinstance(config, FdQuasiNewton):
+        from scipy.optimize import minimize as scipy_minimize
+
         def grad(x: np.ndarray) -> np.ndarray:
             g = np.empty_like(x)
             for i in range(len(x)):

@@ -17,11 +17,12 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterator, Sequence
 
 import numpy as np
 
-from .qubo import QuboModel, SpectrumEntry, bits_from_string, energies_at, enumerate_spectrum
+from .qubo import QuboModel, SpectrumEntry, bits_from_string, energies_at, enumerate_spectrum, read_only
 
 
 @dataclass
@@ -103,6 +104,11 @@ class Encoding:
     def __post_init__(self) -> None:
         if len(self.qubit_roles) != self.n_qubits:
             raise ValueError("qubit_roles must cover every qubit exactly once")
+
+    @cached_property
+    def distances(self) -> np.ndarray:
+        """The problem's distance matrix, built once per encoding (read-only)."""
+        return read_only(distance_matrix(self.problem))
 
 
 @dataclass
@@ -288,7 +294,7 @@ def decode_solution(encoding: Encoding, s: str) -> Placement:
         raise ValueError(f"cannot decode infeasible state {s!r}")
     bits = bits_from_string(s)
     problem = encoding.problem
-    dist = distance_matrix(problem)
+    dist = encoding.distances
     L = problem.num_locations
 
     if encoding.variant == "ComplementSingle":

@@ -9,13 +9,14 @@ the gamma of their start-block qubit.
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass, field, replace
 from functools import cached_property, lru_cache
 from typing import Sequence
 
 import numpy as np
 
-from .optimize import OptimizerConfig, OptResult, minimize
+from .optimize import NelderMead, OptimizerConfig, minimize_batch
 from .problems import Encoding, feasible_sector, is_feasible
 from .qubo import TIE_TOL, QuboModel, energy_vector, enumerate_spectrum, read_only, string_from_index
 from .simulator import (
@@ -148,6 +149,8 @@ class QaoaConfig:
 
 # Largest number of qubits in one Hadamard block of the X-mixer engine.
 X_BLOCK_CAP = 5
+# Most amplitudes QaoaContext.ev_batch evolves in one stack of rows.
+EV_BATCH_AMPLITUDES = 1 << 14
 
 
 @lru_cache(maxsize=16)
@@ -342,38 +345,58 @@ class QaoaContext:
     def _psi0(self) -> np.ndarray:
         return read_only(self.initial_state().amplitudes[self._index])
 
-    def _evolve(self, angles: Angles) -> np.ndarray:
-        """The ansatz state in the engine basis."""
-        if angles.beta.shape[1] != self.mixer.n_beta or angles.gamma.shape[1] != self.mixer.n_gamma:
+    def _evolve(self, X: np.ndarray, p: int) -> np.ndarray:
+        """The ansatz states (K, dim) of the angle rows X (K, P), in the engine basis.
+
+        The rows are a leading stacked axis of every product, never folded
+        into the rows of a BLAS matrix, so row k is bitwise the same whatever
+        the other rows are.
+        """
+        K, nb, ng = len(X), self.mixer.n_beta, self.mixer.n_gamma
+        if X.shape[1] != p * (nb + ng):
             raise ValueError("angle columns do not match the mixer's angle scheme")
-        cost = np.exp(-1j * (angles.gamma @ self._cost_table))[:, self._cost_index]
-        mix = np.exp(-1j * (angles.beta @ self._mix_rows))
+        cost = np.take(np.exp(-1j * (X[:, p * nb:].reshape(K, p, ng) @ self._cost_table)), self._cost_index, axis=2)
+        mix = np.exp(-1j * (X[:, :p * nb].reshape(K, p, nb) @ self._mix_rows))
         psi = self._psi0
-        for r in range(angles.p):
-            psi = psi * cost[r]
-            for shape, vt, _v in self._steps:
-                psi = np.matmul(vt, psi.view(float).reshape(shape)).reshape(-1).view(complex)
+        for r in range(p):
+            psi = psi * cost[:, r]
+            for (pre, b, post), vt, _v in self._steps:
+                psi = np.matmul(vt, psi.view(float).reshape(K * pre, b, post)).reshape(K, -1).view(complex)
             # exp(-i sum_b beta_b lambda_b) is the outer product of the blocks' phases
-            phase = mix[r, self._mix_slices[0]]
+            phase = mix[:, r, self._mix_slices[0]]
             for part in self._mix_slices[1:]:
-                phase = np.multiply.outer(phase, mix[r, part])
-            psi *= phase.reshape(-1)
-            for shape, _vt, v in self._steps:
-                psi = np.matmul(v, psi.view(float).reshape(shape)).reshape(-1).view(complex)
+                phase = (phase[:, :, None] * mix[:, r, None, part]).reshape(K, -1)
+            psi *= phase
+            for (pre, b, post), _vt, v in self._steps:
+                psi = np.matmul(v, psi.view(float).reshape(K * pre, b, post)).reshape(K, -1).view(complex)
         return psi
 
     def run(self, angles: Angles) -> StateVector:
+        if angles.beta.shape[1] != self.mixer.n_beta or angles.gamma.shape[1] != self.mixer.n_gamma:
+            raise ValueError("angle columns do not match the mixer's angle scheme")
         amps = np.zeros(1 << self.n, dtype=complex)
-        amps[self._index] = self._evolve(angles)
+        amps[self._index] = self._evolve(angles.flatten()[None], angles.p)[0]
         return StateVector(self.n, amps)
 
     def metrics(self, state: StateVector, evals: int = 0) -> RunMetrics:
         probs = state.probabilities()
         return metrics(self.scorer, probs[self.scorer.indices], ev=float(probs @ self._energy), evals=evals)
 
+    def ev_batch(self, X: np.ndarray, p: int) -> np.ndarray:
+        """The cost expectation of each angle row of X (K, P) at depth p; row k is bitwise ev(X[k], p).
+
+        Rows are evolved in chunks of at most EV_BATCH_AMPLITUDES amplitudes
+        (at least one row), since larger stacks run slower per row.
+        """
+        X = np.asarray(X, dtype=float)
+        rows = max(1, EV_BATCH_AMPLITUDES // len(self._index))
+        if len(X) > rows:
+            return np.concatenate([self.ev_batch(X[k:k + rows], p) for k in range(0, len(X), rows)])
+        # one dot product per row: (1, dim) @ (dim, 1) for every stacked row
+        return np.matmul((np.abs(self._evolve(X, p)) ** 2)[:, None, :], self._cost[:, None])[:, 0, 0]
+
     def ev(self, x: np.ndarray, p: int) -> float:
-        psi = self._evolve(Angles.unflatten(x, p, self.mixer.n_beta, self.mixer.n_gamma))
-        return float(np.abs(psi) ** 2 @ self._cost)
+        return float(self.ev_batch(np.asarray(x, dtype=float)[None], p)[0])
 
 
 def metrics(
@@ -404,6 +427,7 @@ class RestartResult:
     summary: dict[str, float]
     best_index: int
     engine: dict = field(default_factory=dict)
+    optimizer: dict = field(default_factory=dict)
 
     @property
     def best(self) -> tuple[Angles, RunMetrics]:
@@ -427,22 +451,46 @@ def random_restart_search(
     optimizer: OptimizerConfig,
     seed: int,
 ) -> RestartResult:
-    """Optimize from n_starts uniform [0, 2pi)^dim angle draws; best run = lowest EV."""
+    """Optimize from n_starts uniform [0, 2pi)^dim angle draws; best run = lowest EV.
+
+    Start i draws its angles, then its optimizer seed, from default_rng([seed, i]).
+    All starts go to one minimize_batch call (Nelder-Mead runs them in
+    lockstep); `optimizer` of the result records how it went.
+    """
+    if n_starts < 1:
+        raise ValueError(f"need restarts >= 1, got {n_starts}")
     ctx = QaoaContext(config.encoding, model, config.mixer, config.init)
     p = config.p
     dim = p * (config.mixer.n_beta + config.mixer.n_gamma)
+    rngs = [np.random.default_rng([seed, i]) for i in range(n_starts)]
+    X0 = np.array([rng.uniform(0.0, 2.0 * np.pi, size=dim) for rng in rngs])
+    calls = 0
+
+    def objective(X: np.ndarray) -> np.ndarray:
+        nonlocal calls
+        calls += 1
+        return ctx.ev_batch(X, p)
+
+    started = time.perf_counter()
+    results = minimize_batch(objective, X0, optimizer, [int(rng.integers(2**31)) for rng in rngs])
+    optimize_s = time.perf_counter() - started
     runs: list[tuple[Angles, RunMetrics]] = []
-    for i in range(n_starts):
-        rng = np.random.default_rng([seed, i])
-        x0 = rng.uniform(0.0, 2.0 * np.pi, size=dim)
-        res = minimize(lambda x: ctx.ev(x, p), x0, optimizer, seed=int(rng.integers(2**31)))
+    for res in results:
         angles = Angles.unflatten(res.x_best, p, config.mixer.n_beta, config.mixer.n_gamma)
         m = ctx.metrics(ctx.run(angles), evals=res.evals)
-        m = replace(m, ev=res.f_best)
-        runs.append((angles, m))
+        runs.append((angles, replace(m, ev=res.f_best)))
     summary = summarize_metrics([m for _, m in runs])
     best = int(np.argmin([m.ev for _, m in runs]))
-    return RestartResult(runs=runs, summary=summary, best_index=best, engine=ctx.engine)
+    evals = sum(res.evals for res in results)
+    telemetry = {
+        "kind": optimizer.kind,
+        "lockstep_rows": n_starts if isinstance(optimizer, NelderMead) else 1,
+        "ev_batch_calls": calls,
+        "rows_per_call": evals / calls,
+        "evals_per_row": evals / n_starts,
+        "optimize_s": round(optimize_s, 6),
+    }
+    return RestartResult(runs=runs, summary=summary, best_index=best, engine=ctx.engine, optimizer=telemetry)
 
 
 def interp_extend(angles: Angles) -> Angles:
@@ -512,7 +560,7 @@ def increasing_p_schedule(
         else:
             extended = extrap_extend(current, by=step)
         p_new = current.p + step
-        res = minimize(lambda x: ctx.ev(x, p_new), extended.flatten(), optimizer, seed=seed)
+        res = minimize_batch(lambda X: ctx.ev_batch(X, p_new), extended.flatten()[None], optimizer, [seed])[0]
         fallback = extrap_extend(current, by=step)
         if current_ev < res.f_best:
             current, current_ev, evals = fallback, current_ev, res.evals

@@ -28,6 +28,14 @@ def read_only(arr: np.ndarray) -> np.ndarray:
     return arr
 
 
+def rows_where(mask: np.ndarray):
+    """The rows where mask holds: None if none, a slice if all (indexing then makes views), else their indices."""
+    count = np.count_nonzero(mask)
+    if count == mask.size:
+        return slice(None)
+    return np.flatnonzero(mask) if count else None
+
+
 @dataclass
 class QuboModel:
     """Quadratic binary cost  offset + sum_i linear[i] s_i + sum_{i<j} quadratic[i,j] s_i s_j.

@@ -1,9 +1,14 @@
 """End-to-end tests for the command line front end."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import quambo
 from quambo.cli import main
 from quambo.problems import FacilityProblem, encode_single_complement
 from quambo.qubo import QuboModel, model_from_text, model_to_text
@@ -100,6 +105,37 @@ class TestQaoa:
         cfg = write(tmp_path, "q.ini", self.CONFIG.replace("mixer = X\ninit = Uniform", f"mixer = {mixer}\ninit = {init}"))
         assert main(["qaoa", "--config", cfg, "--out", str(tmp_path / "q.csv")]) == 0
         assert json.loads((tmp_path / "q.csv.manifest.json").read_text())["engine"] == engine
+
+    def test_manifest_optimizer_block(self, tmp_path):
+        cfg = write(tmp_path, "q.ini", self.CONFIG)
+        assert main(["qaoa", "--config", cfg, "--out", str(tmp_path / "q.csv")]) == 0
+        block = json.loads((tmp_path / "q.csv.manifest.json").read_text())["optimizer"]
+        evals = sum(int(line.split(",")[9]) for line in (tmp_path / "q.csv").read_text().splitlines()[1:3])
+        assert set(block) == {"kind", "lockstep_rows", "ev_batch_calls", "rows_per_call", "evals_per_row",
+                              "optimize_s"}
+        assert block["kind"] == "nelder-mead" and block["lockstep_rows"] == 2
+        assert block["rows_per_call"] * block["ev_batch_calls"] == pytest.approx(evals)
+        assert block["evals_per_row"] == evals / 2
+
+    def test_manifest_optimizer_block_times_the_schedule(self, tmp_path):
+        text = self.CONFIG.replace("restarts = 2", "restarts = 1\nstrategy = EXTRAP1\np_max = 2")
+        cfg = write(tmp_path, "q.ini", text)
+        assert main(["qaoa", "--config", cfg, "--out", str(tmp_path / "q.csv")]) == 0
+        block = json.loads((tmp_path / "q.csv.manifest.json").read_text())["optimizer"]
+        assert block["lockstep_rows"] == 1 and block["schedule_s"] >= 0.0
+
+    @pytest.mark.parametrize("setting, message", [
+        ("max_iter = 0", "need max_iter >= 1, got 0"),
+        ("f_tol = -1e-3", "need a finite f_tol >= 0, got -0.001"),
+        ("x_tol = nan", "need a finite x_tol >= 0, got nan"),
+        ("init_simplex_scale = 0", "need a finite init_simplex_scale > 0, got 0.0"),
+    ])
+    def test_bad_optimizer_is_an_error(self, tmp_path, capsys, monkeypatch, setting, message):
+        monkeypatch.setattr("quambo.cli.encoding_from_config", None)  # rejected before any work
+        cfg = write(tmp_path, "q.ini", self.CONFIG.replace("max_iter = 40", setting))
+        assert main(["qaoa", "--config", cfg, "--out", str(tmp_path / "q.csv")]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not (tmp_path / "q.csv").exists()
 
     def test_byte_identical_given_seed(self, tmp_path):
         cfg = write(tmp_path, "q.ini", self.CONFIG)
@@ -309,3 +345,12 @@ class TestSummarize:
         csv_path = write(tmp_path, "empty.csv", "")
         with pytest.raises(SystemExit):
             main(["summarize", csv_path])
+
+
+def test_import_leaves_scipy_optimize_unloaded():
+    # scipy.optimize is imported only when the quasi-Newton optimizer runs
+    src = str(Path(quambo.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    code = "import sys, quambo.cli; print('scipy.optimize' in sys.modules)"
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert done.stdout.strip() == "False"

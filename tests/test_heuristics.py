@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from quambo import heuristics
 from quambo.anneal import sim_anneal_sampler
 from quambo.heuristics import (
     ORACLE_CAP,
@@ -210,6 +211,17 @@ class TestBatchedKernels:
         config = SimAnneal(sweeps=sweeps, beta_initial=0.2, beta_final=5.0)
         expected = [reference_simulated_annealing(model, config, reference_seed(seed, r))[0] for r in range(reads)]
         assert sim_anneal_sampler(sweeps=sweeps, beta_initial=0.2, beta_final=5.0)(model, reads, seed) == expected
+
+    def test_tabu_chunks_equal_one_batch(self, monkeypatch):
+        rng = np.random.default_rng(8)
+        model = random_qubo(9, rng)
+        config = Tabu(max_iter=30)
+        seeds = [int(x) for x in rng.integers(2**31, size=11)]
+        states, energies = batched_tabu_search(model, config, seeds)
+        monkeypatch.setattr(heuristics, "TABU_CHUNK_ROWS", 4)
+        chunked = batched_tabu_search(model, config, seeds)
+        assert chunked[0] == states and np.array_equal(chunked[1], energies)
+        assert list(zip(states, energies.tolist())) == [reference_tabu_search(model, config, s) for s in seeds]
 
     def test_tabu_rows_without_an_allowed_move_are_skipped(self):
         # with a tenure of at least n every flip can be tabu at once, so some

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from quambo import problems
 from quambo.problems import (
     FacilityProblem,
     decode_solution,
@@ -162,6 +163,26 @@ class TestStartDest:
                 assert energy_qubo(model, s) == pytest.approx(placement.total_distance)
                 checked += 1
         assert checked > 20
+
+    def test_decode_builds_the_distance_matrix_once(self, monkeypatch):
+        problem = problem_variant("B")
+        _, enc = encode_start_dest(problem)
+        states = [string_from_index(i, 16) for i in feasible_indices(enc)][::7]
+
+        def total(encoding, s):
+            try:
+                return decode_solution(encoding, s).total_distance
+            except ValueError:  # served twice
+                return None
+
+        # each state decoded against a fresh encoding: the distances without the cache
+        want = [total(encode_start_dest(problem)[1], s) for s in states]
+        calls = []
+        original = problems.distance_matrix
+        monkeypatch.setattr(problems, "distance_matrix", lambda pr: calls.append(pr) or original(pr))
+        assert [total(enc, s) for s in states] == want
+        assert len(calls) == 1 and any(want)
+        assert not enc.distances.flags.writeable
 
     def test_decode_rejects_double_service(self, encoded):
         _, enc = encoded

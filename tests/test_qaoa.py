@@ -13,7 +13,8 @@ from quambo.problems import (
     feasible_sector,
     problem_variant,
 )
-from quambo.optimize import NelderMead
+from quambo import qaoa
+from quambo.optimize import NelderMead, Spsa
 from quambo.qaoa import (
     Angles,
     InitSpec,
@@ -38,6 +39,8 @@ from quambo.simulator import (
     basis_state,
     dicke_state,
 )
+
+from references import reference_ev, scipy_nelder_mead
 
 
 @pytest.fixture(scope="module")
@@ -217,6 +220,55 @@ class TestEngineAgainstPrimitives:
                 assert np.abs(ctx.run(angles).amplitudes - want.amplitudes).max() < 1e-12
                 assert ctx.ev(angles.flatten(), 2) == pytest.approx(want.probabilities() @ sum(ctx.phase_diags),
                                                                    rel=1e-12, abs=1e-12)
+
+
+def contexts():
+    """(name, context) over encodings x mixers x inits x both bases."""
+    for encoding, kind, scheme in MIXERS:
+        model, enc = ENCODINGS[encoding]
+        rings = [list(range(lo, hi)) for (lo, hi), _w in enc.hamming_targets]
+        mixer = MixerSpec(kind, rings=rings if kind == "XY" else None, angle_scheme=scheme or (1, 1))
+        feasible = string_from_index(int(feasible_sector(model, enc)[0][-1]), model.n)
+        for init in INITS:
+            spec = InitSpec(init, bitstring=feasible if init == "PureFeasible" else None, seed=5)
+            for use_sector in (None, False):
+                ctx = QaoaContext(enc, model, mixer, spec, use_sector=use_sector)
+                yield f"{encoding}-{kind}{scheme or ''}-{init}-{ctx.basis}", ctx
+
+
+class TestEvBatch:
+    """Row k of ev_batch is bitwise the one-vector evaluator's value, whatever the other rows are."""
+
+    @pytest.mark.parametrize("p", [1, 3])
+    def test_rows_are_batch_invariant_and_equal_the_reference(self, p):
+        rng = np.random.default_rng(p)
+        for name, ctx in contexts():
+            width = p * (ctx.mixer.n_beta + ctx.mixer.n_gamma)
+            for K in (1, 2, 7, 64):
+                X = rng.uniform(0.0, 2.0 * np.pi, (K, width))
+                values = ctx.ev_batch(X, p)
+                for k in range(K):
+                    assert values[k] == ctx.ev_batch(X[k:k + 1], p)[0] == reference_ev(ctx, X[k], p), (name, K, k)
+                assert ctx.ev(X[0], p) == values[0]
+
+    def test_chunks_hold_at_most_the_amplitude_budget(self, ctx_a_xy, monkeypatch):
+        X = np.random.default_rng(3).uniform(0.0, 2.0 * np.pi, (11, 4))
+        whole = ctx_a_xy.ev_batch(X, 2)
+        seen = []
+        evolve = QaoaContext._evolve
+        monkeypatch.setattr(QaoaContext, "_evolve", lambda self, X, p: seen.append(len(X)) or evolve(self, X, p))
+        monkeypatch.setattr(qaoa, "EV_BATCH_AMPLITUDES", 3 * ctx_a_xy.engine["dim"])
+        assert np.array_equal(ctx_a_xy.ev_batch(X, 2), whole)
+        assert seen == [3, 3, 3, 2]
+        # a budget below one state still evolves one row at a time
+        seen.clear()
+        monkeypatch.setattr(qaoa, "EV_BATCH_AMPLITUDES", 1)
+        assert np.array_equal(ctx_a_xy.ev_batch(X[:2], 2), whole[:2])
+        assert seen == [1, 1]
+
+    def test_angle_width_checked(self, ctx_a_xy):
+        with pytest.raises(ValueError, match="angle columns"):
+            ctx_a_xy.ev_batch(np.zeros((2, 3)), 2)
 
 
 class TestInitialStates:
@@ -399,6 +451,39 @@ class TestRestarts:
         assert res.best_index == int(np.argmin(evs))
         assert res.best[1].ev == min(evs)
         assert "mean_p_gnd" in res.summary
+
+    def test_optimizer_telemetry(self, problem_a):
+        model, enc = problem_a
+        config = QaoaConfig(encoding=enc, mixer=MixerSpec(kind="X"), init=InitSpec(kind="Uniform"), p=2)
+        res = random_restart_search(config, model, 5, NelderMead(max_iter=30), seed=2)
+        block = res.optimizer
+        evals = sum(m.evals for _, m in res.runs)
+        assert block["kind"] == "nelder-mead" and block["lockstep_rows"] == 5
+        # one call for the initial simplices, then at most three per iteration
+        assert 1 < block["ev_batch_calls"] <= 1 + 3 * 29
+        assert block["rows_per_call"] == evals / block["ev_batch_calls"]
+        assert block["evals_per_row"] == evals / 5
+        assert block["optimize_s"] > 0.0
+        spsa = random_restart_search(config, model, 2, Spsa(n_iter=5), seed=2).optimizer
+        assert spsa["kind"] == "spsa" and spsa["lockstep_rows"] == 1 and spsa["rows_per_call"] == 1.0
+
+    def test_no_restarts_is_an_error(self, problem_a):
+        model, enc = problem_a
+        config = QaoaConfig(encoding=enc, mixer=MixerSpec(kind="X"), init=InitSpec(kind="Uniform"), p=1)
+        with pytest.raises(ValueError, match="restarts >= 1"):
+            random_restart_search(config, model, 0, NelderMead(), seed=0)
+
+    def test_search_equals_one_scipy_run_per_restart(self, problem_a):
+        model, enc = problem_a
+        config = QaoaConfig(encoding=enc, mixer=MixerSpec(kind="X"), init=InitSpec(kind="Uniform"), p=2)
+        optimizer = NelderMead(max_iter=60, f_tol=1e-6, x_tol=1e-6)
+        res = random_restart_search(config, model, 5, optimizer, seed=9)
+        ctx = QaoaContext(enc, model, config.mixer, config.init)
+        for i, (angles, m) in enumerate(res.runs):
+            x0 = np.random.default_rng([9, i]).uniform(0.0, 2.0 * np.pi, size=4)
+            x_best, f_best, evals, _trace, _res = scipy_nelder_mead(lambda x: reference_ev(ctx, x, 2), x0, optimizer)
+            assert np.array_equal(angles.flatten(), x_best)
+            assert (m.ev, m.evals) == (f_best, evals)
 
     def test_search_deterministic(self, problem_a):
         model, enc = problem_a
