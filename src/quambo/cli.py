@@ -10,12 +10,15 @@ lockstep, batched objective calls, mean rows per call, mean evaluations per
 restart, and the seconds of the restart search and of the depth schedule;
 for vqe the compiled circuit: qubits, gates, R_y steps, fused CNOT
 permutations, amplitude dtype, method, shots and total objective
-evaluations; for baseline the search: algorithm, restarts, n, the
-(restarts, n) batch shape and the oracle and search times).  The vqe
-method is sv (exact statevector), sample (all-qubit sampling) or cone
-(per-term causal-cone sampling); the sampling methods need shots >= 1.  The
-baseline algorithm is tabu or sa and needs restarts >= 1; anneal needs
-reads >= 1.
+evaluations, and the optimizer: kind, restarts, mean evaluations per
+restart and the seconds of the restart search; for baseline the search:
+algorithm, restarts, n, the (restarts, n) batch shape and the oracle and
+search times).  The vqe method is sv (exact statevector), sample (all-qubit
+sampling) or cone (per-term causal-cone sampling); the sampling methods need
+shots >= 1, and vqe needs restarts >= 1.  An [optimizer] section sets the
+fields of one kind (nelder-mead, spsa or fd-quasi-newton); a key that kind
+does not read is an error.  The baseline algorithm is tabu or sa and needs
+restarts >= 1; anneal needs reads >= 1.
 
 CSV schemas:
   qaoa     run_id,p,strategy,mixer,init,ev,r_approx,p_feas,p_gnd,evals,seed
@@ -33,6 +36,7 @@ import csv
 import json
 import sys
 import time
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -49,6 +53,8 @@ from .problems import (
 )
 from .qubo import model_to_text, qubo_to_ising
 
+# The [optimizer] kinds; each reads only the fields of its dataclass, which hold the defaults.
+OPTIMIZERS = {config.kind: config for config in (NelderMead, Spsa, FdQuasiNewton)}
 # Every key a config may set, per section.  `quambo encode` reads `form` from
 # [qaoa] when the config has no [encode] section.
 ENCODING_KEYS = ("encoding", "include_penalty")
@@ -58,7 +64,7 @@ CONFIG_KEYS = {
     "encode": (*ENCODING_KEYS, "form"),
     "qaoa": (*ENCODING_KEYS, "form", "mixer", "angle_scheme", "init", "p", "restarts", "strategy", "p_max"),
     "vqe": (*ENCODING_KEYS, "initial_layer", "layers", "method", "shots", "restarts"),
-    "optimizer": ("kind", "max_iter", "f_tol", "x_tol", "init_simplex_scale", "a", "c", "n_iter", "eps", "g_tol"),
+    "optimizer": ("kind", *dict.fromkeys(f.name for config in OPTIMIZERS.values() for f in fields(config))),
     "heuristic": HEURISTIC_KEYS,
     "run": HEURISTIC_KEYS,
     "anneal": ("lambda_ratios", "reads", "sweeps"),
@@ -100,30 +106,19 @@ def encoding_from_config(cp: configparser.ConfigParser, problem: FacilityProblem
 
 
 def optimizer_from_config(cp: configparser.ConfigParser):
+    """[optimizer] as its kind's dataclass; a key that kind does not read is an error, unset keys keep its defaults."""
     if not cp.has_section("optimizer"):
         return NelderMead()
     sec = cp["optimizer"]
     kind = sec.get("kind", NelderMead.kind)
-    if kind == NelderMead.kind:
-        return NelderMead(
-            max_iter=sec.getint("max_iter", 500),
-            f_tol=sec.getfloat("f_tol", 1e-8),
-            x_tol=sec.getfloat("x_tol", 1e-8),
-            init_simplex_scale=sec.getfloat("init_simplex_scale", 0.1),
-        )
-    if kind == Spsa.kind:
-        return Spsa(
-            a=sec.getfloat("a", 0.1),
-            c=sec.getfloat("c", 0.1),
-            n_iter=sec.getint("n_iter", 100),
-        )
-    if kind == FdQuasiNewton.kind:
-        return FdQuasiNewton(
-            eps=sec.getfloat("eps", 0.1),
-            max_iter=sec.getint("max_iter", 200),
-            g_tol=sec.getfloat("g_tol", 1e-6),
-        )
-    raise SystemExit(f"error: unknown optimizer kind {kind!r}")
+    if kind not in OPTIMIZERS:
+        raise ValueError(f"unknown optimizer kind {kind!r}; valid kinds: {', '.join(OPTIMIZERS)}")
+    defaults = {f.name: f.default for f in fields(OPTIMIZERS[kind])}
+    for key in sec:
+        if key != "kind" and key not in defaults:
+            valid = ", ".join(("kind", *defaults))
+            raise ValueError(f"optimizer kind {kind!r} does not read key {key!r}; valid keys: {valid}")
+    return OPTIMIZERS[kind](**{key: type(defaults[key])(sec[key]) for key in sec if key != "kind"})
 
 
 def write_csv(path: str, header: list[str], rows: list[list]) -> None:
@@ -275,7 +270,9 @@ def cmd_vqe(args: argparse.Namespace) -> int:
             counter["k"] += 1
             return vqe.ev_causal_cone_sampling(ansatz, theta, ising, shots, seed=int(np.random.default_rng([args.seed, counter["k"]]).integers(2**31)))
 
+    t0 = time.perf_counter()
     runs = vqe.vqe_restart_search(ansatz, model, oracle_metrics, restarts, optimizer, args.seed, objective=objective)
+    optimize_s = time.perf_counter() - t0
     header = ["run_id", "params", "layers", "method", "shots", "ev", "r_approx", "p_feas", "p_gnd", "evals", "seed"]
     rows = [
         [i, ansatz.n_params, ansatz.entangling_layers, method, shots,
@@ -284,8 +281,11 @@ def cmd_vqe(args: argparse.Namespace) -> int:
     ]
     out = args.out or "vqe.csv"
     write_csv(out, header, rows)
-    circuit = {**ansatz.program.summary, "method": method, "shots": shots, "evals": sum(r.evals for r in runs)}
-    write_manifest(out, cp, args.seed, started, circuit=circuit)
+    evals = sum(r.evals for r in runs)
+    circuit = {**ansatz.program.summary, "method": method, "shots": shots, "evals": evals}
+    telemetry = {"kind": optimizer.kind, "restarts": restarts, "evals_per_row": evals / restarts,
+                 "optimize_s": round(optimize_s, 6)}
+    write_manifest(out, cp, args.seed, started, circuit=circuit, optimizer=telemetry)
     return 0
 
 

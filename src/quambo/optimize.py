@@ -1,20 +1,19 @@
 """Derivative-free outer-loop minimizers: Nelder-Mead, SPSA, finite-difference BFGS.
 
-Every variant honors the best-seen contract: OptResult.f_best is the minimum
-over all objective values computed during the run, never the last iterate.
+`minimize_batch` minimizes from each row of an (R, N) array of starts against
+an objective that maps (K, N) points to K values; `minimize` is a batch of one
+around a one-point objective.  Every evaluation goes through one log, which
+rejects non-finite values and keeps each row's evaluations in order and its
+best-seen point: OptResult.f_best is the lowest value computed, never the last
+iterate.
 
-Nelder-Mead is implemented here.  `minimize_batch` runs R simplices in
-lockstep against an objective that takes a (K, N) array of points and returns
-their K values.  Each row follows scipy's `_minimize_neldermead` (standard
-coefficients, no bounds, maxiter only) step for step: the same initial
-simplex, centroid, trial points, per-row argsort and stopping tests, so it
-evaluates the points scipy would, bitwise, in the same order.  An iteration
-makes at most three objective calls: the reflections of every running row,
-then their expansion or contraction points, then the vertices of the rows
-that shrink; the initial simplices are one call.  Rows stop independently.
-`minimize` with a NelderMead config is a batch of one.  SPSA and the
-quasi-Newton method (scipy's BFGS, imported only when it runs) take one row
-at a time.
+Nelder-Mead rows run in lockstep, each bitwise scipy's `_minimize_neldermead`
+(standard coefficients, no bounds, maxiter only): an iteration makes at most
+three calls (reflections, then expansion or contraction points, then shrunk
+vertices), and rows stop independently.  SPSA rows run in lockstep, each
+drawing from its own generator, with one call of every row's +/- pair per
+step.  The quasi-Newton method runs scipy's BFGS (imported only when it runs)
+row after row; a central-difference gradient is one call of 2N points.
 """
 
 from __future__ import annotations
@@ -34,6 +33,20 @@ RHO, CHI, PSI, SIGMA = 1, 2, 0.5, 0.5
 _TRIAL = np.array([[1 + RHO * CHI, RHO * CHI], [1 + RHO, RHO], [1 + PSI * RHO, PSI * RHO], [1 - PSI, -PSI]])
 # by case: whether a trial point equal in value to its bound is kept
 _TIES_TAKE = np.array([False, True, True, False])
+# Spall's SPSA gain exponents of the step size and of the perturbation size
+SPSA_ALPHA, SPSA_GAMMA = 0.602, 0.101
+
+
+def _require(config: object, counts: tuple = (), nonnegative: tuple = (), positive: tuple = ()) -> None:
+    """Raise ValueError unless the named settings are >= 1, finite and >= 0, and finite and > 0."""
+    for name in counts:
+        if getattr(config, name) < 1:
+            raise ValueError(f"need {name} >= 1, got {getattr(config, name)}")
+    for names, op in ((nonnegative, ">="), (positive, ">")):
+        for name in names:
+            value = getattr(config, name)
+            if not (math.isfinite(value) and (value >= 0 if op == ">=" else value > 0)):
+                raise ValueError(f"need a finite {name} {op} 0, got {value}")
 
 
 @dataclass
@@ -45,13 +58,7 @@ class NelderMead:
     init_simplex_scale: float = 0.1
 
     def __post_init__(self) -> None:
-        if self.max_iter < 1:
-            raise ValueError(f"need max_iter >= 1, got {self.max_iter}")
-        for name in ("f_tol", "x_tol"):
-            if not (math.isfinite(getattr(self, name)) and getattr(self, name) >= 0):
-                raise ValueError(f"need a finite {name} >= 0, got {getattr(self, name)}")
-        if not (math.isfinite(self.init_simplex_scale) and self.init_simplex_scale > 0):
-            raise ValueError(f"need a finite init_simplex_scale > 0, got {self.init_simplex_scale}")
+        _require(self, ("max_iter",), ("f_tol", "x_tol"), ("init_simplex_scale",))
 
 
 @dataclass
@@ -60,12 +67,9 @@ class Spsa:
     a: float = 0.1
     c: float = 0.1
     n_iter: int = 100
-    alpha: float = 0.602
-    gamma: float = 0.101
 
     def __post_init__(self) -> None:
-        if self.a <= 0 or self.c <= 0 or self.n_iter < 1:
-            raise ValueError("need a, c > 0 and n_iter >= 1")
+        _require(self, ("n_iter",), positive=("a", "c"))
 
 
 @dataclass
@@ -76,8 +80,7 @@ class FdQuasiNewton:
     g_tol: float = 1e-6
 
     def __post_init__(self) -> None:
-        if self.eps <= 0 or self.max_iter < 1:
-            raise ValueError("need eps > 0 and max_iter >= 1")
+        _require(self, ("max_iter",), ("g_tol",), ("eps",))
 
 
 OptimizerConfig = NelderMead | Spsa | FdQuasiNewton
@@ -89,31 +92,6 @@ class OptResult:
     f_best: float
     evals: int
     trace: list[tuple[int, float]] = field(default_factory=list)
-
-
-class _Tracker:
-    """Wraps a one-point objective, counts evaluations and records the best-seen point."""
-
-    def __init__(self, objective: Callable[[np.ndarray], float]):
-        self.objective = objective
-        self.evals = 0
-        self.f_best = np.inf
-        self.x_best: np.ndarray | None = None
-        self.trace: list[tuple[int, float]] = []
-
-    def __call__(self, x: np.ndarray) -> float:
-        f = float(self.objective(np.asarray(x, dtype=float)))
-        if not np.isfinite(f):
-            raise FloatingPointError(f"objective returned non-finite value {f} at {x}")
-        self.evals += 1
-        if f < self.f_best:
-            self.f_best = f
-            self.x_best = np.array(x, dtype=float)
-        self.trace.append((self.evals, f))
-        return f
-
-    def result(self) -> OptResult:
-        return OptResult(x_best=self.x_best, f_best=self.f_best, evals=self.evals, trace=self.trace)
 
 
 class _Log:
@@ -131,16 +109,17 @@ class _Log:
         self.calls: list[tuple[np.ndarray, np.ndarray]] = []  # (rows, values)
 
     def __call__(self, rows: np.ndarray, X: np.ndarray) -> np.ndarray:
-        """The values of X, (k, N) or (k, m, N): one or m points for each of the k rows."""
+        """The values of X, (k, N) or (k, ..., N): one or more points for each of the k rows."""
         points = X.reshape(-1, X.shape[-1])
         f = np.asarray(self.objective(points), dtype=float)
         if not np.isfinite(f).all():
             i = int(np.argmin(np.isfinite(f)))
             raise FloatingPointError(f"objective returned non-finite value {f[i]} at {points[i]}")
         self.calls.append((rows, f))
-        if len(f) == 1:  # as scalars: the common call of a one-row run
-            if f[0] < self.f_best[rows[0]]:
-                self.f_best[rows[0]], self.x_best[rows[0]] = f[0], points[0]
+        if len(rows) == 1:  # as scalars: every call of a one-row run
+            i = f.argmin() if len(f) > 1 else 0
+            if f[i] < self.f_best[rows[0]]:
+                self.f_best[rows[0]], self.x_best[rows[0]] = f[i], points[i]
         else:
             per_row = f.reshape(len(rows), -1)
             first = per_row.argmin(axis=1)
@@ -170,11 +149,11 @@ def _sort(sim: np.ndarray, fsim: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return sim[at, order], fsim[at, order]
 
 
-def _nelder_mead_row(log: _Log, x0: np.ndarray, config: NelderMead) -> None:
-    """One row, with Python branching in place of the row masks: the same arithmetic, fewer numpy calls."""
-    N = len(x0)
+def _nelder_mead_row(log: _Log, X0: np.ndarray, config: NelderMead) -> None:
+    """One row X0 (1, N), with Python branching in place of the row masks: the same arithmetic, fewer numpy calls."""
+    N = X0.shape[1]
     row = np.zeros(1, dtype=np.intp)
-    sim = np.repeat(x0[None], N + 1, axis=0)
+    sim = np.repeat(X0, N + 1, axis=0)
     sim[np.arange(1, N + 1), np.arange(N)] += config.init_simplex_scale
     fsim = log(row, sim[None])[0]
     for _ in range(2):
@@ -205,13 +184,9 @@ def _nelder_mead_row(log: _Log, x0: np.ndarray, config: NelderMead) -> None:
         sim, fsim = sim[order], fsim[order]
 
 
-def _nelder_mead(objective_batch: Callable[[np.ndarray], np.ndarray], X0: np.ndarray, config: NelderMead) -> _Log:
-    """Run a simplex from every row of X0 (R, N), in lockstep; the log of their evaluations."""
+def _nelder_mead(log: _Log, X0: np.ndarray, config: NelderMead) -> None:
+    """Run a simplex from every row of X0 (R, N), in lockstep."""
     R, N = X0.shape
-    log = _Log(objective_batch, R, N)
-    if R == 1:
-        _nelder_mead_row(log, X0[0], config)
-        return log
     ids = np.arange(R)  # the rows still running; sim and fsim hold only theirs
     sim = np.repeat(X0[:, None, :], N + 1, axis=1)
     sim[:, np.arange(1, N + 1), np.arange(N)] += config.init_simplex_scale
@@ -255,7 +230,56 @@ def _nelder_mead(objective_batch: Callable[[np.ndarray], np.ndarray], X0: np.nda
             sim[shrink, 1:] = sim[shrink, :1] + SIGMA * (sim[shrink, 1:] - sim[shrink, :1])
             fsim[shrink, 1:] = log(ids[shrink], sim[shrink, 1:])
         sim, fsim = _sort(sim, fsim)
-    return log
+
+
+def spsa_schedules(config: Spsa, k: int) -> tuple[float, float]:
+    """Decaying (step_size_k, eps_k) for iteration k."""
+    if not 0 <= k < config.n_iter:
+        raise ValueError(f"iteration {k} outside [0, {config.n_iter})")
+    step = config.a / (0.01 * config.n_iter + k + 1) ** SPSA_ALPHA
+    eps = config.c / (k + 1) ** SPSA_GAMMA
+    return step, eps
+
+
+def spsa_step(
+    objective: Callable[[np.ndarray], np.ndarray],
+    theta: np.ndarray,
+    k: int,
+    config: Spsa,
+    rngs: Sequence[np.random.Generator],
+) -> np.ndarray:
+    """One SPSA update of each row of theta (R, N), row r drawing from rngs[r]; one call of (R, 2, N) points."""
+    step, eps = spsa_schedules(config, k)
+    delta = np.array([rng.integers(0, 2, size=theta.shape[1]) for rng in rngs]) * 2 - 1
+    f = objective(np.stack([theta + eps * delta, theta - eps * delta], axis=1))
+    # delta is +/-1 so elementwise 1/delta equals delta
+    g = (f[:, :1] - f[:, 1:]) / (2.0 * eps) * delta
+    return theta - step * g
+
+
+def _spsa(log: _Log, theta: np.ndarray, config: Spsa, seeds: Sequence[int]) -> None:
+    """SPSA from every row of theta (R, N) in lockstep, row r drawing from default_rng(seeds[r])."""
+    rows = np.arange(len(theta))
+    rngs = [np.random.default_rng(seed) for seed in seeds]
+    log(rows, theta)
+    for k in range(config.n_iter):
+        theta = spsa_step(lambda X: log(rows, X), theta, k, config, rngs)
+    log(rows, theta)
+
+
+def _fd_quasi_newton(log: _Log, X0: np.ndarray, config: FdQuasiNewton) -> None:
+    """scipy's BFGS from each row of X0 in turn, with central-difference gradients of step eps."""
+    from scipy.optimize import minimize as scipy_minimize
+
+    steps = config.eps * np.eye(X0.shape[1])
+    for row, x0 in zip(np.arange(len(X0))[:, None], X0):
+        def grad(x: np.ndarray) -> np.ndarray:
+            # the points x + eps e_0, x - eps e_0, x + eps e_1, ... in one call
+            f = log(row, np.stack([x + steps, x - steps], axis=1)[None])[0]
+            return (f[:, 0] - f[:, 1]) / (2.0 * config.eps)
+
+        scipy_minimize(lambda x: float(log(row, x[None])[0]), x0, method="BFGS", jac=grad,
+                       options={"maxiter": config.max_iter, "gtol": config.g_tol})
 
 
 def minimize_batch(
@@ -266,40 +290,20 @@ def minimize_batch(
 ) -> list[OptResult]:
     """Minimize from each row of X0 (R, N); objective_batch maps (K, N) points to K values.
 
-    Nelder-Mead rows run in lockstep; other optimizers run row after row,
-    row r with seeds[r] (default 0).
+    SPSA row r draws its perturbations from default_rng(seeds[r]) (default 0);
+    the other optimizers draw nothing.
     """
     X0 = np.array(X0, dtype=float, ndmin=2)
+    log = _Log(objective_batch, *X0.shape)
     if isinstance(config, NelderMead):
-        return _nelder_mead(objective_batch, X0, config).results()
-    seeds = [0] * len(X0) if seeds is None else seeds
-    return [minimize(lambda x: objective_batch(x[None])[0], x0, config, seed) for x0, seed in zip(X0, seeds)]
-
-
-def spsa_schedules(config: Spsa, k: int) -> tuple[float, float]:
-    """Decaying (step_size_k, eps_k) for iteration k."""
-    if not 0 <= k < config.n_iter:
-        raise ValueError(f"iteration {k} outside [0, {config.n_iter})")
-    step = config.a / (0.01 * config.n_iter + k + 1) ** config.alpha
-    eps = config.c / (k + 1) ** config.gamma
-    return step, eps
-
-
-def spsa_step(
-    objective: Callable[[np.ndarray], float],
-    theta: np.ndarray,
-    k: int,
-    config: Spsa,
-    rng: np.random.Generator,
-) -> np.ndarray:
-    """One simultaneous-perturbation update; exactly two objective evaluations."""
-    step, eps = spsa_schedules(config, k)
-    delta = rng.integers(0, 2, size=len(theta)) * 2 - 1
-    f_plus = objective(theta + eps * delta)
-    f_minus = objective(theta - eps * delta)
-    # delta is +/-1 so elementwise 1/delta equals delta
-    g = (f_plus - f_minus) / (2.0 * eps) * delta
-    return theta - step * g
+        (_nelder_mead_row if len(X0) == 1 else _nelder_mead)(log, X0, config)
+    elif isinstance(config, Spsa):
+        _spsa(log, X0, config, [0] * len(X0) if seeds is None else seeds)
+    elif isinstance(config, FdQuasiNewton):
+        _fd_quasi_newton(log, X0, config)
+    else:
+        raise TypeError(f"unknown optimizer config {config!r}")
+    return log.results()
 
 
 def minimize(
@@ -308,43 +312,9 @@ def minimize(
     config: OptimizerConfig,
     seed: int = 0,
 ) -> OptResult:
-    """Run the configured minimizer from x0; deterministic given seed."""
-    x0 = np.asarray(x0, dtype=float)
+    """Run the configured minimizer from x0 against a one-point objective: a batch of one, deterministic given seed."""
 
-    if isinstance(config, NelderMead):
-        def objective_batch(X: np.ndarray) -> np.ndarray:
-            return np.fromiter((objective(x.copy()) for x in X), dtype=float, count=len(X))
+    def objective_batch(X: np.ndarray) -> np.ndarray:
+        return np.fromiter((objective(x) for x in X.copy()), dtype=float, count=len(X))
 
-        return _nelder_mead(objective_batch, x0[None], config).results()[0]
-
-    tracker = _Tracker(objective)
-    if isinstance(config, FdQuasiNewton):
-        from scipy.optimize import minimize as scipy_minimize
-
-        def grad(x: np.ndarray) -> np.ndarray:
-            g = np.empty_like(x)
-            for i in range(len(x)):
-                e = np.zeros_like(x)
-                e[i] = config.eps
-                g[i] = (tracker(x + e) - tracker(x - e)) / (2.0 * config.eps)
-            return g
-
-        scipy_minimize(
-            tracker,
-            x0,
-            method="BFGS",
-            jac=grad,
-            options={"maxiter": config.max_iter, "gtol": config.g_tol},
-        )
-        return tracker.result()
-
-    if isinstance(config, Spsa):
-        rng = np.random.default_rng(seed)
-        theta = x0.copy()
-        tracker(theta)
-        for k in range(config.n_iter):
-            theta = spsa_step(tracker, theta, k, config, rng)
-        tracker(theta)
-        return tracker.result()
-
-    raise TypeError(f"unknown optimizer config {config!r}")
+    return minimize_batch(objective_batch, np.asarray(x0, dtype=float)[None], config, [seed])[0]

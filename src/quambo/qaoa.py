@@ -16,7 +16,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .optimize import NelderMead, OptimizerConfig, minimize_batch
+from .optimize import FdQuasiNewton, OptimizerConfig, minimize_batch
 from .problems import Encoding, feasible_sector, is_feasible
 from .qubo import TIE_TOL, QuboModel, energy_vector, enumerate_spectrum, read_only, string_from_index
 from .simulator import (
@@ -454,8 +454,8 @@ def random_restart_search(
     """Optimize from n_starts uniform [0, 2pi)^dim angle draws; best run = lowest EV.
 
     Start i draws its angles, then its optimizer seed, from default_rng([seed, i]).
-    All starts go to one minimize_batch call (Nelder-Mead runs them in
-    lockstep); `optimizer` of the result records how it went.
+    All starts go to one minimize_batch call (Nelder-Mead and SPSA run them
+    in lockstep); `optimizer` of the result records how it went.
     """
     if n_starts < 1:
         raise ValueError(f"need restarts >= 1, got {n_starts}")
@@ -484,7 +484,7 @@ def random_restart_search(
     evals = sum(res.evals for res in results)
     telemetry = {
         "kind": optimizer.kind,
-        "lockstep_rows": n_starts if isinstance(optimizer, NelderMead) else 1,
+        "lockstep_rows": 1 if isinstance(optimizer, FdQuasiNewton) else n_starts,
         "ev_batch_calls": calls,
         "rows_per_call": evals / calls,
         "evals_per_row": evals / n_starts,

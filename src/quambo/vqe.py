@@ -274,6 +274,8 @@ def vqe_restart_search(
     oracle_metrics(state) -> RunMetrics-like object; objective defaults to the
     exact statevector EV.
     """
+    if n_starts < 1:
+        raise ValueError(f"need restarts >= 1, got {n_starts}")
     obj = objective or (lambda theta: ev_statevector(ansatz, theta, model))
     runs: list[VqeRun] = []
     for i in range(n_starts):

@@ -1,8 +1,10 @@
-"""Reference implementations the tests check quambo against: scipy's Nelder-Mead and the one-vector QAOA evaluator."""
+"""Reference implementations the tests check quambo against: scipy's Nelder-Mead, the one-row
+SPSA and finite-difference BFGS loops, and the one-vector QAOA evaluator."""
 
 import numpy as np
 from scipy.optimize import minimize as scipy_minimize
 
+from quambo.optimize import FdQuasiNewton, Spsa, spsa_schedules
 from quambo.qaoa import Angles
 
 
@@ -26,6 +28,61 @@ def scipy_nelder_mead(f, x0, config):
         "maxiter": config.max_iter, "fatol": config.f_tol, "xatol": config.x_tol, "initial_simplex": simplex})
     best = int(np.argmin(values))
     return points[best], values[best], len(values), list(enumerate(values, start=1)), res
+
+
+class _Tracker:
+    """Wraps a one-point objective, counts evaluations and records the best-seen point."""
+
+    def __init__(self, objective):
+        self.objective = objective
+        self.evals = 0
+        self.f_best = np.inf
+        self.x_best = None
+        self.trace = []
+
+    def __call__(self, x):
+        f = float(self.objective(np.asarray(x, dtype=float)))
+        if not np.isfinite(f):
+            raise FloatingPointError(f"objective returned non-finite value {f} at {x}")
+        self.evals += 1
+        if f < self.f_best:
+            self.f_best = f
+            self.x_best = np.array(x, dtype=float)
+        self.trace.append((self.evals, f))
+        return f
+
+
+def reference_minimize(objective, x0, config, seed=0):
+    """SPSA or finite-difference BFGS from x0 one evaluation at a time, as quambo ran them before lockstep rows.
+
+    Returns (x_best, f_best, evals, trace).
+    """
+    tracker = _Tracker(objective)
+    x0 = np.asarray(x0, dtype=float)
+    if isinstance(config, FdQuasiNewton):
+        def grad(x):
+            g = np.empty_like(x)
+            for i in range(len(x)):
+                e = np.zeros_like(x)
+                e[i] = config.eps
+                g[i] = (tracker(x + e) - tracker(x - e)) / (2.0 * config.eps)
+            return g
+
+        scipy_minimize(tracker, x0, method="BFGS", jac=grad, options={"maxiter": config.max_iter, "gtol": config.g_tol})
+    elif isinstance(config, Spsa):
+        rng = np.random.default_rng(seed)
+        theta = x0.copy()
+        tracker(theta)
+        for k in range(config.n_iter):
+            step, eps = spsa_schedules(config, k)
+            delta = rng.integers(0, 2, size=len(theta)) * 2 - 1
+            f_plus = tracker(theta + eps * delta)
+            f_minus = tracker(theta - eps * delta)
+            theta = theta - step * ((f_plus - f_minus) / (2.0 * eps) * delta)
+        tracker(theta)
+    else:
+        raise TypeError(f"no reference for {config!r}")
+    return tracker.x_best, tracker.f_best, tracker.evals, tracker.trace
 
 
 def reference_ev(ctx, x, p):

@@ -1,5 +1,6 @@
 """End-to-end tests for the command line front end."""
 
+import configparser
 import json
 import os
 import subprocess
@@ -9,7 +10,8 @@ from pathlib import Path
 import pytest
 
 import quambo
-from quambo.cli import main
+from quambo.cli import main, optimizer_from_config
+from quambo.optimize import FdQuasiNewton, NelderMead, Spsa
 from quambo.problems import FacilityProblem, encode_single_complement
 from quambo.qubo import QuboModel, model_from_text, model_to_text
 
@@ -137,6 +139,38 @@ class TestQaoa:
         assert capsys.readouterr().err == f"error: {message}\n"
         assert not (tmp_path / "q.csv").exists()
 
+    @pytest.mark.parametrize("setting, message", [
+        ("kind = spsa\na = nan", "need a finite a > 0, got nan"),
+        ("kind = spsa\nc = 0", "need a finite c > 0, got 0.0"),
+        ("kind = spsa\nn_iter = 0", "need n_iter >= 1, got 0"),
+        ("kind = fd-quasi-newton\neps = nan", "need a finite eps > 0, got nan"),
+        ("kind = fd-quasi-newton\ng_tol = -1", "need a finite g_tol >= 0, got -1.0"),
+        ("kind = fd-quasi-newton\ng_tol = inf", "need a finite g_tol >= 0, got inf"),
+        ("kind = spsa\nmax_iter = 0",
+         "optimizer kind 'spsa' does not read key 'max_iter'; valid keys: kind, a, c, n_iter"),
+        ("kind = nelder-mead\neps = 5", "optimizer kind 'nelder-mead' does not read key 'eps'; "
+         "valid keys: kind, max_iter, f_tol, x_tol, init_simplex_scale"),
+        ("kind = fd-quasi-newton\nn_iter = 5",
+         "optimizer kind 'fd-quasi-newton' does not read key 'n_iter'; valid keys: kind, eps, max_iter, g_tol"),
+        ("kind = bfgs", "unknown optimizer kind 'bfgs'; valid kinds: nelder-mead, spsa, fd-quasi-newton"),
+    ])
+    def test_bad_spsa_or_quasi_newton_is_an_error(self, tmp_path, capsys, monkeypatch, setting, message):
+        monkeypatch.setattr("quambo.cli.encoding_from_config", None)  # rejected before any work
+        cfg = write(tmp_path, "q.ini", self.CONFIG.replace("kind = nelder-mead\nmax_iter = 40", setting))
+        assert main(["qaoa", "--config", cfg, "--out", str(tmp_path / "q.csv")]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not (tmp_path / "q.csv").exists()
+
+    @pytest.mark.parametrize("text, want", [
+        ("", NelderMead()),
+        ("[optimizer]\nkind = spsa\nn_iter = 7\n", Spsa(n_iter=7)),
+        ("[optimizer]\nkind = fd-quasi-newton\nmax_iter = 3\ng_tol = 0\n", FdQuasiNewton(max_iter=3, g_tol=0.0)),
+    ])
+    def test_unset_optimizer_keys_keep_the_dataclass_defaults(self, text, want):
+        cp = configparser.ConfigParser()
+        cp.read_string(text)
+        assert optimizer_from_config(cp) == want
+
     def test_byte_identical_given_seed(self, tmp_path):
         cfg = write(tmp_path, "q.ini", self.CONFIG)
         a, b = str(tmp_path / "a.csv"), str(tmp_path / "b.csv")
@@ -217,6 +251,22 @@ class TestVqe:
         rows = (tmp_path / "v.csv").read_text().strip().splitlines()[1:]
         assert circuit == {"n": 5, "gates": 12, "ry_steps": 8, "fused_permutations": 2, "amplitude_dtype": "float64",
                            "method": method, "shots": shots, "evals": sum(int(r.split(",")[9]) for r in rows)}
+
+    @pytest.mark.parametrize("optimizer", ["kind = spsa\nn_iter = 3", "kind = fd-quasi-newton\nmax_iter = 2"])
+    def test_manifest_optimizer_block(self, tmp_path, optimizer):
+        cfg = write(tmp_path, "v.ini", self.CONFIG.replace("kind = spsa\nn_iter = 3", optimizer))
+        assert main(["vqe", "--config", cfg, "--out", str(tmp_path / "v.csv")]) == 0
+        block = json.loads((tmp_path / "v.csv.manifest.json").read_text())["optimizer"]
+        evals = sum(int(r.split(",")[9]) for r in (tmp_path / "v.csv").read_text().strip().splitlines()[1:])
+        assert set(block) == {"kind", "restarts", "evals_per_row", "optimize_s"}
+        assert block["kind"] == optimizer.split("\n")[0].split(" = ")[1] and block["restarts"] == 2
+        assert block["evals_per_row"] == evals / 2 and block["optimize_s"] > 0.0
+
+    def test_no_restarts_is_an_error(self, tmp_path, capsys):
+        cfg = write(tmp_path, "v.ini", self.CONFIG.replace("restarts = 2", "restarts = 0"))
+        assert main(["vqe", "--config", cfg, "--out", str(tmp_path / "v.csv")]) == 1
+        assert capsys.readouterr().err == "error: need restarts >= 1, got 0\n"
+        assert not (tmp_path / "v.csv").exists()
 
     def test_csv_schema(self, tmp_path):
         cfg = write(

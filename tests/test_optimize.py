@@ -17,7 +17,7 @@ from quambo.optimize import (
 from quambo.problems import FacilityProblem, encode_single_complement
 from quambo.qaoa import InitSpec, MixerSpec, QaoaContext
 
-from references import scipy_nelder_mead
+from references import reference_minimize, scipy_nelder_mead
 
 
 def quadratic(x):
@@ -163,12 +163,87 @@ class TestNelderMeadMatchesScipy:
             minimize_batch(lambda X: np.where(X[:, 0] > 0.05, np.inf, 1.0), np.zeros((2, 2)), NelderMead())
 
     def test_other_optimizers_run_row_by_row(self):
+        # each SPSA or quasi-Newton row evaluates what the one-row loop of references.py does
         X0 = np.random.default_rng(2).uniform(-1.0, 1.0, (3, 2))
-        config = Spsa(n_iter=20)
-        rows = minimize_batch(rowwise(quadratic), X0, config, seeds=[5, 6, 7])
-        for x0, seed, row in zip(X0, [5, 6, 7], rows):
-            want = minimize(quadratic, x0, config, seed=seed)
-            assert (row.f_best, row.evals, row.trace) == (want.f_best, want.evals, want.trace)
+        for config in (Spsa(n_iter=20), FdQuasiNewton(max_iter=10)):
+            assert_rows_match_reference(rowwise(quadratic), quadratic, X0, config, [5, 6, 7])
+
+
+def assert_rows_match_reference(objective_batch, f, X0, config, seeds):
+    rows = minimize_batch(objective_batch, X0, config, seeds)
+    for x0, seed, got in zip(X0, seeds, rows):
+        x_best, f_best, evals, trace = reference_minimize(f, x0, config, seed)
+        assert np.array_equal(got.x_best, x_best)
+        assert got.f_best == f_best
+        assert got.evals == evals
+        assert got.trace == trace
+
+
+def spsa_or_quasi_newton(kind, iters, eps):
+    return Spsa(n_iter=iters, c=eps) if kind == "spsa" else FdQuasiNewton(eps=eps, max_iter=iters)
+
+
+class TestSpsaAndQuasiNewtonMatchReference:
+    """Every SPSA or quasi-Newton row of minimize_batch is bitwise the one-evaluation-at-a-time reference loop."""
+
+    @given(
+        seed=st.integers(0, 2**31 - 1),
+        n=st.integers(1, 8),
+        rows=st.sampled_from([1, 2, 5]),
+        kind=st.sampled_from(["spsa", "fd-quasi-newton"]),
+        iters=st.integers(1, 40),
+        eps=st.sampled_from([0.1, 1e-3]),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_random_quadratics(self, seed, n, rows, kind, iters, eps):
+        rng = np.random.default_rng(seed)
+        f = objectives(rng, n)["quadratic"]
+        seeds = rng.integers(0, 2**31, rows).tolist()
+        config = spsa_or_quasi_newton(kind, iters, eps)
+        assert_rows_match_reference(rowwise(f), f, rng.uniform(-2.0, 2.0, (rows, n)), config, seeds)
+
+    @given(seed=st.integers(0, 2**31 - 1), p=st.integers(1, 3), rows=st.sampled_from([1, 2, 5]),
+           kind=st.sampled_from(["spsa", "fd-quasi-newton"]), iters=st.integers(1, 25))
+    @settings(max_examples=20, deadline=None)
+    def test_qaoa_objective(self, seed, p, rows, kind, iters):
+        rng = np.random.default_rng(seed)
+        seeds = rng.integers(0, 2**31, rows).tolist()
+        X0 = rng.uniform(0.0, 2.0 * np.pi, (rows, 2 * p))
+        config = spsa_or_quasi_newton(kind, iters, 0.1)
+        assert_rows_match_reference(lambda X: QAOA_A.ev_batch(X, p), lambda x: QAOA_A.ev(x, p), X0, config, seeds)
+
+    def test_one_gradient_is_one_call_of_2p_points(self):
+        calls = []
+
+        def objective_batch(X):
+            calls.append(X.copy())
+            return np.array([quadratic(x) for x in X])
+
+        x0 = np.array([0.3, -0.2, 0.9])
+        (row,) = minimize_batch(objective_batch, x0[None], FdQuasiNewton(max_iter=4))
+        # a call is one value (1 point) or one gradient (2P = 6 points)
+        assert sorted(set(map(len, calls))) == [1, 6]
+        assert sum(map(len, calls)) == row.evals
+        # the first gradient is at x0, ordered x0 + eps e_0, x0 - eps e_0, x0 + eps e_1, ...
+        first = next(X for X in calls if len(X) == 6)
+        assert np.array_equal(first, [x0 + s * 0.1 * e for e in np.eye(3) for s in (1.0, -1.0)])
+
+    def test_one_spsa_call_per_step(self):
+        calls = []
+
+        def objective_batch(X):
+            calls.append(len(X))
+            return np.array([quadratic(x) for x in X])
+
+        rows = minimize_batch(objective_batch, np.zeros((5, 3)), Spsa(n_iter=10), seeds=range(5))
+        # the start points, one +/- pair per row and step, the end points
+        assert calls == [5] + [10] * 10 + [5]
+        assert [r.evals for r in rows] == [2 * 10 + 2] * 5
+
+
+def rowwise_pairs(f):
+    """The SPSA step objective that evaluates f on each of the (R, 2) points of an (R, 2, N) array."""
+    return lambda X: np.array([[f(x) for x in pair] for pair in X])
 
 
 class TestNelderMeadConfig:
@@ -207,6 +282,22 @@ class TestFdQuasiNewton:
         with pytest.raises(ValueError):
             FdQuasiNewton(eps=0.0)
 
+    @pytest.mark.parametrize("config, settings", [
+        (FdQuasiNewton, {"eps": float("nan")}),
+        (FdQuasiNewton, {"eps": float("inf")}),
+        (FdQuasiNewton, {"g_tol": -1.0}),
+        (FdQuasiNewton, {"g_tol": float("nan")}),
+        (FdQuasiNewton, {"max_iter": 0}),
+        (Spsa, {"a": float("nan")}),
+        (Spsa, {"a": 0.0}),
+        (Spsa, {"c": float("inf")}),
+        (Spsa, {"c": -0.1}),
+        (Spsa, {"n_iter": 0}),
+    ])
+    def test_bad_settings_rejected(self, config, settings):
+        with pytest.raises(ValueError, match="need"):
+            config(**settings)
+
 
 class TestSpsaSchedules:
     def test_published_first_step(self):
@@ -230,30 +321,39 @@ class TestSpsaStep:
     def test_exactly_two_evals(self):
         calls = []
 
-        def f(x):
-            calls.append(x.copy())
-            return quadratic(x)
+        def f(X):
+            calls.append(X.copy())
+            return np.array([[quadratic(x) for x in pair] for pair in X])
 
-        spsa_step(f, np.zeros(4), 0, Spsa(), np.random.default_rng(0))
-        assert len(calls) == 2
-        # the two probes are mirror images around theta
-        assert np.allclose(calls[0] + calls[1], 0.0)
+        spsa_step(f, np.zeros((3, 4)), 0, Spsa(), [np.random.default_rng(r) for r in range(3)])
+        # one call with exactly two evaluations per row
+        assert len(calls) == 1 and calls[0].shape == (3, 2, 4)
+        # the two probes of each row are mirror images around theta
+        assert np.allclose(calls[0][:, 0] + calls[0][:, 1], 0.0)
 
     def test_update_formula_on_linear_slope(self):
         # for f(x) = sum(x) the two-point estimate is sum(delta) * delta exactly
         config = Spsa(a=0.1, c=0.1, n_iter=10)
-        theta = np.full(5, 2.0)
+        theta = np.array([np.full(5, 2.0), np.full(5, -1.0)])
         probes = []
 
-        def f(x):
-            probes.append(x.copy())
-            return float(x.sum())
+        def f(X):
+            probes.append(X.copy())
+            return X.sum(axis=2)
 
-        out = spsa_step(f, theta, 0, config, np.random.default_rng(3))
+        out = spsa_step(f, theta, 0, config, [np.random.default_rng(3), np.random.default_rng(4)])
         step, eps = spsa_schedules(config, 0)
-        delta = (probes[0] - theta) / eps
+        delta = (probes[0][:, 0] - theta) / eps
         assert np.allclose(np.abs(delta), 1.0)
-        assert np.allclose(out, theta - step * delta.sum() * delta)
+        assert np.allclose(out, theta - step * delta.sum(axis=1, keepdims=True) * delta)
+
+    def test_each_row_draws_from_its_own_generator(self):
+        # a row's step does not depend on the other rows
+        theta = np.random.default_rng(0).normal(size=(3, 4))
+        both = spsa_step(rowwise_pairs(quadratic), theta, 2, Spsa(), [np.random.default_rng(s) for s in (7, 8, 9)])
+        for r, seed in enumerate((7, 8, 9)):
+            one = spsa_step(rowwise_pairs(quadratic), theta[r:r + 1], 2, Spsa(), [np.random.default_rng(seed)])
+            assert np.array_equal(both[r], one[0])
 
     def test_minimize_spsa_quadratic(self):
         res = minimize(quadratic, np.zeros(3), Spsa(a=0.2, n_iter=300), seed=7)

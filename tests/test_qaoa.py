@@ -465,7 +465,9 @@ class TestRestarts:
         assert block["evals_per_row"] == evals / 5
         assert block["optimize_s"] > 0.0
         spsa = random_restart_search(config, model, 2, Spsa(n_iter=5), seed=2).optimizer
-        assert spsa["kind"] == "spsa" and spsa["lockstep_rows"] == 1 and spsa["rows_per_call"] == 1.0
+        # the start points, one +/- pair per row and step, the end points: 2 * (1 + 2 * 5 + 1) evaluations
+        assert spsa["kind"] == "spsa" and spsa["lockstep_rows"] == 2 and spsa["ev_batch_calls"] == 1 + 5 + 1
+        assert spsa["rows_per_call"] == 2 * (1 + 2 * 5 + 1) / 7
 
     def test_no_restarts_is_an_error(self, problem_a):
         model, enc = problem_a
