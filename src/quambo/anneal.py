@@ -8,6 +8,7 @@ exponentials).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from typing import Callable
 
@@ -32,8 +33,10 @@ class AnnealSchedule:
     def __post_init__(self) -> None:
         if self.kind not in ("forward", "reverse"):
             raise ValueError(f"unknown schedule kind {self.kind!r}")
-        if self.T <= 0 or self.steps < 1:
-            raise ValueError("need T > 0 and steps >= 1")
+        if not (math.isfinite(self.T) and self.T > 0) or self.steps < 1:
+            raise ValueError(f"need a finite T > 0 and steps >= 1, got T={self.T}, steps={self.steps}")
+        if not (math.isfinite(self.hold) and self.hold >= 0):
+            raise ValueError(f"need a finite hold >= 0, got {self.hold}")
         if self.kind == "reverse" and not 0 < self.s_min < 1:
             raise ValueError("need 0 < s_min < 1")
 

@@ -10,12 +10,14 @@ lockstep, batched objective calls, mean rows per call, mean evaluations per
 restart, and the seconds of the restart search and of the depth schedule;
 for vqe the compiled circuit: qubits, gates, R_y steps, fused CNOT
 permutations, amplitude dtype, method, shots and total objective
-evaluations, and the optimizer: kind, restarts, mean evaluations per
-restart and the seconds of the restart search; for baseline the search:
+evaluations, and the optimizer: kind, restarts, batched objective calls,
+mean points per call, mean evaluations per restart and the seconds of the
+restart search; for baseline the search:
 algorithm, restarts, n, the (restarts, n) batch shape and the oracle and
 search times).  The vqe method is sv (exact statevector), sample (all-qubit
 sampling) or cone (per-term causal-cone sampling); the sampling methods need
-shots >= 1, and vqe needs restarts >= 1.  An [optimizer] section sets the
+shots >= 1, and vqe needs restarts >= 1 and an ansatz with parameters
+(layers >= 1 or initial_layer = true).  An [optimizer] section sets the
 fields of one kind (nelder-mead, spsa or fd-quasi-newton); a key that kind
 does not read is an error.  The baseline algorithm is tabu or sa and needs
 restarts >= 1; anneal needs reads >= 1.
@@ -33,6 +35,7 @@ from __future__ import annotations
 import argparse
 import configparser
 import csv
+import itertools
 import json
 import sys
 import time
@@ -248,27 +251,35 @@ def cmd_vqe(args: argparse.Namespace) -> int:
         initial_layer=sec.getboolean("initial_layer", False),
         entangling_layers=sec.getint("layers", 1),
     )
+    if ansatz.n_params == 0:
+        raise ValueError("the vqe ansatz has no parameters; set layers >= 1 or initial_layer = true")
     restarts = sec.getint("restarts", 100)
     scorer = qaoa.Scorer.of(model, enc)
 
     def oracle_metrics(state):
         return qaoa.metrics(scorer, state.probabilities()[scorer.indices])
 
-    objective = None
-    if method == "sample":
-        counter = {"k": 0}
-
-        def objective(theta):
-            counter["k"] += 1
-            return vqe.ev_all_qubit_sampling(ansatz, theta, model, shots, seed=(args.seed, counter["k"]))
-
-    elif method == "cone":
+    counter = itertools.count(1)  # one seed per evaluated point, shared across restarts in point order
+    if method == "sv":
+        def estimate(Theta):
+            return vqe.ev_statevector_batch(ansatz, Theta, model)
+    elif method == "sample":
+        def estimate(Theta):
+            seeds = [(args.seed, next(counter)) for _ in Theta]
+            return vqe.ev_all_qubit_sampling_batch(ansatz, Theta, model, shots, seeds)
+    else:
         ising = qubo_to_ising(model)
-        counter = {"k": 0}
 
-        def objective(theta):
-            counter["k"] += 1
-            return vqe.ev_causal_cone_sampling(ansatz, theta, ising, shots, seed=int(np.random.default_rng([args.seed, counter["k"]]).integers(2**31)))
+        def estimate(Theta):
+            seeds = [int(np.random.default_rng([args.seed, next(counter)]).integers(2**31)) for _ in Theta]
+            return vqe.ev_causal_cone_sampling_batch(ansatz, Theta, ising, shots, seeds)
+
+    calls = 0
+
+    def objective(Theta):
+        nonlocal calls
+        calls += 1
+        return estimate(Theta)
 
     t0 = time.perf_counter()
     runs = vqe.vqe_restart_search(ansatz, model, oracle_metrics, restarts, optimizer, args.seed, objective=objective)
@@ -283,7 +294,8 @@ def cmd_vqe(args: argparse.Namespace) -> int:
     write_csv(out, header, rows)
     evals = sum(r.evals for r in runs)
     circuit = {**ansatz.program.summary, "method": method, "shots": shots, "evals": evals}
-    telemetry = {"kind": optimizer.kind, "restarts": restarts, "evals_per_row": evals / restarts,
+    telemetry = {"kind": optimizer.kind, "restarts": restarts, "batch_calls": calls,
+                 "points_per_call": evals / calls, "evals_per_row": evals / restarts,
                  "optimize_s": round(optimize_s, 6)}
     write_manifest(out, cp, args.seed, started, circuit=circuit, optimizer=telemetry)
     return 0

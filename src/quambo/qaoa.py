@@ -20,6 +20,7 @@ from .optimize import FdQuasiNewton, OptimizerConfig, minimize_batch
 from .problems import Encoding, feasible_sector, is_feasible
 from .qubo import TIE_TOL, QuboModel, energy_vector, enumerate_spectrum, read_only, string_from_index
 from .simulator import (
+    EV_BATCH_AMPLITUDES,
     StateVector,
     basis_state,
     block_product_state,
@@ -149,8 +150,6 @@ class QaoaConfig:
 
 # Largest number of qubits in one Hadamard block of the X-mixer engine.
 X_BLOCK_CAP = 5
-# Most amplitudes QaoaContext.ev_batch evolves in one stack of rows.
-EV_BATCH_AMPLITUDES = 1 << 14
 
 
 @lru_cache(maxsize=16)

@@ -22,6 +22,10 @@ from .qubo import IsingModel, QuboModel, energy_vector, read_only, strings_from_
 STATE_CAP = 24
 LOCAL_UNITARY_CAP = 12
 XY_RING_CAP = 12
+# Most amplitudes one stacked batch of states holds: the QAOA engine and the
+# compiled VQE circuits run larger batches in chunks of rows, since larger
+# stacks run slower per row.
+EV_BATCH_AMPLITUDES = 1 << 14
 
 
 @dataclass

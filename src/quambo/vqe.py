@@ -9,7 +9,12 @@ R_y is a real rotation and CNOT a permutation of basis states, so every
 amplitude stays real.  Each circuit (the full ansatz, or one cone circuit)
 is compiled once into a `Program` and run on real float64 amplitudes: an
 R_y is a 2x2 product along its qubit's axis, and each run of consecutive
-CNOTs is one precomputed index permutation.
+CNOTs is one precomputed index permutation.  A program runs a batch of K
+parameter vectors as a leading stacked axis that is never folded into the
+rows of a product, so each row is bitwise the one-vector result whatever K
+is.  The three estimators (exact statevector, all-qubit sampling, per-term
+causal cones) each evaluate such a batch in one call; their one-point forms
+are a batch of one.
 """
 
 from __future__ import annotations
@@ -20,9 +25,9 @@ from typing import Sequence
 
 import numpy as np
 
-from .optimize import OptimizerConfig, minimize
+from .optimize import OptimizerConfig, minimize_batch
 from .qubo import IsingModel, QuboModel, read_only
-from .simulator import StateVector, sample_indices
+from .simulator import EV_BATCH_AMPLITUDES, StateVector, sample_indices
 
 # An R_y multiplies a stack of `rows` blocks of shape (2, stride), and numpy
 # makes one small product per block.  For many short blocks one product of
@@ -46,19 +51,22 @@ class Program:
     """A compiled R_y/CNOT circuit on m qubits.
 
     steps holds (param index, view shape, eye) for an R_y: the view is
-    (rows, 2, stride) around its qubit's axis and eye is None, or, for a
-    narrow block, the view is (rows, 2 stride) and eye is I_stride.  Each
-    maximal run of CNOTs is one read-only intp gather index
-    (amplitudes = amplitudes[perm]).
+    (K, rows, 2, stride) around its qubit's axis and eye is None, or, for a
+    narrow block, the view is (K, rows, 2 stride) and eye is I_stride laid
+    out as (stride, 1, stride).  Each maximal run of CNOTs is one step
+    (None, gather index, None) with a read-only intp index.  A circuit
+    without gates is one identity gather, so a run never returns the shared,
+    read-only start state |0...0>.
     """
 
     m: int
     gates: int
     steps: tuple
+    start: np.ndarray = field(repr=False, compare=False)
 
     @property
     def summary(self) -> dict:
-        perms = sum(isinstance(step, np.ndarray) for step in self.steps)
+        perms = sum(k is None for k, _, _ in self.steps)
         return {"n": self.m, "gates": self.gates, "ry_steps": len(self.steps) - perms,
                 "fused_permutations": perms, "amplitude_dtype": "float64"}
 
@@ -75,37 +83,62 @@ def compile_circuit(m: int, gates: Sequence[Gate]) -> Program:
             perm = flip if perm is None else perm[flip]
             continue
         if perm is not None:
-            steps.append(read_only(perm))
+            steps.append((None, read_only(perm), None))
             perm = None
         rows, stride = 1 << (m - 1 - gate.qubits[0]), 1 << gate.qubits[0]
         if stride == 1 or (stride <= NARROW_STRIDE and rows >= NARROW_MIN_ROWS):
-            steps.append((gate.param_index, (rows, 2 * stride), read_only(np.eye(stride))))
+            steps.append((gate.param_index, (-1, rows, 2 * stride), read_only(np.eye(stride)[:, None, :])))
         else:
-            steps.append((gate.param_index, (rows, 2, stride), None))
+            steps.append((gate.param_index, (-1, rows, 2, stride), None))
+    if perm is None and not steps:
+        perm = index  # a circuit without gates is one identity gather
     if perm is not None:
-        steps.append(read_only(perm))
-    return Program(m, len(gates), tuple(steps))
+        steps.append((None, read_only(perm), None))
+    start = np.zeros(1 << m)
+    start[0] = 1.0
+    return Program(m, len(gates), tuple(steps), read_only(start))
 
 
 def run_program(program: Program, theta: np.ndarray) -> np.ndarray:
-    """Real amplitudes of the program applied to |0...0> (parameters indexed into theta)."""
-    half = 0.5 * np.asarray(theta, dtype=float)
-    c, s = np.cos(half), np.sin(half)
-    # rot[k] = R_y(theta_k) = [[c, -s], [s, c]]
-    rot = np.array((c, -s, s, c)).T.reshape(-1, 2, 2)
-    psi = np.zeros(1 << program.m)
-    psi[0] = 1.0
-    for step in program.steps:
-        if isinstance(step, np.ndarray):
-            psi = psi[step]
-            continue
-        k, shape, eye = step
-        if eye is None:
-            psi = (rot[k] @ psi.reshape(shape)).reshape(-1)
+    """Real amplitudes of the program applied to |0...0> (parameters indexed into theta).
+
+    theta (P,) gives (2^m,); a batch Theta (K, P) gives (K, 2^m), and row k
+    is bitwise the result for Theta[k] whatever K is.  Each R_y is one
+    stacked product over the K rows (on the narrow path, one (rows, 2 stride)
+    @ (2 stride, 2 stride) product per row).  Rows go in chunks of at most
+    EV_BATCH_AMPLITUDES amplitudes (at least one row), since larger stacks
+    run slower per row.
+    """
+    theta = np.asarray(theta, dtype=float)
+    batch = theta.ndim == 2
+    K = len(theta) if batch else 1
+    if K > 1 and K << program.m > EV_BATCH_AMPLITUDES:
+        rows = max(1, EV_BATCH_AMPLITUDES >> program.m)
+        return np.concatenate([run_program(program, theta[k:k + rows]) for k in range(0, K, rows)])
+    # a batch of one works on 1-D arrays, whose ufunc calls cost less
+    half = 0.5 * (theta if K > 1 else theta.reshape(-1))
+    rot = np.empty((4,) + half.shape)
+    np.cos(half, out=rot[0])
+    np.sin(half, out=rot[2])
+    np.negative(rot[2], out=rot[1])
+    rot[3] = rot[0]
+    # rot[p, k, 0] = R_y(theta[k, p]) = [[c, -s], [s, c]], a strided view of the (c, -s, s, c) table
+    rot = rot.T.reshape(-1, K, 1, 2, 2)
+    if K == 1:
+        psi = program.start
+    else:
+        psi = np.zeros((K, 1 << program.m))
+        psi[:, 0] = 1.0
+    for k, view, eye in program.steps:
+        if k is None:
+            psi = psi.reshape(-1)[view] if K == 1 else psi.reshape(K, -1).take(view, axis=-1)
+        elif eye is None:
+            psi = rot[k] @ psi.reshape(view)
         else:
-            kron = (rot[k].T[:, None, :, None] * eye[None, :, None, :]).reshape(shape[1], shape[1])
-            psi = (psi.reshape(shape) @ kron).reshape(-1)
-    return psi
+            # kron(R^T, I_stride) of each row: (K, 2, 1, 2, 1) * (stride, 1, stride)
+            kron = rot[k].transpose(0, 3, 1, 2)[..., None] * eye
+            psi = psi.reshape(view) @ kron.reshape(-1, view[2], view[2])
+    return psi.reshape(K, -1) if batch else psi.reshape(-1)
 
 
 @dataclass(frozen=True)
@@ -174,6 +207,16 @@ class ReducedAnsatz:
         return compile_circuit(len(self.qubits), self.gates)
 
 
+def _points(ansatz: VqeAnsatz, Theta: np.ndarray, seeds: Sequence | None = None) -> np.ndarray:
+    """Theta as a float (K, n_params) array with K >= 1 and, if given, one seed per point; else ValueError."""
+    Theta = np.asarray(Theta, dtype=float)
+    if Theta.ndim != 2 or len(Theta) < 1 or Theta.shape[1] != ansatz.n_params:
+        raise ValueError(f"expected a (K, {ansatz.n_params}) array of K >= 1 points, got shape {Theta.shape}")
+    if seeds is not None and len(seeds) != len(Theta):
+        raise ValueError(f"need one seed per point, got {len(seeds)} for {len(Theta)} points")
+    return Theta
+
+
 def apply_ansatz(ansatz: VqeAnsatz, theta: Sequence[float]) -> StateVector:
     """The ansatz state, with real float64 amplitudes."""
     theta = np.asarray(theta, dtype=float)
@@ -182,9 +225,29 @@ def apply_ansatz(ansatz: VqeAnsatz, theta: Sequence[float]) -> StateVector:
     return StateVector(ansatz.n, run_program(ansatz.program, theta))
 
 
+def ev_statevector_batch(ansatz: VqeAnsatz, Theta: np.ndarray, model: QuboModel | IsingModel) -> np.ndarray:
+    """The exact energy at each point of Theta (K, P): one stacked circuit, then (1, dim) @ (dim, 1) per row."""
+    a = run_program(ansatz.program, _points(ansatz, Theta))
+    return np.matmul((a * a)[:, None, :], model.diagonal[:, None])[:, 0, 0]
+
+
 def ev_statevector(ansatz: VqeAnsatz, theta: Sequence[float], model: QuboModel | IsingModel) -> float:
-    a = apply_ansatz(ansatz, theta).amplitudes
-    return float((a * a) @ model.diagonal)
+    return float(ev_statevector_batch(ansatz, np.asarray(theta, dtype=float)[None], model)[0])
+
+
+def ev_all_qubit_sampling_batch(
+    ansatz: VqeAnsatz,
+    Theta: np.ndarray,
+    model: QuboModel | IsingModel,
+    shots: int,
+    seeds: Sequence,
+) -> np.ndarray:
+    """Each point's mean model energy over full-register samples: one stacked circuit, point k drawn with seeds[k]."""
+    amplitudes = run_program(ansatz.program, _points(ansatz, Theta, seeds))
+    return np.array([
+        float(sample_indices(StateVector(ansatz.n, a), shots, seed) @ model.diagonal) / shots
+        for a, seed in zip(amplitudes, seeds)
+    ])
 
 
 def ev_all_qubit_sampling(
@@ -195,8 +258,7 @@ def ev_all_qubit_sampling(
     seed: int,
 ) -> float:
     """Mean model energy over full-register computational-basis samples."""
-    draws = sample_indices(apply_ansatz(ansatz, theta), shots, seed)
-    return float(draws @ model.diagonal) / shots
+    return float(ev_all_qubit_sampling_batch(ansatz, np.asarray(theta, dtype=float)[None], model, shots, [seed])[0])
 
 
 def causal_cone(ansatz: VqeAnsatz, term: int | tuple[int, int]) -> tuple[set[int], ReducedAnsatz]:
@@ -225,6 +287,33 @@ def run_reduced(reduced: ReducedAnsatz, theta: Sequence[float]) -> StateVector:
     return StateVector(len(reduced.qubits), run_program(reduced.program, theta))
 
 
+def ev_causal_cone_sampling_batch(
+    ansatz: VqeAnsatz,
+    Theta: np.ndarray,
+    ising: IsingModel,
+    shots_per_term: int,
+    seeds: Sequence[int],
+) -> np.ndarray:
+    """Estimate <H> at each point of Theta (K, P) by sampling each Z / ZZ term from its own cone circuit.
+
+    Each term's cone circuit runs once for all K points.  Terms are sampled
+    independently, point k's term t with a seed derived from (seeds[k], t);
+    the extra variance from independent sampling is part of the estimator.
+    A term's estimate is the integer sum of its draws times the targets'
+    parity.
+    """
+    Theta = _points(ansatz, Theta, seeds)
+    totals = [ising.offset] * len(Theta)
+    terms = sorted(ising.h.items()) + sorted(ising.J.items())
+    for t, (term, coeff) in enumerate(terms):
+        reduced, parity = ansatz.cone(term)
+        for k, a in enumerate(run_program(reduced.program, Theta)):
+            seed = int(np.random.default_rng([seeds[k], t]).integers(2**31))
+            draws = sample_indices(StateVector(reduced.program.m, a), shots_per_term, seed)
+            totals[k] += coeff * float(draws @ parity) / shots_per_term
+    return np.array(totals, dtype=float)
+
+
 def ev_causal_cone_sampling(
     ansatz: VqeAnsatz,
     theta: Sequence[float],
@@ -232,22 +321,9 @@ def ev_causal_cone_sampling(
     shots_per_term: int,
     seed: int,
 ) -> float:
-    """Estimate <H> by sampling each Z / ZZ term from its own cone circuit.
-
-    Terms are sampled independently with per-term derived seeds; the extra
-    variance from independent sampling is part of the estimator.  A term's
-    estimate is the integer sum of its draws times the targets' parity.
-    """
-    total = ising.offset
-    terms: list[tuple[int | tuple[int, int], float]] = []
-    terms += [(i, c) for i, c in sorted(ising.h.items())]
-    terms += [(ij, c) for ij, c in sorted(ising.J.items())]
-    for t, (term, coeff) in enumerate(terms):
-        reduced, parity = ansatz.cone(term)
-        state = run_reduced(reduced, theta)
-        draws = sample_indices(state, shots_per_term, seed=int(np.random.default_rng([seed, t]).integers(2**31)))
-        total += coeff * float(draws @ parity) / shots_per_term
-    return float(total)
+    """Estimate <H> by sampling each Z / ZZ term from its own cone circuit (a batch of one)."""
+    theta = np.asarray(theta, dtype=float)[None]
+    return float(ev_causal_cone_sampling_batch(ansatz, theta, ising, shots_per_term, [seed])[0])
 
 
 @dataclass
@@ -271,17 +347,20 @@ def vqe_restart_search(
 ) -> list[VqeRun]:
     """Optimize `n_starts` random parameter vectors; metrics via the supplied callable.
 
-    oracle_metrics(state) -> RunMetrics-like object; objective defaults to the
-    exact statevector EV.
+    oracle_metrics(state) -> RunMetrics-like object.  objective maps a (K, P)
+    batch of points to K values and defaults to the exact statevector EV.
+    Each restart is one minimize_batch call, made one after another, so an
+    objective that draws seeds in call order sees every point in the order a
+    one-point loop would.
     """
     if n_starts < 1:
         raise ValueError(f"need restarts >= 1, got {n_starts}")
-    obj = objective or (lambda theta: ev_statevector(ansatz, theta, model))
+    obj = objective or (lambda Theta: ev_statevector_batch(ansatz, Theta, model))
     runs: list[VqeRun] = []
     for i in range(n_starts):
         rng = np.random.default_rng([seed, i])
         x0 = rng.uniform(0.0, 2.0 * np.pi, size=ansatz.n_params)
-        res = minimize(obj, x0, optimizer, seed=int(rng.integers(2**31)))
+        (res,) = minimize_batch(obj, x0[None], optimizer, [int(rng.integers(2**31))])
         m = oracle_metrics(apply_ansatz(ansatz, res.x_best))
         runs.append(
             VqeRun(

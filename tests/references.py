@@ -1,11 +1,13 @@
 """Reference implementations the tests check quambo against: scipy's Nelder-Mead, the one-row
-SPSA and finite-difference BFGS loops, and the one-vector QAOA evaluator."""
+SPSA and finite-difference BFGS loops, the one-vector QAOA evaluator and the one-vector VQE
+circuit."""
 
 import numpy as np
 from scipy.optimize import minimize as scipy_minimize
 
 from quambo.optimize import FdQuasiNewton, Spsa, spsa_schedules
 from quambo.qaoa import Angles
+from quambo.vqe import NARROW_MIN_ROWS, NARROW_STRIDE
 
 
 def scipy_nelder_mead(f, x0, config):
@@ -102,3 +104,43 @@ def reference_ev(ctx, x, p):
         for shape, _vt, v in ctx._steps:
             psi = np.matmul(v, psi.view(float).reshape(shape)).reshape(-1).view(complex)
     return float(np.abs(psi) ** 2 @ ctx._cost)
+
+
+def reference_circuit_run(m, gates, theta):
+    """A compiled VQE circuit run on one vector as it was before batching: the oracle of run_program.
+
+    Consecutive CNOTs fuse into one gather; each R_y is a 2x2 product along its
+    qubit's axis, or, for a narrow block, one product with kron(R^T, I_stride).
+    """
+    index = np.arange(1 << m, dtype=np.intp)
+    steps, perm = [], None
+    for gate in gates:
+        if gate.kind == "cnot":
+            control, target = gate.qubits
+            flip = index ^ (((index >> control) & 1) << target)
+            perm = flip if perm is None else perm[flip]
+            continue
+        if perm is not None:
+            steps.append(perm)
+            perm = None
+        rows, stride = 1 << (m - 1 - gate.qubits[0]), 1 << gate.qubits[0]
+        narrow = stride == 1 or (stride <= NARROW_STRIDE and rows >= NARROW_MIN_ROWS)
+        steps.append((gate.param_index, (rows, 2 * stride) if narrow else (rows, 2, stride), np.eye(stride) if narrow else None))
+    if perm is not None:
+        steps.append(perm)
+    half = 0.5 * np.asarray(theta, dtype=float)
+    c, s = np.cos(half), np.sin(half)
+    rot = np.array((c, -s, s, c)).T.reshape(-1, 2, 2)
+    psi = np.zeros(1 << m)
+    psi[0] = 1.0
+    for step in steps:
+        if isinstance(step, np.ndarray):
+            psi = psi[step]
+            continue
+        k, shape, eye = step
+        if eye is None:
+            psi = (rot[k] @ psi.reshape(shape)).reshape(-1)
+        else:
+            kron = (rot[k].T[:, None, :, None] * eye[None, :, None, :]).reshape(shape[1], shape[1])
+            psi = (psi.reshape(shape) @ kron).reshape(-1)
+    return psi

@@ -31,6 +31,16 @@ class TestSchedule:
         with pytest.raises(ValueError):
             AnnealSchedule(kind="forward", T=0.0)
 
+    @pytest.mark.parametrize("T", [float("nan"), float("inf"), -1.0])
+    def test_time_must_be_finite_and_positive(self, T):
+        with pytest.raises(ValueError, match="finite T > 0"):
+            AnnealSchedule(kind="forward", T=T)
+
+    @pytest.mark.parametrize("hold", [-3.0, float("nan"), float("inf")])
+    def test_hold_must_be_finite_and_nonnegative(self, hold):
+        with pytest.raises(ValueError, match="finite hold >= 0"):
+            AnnealSchedule(kind="reverse", T=1.0, hold=hold)
+
     def test_reverse_s_min_range(self):
         with pytest.raises(ValueError):
             AnnealSchedule(kind="reverse", T=1.0, s_min=1.5)

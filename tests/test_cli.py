@@ -258,9 +258,49 @@ class TestVqe:
         assert main(["vqe", "--config", cfg, "--out", str(tmp_path / "v.csv")]) == 0
         block = json.loads((tmp_path / "v.csv.manifest.json").read_text())["optimizer"]
         evals = sum(int(r.split(",")[9]) for r in (tmp_path / "v.csv").read_text().strip().splitlines()[1:])
-        assert set(block) == {"kind", "restarts", "evals_per_row", "optimize_s"}
+        assert set(block) == {"kind", "restarts", "batch_calls", "points_per_call", "evals_per_row", "optimize_s"}
         assert block["kind"] == optimizer.split("\n")[0].split(" = ")[1] and block["restarts"] == 2
         assert block["evals_per_row"] == evals / 2 and block["optimize_s"] > 0.0
+        assert block["points_per_call"] == evals / block["batch_calls"]
+        if block["kind"] == "spsa":
+            # per restart: the start, one +/- pair per step, the last iterate
+            assert block["batch_calls"] == 2 * (1 + 3 + 1) and evals == 2 * (1 + 2 * 3 + 1)
+        else:
+            # each central-difference gradient is one call of 2P = 16 points
+            assert block["points_per_call"] > 1.0
+
+    @pytest.mark.parametrize("initial", ["", "initial_layer = false\n"])
+    def test_ansatz_without_parameters_is_an_error(self, tmp_path, capsys, initial):
+        cfg = write(tmp_path, "v.ini", self.CONFIG.replace("layers = 1\n", "layers = 0\n" + initial))
+        assert main(["vqe", "--config", cfg, "--out", str(tmp_path / "v.csv")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert "layers" in err and "initial_layer" in err
+        assert not (tmp_path / "v.csv").exists()
+
+    def test_zero_layers_with_initial_layer_runs(self, tmp_path):
+        cfg = write(tmp_path, "v.ini", self.CONFIG.replace("layers = 1\n", "layers = 0\ninitial_layer = true\n"))
+        assert main(["vqe", "--config", cfg, "--out", str(tmp_path / "v.csv")]) == 0
+        assert (tmp_path / "v.csv").read_text().splitlines()[1].split(",")[1:3] == ["5", "0"]
+
+    # Written by the one-point objectives (each point its own circuit) before
+    # the estimators ran batches; every batched run must reproduce them.
+    GOLDEN = {
+        "sv": "[vqe]\nencoding = complement\nlayers = 1\ninitial_layer = true\nmethod = sv\nrestarts = 2\n"
+              "[optimizer]\nkind = fd-quasi-newton\neps = 0.1\nmax_iter = 5\ng_tol = 0\n",
+        "sample": "[vqe]\nencoding = complement\nlayers = 1\nmethod = sample\nshots = 200\nrestarts = 2\n"
+                  "[optimizer]\nkind = spsa\nn_iter = 5\n",
+        "cone": "[vqe]\nencoding = complement\nlayers = 2\nmethod = cone\nshots = 100\nrestarts = 2\n"
+                "[optimizer]\nkind = spsa\nn_iter = 3\n",
+    }
+
+    @pytest.mark.parametrize("method", ["sv", "sample", "cone"])
+    def test_csv_matches_the_golden_file(self, tmp_path, method):
+        cfg = write(tmp_path, "v.ini", PROBLEM_A + self.GOLDEN[method])
+        out = tmp_path / "v.csv"
+        assert main(["vqe", "--config", cfg, "--seed", "3", "--out", str(out)]) == 0
+        golden = Path(__file__).parent / "golden" / f"vqe-A-{method}-seed3.csv"
+        assert out.read_bytes() == golden.read_bytes()
 
     def test_no_restarts_is_an_error(self, tmp_path, capsys):
         cfg = write(tmp_path, "v.ini", self.CONFIG.replace("restarts = 2", "restarts = 0"))

@@ -5,6 +5,8 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from quambo import qubo, simulator, vqe
 from quambo.optimize import NelderMead
@@ -12,13 +14,18 @@ from quambo.problems import FacilityProblem, encode_single_complement
 from quambo.qaoa import InitSpec, MixerSpec, QaoaContext
 from quambo.qubo import IsingModel, QuboModel, energy_vector, qubo_to_ising
 from quambo.simulator import apply_cnot, apply_ry, basis_state, sample
+from references import reference_circuit_run
 from quambo.vqe import (
     VqeAnsatz,
     apply_ansatz,
     causal_cone,
     ev_all_qubit_sampling,
     ev_causal_cone_sampling,
+    ev_all_qubit_sampling_batch,
+    ev_causal_cone_sampling_batch,
     ev_statevector,
+    ev_statevector_batch,
+    run_program,
     run_reduced,
     vqe_restart_search,
 )
@@ -197,6 +204,128 @@ class TestCompiledCircuit:
         _, reduced = causal_cone(fresh, 0)
         with pytest.raises(dataclasses.FrozenInstanceError):
             reduced.qubits = [0]
+
+
+def circuits(ansatz):
+    """(qubits, gates, program) of the ansatz and of every cone circuit of its Z and ZZ terms."""
+    out = [(ansatz.n, ansatz.gates(), ansatz.program)]
+    for term in list(range(ansatz.n)) + list(itertools.combinations(range(ansatz.n), 2)):
+        reduced, _ = ansatz.cone(term)
+        out.append((len(reduced.qubits), reduced.gates, reduced.program))
+    return out
+
+
+class TestBatchedCircuit:
+    """A batch of K parameter vectors is a stacked axis: row k is bitwise the one-vector run."""
+
+    @given(
+        n=st.sampled_from([2, 3, 4, 5, 6, 7, 8, 9, 16]),
+        K=st.sampled_from([1, 2, 7, 64]),
+        layers=st.integers(0, 2),
+        initial=st.booleans(),
+        seed=st.integers(0, 2**31 - 1),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_rows_are_the_one_vector_runs(self, n, K, layers, initial, seed):
+        ansatz = VqeAnsatz(n, initial_layer=initial, entangling_layers=layers)
+        Theta = np.random.default_rng(seed).uniform(-2 * np.pi, 2 * np.pi, (K, ansatz.n_params))
+        for m, gates, program in circuits(ansatz):
+            batch = run_program(program, Theta)
+            assert batch.shape == (K, 1 << m) and batch.dtype == np.float64
+            for k in range(K):
+                assert np.array_equal(batch[k], run_program(program, Theta[k]))
+            assert np.array_equal(batch[-1:], run_program(program, Theta[-1:]))
+            # and the rows are bitwise the one-vector program as it was before batching
+            for k in sorted({0, K - 1}):
+                assert np.array_equal(batch[k], reference_circuit_run(m, gates, Theta[k]))
+
+    @pytest.mark.parametrize("n", [2, 5, 8, 9])
+    def test_rows_match_primitives(self, n):
+        for initial, layers in itertools.product((False, True), range(3)):
+            ansatz = VqeAnsatz(n, initial_layer=initial, entangling_layers=layers)
+            Theta = np.random.default_rng([n, initial, layers]).uniform(0, 2 * np.pi, (3, ansatz.n_params))
+            for m, gates, program in circuits(ansatz):
+                batch = run_program(program, Theta)
+                for k in range(3):
+                    assert np.abs(batch[k] - reference_circuit(m, gates, Theta[k])).max() <= 1e-12
+
+    def test_chunks_hold_at_most_the_amplitude_budget(self, monkeypatch):
+        ansatz = VqeAnsatz(5, initial_layer=True, entangling_layers=2)
+        Theta = np.random.default_rng(4).uniform(0, 2 * np.pi, (11, ansatz.n_params))
+        whole = run_program(ansatz.program, Theta)
+        seen = []
+        run = vqe.run_program
+        monkeypatch.setattr(vqe, "run_program", lambda p, T: seen.append(len(T)) or run(p, T))
+        monkeypatch.setattr(vqe, "EV_BATCH_AMPLITUDES", 3 * 32)
+        assert np.array_equal(vqe.run_program(ansatz.program, Theta), whole)
+        assert seen == [11, 3, 3, 3, 2]
+        # a budget below one state still runs one row at a time
+        seen.clear()
+        monkeypatch.setattr(vqe, "EV_BATCH_AMPLITUDES", 1)
+        assert np.array_equal(vqe.run_program(ansatz.program, Theta[:2]), whole[:2])
+        assert seen == [2, 1, 1]
+
+    def test_runs_are_fresh_arrays(self):
+        for ansatz in (VqeAnsatz(3, entangling_layers=0), VqeAnsatz(3, initial_layer=True, entangling_layers=1)):
+            state = run_program(ansatz.program, np.zeros(ansatz.n_params))
+            assert state.flags.writeable
+            state[:] = 7.0
+            assert run_program(ansatz.program, np.zeros(ansatz.n_params))[0] == 1.0
+
+    @pytest.mark.parametrize("shape", [(0, 13), (2, 12), (13,), (1, 1, 13)])
+    def test_batch_shape_checked(self, setup, shape):
+        model, ansatz, _ = setup
+        with pytest.raises(ValueError, match="array of K >= 1 points"):
+            ev_statevector_batch(ansatz, np.zeros(shape), model)
+
+
+class TestBatchEstimators:
+    """Each batch objective gives, row for row, bitwise what the one-point estimators give."""
+
+    @pytest.fixture(scope="class")
+    def points(self, setup):
+        _, ansatz, theta = setup
+        rng = np.random.default_rng(29)
+        return np.vstack([theta, rng.uniform(0, 2 * np.pi, (6, ansatz.n_params))])
+
+    def test_statevector(self, setup, points):
+        model, ansatz, _ = setup
+        values = ev_statevector_batch(ansatz, points, model)
+        for k, theta in enumerate(points):
+            a = apply_ansatz(ansatz, theta).amplitudes
+            assert values[k] == ev_statevector(ansatz, theta, model) == float((a * a) @ model.diagonal)
+
+    def test_all_qubit_sampling(self, setup, points):
+        model, ansatz, _ = setup
+        seeds = [(3, k) for k in range(len(points))]
+        values = ev_all_qubit_sampling_batch(ansatz, points, model, 300, seeds)
+        for k, (theta, seed) in enumerate(zip(points, seeds)):
+            draws = simulator.sample_indices(apply_ansatz(ansatz, theta), 300, seed)
+            assert values[k] == ev_all_qubit_sampling(ansatz, theta, model, 300, seed) == float(draws @ model.diagonal) / 300
+
+    def test_causal_cone_sampling(self, setup, points):
+        model, ansatz, _ = setup
+        ising = qubo_to_ising(model)
+        seeds = np.random.default_rng(8).integers(2**31, size=len(points)).tolist()
+        values = ev_causal_cone_sampling_batch(ansatz, points, ising, 200, seeds)
+        for k, (theta, seed) in enumerate(zip(points, seeds)):
+            assert values[k] == ev_causal_cone_sampling(ansatz, theta, ising, 200, seed)
+
+    def test_cone_circuits_run_once_per_call(self, setup, points, monkeypatch):
+        model, ansatz, _ = setup
+        ising = qubo_to_ising(model)
+        runs = []
+        run = vqe.run_program
+        monkeypatch.setattr(vqe, "run_program", lambda p, T: runs.append(len(T)) or run(p, T))
+        ev_causal_cone_sampling_batch(ansatz, points, ising, 50, list(range(len(points))))
+        assert runs == [len(points)] * (len(ising.h) + len(ising.J))
+
+    def test_one_seed_per_point(self, setup, points):
+        model, ansatz, _ = setup
+        with pytest.raises(ValueError, match="one seed per point"):
+            ev_all_qubit_sampling_batch(ansatz, points, model, 10, [1, 2])
+        with pytest.raises(ValueError, match="one seed per point"):
+            ev_causal_cone_sampling_batch(ansatz, points, qubo_to_ising(model), 10, [1])
 
 
 class TestEstimators:
