@@ -24,6 +24,8 @@ ANNEAL_CAP = 10
 
 @dataclass
 class AnnealSchedule:
+    """forward: s runs 0 -> 1 over T.  reverse: s runs 1 -> s_min over T, stays for `hold`, then s_min -> 1 over T."""
+
     kind: str  # "forward" | "reverse"
     T: float
     steps: int = 200
@@ -37,8 +39,24 @@ class AnnealSchedule:
             raise ValueError(f"need a finite T > 0 and steps >= 1, got T={self.T}, steps={self.steps}")
         if not (math.isfinite(self.hold) and self.hold >= 0):
             raise ValueError(f"need a finite hold >= 0, got {self.hold}")
+        if self.kind == "forward" and self.hold:
+            raise ValueError(f"a forward schedule has no hold, got hold={self.hold}")
         if self.kind == "reverse" and not 0 < self.s_min < 1:
             raise ValueError("need 0 < s_min < 1")
+
+    @property
+    def duration(self) -> float:
+        return self.T if self.kind == "forward" else 2 * self.T + self.hold
+
+    def s(self, t: float) -> float:
+        T, s_min = self.T, self.s_min
+        if self.kind == "forward":
+            return t / T
+        if t < T:
+            return 1.0 - (1.0 - s_min) * (t / T)
+        if t < T + self.hold:
+            return s_min
+        return s_min + (1.0 - s_min) * ((t - T - self.hold) / T)
 
 
 def _driver(n: int) -> np.ndarray:
@@ -51,61 +69,38 @@ def _driver(n: int) -> np.ndarray:
     return H
 
 
-def _ground_indices(diag: np.ndarray) -> np.ndarray:
-    return np.flatnonzero(np.abs(diag - diag.min()) < TIE_TOL)
-
-
-def _propagate(
-    psi: np.ndarray, H_init: np.ndarray, diag: np.ndarray, s_of_t: Callable[[float], float], T: float, steps: int
-) -> np.ndarray:
+def _propagate(psi: np.ndarray, H_init: np.ndarray, diag: np.ndarray, schedule: AnnealSchedule) -> np.ndarray:
     """Fixed-step propagation with the exact exponential of each midpoint Hamiltonian."""
-    dt = T / steps
+    dt = schedule.duration / schedule.steps
     H_problem = np.diag(diag)
-    for k in range(steps):
-        s = s_of_t((k + 0.5) * dt)
+    for k in range(schedule.steps):
+        s = schedule.s((k + 0.5) * dt)
         H = (1.0 - s) * H_init + s * H_problem
         vals, vecs = np.linalg.eigh(H)
         psi = (vecs * np.exp(-1j * dt * vals)) @ (vecs.conj().T @ psi)
     return psi
 
 
-def simulate_forward_anneal(
-    ising: IsingModel, schedule: AnnealSchedule
-) -> tuple[StateVector, float]:
-    """Integrate i dpsi/dt = H(s(t)) psi from the uniform state, s: 0 -> 1."""
-    if ising.n > ANNEAL_CAP:
-        raise CapacityError(f"n={ising.n} exceeds anneal cap {ANNEAL_CAP}")
+def _anneal(ising: IsingModel, schedule: AnnealSchedule, seed_state: str | None) -> tuple[StateVector, float]:
+    """The state after the schedule and its ground-state probability; reverse iff a seed state is given."""
+    kind = "forward" if seed_state is None else "reverse"
+    if schedule.kind != kind:
+        raise ValueError(f"a {kind} anneal needs a {kind} schedule, got a {schedule.kind} one")
+    CapacityError.check(ising.n, ANNEAL_CAP, "anneal")
     diag = energy_vector(ising)
-    psi = uniform_state(ising.n).amplitudes
-    psi = _propagate(psi, _driver(ising.n), diag, lambda t: t / schedule.T, schedule.T, schedule.steps)
-    state = StateVector(ising.n, psi)
-    p_gnd = float(state.probabilities()[_ground_indices(diag)].sum())
-    return state, p_gnd
+    start = uniform_state(ising.n) if seed_state is None else basis_state(ising.n, seed_state)
+    state = StateVector(ising.n, _propagate(start.amplitudes, _driver(ising.n), diag, schedule))
+    return state, float(state.probabilities()[np.abs(diag - diag.min()) < TIE_TOL].sum())
 
 
-def simulate_reverse_anneal(
-    ising: IsingModel, seed_state: str, schedule: AnnealSchedule
-) -> tuple[StateVector, float]:
-    """s: 1 -> s_min over T, hold at s_min, then s_min -> 1, from a basis seed."""
-    if ising.n > ANNEAL_CAP:
-        raise CapacityError(f"n={ising.n} exceeds anneal cap {ANNEAL_CAP}")
-    diag = energy_vector(ising)
-    psi = basis_state(ising.n, seed_state).amplitudes.astype(complex)
-    H_init = _driver(ising.n)
-    T, s_min, hold = schedule.T, schedule.s_min, schedule.hold
+def simulate_forward_anneal(ising: IsingModel, schedule: AnnealSchedule) -> tuple[StateVector, float]:
+    """Integrate i dpsi/dt = H(s(t)) psi from the uniform state under a forward schedule."""
+    return _anneal(ising, schedule, None)
 
-    def leg(t: float) -> float:
-        if t < T:
-            return 1.0 - (1.0 - s_min) * (t / T)
-        if t < T + hold:
-            return s_min
-        return s_min + (1.0 - s_min) * ((t - T - hold) / T)
 
-    total = 2 * T + hold
-    psi = _propagate(psi, H_init, diag, leg, total, schedule.steps)
-    state = StateVector(ising.n, psi)
-    p_gnd = float(state.probabilities()[_ground_indices(diag)].sum())
-    return state, p_gnd
+def simulate_reverse_anneal(ising: IsingModel, seed_state: str, schedule: AnnealSchedule) -> tuple[StateVector, float]:
+    """Integrate i dpsi/dt = H(s(t)) psi from a basis seed under a reverse schedule."""
+    return _anneal(ising, schedule, seed_state)
 
 
 def tts(p_sol: float, t_cycle: float) -> float:
@@ -149,15 +144,15 @@ def resolve_chain_majority(
     return "".join(bits)
 
 
-def sim_anneal_sampler(sweeps: int = 30, beta_initial: float = 0.1, beta_final: float = 10.0):
-    """Stand-in annealer: each read is one short simulated-annealing chain.
+def sim_anneal_sampler(sweeps: int = 30, **settings):
+    """Stand-in annealer: each read is one short chain of SimAnneal(sweeps, **settings).
 
     All reads run as one batch of chains; read r is seeded as restart r of
     `heuristics.restart_harness`.
     """
     from .heuristics import SimAnneal, batched_simulated_annealing, restart_seeds
 
-    config = SimAnneal(sweeps=sweeps, beta_initial=beta_initial, beta_final=beta_final)
+    config = SimAnneal(sweeps=sweeps, **settings)
 
     def sampler(model, reads: int, seed: int) -> list[str]:
         return batched_simulated_annealing(model, config, restart_seeds(seed, reads))[0]

@@ -16,6 +16,7 @@ Three encodings are provided:
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Iterator, Sequence
@@ -23,6 +24,12 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from .qubo import QuboModel, SpectrumEntry, bits_from_string, energies_at, enumerate_spectrum, read_only
+
+GEOMETRIES = {"grid": ("rows", "cols"), "line": ("cols",)}  # each geometry's size keys, in tuple order
+# The other problem keys: the FacilityProblem field each sets and how its text is read.
+PROBLEM_KEYS = {"ambulances": ("ambulances", int), "metric": ("metric", str), "lambda": ("lambda_", float),
+                "lambda_ratio": ("lambda_ratio", float),
+                "forbid_colocation": ("forbid_colocation", lambda text: text.lower() in ("true", "1", "yes"))}
 
 
 @dataclass
@@ -43,7 +50,7 @@ class FacilityProblem:
     forbid_colocation: bool = False
 
     def __post_init__(self) -> None:
-        if self.geometry[0] not in ("line", "grid"):
+        if self.geometry[0] not in GEOMETRIES:
             raise ValueError(f"unknown geometry {self.geometry!r}")
         if self.metric not in ("squared-euclidean", "euclidean", "manhattan"):
             raise ValueError(f"unknown metric {self.metric!r}")
@@ -54,9 +61,7 @@ class FacilityProblem:
 
     @property
     def num_locations(self) -> int:
-        if self.geometry[0] == "line":
-            return self.geometry[1]
-        return self.geometry[1] * self.geometry[2]
+        return math.prod(self.geometry[1:])
 
     def coordinates(self) -> np.ndarray:
         """Integer (x, y) coordinates of every location, row-major for grids."""
@@ -344,12 +349,8 @@ def feasible_spectrum(model: QuboModel, encoding: Encoding) -> list[SpectrumEntr
 # --- problem description files ----------------------------------------------
 
 def problem_to_text(problem: FacilityProblem) -> str:
-    lines = [f"geometry {problem.geometry[0]}"]
-    if problem.geometry[0] == "line":
-        lines.append(f"cols {problem.geometry[1]}")
-    else:
-        lines.append(f"rows {problem.geometry[1]}")
-        lines.append(f"cols {problem.geometry[2]}")
+    kind, *size = problem.geometry
+    lines = [f"geometry {kind}", *(f"{key} {value}" for key, value in zip(GEOMETRIES[kind], size))]
     lines.append(f"ambulances {problem.ambulances}")
     lines.append(f"metric {problem.metric}")
     if problem.lambda_ is not None:
@@ -370,19 +371,9 @@ def problem_from_text(text: str) -> FacilityProblem:
         if not value:
             key, _, value = line.partition("=")
         kv[key.strip()] = value.strip()
-    geom_kind = kv.get("geometry", "grid")
-    if geom_kind == "line":
-        geometry = ("line", int(kv["cols"]))
-    else:
-        geometry = ("grid", int(kv["rows"]), int(kv["cols"]))
-    return FacilityProblem(
-        geometry=geometry,
-        ambulances=int(kv.get("ambulances", "1")),
-        metric=kv.get("metric", "squared-euclidean"),
-        lambda_=float(kv["lambda"]) if "lambda" in kv else None,
-        lambda_ratio=float(kv["lambda_ratio"]) if "lambda_ratio" in kv else None,
-        forbid_colocation=kv.get("forbid_colocation", "false").lower() in ("true", "1", "yes"),
-    )
+    kind = kv.get("geometry", "grid")
+    settings = {PROBLEM_KEYS[key][0]: PROBLEM_KEYS[key][1](value) for key, value in kv.items() if key in PROBLEM_KEYS}
+    return FacilityProblem((kind, *(int(kv[key]) for key in GEOMETRIES.get(kind, ()))), **settings)
 
 
 # --- paper problem variants --------------------------------------------------

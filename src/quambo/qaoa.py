@@ -18,9 +18,10 @@ import numpy as np
 
 from .optimize import FdQuasiNewton, OptimizerConfig, minimize_batch
 from .problems import Encoding, feasible_sector, is_feasible
-from .qubo import TIE_TOL, QuboModel, energy_vector, enumerate_spectrum, read_only, string_from_index
+from .qubo import TIE_TOL, CapacityError, QuboModel, energy_vector, read_only, string_from_index
 from .simulator import (
     EV_BATCH_AMPLITUDES,
+    STATE_CAP,
     StateVector,
     basis_state,
     block_product_state,
@@ -30,13 +31,16 @@ from .simulator import (
     xy_ring_eigensystem,
 )
 
+MIXER_KINDS = ("X", "XY", "ThreeXY")
+STRATEGIES = ("INTERP", "EXTRAP1", "EXTRAP2")  # the depth schedules of increasing_p_schedule
+
 
 @dataclass
 class MixerSpec:
-    """kind is one of "X", "XY" (rings = explicit qubit lists) or "ThreeXY".
+    """kind is one of "X", "XY" or "ThreeXY"; rings are qubit lists.
 
-    For ThreeXY the rings default to the encoding's Hamming-target blocks
-    (start blocks then the destination block) and angle_scheme gives the
+    The rings default to the encoding's Hamming-target blocks (start blocks
+    then the destination block).  For ThreeXY angle_scheme gives the
     (beta-count, gamma-count) pair.
     """
 
@@ -45,7 +49,7 @@ class MixerSpec:
     angle_scheme: tuple[int, int] = (1, 1)
 
     def __post_init__(self) -> None:
-        if self.kind not in ("X", "XY", "ThreeXY"):
+        if self.kind not in MIXER_KINDS:
             raise ValueError(f"unknown mixer kind {self.kind!r}")
         if self.kind == "ThreeXY" and self.angle_scheme not in ((1, 1), (2, 1), (3, 1), (3, 3)):
             raise ValueError(f"unsupported angle scheme {self.angle_scheme!r}")
@@ -208,6 +212,7 @@ class QaoaContext:
         init: InitSpec,
         use_sector: bool | None = None,
     ):
+        CapacityError.check(model.n, STATE_CAP, "statevector")
         self.encoding = encoding
         self.model = model
         self.mixer = mixer
@@ -217,9 +222,7 @@ class QaoaContext:
 
         self.rings: list[list[int]] = []
         if mixer.kind != "X":
-            rings = mixer.rings or (targets if mixer.kind == "ThreeXY" else None)
-            if not rings:
-                raise ValueError("XY mixer needs explicit rings")
+            rings = mixer.rings or targets
             if mixer.kind == "ThreeXY" and len(rings) != 3:
                 raise ValueError("ThreeXY needs exactly three rings")
             _check_rings(rings, self.n)
@@ -228,7 +231,6 @@ class QaoaContext:
         self._energy = read_only(sum(self.phase_diags[1:], self.phase_diags[0]))
 
         self.scorer = Scorer.of(model, encoding)
-        self.oracle = enumerate_spectrum(model, states=self.scorer.indices, energies=self.scorer.energies)
 
         self.sector_reason = self._sector_reason(use_sector, targets)
         self.basis = "full" if self.sector_reason else "sector"
@@ -538,7 +540,7 @@ def increasing_p_schedule(
     zero-angle option), so the reported EV is non-increasing for every
     strategy, including interpolation.
     """
-    if strategy not in ("INTERP", "EXTRAP1", "EXTRAP2"):
+    if strategy not in STRATEGIES:
         raise ValueError(f"unknown strategy {strategy!r}")
     ctx = QaoaContext(config.encoding, model, config.mixer, config.init)
     nb, ng = config.mixer.n_beta, config.mixer.n_gamma

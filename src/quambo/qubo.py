@@ -18,8 +18,14 @@ SPECTRUM_CAP = 26
 TIE_TOL = 1e-9
 
 
-class CapacityError(Exception):
-    """Raised when a brute-force operation exceeds its size cap."""
+class CapacityError(ValueError):
+    """Raised when a brute-force operation exceeds its size cap, before it allocates."""
+
+    @classmethod
+    def check(cls, n: int, cap: int, what: str) -> None:
+        """Raise if n qubits exceed the cap; call it before building anything of size 2^n."""
+        if n > cap:
+            raise cls(f"n={n} exceeds {what} cap {cap}")
 
 
 def read_only(arr: np.ndarray) -> np.ndarray:
@@ -215,6 +221,7 @@ def ising_to_qubo(model: IsingModel) -> QuboModel:
 def energy_vector(model: QuboModel | IsingModel, n_override: int | None = None) -> np.ndarray:
     """Energies of all 2^n basis states, indexed by basis index (the cost diagonal)."""
     n = model.n if n_override is None else n_override
+    CapacityError.check(n, SPECTRUM_CAP, "spectrum")
     idx = np.arange(1 << n)
     if isinstance(model, QuboModel):
         return energies_at(model, idx)
@@ -236,17 +243,16 @@ def enumerate_spectrum(
 ) -> list[SpectrumEntry]:
     """Exact sorted spectrum over all 2^n states (or the feasible subset), ties grouped.
 
-    `states`/`energies` let callers restrict to a precomputed subset without
+    `states` (with `energies`, if known) let callers restrict to a subset without
     touching the full space (used for large constrained sectors).  A level
     holds every state within TIE_TOL of its lowest energy, which it reports.
     """
     if states is None:
-        if model.n > SPECTRUM_CAP:
-            raise CapacityError(f"n={model.n} exceeds spectrum cap {SPECTRUM_CAP}")
-        indices = np.arange(1 << model.n)
+        values = energy_vector(model)  # checks SPECTRUM_CAP first
+        indices = np.arange(len(values))
     else:
         indices = np.asarray(list(states))
-    values = energies_at(model, indices) if energies is None else np.asarray(energies, dtype=float)
+        values = energies_at(model, indices) if energies is None else np.asarray(energies, dtype=float)
     if feasible is not None:
         mask = np.array([feasible(s) for s in strings_from_indices(indices, model.n)], dtype=bool)
         indices, values = indices[mask], values[mask]

@@ -17,7 +17,7 @@ from math import comb
 
 import numpy as np
 
-from .qubo import IsingModel, QuboModel, energy_vector, read_only, strings_from_indices
+from .qubo import CapacityError, IsingModel, QuboModel, energy_vector, read_only, strings_from_indices
 
 STATE_CAP = 24
 LOCAL_UNITARY_CAP = 12
@@ -34,8 +34,7 @@ class StateVector:
     amplitudes: np.ndarray
 
     def __post_init__(self) -> None:
-        if self.n > STATE_CAP:
-            raise ValueError(f"n={self.n} exceeds statevector cap {STATE_CAP}")
+        CapacityError.check(self.n, STATE_CAP, "statevector")
         if self.amplitudes.shape != (1 << self.n,):
             raise ValueError("amplitude array has wrong length")
 

@@ -26,8 +26,8 @@ from typing import Sequence
 import numpy as np
 
 from .optimize import OptimizerConfig, minimize_batch
-from .qubo import IsingModel, QuboModel, read_only
-from .simulator import EV_BATCH_AMPLITUDES, StateVector, sample_indices
+from .qubo import CapacityError, IsingModel, QuboModel, read_only
+from .simulator import EV_BATCH_AMPLITUDES, STATE_CAP, StateVector, sample_indices
 
 # An R_y multiplies a stack of `rows` blocks of shape (2, stride), and numpy
 # makes one small product per block.  For many short blocks one product of
@@ -151,6 +151,7 @@ class VqeAnsatz:
     _cones: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
+        CapacityError.check(self.n, STATE_CAP, "statevector")
         if self.n < 2 or self.entangling_layers < 0:
             raise ValueError("need n >= 2 and entangling_layers >= 0")
 

@@ -45,6 +45,15 @@ class TestSchedule:
         with pytest.raises(ValueError):
             AnnealSchedule(kind="reverse", T=1.0, s_min=1.5)
 
+    def test_forward_has_no_hold(self):
+        with pytest.raises(ValueError, match="a forward schedule has no hold, got hold=2.0"):
+            AnnealSchedule(kind="forward", T=1.0, hold=2.0)
+
+    def test_reverse_curve(self):
+        schedule = AnnealSchedule("reverse", T=2.0, s_min=0.4, hold=1.0)
+        assert schedule.duration == 5.0
+        assert [schedule.s(t) for t in (0.0, 1.0, 2.0, 2.5, 3.0, 5.0)] == pytest.approx([1.0, 0.7, 0.4, 0.4, 0.4, 1.0])
+
 
 class TestForwardAnneal:
     def test_sudden_quench_keeps_uniform_overlap(self):
@@ -70,6 +79,10 @@ class TestForwardAnneal:
         with pytest.raises(CapacityError):
             simulate_forward_anneal(IsingModel(n=11), AnnealSchedule("forward", T=1.0))
 
+    def test_reverse_schedule_rejected(self):
+        with pytest.raises(ValueError, match="a forward anneal needs a forward schedule, got a reverse one"):
+            simulate_forward_anneal(two_spin_model(), AnnealSchedule("reverse", T=1.0, s_min=0.2, hold=1.0))
+
 
 class TestReverseAnneal:
     def test_fast_cycle_keeps_seed(self):
@@ -87,6 +100,14 @@ class TestReverseAnneal:
         schedule = AnnealSchedule("reverse", T=2.0, steps=150, s_min=0.5, hold=1.0)
         state, _ = simulate_reverse_anneal(two_spin_model(), "11", schedule)
         assert np.linalg.norm(state.amplitudes) == pytest.approx(1.0, abs=1e-9)
+
+    def test_forward_schedule_rejected(self):
+        with pytest.raises(ValueError, match="a reverse anneal needs a reverse schedule, got a forward one"):
+            simulate_reverse_anneal(two_spin_model(), "11", AnnealSchedule("forward", T=1.0))
+
+    def test_size_cap(self):
+        with pytest.raises(CapacityError, match="n=11 exceeds anneal cap 10"):
+            simulate_reverse_anneal(IsingModel(n=11), "0" * 11, AnnealSchedule("reverse", T=1.0))
 
 
 class TestAnnealerFormulas:

@@ -5,12 +5,14 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
 
 import quambo
-from quambo.cli import main, optimizer_from_config
+from quambo import heuristics, qaoa, vqe
+from quambo.cli import _call, encoding_from_config, main, optimizer_from_config, problem_from_config
 from quambo.optimize import FdQuasiNewton, NelderMead, Spsa
 from quambo.problems import FacilityProblem, encode_single_complement
 from quambo.qubo import QuboModel, model_from_text, model_to_text
@@ -39,6 +41,19 @@ def write(tmp_path, name, text):
     return str(path)
 
 
+def assert_one_error(tmp_path, capsys, command, text, message):
+    """The command exits 1 with exactly the one line `error: message` and writes no CSV."""
+    cfg = write(tmp_path, "c.ini", text)
+    assert main([command, "--config", cfg, "--out", str(tmp_path / "c.csv")]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not (tmp_path / "c.csv").exists()
+
+
+# A start/destination encoding of 13 sites and one ambulance: n = 26 qubits, over STATE_CAP.
+PROBLEM_N26 = "[problem]\ngeometry = line\ncols = 13\nambulances = 1\nlambda = 1\n"
+QAOA_KEYS = "valid keys: encoding, form, mixer, strategy, init, p, restarts"
+
+
 class TestEncode:
     def test_qubo_to_file(self, tmp_path):
         cfg = write(tmp_path, "a.ini", PROBLEM_A + "[encode]\nencoding = complement\n")
@@ -57,6 +72,28 @@ class TestEncode:
     def test_missing_config(self):
         with pytest.raises(SystemExit):
             main(["encode", "--config", "/nonexistent.ini"])
+
+    @pytest.mark.parametrize("setting, message", [
+        ("encoding = complement\nform = isin", "unknown form 'isin'; valid forms: qubo, ising"),
+        ("encoding = single_complement",
+         "unknown encoding 'single_complement'; valid encodings: start_dest, position_linear, complement"),
+        ("encoding = complement\ninclude_penalty = false", "encoding 'complement' does not read key "
+         "'include_penalty'; valid keys: encoding, form"),
+    ])
+    def test_bad_setting_is_an_error(self, tmp_path, capsys, monkeypatch, setting, message):
+        monkeypatch.setattr("quambo.cli.encoding_from_config", None)  # rejected before any work
+        assert_one_error(tmp_path, capsys, "encode", PROBLEM_A + f"[encode]\n{setting}\n", message)
+
+    def test_unknown_encoding_is_a_value_error(self):
+        cp = configparser.ConfigParser()
+        cp.read_string(PROBLEM_A + "[encode]\nencoding = bogus\n")
+        with pytest.raises(ValueError, match="unknown encoding 'bogus'"):
+            encoding_from_config(cp, problem_from_config(cp), "encode")
+
+    def test_position_linear_reads_include_penalty(self, tmp_path):
+        cfg = write(tmp_path, "a.ini", PROBLEM_LINE4 + "[encode]\nencoding = position_linear\ninclude_penalty = no\n")
+        assert main(["encode", "--config", cfg, "--out", str(tmp_path / "m.txt")]) == 0
+        assert "quad" not in (tmp_path / "m.txt").read_text()  # the penalty is the only quadratic term
 
 
 class TestOracle:
@@ -79,6 +116,11 @@ class TestOracle:
         assert manifest["seed"] == 5
         assert manifest["config"]["problem"]["geometry"] == "line"
         assert "version" in manifest and "wall_time_s" in manifest
+
+    def test_placement_cap_is_an_error(self, tmp_path, capsys):
+        text = "[problem]\ngeometry = grid\nrows = 30\ncols = 30\nambulances = 3\nlambda = 1\n"
+        assert_one_error(tmp_path, capsys, "oracle", text, "121095300 placements of 3 ambulances on 900 "
+                         "locations exceed the enumeration cap 10000000")
 
 
 class TestQaoa:
@@ -171,6 +213,24 @@ class TestQaoa:
         cp.read_string(text)
         assert optimizer_from_config(cp) == want
 
+    @pytest.mark.parametrize("kind, text, given, want", [
+        (qaoa.MixerSpec, "angle_scheme = 3,3", {"kind": "ThreeXY"}, qaoa.MixerSpec("ThreeXY", angle_scheme=(3, 3))),
+        (qaoa.MixerSpec, "", {"kind": "X"}, qaoa.MixerSpec("X")),
+        (vqe.VqeAnsatz, "initial_layer = yes\nlayers = 0", {"n": 3}, vqe.VqeAnsatz(3, True, 0)),
+        (heuristics.Tabu, "tenure = 7", {}, heuristics.Tabu(tenure=7)),
+        (heuristics.SimAnneal, "beta_final = 4", {}, heuristics.SimAnneal(beta_final=4.0)),
+        (heuristics.Tabu, "", {}, heuristics.Tabu()),
+    ])
+    def test_keys_convert_by_annotation_and_unset_keys_keep_defaults(self, kind, text, given, want):
+        cp = configparser.ConfigParser()
+        cp.read_string(f"[vqe]\n{text}\n")
+        assert _call(kind, cp["vqe"], {"entangling_layers": "layers"}, **given) == want
+
+    def test_bad_boolean_is_an_error(self, tmp_path, capsys):
+        assert_one_error(tmp_path, capsys, "qaoa", self.CONFIG.replace("encoding = complement", "encoding = "
+                         "position_linear\ninclude_penalty = maybe"),
+                         "unknown boolean 'maybe'; valid booleans: 1, yes, true, on, 0, no, false, off")
+
     def test_byte_identical_given_seed(self, tmp_path):
         cfg = write(tmp_path, "q.ini", self.CONFIG)
         a, b = str(tmp_path / "a.csv"), str(tmp_path / "b.csv")
@@ -192,6 +252,32 @@ class TestQaoa:
         assert main(["qaoa", "--config", cfg, "--out", str(tmp_path / "q.csv")]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error:") and "bitstring" in err
+
+    @pytest.mark.parametrize("old, new, message", [
+        ("mixer = X", "mixer = xy", "unknown qaoa mixer 'xy'; valid mixers: X, XY, ThreeXY"),
+        ("p = 1", "strategy = BOGUS", "unknown qaoa strategy 'BOGUS'; valid strategies: INTERP, EXTRAP1, EXTRAP2"),
+        ("p = 1", "p = 0", "need p >= 1, got 0"),
+        ("restarts = 2", "restarts = 0", "need restarts >= 1, got 0"),
+        ("p = 1", "angle_scheme = 3,3", f"qaoa mixer 'X' does not read key 'angle_scheme'; {QAOA_KEYS}"),
+        ("p = 1", "p_max = 3", f"qaoa without a strategy does not read key 'p_max'; {QAOA_KEYS}"),
+        ("p = 1", "strategy = INTERP\np_max = x", "invalid literal for int() with base 10: 'x'"),
+        ("p = 1", "include_penalty = true", f"encoding 'complement' does not read key 'include_penalty'; {QAOA_KEYS}"),
+    ])
+    def test_bad_setting_is_an_error(self, tmp_path, capsys, monkeypatch, old, new, message):
+        monkeypatch.setattr("quambo.cli.encoding_from_config", None)  # rejected before any work
+        assert_one_error(tmp_path, capsys, "qaoa", self.CONFIG.replace(old, new), message)
+
+    def test_rows_of_a_line_is_an_error(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr("quambo.cli.encoding_from_config", None)  # rejected before any work
+        assert_one_error(tmp_path, capsys, "qaoa", self.CONFIG.replace("cols = 5", "cols = 5\nrows = 2"),
+                         "problem geometry 'line' does not read key 'rows'; valid keys: geometry, ambulances, "
+                         "metric, lambda, lambda_ratio, forbid_colocation, cols")
+
+    def test_repeated_key_is_an_error(self, tmp_path, capsys):
+        cfg = write(tmp_path, "q.ini", self.CONFIG.replace("p = 1", "p = 1\np = 2"))
+        assert main(["qaoa", "--config", cfg, "--out", str(tmp_path / "q.csv")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.endswith("option 'p' in section 'qaoa' already exists\n")
 
     def test_unknown_key_rejected(self, tmp_path, capsys):
         cfg = write(tmp_path, "q.ini", self.CONFIG.replace("restarts = 2", "restart = 3"))
@@ -243,9 +329,16 @@ class TestVqe:
         assert err.startswith("error:") and err.count("\n") == 1 and "shots must be >= 1" in err
         assert not (tmp_path / "v.csv").exists()
 
+    def test_shots_with_sv_is_an_error(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr("quambo.cli.encoding_from_config", None)  # rejected before any work
+        assert_one_error(tmp_path, capsys, "vqe", self.CONFIG.replace("method = sample", "method = sv"),
+                         "vqe method 'sv' does not read key 'shots'; "
+                         "valid keys: encoding, method, initial_layer, layers, restarts")
+
     @pytest.mark.parametrize("method, shots", [("sv", 0), ("sample", 200), ("cone", 200)])
     def test_manifest_circuit_block(self, tmp_path, method, shots):
-        cfg = write(tmp_path, "v.ini", self.CONFIG.replace("method = sample", f"method = {method}"))
+        text = self.CONFIG.replace("method = sample\nshots = 200", f"method = {method}\nshots = {shots}")
+        cfg = write(tmp_path, "v.ini", text.replace("shots = 0\n", ""))  # sv reads no shots
         assert main(["vqe", "--config", cfg, "--out", str(tmp_path / "v.csv")]) == 0
         circuit = json.loads((tmp_path / "v.csv.manifest.json").read_text())["circuit"]
         rows = (tmp_path / "v.csv").read_text().strip().splitlines()[1:]
@@ -355,6 +448,14 @@ class TestBaseline:
         ("algorithm = tabu\ntenure = -3", "need tenure >= 1, got -3"),
         ("algorithm = tabu\ntenure = 0", "need tenure >= 1, got 0"),
         ("algorithm = sa\nbeta_initial = -1", "need sweeps >= 1 and 0 < beta_initial < beta_final"),
+        ("algorithm = tabu\nsweeps = 10", "baseline algorithm 'tabu' does not read key 'sweeps'; "
+         "valid keys: algorithm, restarts, tenure, max_iter"),
+        ("algorithm = sa\ntenure = 5", "baseline algorithm 'sa' does not read key 'tenure'; "
+         "valid keys: algorithm, restarts, sweeps, beta_initial, beta_final"),
+        ("algorithm = sa\nmax_iter = 5", "baseline algorithm 'sa' does not read key 'max_iter'; "
+         "valid keys: algorithm, restarts, sweeps, beta_initial, beta_final"),
+        ("algorithm = tabu\n[run]\nrestarts = 5",
+         "unknown config section 'run'; valid sections: problem, encode, qaoa, vqe, optimizer, heuristic, anneal"),
     ])
     def test_bad_input_is_an_error(self, tmp_path, capsys, monkeypatch, setting, message):
         monkeypatch.setattr("quambo.cli.encode_start_dest", None)  # rejected before any work
@@ -363,6 +464,11 @@ class TestBaseline:
         err = capsys.readouterr().err
         assert err == f"error: {message}\n"
         assert not (tmp_path / "b.csv").exists()
+
+    def test_location_cap_is_an_error(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr("quambo.cli.encode_start_dest", None)  # the oracle's cap is checked before encoding
+        text = "[problem]\ngeometry = line\ncols = 1200\nambulances = 1\nlambda = 1\n[heuristic]\nalgorithm = tabu\n"
+        assert_one_error(tmp_path, capsys, "baseline", text, "1200 locations exceeds the enumeration cap")
 
 
 class TestAnneal:
@@ -435,6 +541,18 @@ class TestSummarize:
         csv_path = write(tmp_path, "empty.csv", "")
         with pytest.raises(SystemExit):
             main(["summarize", csv_path])
+
+
+@pytest.mark.parametrize("command", ["qaoa", "vqe"])
+def test_state_cap_is_checked_before_allocating(tmp_path, capsys, command):
+    tracemalloc.start()
+    try:
+        assert_one_error(tmp_path, capsys, command, PROBLEM_N26 + f"[{command}]\nrestarts = 1\n",
+                         "n=26 exceeds statevector cap 24")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 50e6
 
 
 def test_import_leaves_scipy_optimize_unloaded():

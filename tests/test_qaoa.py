@@ -11,6 +11,7 @@ from quambo.problems import (
     encode_single_complement,
     encode_start_dest,
     feasible_sector,
+    feasible_spectrum,
     problem_variant,
 )
 from quambo import qaoa
@@ -307,7 +308,7 @@ class TestMetrics:
         assert m.p_feas == pytest.approx(1.0)
 
     def test_pure_worst_feasible(self, ctx_a_xy):
-        worst = ctx_a_xy.oracle[-1].states[0]
+        worst = feasible_spectrum(ctx_a_xy.model, ctx_a_xy.encoding)[-1].states[0]
         m = ctx_a_xy.metrics(basis_state(5, worst))
         assert m.r_approx == pytest.approx(0.0)
         assert m.p_gnd == 0.0
