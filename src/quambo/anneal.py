@@ -1,9 +1,13 @@
 """Toy Schrodinger annealing dynamics plus annealer-side formulas and sweeps.
 
 H(s) = (1 - s) * H_init + s * H_problem with a transverse-field driver whose
-ground state is the uniform superposition, so a slow forward anneal tracks the
-problem ground state.  Problem sizes are capped at 10 qubits (dense matrix
-exponentials).
+ground state is the uniform superposition.  Each step applies the exact
+exp(-i dt H(s)) at its midpoint s by one dense eigensolve; a run of equal s (a
+hold) is one exponential.  A reverse schedule's rising leg mirrors its falling
+leg bitwise and each step's exponential is complex symmetric, so the falling
+half is one matrix P and the anneal is P^T [U_mid] P psi.  The cap stays at 10
+qubits: a Krylov or Chebyshev propagator needs about dt * (spectral width) / 2
+matrix-vector products per step, more than 2^n on the stiff penalty models.
 """
 
 from __future__ import annotations
@@ -35,8 +39,8 @@ class AnnealSchedule:
     def __post_init__(self) -> None:
         if self.kind not in ("forward", "reverse"):
             raise ValueError(f"unknown schedule kind {self.kind!r}")
-        if not (math.isfinite(self.T) and self.T > 0) or self.steps < 1:
-            raise ValueError(f"need a finite T > 0 and steps >= 1, got T={self.T}, steps={self.steps}")
+        if not (math.isfinite(self.T) and self.T > 0) or type(self.steps) is not int or self.steps < 1:
+            raise ValueError(f"need a finite T > 0 and an int steps >= 1, got T={self.T}, steps={self.steps!r}")
         if not (math.isfinite(self.hold) and self.hold >= 0):
             raise ValueError(f"need a finite hold >= 0, got {self.hold}")
         if self.kind == "forward" and self.hold:
@@ -58,27 +62,39 @@ class AnnealSchedule:
             return s_min
         return s_min + (1.0 - s_min) * ((t - T - self.hold) / T)
 
+    def midpoints(self) -> np.ndarray:
+        """s at each step's midpoint; step k of a reverse schedule takes the value of step min(k, steps-1-k)."""
+        k = np.arange(self.steps)
+        k = np.minimum(k, self.steps - 1 - k) if self.kind == "reverse" else k
+        dt = self.duration / self.steps
+        return np.array([self.s((j + 0.5) * dt) for j in range(k.max() + 1)])[k]
 
-def _driver(n: int) -> np.ndarray:
-    """-sum_i sigma_x^(i): uniform superposition is the ground state."""
-    dim = 1 << n
+
+def _propagate(psi: np.ndarray, diag: np.ndarray, schedule: AnnealSchedule) -> np.ndarray:
+    """psi after exp(-i dt H(s)) at each step's midpoint s; a reverse anneal is P^T [U_mid] P psi."""
+    dim, s_mid, dt = len(diag), schedule.midpoints(), schedule.duration / schedule.steps
+    idx = np.arange(dim)
+    flips = (idx ^ (1 << np.arange(dim.bit_length() - 1))[:, None], idx)  # the driver -sum_i X_i
     H = np.zeros((dim, dim))
-    for idx in range(dim):
-        for i in range(n):
-            H[idx ^ (1 << i), idx] -= 1.0
-    return H
 
+    def evolve(X: np.ndarray, s_values: np.ndarray) -> np.ndarray:
+        """Each exp(-i dt H(s)) applied in turn to the columns of X; a run of equal s is one exponential."""
+        starts = np.flatnonzero(np.diff(s_values, prepend=np.nan))  # where s changes
+        for start, stop in zip(starts, [*starts[1:], len(s_values)]):
+            s = s_values[start]
+            H[flips] = s - 1.0
+            H.flat[:: dim + 1] = s * diag
+            vals, V = np.linalg.eigh(H)
+            # V (phase * (V^T X)) as real products on X's float view, without a complex copy of V
+            Y = np.exp(-1j * ((stop - start) * dt) * vals)[:, None] * (V.T @ X.view(float)).view(complex)
+            X = (V @ Y.view(float)).view(complex)
+        return X
 
-def _propagate(psi: np.ndarray, H_init: np.ndarray, diag: np.ndarray, schedule: AnnealSchedule) -> np.ndarray:
-    """Fixed-step propagation with the exact exponential of each midpoint Hamiltonian."""
-    dt = schedule.duration / schedule.steps
-    H_problem = np.diag(diag)
-    for k in range(schedule.steps):
-        s = schedule.s((k + 0.5) * dt)
-        H = (1.0 - s) * H_init + s * H_problem
-        vals, vecs = np.linalg.eigh(H)
-        psi = (vecs * np.exp(-1j * dt * vals)) @ (vecs.conj().T @ psi)
-    return psi
+    if schedule.kind == "forward":
+        return evolve(psi[:, None], s_mid)[:, 0]
+    half = schedule.steps // 2
+    P = evolve(np.eye(dim, dtype=complex), s_mid[:half])  # the falling half; the rising half is P^T
+    return P.T @ evolve(P @ psi[:, None], s_mid[half : schedule.steps - half])[:, 0]
 
 
 def _anneal(ising: IsingModel, schedule: AnnealSchedule, seed_state: str | None) -> tuple[StateVector, float]:
@@ -86,10 +102,12 @@ def _anneal(ising: IsingModel, schedule: AnnealSchedule, seed_state: str | None)
     kind = "forward" if seed_state is None else "reverse"
     if schedule.kind != kind:
         raise ValueError(f"a {kind} anneal needs a {kind} schedule, got a {schedule.kind} one")
+    if seed_state is not None and (len(seed_state) != ising.n or set(seed_state) - {"0", "1"}):
+        raise ValueError(f"need a seed state of {ising.n} characters 0/1, got {seed_state!r}")
     CapacityError.check(ising.n, ANNEAL_CAP, "anneal")
     diag = energy_vector(ising)
     start = uniform_state(ising.n) if seed_state is None else basis_state(ising.n, seed_state)
-    state = StateVector(ising.n, _propagate(start.amplitudes, _driver(ising.n), diag, schedule))
+    state = StateVector(ising.n, _propagate(start.amplitudes, diag, schedule))
     return state, float(state.probabilities()[np.abs(diag - diag.min()) < TIE_TOL].sum())
 
 

@@ -22,9 +22,8 @@ keep the defaults of the dataclass or function they are passed to.
                SimAnneal), restarts
   [anneal]     lambda_ratios, reads, sweeps
 p, restarts, reads and shots must be >= 1, and the vqe ansatz needs layers
->= 1 or initial_layer = true.  `quambo encode` reads [qaoa] if there is no
-[encode].  [run] (an alias of [heuristic]) and encoding = single_complement
-(an alias of complement) are not accepted.
+>= 1 or initial_layer = true.  A command fails at once without a section it
+reads (NEEDS); `quambo encode` reads [qaoa] if there is no [encode].
 
 CSV schemas:
   qaoa     run_id,p,strategy,mixer,init,ev,r_approx,p_feas,p_gnd,evals,seed
@@ -96,6 +95,9 @@ CONFIG = {
     "heuristic": (("restarts",), {"algorithm": ("baseline algorithm", "tabu", _params(HEURISTICS))}),
     "anneal": (("lambda_ratios", "reads", "sweeps"), {}),
 }
+# The sections each command needs; "encode qaoa" is either one (`quambo encode` reads the first it finds).
+NEEDS = {"encode": ("problem", "encode qaoa"), "oracle": ("problem",), "qaoa": ("problem", "qaoa"),
+         "vqe": ("problem", "vqe"), "baseline": ("problem", "heuristic"), "anneal": ("problem", "anneal")}
 # Config text to the annotation of the parameter it is passed to.
 CONVERT = {"int": int, "int | None": int, "float": float,
            "tuple[int, int]": lambda text: tuple(map(int, text.split(","))),
@@ -143,11 +145,14 @@ def _call(kind, sec: configparser.SectionProxy, renamed: dict | None = None, /, 
     return kind(**given)
 
 
-def load_config(path: str) -> configparser.ConfigParser:
-    """The config at path, with every section checked against CONFIG."""
+def load_config(path: str, command: str) -> configparser.ConfigParser:
+    """The config at path for a command: it has the sections NEEDS names, each checked against CONFIG."""
     cp = configparser.ConfigParser()
     if not cp.read(path):
         raise SystemExit(f"error: cannot read config file {path!r}")
+    for names in NEEDS[command]:
+        if not any(map(cp.has_section, names.split())):
+            raise ValueError(f"quambo {command} needs a {' or '.join(f'[{s}]' for s in names.split())} section")
     for section in cp.sections():
         _check(cp[section])
     return cp
@@ -198,7 +203,7 @@ def _fmt(x) -> str:
 
 
 def cmd_encode(args: argparse.Namespace) -> int:
-    cp = load_config(args.config)
+    cp = load_config(args.config, args.command)
     problem = problem_from_config(cp)
     sec = cp["encode"] if cp.has_section("encode") else cp["qaoa"]
     model, _enc = encoding_from_config(cp, problem, sec.name)
@@ -212,7 +217,7 @@ def cmd_encode(args: argparse.Namespace) -> int:
 
 def cmd_oracle(args: argparse.Namespace) -> int:
     started = time.time()
-    cp = load_config(args.config)
+    cp = load_config(args.config, args.command)
     problem = problem_from_config(cp)
     d_min, placements = heuristics.exact_facility_optimum(problem)
     geom = problem.geometry
@@ -227,7 +232,7 @@ def cmd_oracle(args: argparse.Namespace) -> int:
 
 def cmd_qaoa(args: argparse.Namespace) -> int:
     started = time.time()
-    cp = load_config(args.config)
+    cp = load_config(args.config, args.command)
     optimizer = optimizer_from_config(cp)
     sec = cp["qaoa"]
     mixer = _call(qaoa.MixerSpec, sec, kind=_choice(sec, "mixer"))
@@ -265,7 +270,7 @@ def cmd_qaoa(args: argparse.Namespace) -> int:
 
 def cmd_vqe(args: argparse.Namespace) -> int:
     started = time.time()
-    cp = load_config(args.config)
+    cp = load_config(args.config, args.command)
     optimizer = optimizer_from_config(cp)
     sec = cp["vqe"]
     method = _choice(sec, "method")
@@ -329,7 +334,7 @@ def cmd_vqe(args: argparse.Namespace) -> int:
 
 def cmd_baseline(args: argparse.Namespace) -> int:
     started = time.time()
-    cp = load_config(args.config)
+    cp = load_config(args.config, args.command)
     problem = problem_from_config(cp)
     sec = cp["heuristic"]
     algorithm = _choice(sec, "algorithm")
@@ -358,7 +363,7 @@ def cmd_baseline(args: argparse.Namespace) -> int:
 
 def cmd_anneal(args: argparse.Namespace) -> int:
     started = time.time()
-    cp = load_config(args.config)
+    cp = load_config(args.config, args.command)
     problem = problem_from_config(cp)
     sec = cp["anneal"]
     ratios = [float(x) for x in sec.get("lambda_ratios", "1.0").split(",")]
@@ -449,7 +454,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         return args.fn(args)
     except (ValueError, KeyError, OSError, configparser.Error) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        print(f"error: {' '.join(str(exc).split())}", file=sys.stderr)  # one line, configparser's too
         return 1
 
 

@@ -1,6 +1,6 @@
 """Reference implementations the tests check quambo against: scipy's Nelder-Mead, the one-row
-SPSA and finite-difference BFGS loops, the one-vector QAOA evaluator and the one-vector VQE
-circuit."""
+SPSA and finite-difference BFGS loops, the one-vector QAOA evaluator, the one-vector VQE
+circuit and the step-by-step anneal propagator."""
 
 import numpy as np
 from scipy.optimize import minimize as scipy_minimize
@@ -143,4 +143,22 @@ def reference_circuit_run(m, gates, theta):
         else:
             kron = (rot[k].T[:, None, :, None] * eye[None, :, None, :]).reshape(shape[1], shape[1])
             psi = (psi.reshape(shape) @ kron).reshape(-1)
+    return psi
+
+
+def reference_propagate(psi, diag, schedule):
+    """The anneal one step at a time: a dense driver, one eigh and one complex product per step."""
+    n = len(diag).bit_length() - 1
+    dim = 1 << n
+    H_init = np.zeros((dim, dim))
+    for idx in range(dim):
+        for i in range(n):
+            H_init[idx ^ (1 << i), idx] -= 1.0
+    dt = schedule.duration / schedule.steps
+    H_problem = np.diag(diag)
+    for k in range(schedule.steps):
+        s = schedule.s((k + 0.5) * dt)
+        H = (1.0 - s) * H_init + s * H_problem
+        vals, vecs = np.linalg.eigh(H)
+        psi = (vecs * np.exp(-1j * dt * vals)) @ (vecs.conj().T @ psi)
     return psi

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from quambo.anneal import (
     AnnealSchedule,
@@ -14,12 +16,19 @@ from quambo.anneal import (
     tts,
 )
 from quambo.problems import FacilityProblem
-from quambo.qubo import CapacityError, IsingModel
+from quambo.qubo import TIE_TOL, CapacityError, IsingModel, energy_vector
+from quambo.simulator import basis_state, uniform_state
+from references import reference_propagate
 
 
 def two_spin_model():
     # unique ground state |11> (z = -1, -1)
     return IsingModel(n=2, h={0: 1.0, 1: 1.0}, J={(0, 1): 0.5})
+
+
+# The reverse schedules of the benchmark's problem A (n = 5) and problem C (n = 8) anneals.
+REVERSE_A = AnnealSchedule("reverse", T=5.0, steps=1000, s_min=0.5, hold=2.0)
+REVERSE_C = AnnealSchedule("reverse", T=5.0, steps=30, s_min=0.5, hold=1.0)
 
 
 class TestSchedule:
@@ -48,6 +57,24 @@ class TestSchedule:
     def test_forward_has_no_hold(self):
         with pytest.raises(ValueError, match="a forward schedule has no hold, got hold=2.0"):
             AnnealSchedule(kind="forward", T=1.0, hold=2.0)
+
+    @pytest.mark.parametrize("steps", [2.5, True, 0, "3"])
+    def test_steps_must_be_an_int_of_at_least_one(self, steps):
+        with pytest.raises(ValueError, match=f"an int steps >= 1, got T=1.0, steps={steps!r}"):
+            AnnealSchedule("forward", T=1.0, steps=steps)
+
+    @pytest.mark.parametrize("schedule", [REVERSE_A, REVERSE_C, AnnealSchedule("reverse", T=0.7, steps=41, s_min=0.1),
+                                          AnnealSchedule("reverse", T=3.0, steps=2, s_min=0.9, hold=0.3)])
+    def test_reverse_midpoints_mirror_bitwise(self, schedule):
+        s_mid = schedule.midpoints()
+        dt = schedule.duration / schedule.steps
+        assert np.array_equal(s_mid, s_mid[::-1])
+        assert np.abs(s_mid - [schedule.s((k + 0.5) * dt) for k in range(schedule.steps)]).max() <= 4e-16
+
+    def test_forward_midpoints_are_the_curve_at_each_midpoint(self):
+        schedule = AnnealSchedule("forward", T=10.0, steps=1000)
+        want = [schedule.s((k + 0.5) * 0.01) for k in range(1000)]
+        assert schedule.midpoints().tolist() == want
 
     def test_reverse_curve(self):
         schedule = AnnealSchedule("reverse", T=2.0, s_min=0.4, hold=1.0)
@@ -84,6 +111,52 @@ class TestForwardAnneal:
             simulate_forward_anneal(two_spin_model(), AnnealSchedule("reverse", T=1.0, s_min=0.2, hold=1.0))
 
 
+class TestPropagator:
+    @given(st.integers(0, 2**31 - 1), st.sampled_from(["forward", "reverse"]), st.integers(1, 41), st.booleans(),
+           st.floats(0.0, 1.0, exclude_min=True, exclude_max=True))
+    @example(seed=1, kind="reverse", steps=1, held=True, s_min=0.3)
+    @example(seed=2, kind="reverse", steps=2, held=False, s_min=0.6)
+    @example(seed=3, kind="forward", steps=1, held=False, s_min=0.5)
+    @example(seed=4, kind="forward", steps=2, held=False, s_min=0.5)
+    @settings(max_examples=60, deadline=None)
+    def test_matches_the_step_by_step_propagator(self, seed, kind, steps, held, s_min):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(1, 7))
+        ising = IsingModel(n, h={i: rng.normal() for i in range(n)},
+                           J={(i, j): rng.normal() for i in range(n) for j in range(i + 1, n)})
+        hold = float(rng.uniform(0.1, 3.0)) if held and kind == "reverse" else 0.0
+        schedule = AnnealSchedule(kind, T=float(rng.uniform(0.1, 5.0)), steps=steps, s_min=s_min, hold=hold)
+        if kind == "forward":
+            psi0 = uniform_state(n).amplitudes
+            state, p_gnd = simulate_forward_anneal(ising, schedule)
+        else:
+            seed_state = "".join(rng.choice(["0", "1"], n))
+            psi0 = basis_state(n, seed_state).amplitudes
+            state, p_gnd = simulate_reverse_anneal(ising, seed_state, schedule)
+        diag = energy_vector(ising)
+        want = reference_propagate(psi0, diag, schedule)
+        assert np.abs(state.amplitudes - want).max() < 1e-10
+        assert abs(p_gnd - (np.abs(want) ** 2)[np.abs(diag - diag.min()) < TIE_TOL].sum()) < 1e-10
+
+    @pytest.mark.parametrize("schedule, calls", [(AnnealSchedule("forward", T=10.0, steps=37), 37),
+                                                 (REVERSE_A, 418), (REVERSE_C, 15)])
+    def test_eigensolves_per_schedule(self, monkeypatch, schedule, calls):
+        count = 0
+        eigh = np.linalg.eigh
+
+        def counting(H):
+            nonlocal count
+            count += 1
+            return eigh(H)
+
+        monkeypatch.setattr(np.linalg, "eigh", counting)
+        if schedule.kind == "forward":
+            simulate_forward_anneal(two_spin_model(), schedule)
+        else:
+            simulate_reverse_anneal(two_spin_model(), "00", schedule)
+        assert count == calls
+
+
 class TestReverseAnneal:
     def test_fast_cycle_keeps_seed(self):
         _, p_gnd = simulate_reverse_anneal(
@@ -104,6 +177,11 @@ class TestReverseAnneal:
     def test_forward_schedule_rejected(self):
         with pytest.raises(ValueError, match="a reverse anneal needs a reverse schedule, got a forward one"):
             simulate_reverse_anneal(two_spin_model(), "11", AnnealSchedule("forward", T=1.0))
+
+    @pytest.mark.parametrize("seed_state", ["1", "111", "1x", ""])
+    def test_seed_must_be_n_bits(self, seed_state):
+        with pytest.raises(ValueError, match=f"need a seed state of 2 characters 0/1, got {seed_state!r}"):
+            simulate_reverse_anneal(two_spin_model(), seed_state, AnnealSchedule("reverse", T=1.0, steps=4))
 
     def test_size_cap(self):
         with pytest.raises(CapacityError, match="n=11 exceeds anneal cap 10"):

@@ -543,6 +543,31 @@ class TestSummarize:
             main(["summarize", csv_path])
 
 
+# Per command: a config without a section the command needs, and the section(s) the error names.
+MISSING_SECTION = {
+    "oracle": ("[qaoa]\np = 1\n", "[problem]"),
+    "qaoa": (PROBLEM_A, "[qaoa]"),
+    "vqe": (PROBLEM_A + "[qaoa]\np = 1\n", "[vqe]"),
+    "baseline": (PROBLEM_A, "[heuristic]"),
+    "anneal": (PROBLEM_A, "[anneal]"),
+    "encode": (PROBLEM_A + "[vqe]\nlayers = 1\n", "[encode] or [qaoa]"),
+}
+
+
+@pytest.mark.parametrize("command", list(MISSING_SECTION))
+def test_missing_section_names_the_section_and_the_command(tmp_path, capsys, command):
+    text, section = MISSING_SECTION[command]
+    assert_one_error(tmp_path, capsys, command, text, f"quambo {command} needs a {section} section")
+
+
+def test_no_section_header_is_one_error_line(tmp_path, capsys):
+    cfg = write(tmp_path, "c.ini", "p = 1\n")
+    assert main(["qaoa", "--config", cfg, "--out", str(tmp_path / "c.csv")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: File contains no section headers.") and err.count("\n") == 1
+    assert "line: 1" in err and not (tmp_path / "c.csv").exists()
+
+
 @pytest.mark.parametrize("command", ["qaoa", "vqe"])
 def test_state_cap_is_checked_before_allocating(tmp_path, capsys, command):
     tracemalloc.start()
