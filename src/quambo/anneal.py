@@ -192,9 +192,9 @@ def anneal_parameter_sweep(
     """
     if reads < 1:
         raise ValueError(f"need reads >= 1, got {reads}")
+    problems = [replace(problem, lambda_=None, lambda_ratio=ratio) for ratio in lambda_ratios]  # each checked first
     out = []
-    for j, ratio in enumerate(lambda_ratios):
-        prob = replace(problem, lambda_=None, lambda_ratio=ratio)
+    for j, (ratio, prob) in enumerate(zip(lambda_ratios, problems)):
         model, encoding = encode_start_dest(prob)
         scorer = Scorer.of(model, encoding)
         states = sampler(model, reads, int(np.random.default_rng([seed, j]).integers(2**31)))

@@ -2,9 +2,12 @@
 
 Subcommands: encode, oracle, qaoa, vqe, baseline, anneal, tts, summarize.
 Configs are INI-style key-value files, checked in full by load_config
-before any work.  Results are written as RFC-4180 CSV plus a JSON manifest:
-the config echo, version, master seed and wall time, and per subcommand the
-engine, optimizer, circuit or search block that the README describes.
+before any work.  One runner (_study) takes each of the five study commands
+(oracle, qaoa, vqe, baseline, anneal) from config to results: it loads the
+config, builds [problem], runs the command and writes its rows as RFC-4180
+CSV (to --out, default <command>.csv) plus a JSON manifest: the config echo,
+version, master seed and wall time, and per subcommand the engine,
+optimizer, circuit or search block that the README describes.
 
 Keys per section (CONFIG).  A choosing key (default first) picks the keys
 after its `:` too; any other key, section or choice is an error.  Unset keys
@@ -38,6 +41,7 @@ from __future__ import annotations
 import argparse
 import configparser
 import csv
+import functools
 import inspect
 import itertools
 import json
@@ -50,15 +54,7 @@ import numpy as np
 from . import __version__, heuristics, qaoa, vqe
 from . import anneal as anneal_mod
 from .optimize import FdQuasiNewton, NelderMead, Spsa
-from .problems import (
-    GEOMETRIES,
-    PROBLEM_KEYS,
-    FacilityProblem,
-    encode_position_linear,
-    encode_single_complement,
-    encode_start_dest,
-    problem_from_text,
-)
+from .problems import GEOMETRIES, FacilityProblem, encode_position_linear, encode_single_complement, encode_start_dest
 from .qubo import model_to_text, qubo_to_ising
 
 # The choices of three choosing keys; each choice reads the parameters of its dataclass or function.
@@ -82,7 +78,8 @@ FORM = {"form": ("form", "qubo", {"qubo": (), "ising": ()})}
 # Per section: the keys it always reads, then per choosing key the name its errors use, its
 # default and, per choice, the further keys that choice reads.  load_config rejects any other key.
 CONFIG = {
-    "problem": (tuple(PROBLEM_KEYS), {"geometry": ("problem geometry", "grid", GEOMETRIES)}),
+    "problem": (("ambulances", "metric", "lambda", "lambda_ratio", "forbid_colocation"),
+                {"geometry": ("problem geometry", "grid", GEOMETRIES)}),
     "encode": ((), {**ENCODING, **FORM}),
     "qaoa": (("init", "p", "restarts"), {
         **ENCODING, **FORM,
@@ -99,7 +96,7 @@ CONFIG = {
 NEEDS = {"encode": ("problem", "encode qaoa"), "oracle": ("problem",), "qaoa": ("problem", "qaoa"),
          "vqe": ("problem", "vqe"), "baseline": ("problem", "heuristic"), "anneal": ("problem", "anneal")}
 # Config text to the annotation of the parameter it is passed to.
-CONVERT = {"int": int, "int | None": int, "float": float,
+CONVERT = {"int": int, "int | None": int, "float": float, "float | None": float, "str": str,
            "tuple[int, int]": lambda text: tuple(map(int, text.split(","))),
            "bool": lambda text: _pick(configparser.ConfigParser.BOOLEAN_STATES, text.lower(), "boolean")}
 
@@ -127,7 +124,7 @@ def _check(sec: configparser.SectionProxy) -> None:
             head = (f"{unread[key]} does not read key {key!r}" if key in unread
                     else f"unknown key {key!r} in [{sec.name}]")
             raise ValueError(f"{head}; valid keys: {', '.join(valid)}")
-        if key in ("p", "restarts", "reads") and sec.getint(key) < 1:
+        if key in ("p", "restarts", "reads", "shots") and sec.getint(key) < 1:
             raise ValueError(f"need {key} >= 1, got {sec.getint(key)}")
 
 
@@ -159,7 +156,14 @@ def load_config(path: str, command: str) -> configparser.ConfigParser:
 
 
 def problem_from_config(cp: configparser.ConfigParser) -> FacilityProblem:
-    return problem_from_text("\n".join(f"{k} {v}" for k, v in cp["problem"].items()))
+    """[problem] as a FacilityProblem; unset keys keep its defaults."""
+    sec = cp["problem"]
+    kind = _choice(sec, "geometry")
+    sizes = _pick(GEOMETRIES, kind, "problem geometry")
+    for key in sizes:
+        if key not in sec:
+            raise ValueError(f"problem geometry {kind!r} needs key {key!r}")
+    return _call(FacilityProblem, sec, {"lambda_": "lambda"}, geometry=(kind, *(sec.getint(key) for key in sizes)))
 
 
 def encoding_from_config(cp: configparser.ConfigParser, problem: FacilityProblem, section: str):
@@ -179,7 +183,7 @@ def write_csv(path: str, header: list[str], rows: list[list]) -> None:
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
-        writer.writerows(rows)
+        writer.writerows([_fmt(x) for x in row] for row in rows)
 
 
 def write_manifest(out: str, cp: configparser.ConfigParser, seed: int, started: float, **extra) -> None:
@@ -215,72 +219,74 @@ def cmd_encode(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_oracle(args: argparse.Namespace) -> int:
-    started = time.time()
-    cp = load_config(args.config, args.command)
-    problem = problem_from_config(cp)
+def _study(header: str):
+    """A study command: body(args, config, problem) -> (rows, manifest blocks); the CSV and manifest go to --out."""
+    def command(body):
+        @functools.wraps(body)
+        def run(args: argparse.Namespace) -> int:
+            started = time.time()
+            cp = load_config(args.config, args.command)
+            rows, blocks = body(args, cp, problem_from_config(cp))
+            out = args.out or f"{args.command}.csv"
+            write_csv(out, header.split(","), rows)
+            write_manifest(out, cp, args.seed, started, **blocks)
+            return 0
+        return run
+    return command
+
+
+PLACEMENT = "grid,algorithm,restarts,best,frequency,d_min,ratio"
+FIGURES = "ev,r_approx,p_feas,p_gnd,evals,seed"  # the cells that end every qaoa and vqe row (_figures)
+
+
+def _grid(problem: FacilityProblem) -> str:
+    kind, *size = problem.geometry
+    return "x".join(map(str, size)) if kind == "grid" else f"line{size[0]}"
+
+
+def _figures(m: qaoa.RunMetrics, seed: int) -> list:
+    return [m.ev, m.r_approx, m.p_feas, m.p_gnd, m.evals, seed]
+
+
+@_study(PLACEMENT)
+def cmd_oracle(args: argparse.Namespace, cp: configparser.ConfigParser, problem: FacilityProblem):
     d_min, placements = heuristics.exact_facility_optimum(problem)
-    geom = problem.geometry
-    grid = f"{geom[1]}x{geom[2]}" if geom[0] == "grid" else f"line{geom[1]}"
-    rows = [[grid, "oracle", 1, _fmt(float(d_min)), _fmt(1.0), _fmt(float(d_min)), _fmt(1.0)]]
-    out = args.out or "oracle.csv"
-    write_csv(out, ["grid", "algorithm", "restarts", "best", "frequency", "d_min", "ratio"], rows)
-    write_manifest(out, cp, args.seed, started)
     print(f"d_min {d_min} placements {len(placements)}")
-    return 0
+    return [[_grid(problem), "oracle", 1, float(d_min), 1.0, float(d_min), 1.0]], {}
 
 
-def cmd_qaoa(args: argparse.Namespace) -> int:
-    started = time.time()
-    cp = load_config(args.config, args.command)
+@_study("run_id,p,strategy,mixer,init," + FIGURES)
+def cmd_qaoa(args: argparse.Namespace, cp: configparser.ConfigParser, problem: FacilityProblem):
     optimizer = optimizer_from_config(cp)
     sec = cp["qaoa"]
     mixer = _call(qaoa.MixerSpec, sec, kind=_choice(sec, "mixer"))
     init = qaoa.InitSpec(sec.get("init", "Uniform"), seed=args.seed)
     p, restarts, strategy = sec.getint("p", 1), sec.getint("restarts", 100), _choice(sec, "strategy")
     p_max = sec.getint("p_max", 10)
-    problem = problem_from_config(cp)
     model, enc = encoding_from_config(cp, problem, "qaoa")
     config = qaoa.QaoaConfig(enc, mixer, init, p)
-
-    header = ["run_id", "p", "strategy", "mixer", "init", "ev", "r_approx", "p_feas", "p_gnd", "evals", "seed"]
-    rows = []
     search = qaoa.random_restart_search(config, model, restarts, optimizer, args.seed)
     telemetry = search.optimizer
     if strategy is not None:
         t0 = time.perf_counter()
         levels = qaoa.increasing_p_schedule(strategy, search.best[0], p_max, optimizer, config, model, seed=args.seed)
         telemetry = {**telemetry, "schedule_s": round(time.perf_counter() - t0, 6)}
-        for i, level in enumerate(levels):
-            m = level.metrics
-            rows.append([i, level.p, strategy, mixer.kind, init.kind, _fmt(m.ev), _fmt(m.r_approx),
-                         _fmt(m.p_feas), _fmt(m.p_gnd), m.evals, args.seed])
+        rows = [[i, level.p, strategy, mixer.kind, init.kind, *_figures(level.metrics, args.seed)]
+                for i, level in enumerate(levels)]
     else:
-        for i, (_, m) in enumerate(search.runs):
-            rows.append([i, p, "", mixer.kind, init.kind, _fmt(m.ev), _fmt(m.r_approx),
-                         _fmt(m.p_feas), _fmt(m.p_gnd), m.evals, args.seed])
-        s = search.summary
-        rows.append(["summary", p, "", mixer.kind, init.kind, _fmt(s["mean_ev"]), _fmt(s["mean_r_approx"]),
-                     _fmt(s["mean_p_feas"]), _fmt(s["mean_p_gnd"]), "", args.seed])
-    out = args.out or "qaoa.csv"
-    write_csv(out, header, rows)
-    write_manifest(out, cp, args.seed, started, engine=search.engine, optimizer=telemetry)
-    return 0
+        rows = [[i, p, "", mixer.kind, init.kind, *_figures(m, args.seed)] for i, (_, m) in enumerate(search.runs)]
+        means = [search.summary[f"mean_{name}"] for name in ("ev", "r_approx", "p_feas", "p_gnd")]
+        rows.append(["summary", p, "", mixer.kind, init.kind, *means, "", args.seed])
+    return rows, {"engine": search.engine, "optimizer": telemetry}
 
 
-def cmd_vqe(args: argparse.Namespace) -> int:
-    started = time.time()
-    cp = load_config(args.config, args.command)
+@_study("run_id,params,layers,method,shots," + FIGURES)
+def cmd_vqe(args: argparse.Namespace, cp: configparser.ConfigParser, problem: FacilityProblem):
     optimizer = optimizer_from_config(cp)
     sec = cp["vqe"]
     method = _choice(sec, "method")
-    shots = 0
-    if method != "sv":
-        shots = sec.getint("shots", 9000)
-        if shots < 1:
-            raise ValueError(f"shots must be >= 1 for method {method!r}, got {shots}")
+    shots = sec.getint("shots", 9000) if method != "sv" else 0
     restarts = sec.getint("restarts", 100)
-    problem = problem_from_config(cp)
     model, enc = encoding_from_config(cp, problem, "vqe")
     ansatz = _call(vqe.VqeAnsatz, sec, {"entangling_layers": "layers"}, n=model.n)
     if ansatz.n_params == 0:
@@ -315,27 +321,18 @@ def cmd_vqe(args: argparse.Namespace) -> int:
     t0 = time.perf_counter()
     runs = vqe.vqe_restart_search(ansatz, model, oracle_metrics, restarts, optimizer, args.seed, objective=objective)
     optimize_s = time.perf_counter() - t0
-    header = ["run_id", "params", "layers", "method", "shots", "ev", "r_approx", "p_feas", "p_gnd", "evals", "seed"]
-    rows = [
-        [i, ansatz.n_params, ansatz.entangling_layers, method, shots,
-         _fmt(r.ev), _fmt(r.r_approx), _fmt(r.p_feas), _fmt(r.p_gnd), r.evals, args.seed]
-        for i, r in enumerate(runs)
-    ]
-    out = args.out or "vqe.csv"
-    write_csv(out, header, rows)
-    evals = sum(r.evals for r in runs)
+    rows = [[i, ansatz.n_params, ansatz.entangling_layers, method, shots, *_figures(m, args.seed)]
+            for i, (_, m) in enumerate(runs)]
+    evals = sum(m.evals for _, m in runs)
     circuit = {**ansatz.program.summary, "method": method, "shots": shots, "evals": evals}
     telemetry = {"kind": optimizer.kind, "restarts": restarts, "batch_calls": calls,
                  "points_per_call": evals / calls, "evals_per_row": evals / restarts,
                  "optimize_s": round(optimize_s, 6)}
-    write_manifest(out, cp, args.seed, started, circuit=circuit, optimizer=telemetry)
-    return 0
+    return rows, {"circuit": circuit, "optimizer": telemetry}
 
 
-def cmd_baseline(args: argparse.Namespace) -> int:
-    started = time.time()
-    cp = load_config(args.config, args.command)
-    problem = problem_from_config(cp)
+@_study(PLACEMENT)
+def cmd_baseline(args: argparse.Namespace, cp: configparser.ConfigParser, problem: FacilityProblem):
     sec = cp["heuristic"]
     algorithm = _choice(sec, "algorithm")
     restarts = sec.getint("restarts", 100)
@@ -349,41 +346,27 @@ def cmd_baseline(args: argparse.Namespace) -> int:
         heuristics.make_solver(config), model, restarts, args.seed, encoding=enc, d_min=d_min
     )
     t2 = time.perf_counter()
-    geom = problem.geometry
-    grid = f"{geom[1]}x{geom[2]}" if geom[0] == "grid" else f"line{geom[1]}"
-    rows = [[grid, algorithm, restarts, _fmt(result.best_energy), _fmt(result.frequency_of_best),
-             _fmt(float(d_min)), _fmt(result.ratio if result.ratio is not None else float("nan"))]]
-    out = args.out or "baseline.csv"
-    write_csv(out, ["grid", "algorithm", "restarts", "best", "frequency", "d_min", "ratio"], rows)
+    ratio = result.ratio if result.ratio is not None else float("nan")
+    rows = [[_grid(problem), algorithm, restarts, result.best_energy, result.frequency_of_best, float(d_min), ratio]]
     search = {"algorithm": algorithm, "restarts": restarts, "n": model.n, "batch_shape": [restarts, model.n],
               "oracle_s": round(oracle_s, 6), "search_s": round(t2 - t1, 6)}
-    write_manifest(out, cp, args.seed, started, search=search)
-    return 0
+    return rows, {"search": search}
 
 
-def cmd_anneal(args: argparse.Namespace) -> int:
-    started = time.time()
-    cp = load_config(args.config, args.command)
-    problem = problem_from_config(cp)
+@_study("lambda_ratio,p_gnd,p_feas,r_approx,reads,seed")
+def cmd_anneal(args: argparse.Namespace, cp: configparser.ConfigParser, problem: FacilityProblem):
     sec = cp["anneal"]
     ratios = [float(x) for x in sec.get("lambda_ratios", "1.0").split(",")]
     reads = sec.getint("reads", 1000)
     sampler = _call(anneal_mod.sim_anneal_sampler, sec)
     points = anneal_mod.anneal_parameter_sweep(problem, ratios, sampler, reads, args.seed)
-    rows = [
-        [_fmt(ratio), _fmt(m.p_gnd), _fmt(m.p_feas), _fmt(m.r_approx), reads, args.seed]
-        for ratio, m in points
-    ]
-    out = args.out or "anneal.csv"
-    write_csv(out, ["lambda_ratio", "p_gnd", "p_feas", "r_approx", "reads", "seed"], rows)
-    write_manifest(out, cp, args.seed, started)
-    return 0
+    return [[ratio, m.p_gnd, m.p_feas, m.r_approx, reads, args.seed] for ratio, m in points], {}
 
 
 def cmd_tts(args: argparse.Namespace) -> int:
     value = anneal_mod.tts(args.p_sol, args.t_cycle)
     if args.out:
-        write_csv(args.out, ["p_sol", "t_cycle", "tts"], [[_fmt(args.p_sol), _fmt(args.t_cycle), _fmt(value)]])
+        write_csv(args.out, ["p_sol", "t_cycle", "tts"], [[args.p_sol, args.t_cycle, value]])
     print(_fmt(value))
     return 0
 

@@ -26,10 +26,6 @@ import numpy as np
 from .qubo import QuboModel, SpectrumEntry, bits_from_string, energies_at, enumerate_spectrum, read_only
 
 GEOMETRIES = {"grid": ("rows", "cols"), "line": ("cols",)}  # each geometry's size keys, in tuple order
-# The other problem keys: the FacilityProblem field each sets and how its text is read.
-PROBLEM_KEYS = {"ambulances": ("ambulances", int), "metric": ("metric", str), "lambda": ("lambda_", float),
-                "lambda_ratio": ("lambda_ratio", float),
-                "forbid_colocation": ("forbid_colocation", lambda text: text.lower() in ("true", "1", "yes"))}
 
 
 @dataclass
@@ -37,9 +33,9 @@ class FacilityProblem:
     """Problem instance: geometry, ambulance count, metric and penalty weight.
 
     geometry is ``("line", L)`` or ``("grid", rows, cols)`` with unit-spaced
-    integer coordinates.  Exactly one of lambda_ / lambda_ratio must be set;
-    lambda_ratio expresses the penalty as a multiple of the largest pairwise
-    distance.
+    integer coordinates.  Exactly one of lambda_ / lambda_ratio must be set,
+    finite and >= 0; lambda_ratio expresses the penalty as a multiple of the
+    largest pairwise distance.
     """
 
     geometry: tuple
@@ -56,6 +52,9 @@ class FacilityProblem:
             raise ValueError(f"unknown metric {self.metric!r}")
         if (self.lambda_ is None) == (self.lambda_ratio is None):
             raise ValueError("exactly one of lambda_ / lambda_ratio must be set")
+        name, weight = ("lambda", self.lambda_) if self.lambda_ratio is None else ("lambda_ratio", self.lambda_ratio)
+        if not (math.isfinite(weight) and weight >= 0):
+            raise ValueError(f"need a finite {name} >= 0, got {weight}")
         if not 1 <= self.ambulances <= self.num_locations:
             raise ValueError("need num_locations >= ambulances >= 1")
 
@@ -344,36 +343,6 @@ def feasible_spectrum(model: QuboModel, encoding: Encoding) -> list[SpectrumEntr
     """Spectrum over the feasible sector with the penalty floor removed (see feasible_sector)."""
     indices, energies = feasible_sector(model, encoding)
     return enumerate_spectrum(model, states=indices, energies=energies)
-
-
-# --- problem description files ----------------------------------------------
-
-def problem_to_text(problem: FacilityProblem) -> str:
-    kind, *size = problem.geometry
-    lines = [f"geometry {kind}", *(f"{key} {value}" for key, value in zip(GEOMETRIES[kind], size))]
-    lines.append(f"ambulances {problem.ambulances}")
-    lines.append(f"metric {problem.metric}")
-    if problem.lambda_ is not None:
-        lines.append(f"lambda {problem.lambda_!r}")
-    else:
-        lines.append(f"lambda_ratio {problem.lambda_ratio!r}")
-    lines.append(f"forbid_colocation {str(problem.forbid_colocation).lower()}")
-    return "\n".join(lines) + "\n"
-
-
-def problem_from_text(text: str) -> FacilityProblem:
-    kv: dict[str, str] = {}
-    for raw in text.splitlines():
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        key, _, value = line.partition(" ")
-        if not value:
-            key, _, value = line.partition("=")
-        kv[key.strip()] = value.strip()
-    kind = kv.get("geometry", "grid")
-    settings = {PROBLEM_KEYS[key][0]: PROBLEM_KEYS[key][1](value) for key, value in kv.items() if key in PROBLEM_KEYS}
-    return FacilityProblem((kind, *(int(kv[key]) for key in GEOMETRIES.get(kind, ()))), **settings)
 
 
 # --- paper problem variants --------------------------------------------------

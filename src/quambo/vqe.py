@@ -19,13 +19,14 @@ are a batch of one.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 from typing import Sequence
 
 import numpy as np
 
 from .optimize import OptimizerConfig, minimize_batch
+from .qaoa import RunMetrics
 from .qubo import CapacityError, IsingModel, QuboModel, read_only
 from .simulator import EV_BATCH_AMPLITUDES, STATE_CAP, StateVector, sample_indices
 
@@ -327,16 +328,6 @@ def ev_causal_cone_sampling(
     return float(ev_causal_cone_sampling_batch(ansatz, theta, ising, shots_per_term, [seed])[0])
 
 
-@dataclass
-class VqeRun:
-    theta: np.ndarray
-    ev: float
-    p_gnd: float
-    p_feas: float
-    r_approx: float
-    evals: int
-
-
 def vqe_restart_search(
     ansatz: VqeAnsatz,
     model: QuboModel,
@@ -345,32 +336,23 @@ def vqe_restart_search(
     optimizer: OptimizerConfig,
     seed: int,
     objective=None,
-) -> list[VqeRun]:
-    """Optimize `n_starts` random parameter vectors; metrics via the supplied callable.
+) -> list[tuple[np.ndarray, RunMetrics]]:
+    """Optimize `n_starts` random parameter vectors: one (theta, RunMetrics) per restart.
 
-    oracle_metrics(state) -> RunMetrics-like object.  objective maps a (K, P)
-    batch of points to K values and defaults to the exact statevector EV.
-    Each restart is one minimize_batch call, made one after another, so an
-    objective that draws seeds in call order sees every point in the order a
-    one-point loop would.
+    oracle_metrics(state) -> RunMetrics of the state; the run's ev and evals
+    are the optimizer's.  objective maps a (K, P) batch of points to K values
+    and defaults to the exact statevector EV.  Each restart is one
+    minimize_batch call, made one after another, so an objective that draws
+    seeds in call order sees every point in the order a one-point loop would.
     """
     if n_starts < 1:
         raise ValueError(f"need restarts >= 1, got {n_starts}")
     obj = objective or (lambda Theta: ev_statevector_batch(ansatz, Theta, model))
-    runs: list[VqeRun] = []
+    runs = []
     for i in range(n_starts):
         rng = np.random.default_rng([seed, i])
         x0 = rng.uniform(0.0, 2.0 * np.pi, size=ansatz.n_params)
         (res,) = minimize_batch(obj, x0[None], optimizer, [int(rng.integers(2**31))])
         m = oracle_metrics(apply_ansatz(ansatz, res.x_best))
-        runs.append(
-            VqeRun(
-                theta=res.x_best,
-                ev=res.f_best,
-                p_gnd=m.p_gnd,
-                p_feas=m.p_feas,
-                r_approx=m.r_approx,
-                evals=res.evals,
-            )
-        )
+        runs.append((res.x_best, replace(m, ev=res.f_best, evals=res.evals)))
     return runs

@@ -96,6 +96,31 @@ class TestEncode:
         assert "quad" not in (tmp_path / "m.txt").read_text()  # the penalty is the only quadratic term
 
 
+class TestProblem:
+    @pytest.mark.parametrize("old, new, message", [
+        ("lambda = 40", "lambda = -1", "need a finite lambda >= 0, got -1.0"),
+        ("lambda = 40", "lambda_ratio = inf", "need a finite lambda_ratio >= 0, got inf"),
+        ("line", "grid", "problem geometry 'grid' needs key 'rows'"),
+        ("lambda = 40", "lambda = 40\nforbid_colocation = maybe",
+         "unknown boolean 'maybe'; valid booleans: 1, yes, true, on, 0, no, false, off"),
+    ])
+    def test_bad_problem_is_one_error_line(self, tmp_path, capsys, old, new, message):
+        assert_one_error(tmp_path, capsys, "oracle", PROBLEM_A.replace(old, new), message)
+
+    def test_bad_sweep_ratio_is_an_error(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr("quambo.anneal.encode_start_dest", None)  # every ratio is checked before any work
+        assert_one_error(tmp_path, capsys, "anneal", PROBLEM_A + "[anneal]\nlambda_ratios = 1.0,nan\n",
+                         "need a finite lambda_ratio >= 0, got nan")
+
+    def test_forbid_colocation_reads_every_boolean_spelling(self, tmp_path):
+        def model(setting):
+            cfg = write(tmp_path, "e.ini", PROBLEM_LINE4 + f"forbid_colocation = {setting}\n[encode]\n")
+            assert main(["encode", "--config", cfg, "--out", str(tmp_path / "m.txt")]) == 0
+            return (tmp_path / "m.txt").read_text()
+
+        assert model("on") == model("true") == model("Yes") != model("off") == model("false")
+
+
 class TestOracle:
     def test_line4_csv(self, tmp_path, capsys):
         cfg = write(tmp_path, "p.ini", PROBLEM_LINE4)
@@ -323,11 +348,7 @@ class TestVqe:
     def test_shots_below_one_is_an_error(self, tmp_path, capsys, monkeypatch, method, shots):
         monkeypatch.setattr("quambo.cli.encoding_from_config", None)  # rejected before any work
         text = self.CONFIG.replace("method = sample", f"method = {method}").replace("shots = 200", f"shots = {shots}")
-        cfg = write(tmp_path, "v.ini", text)
-        assert main(["vqe", "--config", cfg, "--out", str(tmp_path / "v.csv")]) == 1
-        err = capsys.readouterr().err
-        assert err.startswith("error:") and err.count("\n") == 1 and "shots must be >= 1" in err
-        assert not (tmp_path / "v.csv").exists()
+        assert_one_error(tmp_path, capsys, "vqe", text, f"need shots >= 1, got {shots}")
 
     def test_shots_with_sv_is_an_error(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setattr("quambo.cli.encoding_from_config", None)  # rejected before any work
@@ -541,6 +562,33 @@ class TestSummarize:
         csv_path = write(tmp_path, "empty.csv", "")
         with pytest.raises(SystemExit):
             main(["summarize", csv_path])
+
+
+# Per golden file: the command and its config, run at seed 3.  No study evaluates a 2^16-amplitude
+# state, so no long dot product makes the bytes depend on the BLAS thread count.
+NELDER_MEAD_40 = "[optimizer]\nkind = nelder-mead\nmax_iter = 40\n"
+STUDY_GOLDEN = {
+    "qaoa-A-X": ("qaoa", PROBLEM_A + "[qaoa]\nencoding = complement\nmixer = X\ninit = Uniform\np = 1\n"
+                 "restarts = 3\n" + NELDER_MEAD_40),
+    "qaoa-B-XY": ("qaoa", PROBLEM_LINE4 + "[qaoa]\nencoding = position_linear\ninclude_penalty = false\n"
+                  "mixer = XY\ninit = Dicke\np = 2\nrestarts = 2\n" + NELDER_MEAD_40),
+    "qaoa-A-interp": ("qaoa", PROBLEM_A + "[qaoa]\nencoding = complement\np = 1\nrestarts = 2\n"
+                      "strategy = INTERP\np_max = 3\n" + NELDER_MEAD_40),
+    "oracle-grid": ("oracle", "[problem]\ngeometry = grid\nrows = 2\ncols = 3\nambulances = 2\n"
+                    "metric = manhattan\nlambda = 1.0\n"),
+    "baseline-B-tabu": ("baseline", PROBLEM_LINE4 + "[heuristic]\nalgorithm = tabu\nrestarts = 20\nmax_iter = 100\n"),
+    "baseline-B-sa": ("baseline", PROBLEM_LINE4 + "forbid_colocation = true\n"
+                      "[heuristic]\nalgorithm = sa\nrestarts = 5\nsweeps = 50\n"),
+    "anneal-A": ("anneal", PROBLEM_A + "[anneal]\nlambda_ratios = 0.5,1.0,2.0\nreads = 50\nsweeps = 20\n"),
+}
+
+
+@pytest.mark.parametrize("name", list(STUDY_GOLDEN))
+def test_study_csv_matches_the_golden_file(tmp_path, name):
+    command, text = STUDY_GOLDEN[name]
+    out = tmp_path / "s.csv"
+    assert main([command, "--config", write(tmp_path, "s.ini", text), "--seed", "3", "--out", str(out)]) == 0
+    assert out.read_bytes() == (Path(__file__).parent / "golden" / f"{name}-seed3.csv").read_bytes()
 
 
 # Per command: a config without a section the command needs, and the section(s) the error names.

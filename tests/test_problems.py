@@ -14,8 +14,6 @@ from quambo.problems import (
     feasible_indices,
     feasible_spectrum,
     is_feasible,
-    problem_from_text,
-    problem_to_text,
     problem_variant,
 )
 from quambo.qubo import energy_qubo, string_from_index
@@ -225,20 +223,21 @@ class TestPositionLinear:
 
 
 class TestProblemFiles:
-    def test_round_trip(self):
-        problem = FacilityProblem(("grid", 3, 2), 2, lambda_ratio=1.5, forbid_colocation=True)
-        back = problem_from_text(problem_to_text(problem))
-        assert back == problem
-
-    def test_line_round_trip(self):
-        problem = FacilityProblem(("line", 8), 2, lambda_=49.0)
-        assert problem_from_text(problem_to_text(problem)) == problem
-
     def test_requires_one_lambda(self):
         with pytest.raises(ValueError):
             FacilityProblem(("line", 5), 1, lambda_=1.0, lambda_ratio=1.0)
         with pytest.raises(ValueError):
             FacilityProblem(("line", 5), 1)
+
+    @pytest.mark.parametrize("weights, message", [
+        ({"lambda_": -1.0}, "need a finite lambda >= 0, got -1.0"),
+        ({"lambda_": float("inf")}, "need a finite lambda >= 0, got inf"),
+        ({"lambda_ratio": float("nan")}, "need a finite lambda_ratio >= 0, got nan"),
+    ])
+    def test_penalty_weight_is_finite_and_non_negative(self, weights, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            FacilityProblem(("line", 5), 1, **weights)
+        assert FacilityProblem(("line", 5), 1, **{key: 0.0 for key in weights}).penalty_weight() == 0.0
 
     def test_degenerate_geometry(self):
         problem = FacilityProblem(("grid", 1, 1), 1, lambda_=1.0)

@@ -406,9 +406,9 @@ class TestRestartSearch:
             ansatz, model, ctx.metrics, n_starts=3, optimizer=NelderMead(max_iter=150), seed=6
         )
         assert len(runs) == 3
-        for run in runs:
-            assert 0.0 <= run.p_gnd <= 1.0
-            assert run.ev == pytest.approx(ev_statevector(ansatz, run.theta, model))
+        for theta, m in runs:
+            assert 0.0 <= m.p_gnd <= 1.0 and m.evals > 0
+            assert m.ev == pytest.approx(ev_statevector(ansatz, theta, model))
 
     def test_search_deterministic(self, problem_a):
         model, enc = problem_a
@@ -416,4 +416,4 @@ class TestRestartSearch:
         ansatz = VqeAnsatz(5, entangling_layers=1)
         a = vqe_restart_search(ansatz, model, ctx.metrics, 2, NelderMead(max_iter=40), seed=3)
         b = vqe_restart_search(ansatz, model, ctx.metrics, 2, NelderMead(max_iter=40), seed=3)
-        assert [r.ev for r in a] == [r.ev for r in b]
+        assert [m for _, m in a] == [m for _, m in b]
