@@ -12,8 +12,9 @@ optimizer, circuit or search block that the README describes.
 Keys per section (CONFIG).  A choosing key (default first) picks the keys
 after its `:` too; any other key, section or choice is an error.  Unset keys
 keep the defaults of the dataclass or function they are passed to.
-  [problem]    geometry (grid: rows, cols | line: cols), ambulances, metric,
-               lambda, lambda_ratio, forbid_colocation
+  [problem]    geometry (grid: rows, cols | line: cols), metric
+               (squared-euclidean | euclidean, manhattan), ambulances, lambda,
+               lambda_ratio, forbid_colocation
   [encode]     encoding (start_dest | position_linear: include_penalty |
                complement), form (qubo | ising)
   [qaoa]       as [encode], mixer (X | XY | ThreeXY: angle_scheme), strategy
@@ -25,8 +26,9 @@ keep the defaults of the dataclass or function they are passed to.
                SimAnneal), restarts
   [anneal]     lambda_ratios, reads, sweeps
 p, restarts, reads and shots must be >= 1, and the vqe ansatz needs layers
->= 1 or initial_layer = true.  A command fails at once without a section it
-reads (NEEDS); `quambo encode` reads [qaoa] if there is no [encode].
+>= 1 or initial_layer = true.  Text that does not convert is an error naming
+its [section], key and text (_get).  A command fails at once without a
+section it reads (NEEDS); `quambo encode` reads [qaoa] if there is no [encode].
 
 CSV schemas:
   qaoa     run_id,p,strategy,mixer,init,ev,r_approx,p_feas,p_gnd,evals,seed
@@ -53,8 +55,9 @@ import numpy as np
 
 from . import __version__, heuristics, qaoa, vqe
 from . import anneal as anneal_mod
-from .optimize import FdQuasiNewton, NelderMead, Spsa
-from .problems import GEOMETRIES, FacilityProblem, encode_position_linear, encode_single_complement, encode_start_dest
+from .optimize import FdQuasiNewton, NelderMead, Spsa, restart_search
+from .problems import (GEOMETRIES, METRICS, FacilityProblem, encode_position_linear, encode_single_complement,
+                       encode_start_dest)
 from .qubo import model_to_text, qubo_to_ising
 
 # The choices of three choosing keys; each choice reads the parameters of its dataclass or function.
@@ -78,8 +81,9 @@ FORM = {"form": ("form", "qubo", {"qubo": (), "ising": ()})}
 # Per section: the keys it always reads, then per choosing key the name its errors use, its
 # default and, per choice, the further keys that choice reads.  load_config rejects any other key.
 CONFIG = {
-    "problem": (("ambulances", "metric", "lambda", "lambda_ratio", "forbid_colocation"),
-                {"geometry": ("problem geometry", "grid", GEOMETRIES)}),
+    "problem": (("ambulances", "lambda", "lambda_ratio", "forbid_colocation"),
+                {"geometry": ("problem geometry", "grid", GEOMETRIES),
+                 "metric": ("metric", METRICS[0], dict.fromkeys(METRICS, ()))}),
     "encode": ((), {**ENCODING, **FORM}),
     "qaoa": (("init", "p", "restarts"), {
         **ENCODING, **FORM,
@@ -95,7 +99,7 @@ CONFIG = {
 # The sections each command needs; "encode qaoa" is either one (`quambo encode` reads the first it finds).
 NEEDS = {"encode": ("problem", "encode qaoa"), "oracle": ("problem",), "qaoa": ("problem", "qaoa"),
          "vqe": ("problem", "vqe"), "baseline": ("problem", "heuristic"), "anneal": ("problem", "anneal")}
-# Config text to the annotation of the parameter it is passed to.
+# Config text to the annotation of the parameter it is passed to (through _get).
 CONVERT = {"int": int, "int | None": int, "float": float, "float | None": float, "str": str,
            "tuple[int, int]": lambda text: tuple(map(int, text.split(","))),
            "bool": lambda text: _pick(configparser.ConfigParser.BOOLEAN_STATES, text.lower(), "boolean")}
@@ -107,6 +111,14 @@ def _pick(table: dict, name, what: str):
         plural = what.split()[-1].removesuffix("y") + ("ies" if what.endswith("y") else "s")
         raise ValueError(f"unknown {what} {name!r}; valid {plural}: {', '.join(table)}")
     return table[name]
+
+
+def _get(sec: configparser.SectionProxy, key: str, default=None, convert=int):
+    """convert(the key's text), or default if unset; a conversion error names the section, key and text."""
+    try:
+        return convert(sec[key]) if key in sec else default
+    except ValueError as exc:
+        raise ValueError(f"{exc} (in [{sec.name}] {key} = {sec[key]})") from None
 
 
 def _check(sec: configparser.SectionProxy) -> None:
@@ -124,8 +136,8 @@ def _check(sec: configparser.SectionProxy) -> None:
             head = (f"{unread[key]} does not read key {key!r}" if key in unread
                     else f"unknown key {key!r} in [{sec.name}]")
             raise ValueError(f"{head}; valid keys: {', '.join(valid)}")
-        if key in ("p", "restarts", "reads", "shots") and sec.getint(key) < 1:
-            raise ValueError(f"need {key} >= 1, got {sec.getint(key)}")
+        if key in ("p", "restarts", "reads", "shots") and (count := _get(sec, key)) < 1:
+            raise ValueError(f"need {key} >= 1, got {count}")
 
 
 def _choice(sec: configparser.SectionProxy, key: str):
@@ -138,7 +150,7 @@ def _call(kind, sec: configparser.SectionProxy, renamed: dict | None = None, /, 
     for name, param in inspect.signature(kind).parameters.items():
         key = (renamed or {}).get(name, name)
         if key in sec and name not in given:
-            given[name] = CONVERT[param.annotation](sec[key])
+            given[name] = _get(sec, key, convert=CONVERT[param.annotation])
     return kind(**given)
 
 
@@ -163,7 +175,7 @@ def problem_from_config(cp: configparser.ConfigParser) -> FacilityProblem:
     for key in sizes:
         if key not in sec:
             raise ValueError(f"problem geometry {kind!r} needs key {key!r}")
-    return _call(FacilityProblem, sec, {"lambda_": "lambda"}, geometry=(kind, *(sec.getint(key) for key in sizes)))
+    return _call(FacilityProblem, sec, {"lambda_": "lambda"}, geometry=(kind, *(_get(sec, key) for key in sizes)))
 
 
 def encoding_from_config(cp: configparser.ConfigParser, problem: FacilityProblem, section: str):
@@ -261,8 +273,8 @@ def cmd_qaoa(args: argparse.Namespace, cp: configparser.ConfigParser, problem: F
     sec = cp["qaoa"]
     mixer = _call(qaoa.MixerSpec, sec, kind=_choice(sec, "mixer"))
     init = qaoa.InitSpec(sec.get("init", "Uniform"), seed=args.seed)
-    p, restarts, strategy = sec.getint("p", 1), sec.getint("restarts", 100), _choice(sec, "strategy")
-    p_max = sec.getint("p_max", 10)
+    p, restarts, strategy = _get(sec, "p", 1), _get(sec, "restarts", 100), _choice(sec, "strategy")
+    p_max = _get(sec, "p_max", 10)
     model, enc = encoding_from_config(cp, problem, "qaoa")
     config = qaoa.QaoaConfig(enc, mixer, init, p)
     search = qaoa.random_restart_search(config, model, restarts, optimizer, args.seed)
@@ -285,16 +297,16 @@ def cmd_vqe(args: argparse.Namespace, cp: configparser.ConfigParser, problem: Fa
     optimizer = optimizer_from_config(cp)
     sec = cp["vqe"]
     method = _choice(sec, "method")
-    shots = sec.getint("shots", 9000) if method != "sv" else 0
-    restarts = sec.getint("restarts", 100)
+    shots = _get(sec, "shots", 9000) if method != "sv" else 0
+    restarts = _get(sec, "restarts", 100)
     model, enc = encoding_from_config(cp, problem, "vqe")
     ansatz = _call(vqe.VqeAnsatz, sec, {"entangling_layers": "layers"}, n=model.n)
     if ansatz.n_params == 0:
         raise ValueError("the vqe ansatz has no parameters; set layers >= 1 or initial_layer = true")
     scorer = qaoa.Scorer.of(model, enc)
 
-    def oracle_metrics(state):
-        return qaoa.metrics(scorer, state.probabilities()[scorer.indices])
+    def score(theta):
+        return qaoa.metrics(scorer, vqe.apply_ansatz(ansatz, theta).probabilities()[scorer.indices])
 
     counter = itertools.count(1)  # one seed per evaluated point, shared across restarts in point order
     if method == "sv":
@@ -311,31 +323,20 @@ def cmd_vqe(args: argparse.Namespace, cp: configparser.ConfigParser, problem: Fa
             seeds = [int(np.random.default_rng([args.seed, next(counter)]).integers(2**31)) for _ in Theta]
             return vqe.ev_causal_cone_sampling_batch(ansatz, Theta, ising, shots, seeds)
 
-    calls = 0
-
-    def objective(Theta):
-        nonlocal calls
-        calls += 1
-        return estimate(Theta)
-
-    t0 = time.perf_counter()
-    runs = vqe.vqe_restart_search(ansatz, model, oracle_metrics, restarts, optimizer, args.seed, objective=objective)
-    optimize_s = time.perf_counter() - t0
+    # sv rows do not depend on their batch; the sampled ones take seeds in point order, one restart at a time
+    runs, block = restart_search(estimate, score, ansatz.n_params, restarts, optimizer, args.seed,
+                                 lockstep=method == "sv")
     rows = [[i, ansatz.n_params, ansatz.entangling_layers, method, shots, *_figures(m, args.seed)]
             for i, (_, m) in enumerate(runs)]
-    evals = sum(m.evals for _, m in runs)
-    circuit = {**ansatz.program.summary, "method": method, "shots": shots, "evals": evals}
-    telemetry = {"kind": optimizer.kind, "restarts": restarts, "batch_calls": calls,
-                 "points_per_call": evals / calls, "evals_per_row": evals / restarts,
-                 "optimize_s": round(optimize_s, 6)}
-    return rows, {"circuit": circuit, "optimizer": telemetry}
+    circuit = {**ansatz.program.summary, "method": method, "shots": shots, "evals": sum(m.evals for _, m in runs)}
+    return rows, {"circuit": circuit, "optimizer": block}
 
 
 @_study(PLACEMENT)
 def cmd_baseline(args: argparse.Namespace, cp: configparser.ConfigParser, problem: FacilityProblem):
     sec = cp["heuristic"]
     algorithm = _choice(sec, "algorithm")
-    restarts = sec.getint("restarts", 100)
+    restarts = _get(sec, "restarts", 100)
     config = _call(HEURISTICS[algorithm], sec)
     t0 = time.perf_counter()
     d_min, _ = heuristics.exact_facility_optimum(problem)  # its size cap is checked before encoding
@@ -356,8 +357,8 @@ def cmd_baseline(args: argparse.Namespace, cp: configparser.ConfigParser, proble
 @_study("lambda_ratio,p_gnd,p_feas,r_approx,reads,seed")
 def cmd_anneal(args: argparse.Namespace, cp: configparser.ConfigParser, problem: FacilityProblem):
     sec = cp["anneal"]
-    ratios = [float(x) for x in sec.get("lambda_ratios", "1.0").split(",")]
-    reads = sec.getint("reads", 1000)
+    ratios = _get(sec, "lambda_ratios", [1.0], lambda text: [float(x) for x in text.split(",")])
+    reads = _get(sec, "reads", 1000)
     sampler = _call(anneal_mod.sim_anneal_sampler, sec)
     points = anneal_mod.anneal_parameter_sweep(problem, ratios, sampler, reads, args.seed)
     return [[ratio, m.p_gnd, m.p_feas, m.r_approx, reads, args.seed] for ratio, m in points], {}

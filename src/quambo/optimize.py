@@ -14,12 +14,14 @@ vertices), and rows stop independently.  SPSA rows run in lockstep, each
 drawing from its own generator, with one call of every row's +/- pair per
 step.  The quasi-Newton method runs scipy's BFGS (imported only when it runs)
 row after row; a central-difference gradient is one call of 2N points.
+`restart_search` draws, runs, scores and reports QAOA and VQE restarts.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+import time
+from dataclasses import dataclass, field, replace
 from typing import Callable, ClassVar, Sequence
 
 import numpy as np
@@ -318,3 +320,36 @@ def minimize(
         return np.fromiter((objective(x) for x in X.copy()), dtype=float, count=len(X))
 
     return minimize_batch(objective_batch, np.asarray(x0, dtype=float)[None], config, [seed])[0]
+
+
+def restart_search(objective_batch: Callable[[np.ndarray], np.ndarray], score: Callable, n_params: int, n_starts: int,
+                   optimizer: OptimizerConfig, seed: int, lockstep: bool = True) -> tuple[list, dict]:
+    """Minimize from n_starts uniform [0, 2pi)^n_params points: a (x_best, metrics) pair per start, and a report.
+
+    Start i draws its point, then its optimizer seed, from default_rng([seed, i]).
+    A start's metrics are score(x_best) (a dataclass) with the optimizer's ev
+    and evals.  With lockstep, all starts go to one minimize_batch call;
+    without, each start is one call, in start order, as a loop of one-start
+    searches makes them (for an objective that draws seeds in call order).
+    """
+    if n_starts < 1:
+        raise ValueError(f"need restarts >= 1, got {n_starts}")
+    rngs = [np.random.default_rng([seed, i]) for i in range(n_starts)]
+    X0 = np.array([rng.uniform(0.0, 2.0 * np.pi, size=n_params) for rng in rngs])
+    seeds = [int(rng.integers(2**31)) for rng in rngs]
+    calls = 0
+
+    def counted(X: np.ndarray) -> np.ndarray:
+        nonlocal calls
+        calls += 1
+        return objective_batch(X)
+
+    started = time.perf_counter()
+    batches = [(X0, seeds)] if lockstep else [(x0[None], [s]) for x0, s in zip(X0, seeds)]
+    results = [res for X, row_seeds in batches for res in minimize_batch(counted, X, optimizer, row_seeds)]
+    optimize_s = round(time.perf_counter() - started, 6)
+    runs = [(res.x_best, replace(score(res.x_best), ev=res.f_best, evals=res.evals)) for res in results]
+    evals = sum(res.evals for res in results)
+    rows = n_starts if lockstep and not isinstance(optimizer, FdQuasiNewton) else 1
+    return runs, {"kind": optimizer.kind, "restarts": n_starts, "lockstep_rows": rows, "batch_calls": calls,
+                  "points_per_call": evals / calls, "evals_per_row": evals / n_starts, "optimize_s": optimize_s}

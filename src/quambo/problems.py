@@ -26,6 +26,7 @@ import numpy as np
 from .qubo import QuboModel, SpectrumEntry, bits_from_string, energies_at, enumerate_spectrum, read_only
 
 GEOMETRIES = {"grid": ("rows", "cols"), "line": ("cols",)}  # each geometry's size keys, in tuple order
+METRICS = ("squared-euclidean", "euclidean", "manhattan")  # the distances of distance_matrix, default first
 
 
 @dataclass
@@ -48,8 +49,8 @@ class FacilityProblem:
     def __post_init__(self) -> None:
         if self.geometry[0] not in GEOMETRIES:
             raise ValueError(f"unknown geometry {self.geometry!r}")
-        if self.metric not in ("squared-euclidean", "euclidean", "manhattan"):
-            raise ValueError(f"unknown metric {self.metric!r}")
+        if self.metric not in METRICS:
+            raise ValueError(f"unknown metric {self.metric!r}; valid metrics: {', '.join(METRICS)}")
         if (self.lambda_ is None) == (self.lambda_ratio is None):
             raise ValueError("exactly one of lambda_ / lambda_ratio must be set")
         name, weight = ("lambda", self.lambda_) if self.lambda_ratio is None else ("lambda_ratio", self.lambda_ratio)

@@ -9,14 +9,13 @@ the gamma of their start-block qubit.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field, replace
 from functools import cached_property, lru_cache
 from typing import Sequence
 
 import numpy as np
 
-from .optimize import FdQuasiNewton, OptimizerConfig, minimize_batch
+from .optimize import OptimizerConfig, minimize_batch, restart_search
 from .problems import Encoding, feasible_sector, is_feasible
 from .qubo import TIE_TOL, CapacityError, QuboModel, energy_vector, read_only, string_from_index
 from .simulator import (
@@ -445,53 +444,21 @@ def summarize_metrics(runs: Sequence[RunMetrics]) -> dict[str, float]:
     return out
 
 
-def random_restart_search(
-    config: QaoaConfig,
-    model: QuboModel,
-    n_starts: int,
-    optimizer: OptimizerConfig,
-    seed: int,
-) -> RestartResult:
-    """Optimize from n_starts uniform [0, 2pi)^dim angle draws; best run = lowest EV.
+def random_restart_search(config: QaoaConfig, model: QuboModel, n_starts: int, optimizer: OptimizerConfig,
+                          seed: int) -> RestartResult:
+    """Optimize from n_starts uniform [0, 2pi)^dim angle draws (optimize.restart_search); best run = lowest EV.
 
-    Start i draws its angles, then its optimizer seed, from default_rng([seed, i]).
     All starts go to one minimize_batch call (Nelder-Mead and SPSA run them
     in lockstep); `optimizer` of the result records how it went.
     """
-    if n_starts < 1:
-        raise ValueError(f"need restarts >= 1, got {n_starts}")
     ctx = QaoaContext(config.encoding, model, config.mixer, config.init)
-    p = config.p
-    dim = p * (config.mixer.n_beta + config.mixer.n_gamma)
-    rngs = [np.random.default_rng([seed, i]) for i in range(n_starts)]
-    X0 = np.array([rng.uniform(0.0, 2.0 * np.pi, size=dim) for rng in rngs])
-    calls = 0
-
-    def objective(X: np.ndarray) -> np.ndarray:
-        nonlocal calls
-        calls += 1
-        return ctx.ev_batch(X, p)
-
-    started = time.perf_counter()
-    results = minimize_batch(objective, X0, optimizer, [int(rng.integers(2**31)) for rng in rngs])
-    optimize_s = time.perf_counter() - started
-    runs: list[tuple[Angles, RunMetrics]] = []
-    for res in results:
-        angles = Angles.unflatten(res.x_best, p, config.mixer.n_beta, config.mixer.n_gamma)
-        m = ctx.metrics(ctx.run(angles), evals=res.evals)
-        runs.append((angles, replace(m, ev=res.f_best)))
-    summary = summarize_metrics([m for _, m in runs])
+    p, nb, ng = config.p, config.mixer.n_beta, config.mixer.n_gamma
+    found, block = restart_search(lambda X: ctx.ev_batch(X, p),
+                                  lambda x: ctx.metrics(ctx.run(Angles.unflatten(x, p, nb, ng))),
+                                  p * (nb + ng), n_starts, optimizer, seed)
+    runs = [(Angles.unflatten(x, p, nb, ng), m) for x, m in found]
     best = int(np.argmin([m.ev for _, m in runs]))
-    evals = sum(res.evals for res in results)
-    telemetry = {
-        "kind": optimizer.kind,
-        "lockstep_rows": 1 if isinstance(optimizer, FdQuasiNewton) else n_starts,
-        "ev_batch_calls": calls,
-        "rows_per_call": evals / calls,
-        "evals_per_row": evals / n_starts,
-        "optimize_s": round(optimize_s, 6),
-    }
-    return RestartResult(runs=runs, summary=summary, best_index=best, engine=ctx.engine, optimizer=telemetry)
+    return RestartResult(runs, summarize_metrics([m for _, m in runs]), best, engine=ctx.engine, optimizer=block)
 
 
 def interp_extend(angles: Angles) -> Angles:

@@ -179,9 +179,11 @@ def xy_ring_eigensystem(m: int, weight: int | None = None) -> tuple[np.ndarray, 
     swaps |01> and |10>; a length-2 ring has a single coupling edge.  The
     real eigensystem is cached, and the arrays are read-only.
     """
+    if m < 2:
+        raise ValueError(f"need a ring of length >= 2, got {m}")
     dim = 1 << m if weight is None else comb(m, weight)
-    if not 2 <= m <= STATE_CAP or dim > 1 << XY_RING_CAP:
-        raise ValueError(f"ring of length {m} (basis dimension {dim}) exceeds the XY ring cap of {XY_RING_CAP} qubits")
+    if m > STATE_CAP or dim > 1 << XY_RING_CAP:
+        raise CapacityError(f"ring of length {m} (dimension {dim}) exceeds the XY ring cap of {XY_RING_CAP} qubits")
     patterns = np.arange(1 << m)
     if weight is not None:
         patterns = patterns[popcounts(m) == weight]

@@ -14,19 +14,17 @@ parameter vectors as a leading stacked axis that is never folded into the
 rows of a product, so each row is bitwise the one-vector result whatever K
 is.  The three estimators (exact statevector, all-qubit sampling, per-term
 causal cones) each evaluate such a batch in one call; their one-point forms
-are a batch of one.
+are a batch of one.  `optimize.restart_search` runs random restarts of any.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Sequence
 
 import numpy as np
 
-from .optimize import OptimizerConfig, minimize_batch
-from .qaoa import RunMetrics
 from .qubo import CapacityError, IsingModel, QuboModel, read_only
 from .simulator import EV_BATCH_AMPLITUDES, STATE_CAP, StateVector, sample_indices
 
@@ -327,32 +325,3 @@ def ev_causal_cone_sampling(
     theta = np.asarray(theta, dtype=float)[None]
     return float(ev_causal_cone_sampling_batch(ansatz, theta, ising, shots_per_term, [seed])[0])
 
-
-def vqe_restart_search(
-    ansatz: VqeAnsatz,
-    model: QuboModel,
-    oracle_metrics,
-    n_starts: int,
-    optimizer: OptimizerConfig,
-    seed: int,
-    objective=None,
-) -> list[tuple[np.ndarray, RunMetrics]]:
-    """Optimize `n_starts` random parameter vectors: one (theta, RunMetrics) per restart.
-
-    oracle_metrics(state) -> RunMetrics of the state; the run's ev and evals
-    are the optimizer's.  objective maps a (K, P) batch of points to K values
-    and defaults to the exact statevector EV.  Each restart is one
-    minimize_batch call, made one after another, so an objective that draws
-    seeds in call order sees every point in the order a one-point loop would.
-    """
-    if n_starts < 1:
-        raise ValueError(f"need restarts >= 1, got {n_starts}")
-    obj = objective or (lambda Theta: ev_statevector_batch(ansatz, Theta, model))
-    runs = []
-    for i in range(n_starts):
-        rng = np.random.default_rng([seed, i])
-        x0 = rng.uniform(0.0, 2.0 * np.pi, size=ansatz.n_params)
-        (res,) = minimize_batch(obj, x0[None], optimizer, [int(rng.integers(2**31))])
-        m = oracle_metrics(apply_ansatz(ansatz, res.x_best))
-        runs.append((res.x_best, replace(m, ev=res.f_best, evals=res.evals)))
-    return runs

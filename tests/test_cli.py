@@ -52,6 +52,8 @@ def assert_one_error(tmp_path, capsys, command, text, message):
 # A start/destination encoding of 13 sites and one ambulance: n = 26 qubits, over STATE_CAP.
 PROBLEM_N26 = "[problem]\ngeometry = line\ncols = 13\nambulances = 1\nlambda = 1\n"
 QAOA_KEYS = "valid keys: encoding, form, mixer, strategy, init, p, restarts"
+# The manifest's optimizer block of a qaoa or vqe run; qaoa adds schedule_s with a strategy.
+OPTIMIZER_KEYS = {"kind", "restarts", "lockstep_rows", "batch_calls", "points_per_call", "evals_per_row", "optimize_s"}
 
 
 class TestEncode:
@@ -102,7 +104,10 @@ class TestProblem:
         ("lambda = 40", "lambda_ratio = inf", "need a finite lambda_ratio >= 0, got inf"),
         ("line", "grid", "problem geometry 'grid' needs key 'rows'"),
         ("lambda = 40", "lambda = 40\nforbid_colocation = maybe",
-         "unknown boolean 'maybe'; valid booleans: 1, yes, true, on, 0, no, false, off"),
+         "unknown boolean 'maybe'; valid booleans: 1, yes, true, on, 0, no, false, off "
+         "(in [problem] forbid_colocation = maybe)"),
+        ("lambda = 40", "lambda = 40\nmetric = taxicab",
+         "unknown metric 'taxicab'; valid metrics: squared-euclidean, euclidean, manhattan"),
     ])
     def test_bad_problem_is_one_error_line(self, tmp_path, capsys, old, new, message):
         assert_one_error(tmp_path, capsys, "oracle", PROBLEM_A.replace(old, new), message)
@@ -180,10 +185,9 @@ class TestQaoa:
         assert main(["qaoa", "--config", cfg, "--out", str(tmp_path / "q.csv")]) == 0
         block = json.loads((tmp_path / "q.csv.manifest.json").read_text())["optimizer"]
         evals = sum(int(line.split(",")[9]) for line in (tmp_path / "q.csv").read_text().splitlines()[1:3])
-        assert set(block) == {"kind", "lockstep_rows", "ev_batch_calls", "rows_per_call", "evals_per_row",
-                              "optimize_s"}
-        assert block["kind"] == "nelder-mead" and block["lockstep_rows"] == 2
-        assert block["rows_per_call"] * block["ev_batch_calls"] == pytest.approx(evals)
+        assert set(block) == OPTIMIZER_KEYS
+        assert block["kind"] == "nelder-mead" and block["restarts"] == block["lockstep_rows"] == 2
+        assert block["points_per_call"] * block["batch_calls"] == pytest.approx(evals)
         assert block["evals_per_row"] == evals / 2
 
     def test_manifest_optimizer_block_times_the_schedule(self, tmp_path):
@@ -191,6 +195,7 @@ class TestQaoa:
         cfg = write(tmp_path, "q.ini", text)
         assert main(["qaoa", "--config", cfg, "--out", str(tmp_path / "q.csv")]) == 0
         block = json.loads((tmp_path / "q.csv.manifest.json").read_text())["optimizer"]
+        assert set(block) == OPTIMIZER_KEYS | {"schedule_s"}
         assert block["lockstep_rows"] == 1 and block["schedule_s"] >= 0.0
 
     @pytest.mark.parametrize("setting, message", [
@@ -254,7 +259,8 @@ class TestQaoa:
     def test_bad_boolean_is_an_error(self, tmp_path, capsys):
         assert_one_error(tmp_path, capsys, "qaoa", self.CONFIG.replace("encoding = complement", "encoding = "
                          "position_linear\ninclude_penalty = maybe"),
-                         "unknown boolean 'maybe'; valid booleans: 1, yes, true, on, 0, no, false, off")
+                         "unknown boolean 'maybe'; valid booleans: 1, yes, true, on, 0, no, false, off "
+                         "(in [qaoa] include_penalty = maybe)")
 
     def test_byte_identical_given_seed(self, tmp_path):
         cfg = write(tmp_path, "q.ini", self.CONFIG)
@@ -285,7 +291,7 @@ class TestQaoa:
         ("restarts = 2", "restarts = 0", "need restarts >= 1, got 0"),
         ("p = 1", "angle_scheme = 3,3", f"qaoa mixer 'X' does not read key 'angle_scheme'; {QAOA_KEYS}"),
         ("p = 1", "p_max = 3", f"qaoa without a strategy does not read key 'p_max'; {QAOA_KEYS}"),
-        ("p = 1", "strategy = INTERP\np_max = x", "invalid literal for int() with base 10: 'x'"),
+        ("p = 1", "strategy = INTERP\np_max = x", "invalid literal for int() with base 10: 'x' (in [qaoa] p_max = x)"),
         ("p = 1", "include_penalty = true", f"encoding 'complement' does not read key 'include_penalty'; {QAOA_KEYS}"),
     ])
     def test_bad_setting_is_an_error(self, tmp_path, capsys, monkeypatch, old, new, message):
@@ -295,8 +301,8 @@ class TestQaoa:
     def test_rows_of_a_line_is_an_error(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setattr("quambo.cli.encoding_from_config", None)  # rejected before any work
         assert_one_error(tmp_path, capsys, "qaoa", self.CONFIG.replace("cols = 5", "cols = 5\nrows = 2"),
-                         "problem geometry 'line' does not read key 'rows'; valid keys: geometry, ambulances, "
-                         "metric, lambda, lambda_ratio, forbid_colocation, cols")
+                         "problem geometry 'line' does not read key 'rows'; valid keys: geometry, metric, "
+                         "ambulances, lambda, lambda_ratio, forbid_colocation, cols")
 
     def test_repeated_key_is_an_error(self, tmp_path, capsys):
         cfg = write(tmp_path, "q.ini", self.CONFIG.replace("p = 1", "p = 1\np = 2"))
@@ -372,8 +378,9 @@ class TestVqe:
         assert main(["vqe", "--config", cfg, "--out", str(tmp_path / "v.csv")]) == 0
         block = json.loads((tmp_path / "v.csv.manifest.json").read_text())["optimizer"]
         evals = sum(int(r.split(",")[9]) for r in (tmp_path / "v.csv").read_text().strip().splitlines()[1:])
-        assert set(block) == {"kind", "restarts", "batch_calls", "points_per_call", "evals_per_row", "optimize_s"}
+        assert set(block) == OPTIMIZER_KEYS  # the same block as qaoa's
         assert block["kind"] == optimizer.split("\n")[0].split(" = ")[1] and block["restarts"] == 2
+        assert block["lockstep_rows"] == 1  # sampled restarts run one after another
         assert block["evals_per_row"] == evals / 2 and block["optimize_s"] > 0.0
         assert block["points_per_call"] == evals / block["batch_calls"]
         if block["kind"] == "spsa":
@@ -406,9 +413,12 @@ class TestVqe:
                   "[optimizer]\nkind = spsa\nn_iter = 5\n",
         "cone": "[vqe]\nencoding = complement\nlayers = 2\nmethod = cone\nshots = 100\nrestarts = 2\n"
                 "[optimizer]\nkind = spsa\nn_iter = 3\n",
+        # written while restarts still ran one minimize_batch call after another
+        "sv-nm": "[vqe]\nencoding = complement\nlayers = 1\ninitial_layer = true\nmethod = sv\nrestarts = 3\n"
+                 "[optimizer]\nkind = nelder-mead\nmax_iter = 40\n",
     }
 
-    @pytest.mark.parametrize("method", ["sv", "sample", "cone"])
+    @pytest.mark.parametrize("method", list(GOLDEN))
     def test_csv_matches_the_golden_file(self, tmp_path, method):
         cfg = write(tmp_path, "v.ini", PROBLEM_A + self.GOLDEN[method])
         out = tmp_path / "v.csv"
@@ -606,6 +616,25 @@ MISSING_SECTION = {
 def test_missing_section_names_the_section_and_the_command(tmp_path, capsys, command):
     text, section = MISSING_SECTION[command]
     assert_one_error(tmp_path, capsys, command, text, f"quambo {command} needs a {section} section")
+
+
+# Per case: the command, a config whose text does not convert, and what the one error line ends with.
+BAD_TEXT = {
+    "cols": ("oracle", PROBLEM_A.replace("cols = 5", "cols = 2.5"), "'2.5' (in [problem] cols = 2.5)"),
+    "p": ("qaoa", PROBLEM_A + "[qaoa]\np = 1.5\n", "'1.5' (in [qaoa] p = 1.5)"),
+    "lambda_ratios": ("anneal", PROBLEM_A + "[anneal]\nlambda_ratios = 1.0,\n",
+                      "could not convert string to float: '' (in [anneal] lambda_ratios = 1.0,)"),
+}
+
+
+@pytest.mark.parametrize("case", list(BAD_TEXT))
+def test_conversion_error_names_the_section_key_and_text(tmp_path, capsys, case):
+    command, text, ending = BAD_TEXT[case]
+    cfg = write(tmp_path, "c.ini", text)
+    assert main([command, "--config", cfg, "--out", str(tmp_path / "c.csv")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.endswith(f"{ending}\n") and err.count("\n") == 1
+    assert not (tmp_path / "c.csv").exists()
 
 
 def test_no_section_header_is_one_error_line(tmp_path, capsys):

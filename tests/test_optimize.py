@@ -1,5 +1,7 @@
 """Tests for the outer-loop minimizers."""
 
+from dataclasses import dataclass
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -11,6 +13,7 @@ from quambo.optimize import (
     Spsa,
     minimize,
     minimize_batch,
+    restart_search,
     spsa_schedules,
     spsa_step,
 )
@@ -369,6 +372,43 @@ class TestSpsaStep:
         res = minimize(quadratic, np.zeros(3), Spsa(n_iter=40), seed=1)
         # initial point + 2 per iteration + final point
         assert res.evals == 2 * 40 + 2
+
+
+@dataclass
+class Scored:
+    ev: float
+    evals: int = 0
+
+
+class TestRestartSearch:
+    @pytest.mark.parametrize("optimizer", [NelderMead(max_iter=60), Spsa(n_iter=20), FdQuasiNewton(max_iter=8)],
+                             ids=lambda config: config.kind)
+    @pytest.mark.parametrize("objective", ["rosenbrock", "qaoa"])
+    def test_lockstep_equals_one_call_per_start(self, optimizer, objective):
+        if objective == "qaoa":
+            f_batch, f, n = (lambda X: QAOA_A.ev_batch(X, 2)), (lambda x: QAOA_A.ev(x, 2)), 4
+        else:
+            f = objectives(np.random.default_rng(5), 3)["rosenbrock"]
+            f_batch, n = rowwise(f), 3
+        (a, in_lockstep), (b, one_by_one) = (
+            restart_search(f_batch, lambda x: Scored(f(x)), n, 4, optimizer, seed=7, lockstep=lockstep)
+            for lockstep in (True, False))
+        for (xa, ma), (xb, mb) in zip(a, b, strict=True):
+            assert np.array_equal(xa, xb) and (ma.ev, ma.evals) == (mb.ev, mb.evals)
+            assert ma.ev == f(xa)  # the optimizer's best value at the scored point
+        assert in_lockstep["lockstep_rows"] == (1 if isinstance(optimizer, FdQuasiNewton) else 4)
+        assert one_by_one["lockstep_rows"] == 1
+        assert one_by_one["batch_calls"] >= in_lockstep["batch_calls"]
+
+    def test_start_draws(self):
+        seen = []
+        restart_search(lambda X: seen.append(X.copy()) or np.zeros(len(X)), Scored, 3, 2, Spsa(n_iter=1), seed=4)
+        X0 = [np.random.default_rng([4, i]).uniform(0.0, 2.0 * np.pi, size=3) for i in range(2)]
+        assert np.array_equal(seen[0], X0)
+
+    def test_no_restarts_is_an_error(self):
+        with pytest.raises(ValueError, match="restarts >= 1"):
+            restart_search(rowwise(quadratic), Scored, 2, 0, NelderMead(), seed=0)
 
 
 class TestDispatch:

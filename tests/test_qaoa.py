@@ -459,16 +459,16 @@ class TestRestarts:
         res = random_restart_search(config, model, 5, NelderMead(max_iter=30), seed=2)
         block = res.optimizer
         evals = sum(m.evals for _, m in res.runs)
-        assert block["kind"] == "nelder-mead" and block["lockstep_rows"] == 5
+        assert block["kind"] == "nelder-mead" and block["restarts"] == block["lockstep_rows"] == 5
         # one call for the initial simplices, then at most three per iteration
-        assert 1 < block["ev_batch_calls"] <= 1 + 3 * 29
-        assert block["rows_per_call"] == evals / block["ev_batch_calls"]
+        assert 1 < block["batch_calls"] <= 1 + 3 * 29
+        assert block["points_per_call"] == evals / block["batch_calls"]
         assert block["evals_per_row"] == evals / 5
         assert block["optimize_s"] > 0.0
         spsa = random_restart_search(config, model, 2, Spsa(n_iter=5), seed=2).optimizer
         # the start points, one +/- pair per row and step, the end points: 2 * (1 + 2 * 5 + 1) evaluations
-        assert spsa["kind"] == "spsa" and spsa["lockstep_rows"] == 2 and spsa["ev_batch_calls"] == 1 + 5 + 1
-        assert spsa["rows_per_call"] == 2 * (1 + 2 * 5 + 1) / 7
+        assert spsa["kind"] == "spsa" and spsa["lockstep_rows"] == 2 and spsa["batch_calls"] == 1 + 5 + 1
+        assert spsa["points_per_call"] == 2 * (1 + 2 * 5 + 1) / 7
 
     def test_no_restarts_is_an_error(self, problem_a):
         model, enc = problem_a

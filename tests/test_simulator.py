@@ -1,12 +1,14 @@
 """Tests for the exact statevector simulator."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from quambo.problems import FacilityProblem, encode_single_complement
-from quambo.qubo import IsingModel, QuboModel, energy_vector, string_from_index
+from quambo.qubo import CapacityError, IsingModel, QuboModel, energy_vector, string_from_index
 from quambo.simulator import (
     SampleSet,
     StateVector,
@@ -24,6 +26,7 @@ from quambo.simulator import (
     sample,
     sample_indices,
     uniform_state,
+    xy_ring_eigensystem,
 )
 
 
@@ -159,6 +162,22 @@ class TestXYRingMixer:
     def test_ring_cap(self):
         with pytest.raises(ValueError):
             apply_xy_ring_mixer(uniform_state(14), list(range(13)), 0.1)
+
+    @pytest.mark.parametrize("m, weight", [(13, None), (15, 7), (25, 1)])
+    def test_ring_cap_is_a_capacity_error_before_allocating(self, m, weight):
+        tracemalloc.start()
+        try:
+            with pytest.raises(CapacityError, match="exceeds the XY ring cap"):
+                xy_ring_eigensystem(m, weight)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1e6
+
+    def test_ring_of_one_is_not_a_capacity_error(self):
+        with pytest.raises(ValueError, match="length >= 2") as info:
+            xy_ring_eigensystem(1)
+        assert not isinstance(info.value, CapacityError)
 
 
 class TestLocalUnitary:

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from quambo import qubo, simulator, vqe
-from quambo.optimize import NelderMead
+from quambo.optimize import NelderMead, restart_search
 from quambo.problems import FacilityProblem, encode_single_complement
 from quambo.qaoa import InitSpec, MixerSpec, QaoaContext
 from quambo.qubo import IsingModel, QuboModel, energy_vector, qubo_to_ising
@@ -27,7 +27,6 @@ from quambo.vqe import (
     ev_statevector_batch,
     run_program,
     run_reduced,
-    vqe_restart_search,
 )
 
 
@@ -398,22 +397,26 @@ class TestEstimators:
 
 
 class TestRestartSearch:
-    def test_small_search(self, problem_a):
+    """optimize.restart_search over the statevector objective, scored as the vqe command scores it."""
+
+    @staticmethod
+    def search(problem_a, ansatz, n_starts, optimizer, seed):
         model, enc = problem_a
         ctx = QaoaContext(enc, model, MixerSpec(kind="X"), InitSpec(kind="Uniform"))
+        return restart_search(lambda Theta: ev_statevector_batch(ansatz, Theta, model),
+                              lambda theta: ctx.metrics(apply_ansatz(ansatz, theta)),
+                              ansatz.n_params, n_starts, optimizer, seed)
+
+    def test_small_search(self, problem_a):
         ansatz = VqeAnsatz(5, initial_layer=True, entangling_layers=1)
-        runs = vqe_restart_search(
-            ansatz, model, ctx.metrics, n_starts=3, optimizer=NelderMead(max_iter=150), seed=6
-        )
-        assert len(runs) == 3
+        runs, block = self.search(problem_a, ansatz, 3, NelderMead(max_iter=150), seed=6)
+        assert len(runs) == 3 and block["lockstep_rows"] == 3
         for theta, m in runs:
             assert 0.0 <= m.p_gnd <= 1.0 and m.evals > 0
-            assert m.ev == pytest.approx(ev_statevector(ansatz, theta, model))
+            assert m.ev == pytest.approx(ev_statevector(ansatz, theta, problem_a[0]))
 
     def test_search_deterministic(self, problem_a):
-        model, enc = problem_a
-        ctx = QaoaContext(enc, model, MixerSpec(kind="X"), InitSpec(kind="Uniform"))
         ansatz = VqeAnsatz(5, entangling_layers=1)
-        a = vqe_restart_search(ansatz, model, ctx.metrics, 2, NelderMead(max_iter=40), seed=3)
-        b = vqe_restart_search(ansatz, model, ctx.metrics, 2, NelderMead(max_iter=40), seed=3)
+        a, _ = self.search(problem_a, ansatz, 2, NelderMead(max_iter=40), seed=3)
+        b, _ = self.search(problem_a, ansatz, 2, NelderMead(max_iter=40), seed=3)
         assert [m for _, m in a] == [m for _, m in b]
