@@ -17,8 +17,9 @@ keep the defaults of the dataclass or function they are passed to.
                lambda_ratio, forbid_colocation
   [encode]     encoding (start_dest | position_linear: include_penalty |
                complement), form (qubo | ising)
-  [qaoa]       as [encode], mixer (X | XY | ThreeXY: angle_scheme), strategy
-               (none | INTERP, EXTRAP1, EXTRAP2: p_max), init, p, restarts
+  [qaoa]       encoding as [encode], mixer (X | XY | ThreeXY: angle_scheme),
+               strategy (none | INTERP, EXTRAP1, EXTRAP2: p_max), init
+               (Uniform | Dicke, DickeBlocks, RandomFeasible), p, restarts
   [vqe]        encoding as [encode], method (sv | sample, cone: shots),
                initial_layer, layers, restarts
   [optimizer]  kind (nelder-mead | spsa | fd-quasi-newton: its fields)
@@ -28,7 +29,7 @@ keep the defaults of the dataclass or function they are passed to.
 p, restarts, reads and shots must be >= 1, and the vqe ansatz needs layers
 >= 1 or initial_layer = true.  Text that does not convert is an error naming
 its [section], key and text (_get).  A command fails at once without a
-section it reads (NEEDS); `quambo encode` reads [qaoa] if there is no [encode].
+section it reads (NEEDS).
 
 CSV schemas:
   qaoa     run_id,p,strategy,mixer,init,ev,r_approx,p_feas,p_gnd,evals,seed
@@ -77,18 +78,18 @@ def _params(kinds: dict, skip: int = 0) -> dict:
 
 
 ENCODING = {"encoding": ("encoding", "start_dest", _params(_encoders(), skip=1))}
-FORM = {"form": ("form", "qubo", {"qubo": (), "ising": ()})}
 # Per section: the keys it always reads, then per choosing key the name its errors use, its
 # default and, per choice, the further keys that choice reads.  load_config rejects any other key.
 CONFIG = {
     "problem": (("ambulances", "lambda", "lambda_ratio", "forbid_colocation"),
                 {"geometry": ("problem geometry", "grid", GEOMETRIES),
                  "metric": ("metric", METRICS[0], dict.fromkeys(METRICS, ()))}),
-    "encode": ((), {**ENCODING, **FORM}),
-    "qaoa": (("init", "p", "restarts"), {
-        **ENCODING, **FORM,
+    "encode": ((), {**ENCODING, "form": ("form", "qubo", {"qubo": (), "ising": ()})}),
+    "qaoa": (("p", "restarts"), {
+        **ENCODING,
         "mixer": ("qaoa mixer", "X", {**dict.fromkeys(qaoa.MIXER_KINDS, ()), "ThreeXY": ("angle_scheme",)}),
         "strategy": ("qaoa strategy", None, dict.fromkeys(qaoa.STRATEGIES, ("p_max",))),
+        "init": ("qaoa init", "Uniform", dict.fromkeys(qaoa.INIT_KINDS, ())),
     }),
     "vqe": (("initial_layer", "layers", "restarts"), {
         **ENCODING, "method": ("vqe method", "sv", {"sv": (), "sample": ("shots",), "cone": ("shots",)})}),
@@ -96,8 +97,8 @@ CONFIG = {
     "heuristic": (("restarts",), {"algorithm": ("baseline algorithm", "tabu", _params(HEURISTICS))}),
     "anneal": (("lambda_ratios", "reads", "sweeps"), {}),
 }
-# The sections each command needs; "encode qaoa" is either one (`quambo encode` reads the first it finds).
-NEEDS = {"encode": ("problem", "encode qaoa"), "oracle": ("problem",), "qaoa": ("problem", "qaoa"),
+# The sections each command needs.
+NEEDS = {"encode": ("problem", "encode"), "oracle": ("problem",), "qaoa": ("problem", "qaoa"),
          "vqe": ("problem", "vqe"), "baseline": ("problem", "heuristic"), "anneal": ("problem", "anneal")}
 # Config text to the annotation of the parameter it is passed to (through _get).
 CONVERT = {"int": int, "int | None": int, "float": float, "float | None": float, "str": str,
@@ -159,9 +160,9 @@ def load_config(path: str, command: str) -> configparser.ConfigParser:
     cp = configparser.ConfigParser()
     if not cp.read(path):
         raise SystemExit(f"error: cannot read config file {path!r}")
-    for names in NEEDS[command]:
-        if not any(map(cp.has_section, names.split())):
-            raise ValueError(f"quambo {command} needs a {' or '.join(f'[{s}]' for s in names.split())} section")
+    for name in NEEDS[command]:
+        if not cp.has_section(name):
+            raise ValueError(f"quambo {command} needs a [{name}] section")
     for section in cp.sections():
         _check(cp[section])
     return cp
@@ -221,9 +222,8 @@ def _fmt(x) -> str:
 def cmd_encode(args: argparse.Namespace) -> int:
     cp = load_config(args.config, args.command)
     problem = problem_from_config(cp)
-    sec = cp["encode"] if cp.has_section("encode") else cp["qaoa"]
-    model, _enc = encoding_from_config(cp, problem, sec.name)
-    text = model_to_text(qubo_to_ising(model) if _choice(sec, "form") == "ising" else model)
+    model, _enc = encoding_from_config(cp, problem, "encode")
+    text = model_to_text(qubo_to_ising(model) if _choice(cp["encode"], "form") == "ising" else model)
     if args.out:
         Path(args.out).write_text(text)
     else:
@@ -272,16 +272,16 @@ def cmd_qaoa(args: argparse.Namespace, cp: configparser.ConfigParser, problem: F
     optimizer = optimizer_from_config(cp)
     sec = cp["qaoa"]
     mixer = _call(qaoa.MixerSpec, sec, kind=_choice(sec, "mixer"))
-    init = qaoa.InitSpec(sec.get("init", "Uniform"), seed=args.seed)
+    init = qaoa.InitSpec(_choice(sec, "init"), seed=args.seed)
     p, restarts, strategy = _get(sec, "p", 1), _get(sec, "restarts", 100), _choice(sec, "strategy")
     p_max = _get(sec, "p_max", 10)
     model, enc = encoding_from_config(cp, problem, "qaoa")
-    config = qaoa.QaoaConfig(enc, mixer, init, p)
-    search = qaoa.random_restart_search(config, model, restarts, optimizer, args.seed)
+    ctx = qaoa.QaoaContext(enc, model, mixer, init)
+    search = qaoa.random_restart_search(ctx, p, restarts, optimizer, args.seed)
     telemetry = search.optimizer
     if strategy is not None:
         t0 = time.perf_counter()
-        levels = qaoa.increasing_p_schedule(strategy, search.best[0], p_max, optimizer, config, model, seed=args.seed)
+        levels = qaoa.increasing_p_schedule(strategy, search.best[0], p_max, optimizer, ctx, seed=args.seed)
         telemetry = {**telemetry, "schedule_s": round(time.perf_counter() - t0, 6)}
         rows = [[i, level.p, strategy, mixer.kind, init.kind, *_figures(level.metrics, args.seed)]
                 for i, level in enumerate(levels)]
@@ -289,7 +289,7 @@ def cmd_qaoa(args: argparse.Namespace, cp: configparser.ConfigParser, problem: F
         rows = [[i, p, "", mixer.kind, init.kind, *_figures(m, args.seed)] for i, (_, m) in enumerate(search.runs)]
         means = [search.summary[f"mean_{name}"] for name in ("ev", "r_approx", "p_feas", "p_gnd")]
         rows.append(["summary", p, "", mixer.kind, init.kind, *means, "", args.seed])
-    return rows, {"engine": search.engine, "optimizer": telemetry}
+    return rows, {"engine": ctx.engine, "optimizer": telemetry}
 
 
 @_study("run_id,params,layers,method,shots," + FIGURES)

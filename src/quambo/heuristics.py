@@ -20,7 +20,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .problems import Encoding, FacilityProblem, decode_solution, distance_matrix
-from .qubo import CapacityError, QuboModel, rows_where
+from .qubo import TIE_TOL, CapacityError, QuboModel, rows_where
 
 ORACLE_CAP = 10_000_000  # placements exact_facility_optimum may enumerate
 TABU_CHUNK_ROWS = 256  # tabu searches batched_tabu_search runs together
@@ -257,9 +257,9 @@ def restart_harness(
     d_sol: float | None = None
     distances: dict[str, float | None] = {}  # decoded total distance per distinct state
     for state, e in zip(states, energies.tolist()):
-        if e < best_e - 1e-9:
+        if e < best_e - TIE_TOL:
             best_e, best_state, hits = e, state, 1
-        elif abs(e - best_e) <= 1e-9:
+        elif abs(e - best_e) <= TIE_TOL:
             hits += 1
         if encoding is not None:
             if state not in distances:

@@ -34,9 +34,9 @@ class FacilityProblem:
     """Problem instance: geometry, ambulance count, metric and penalty weight.
 
     geometry is ``("line", L)`` or ``("grid", rows, cols)`` with unit-spaced
-    integer coordinates.  Exactly one of lambda_ / lambda_ratio must be set,
-    finite and >= 0; lambda_ratio expresses the penalty as a multiple of the
-    largest pairwise distance.
+    integer coordinates.  Exactly one of lambda_ (config key lambda) and
+    lambda_ratio must be set, finite and >= 0; lambda_ratio expresses the
+    penalty as a multiple of the largest pairwise distance.
     """
 
     geometry: tuple
@@ -52,7 +52,7 @@ class FacilityProblem:
         if self.metric not in METRICS:
             raise ValueError(f"unknown metric {self.metric!r}; valid metrics: {', '.join(METRICS)}")
         if (self.lambda_ is None) == (self.lambda_ratio is None):
-            raise ValueError("exactly one of lambda_ / lambda_ratio must be set")
+            raise ValueError("set exactly one penalty weight: lambda or lambda_ratio")
         name, weight = ("lambda", self.lambda_) if self.lambda_ratio is None else ("lambda_ratio", self.lambda_ratio)
         if not (math.isfinite(weight) and weight >= 0):
             raise ValueError(f"need a finite {name} >= 0, got {weight}")
@@ -91,24 +91,15 @@ def distance_matrix(problem: FacilityProblem) -> np.ndarray:
 class Encoding:
     """Variable layout and feasibility metadata produced by an encoder.
 
-    qubit_roles maps each qubit to a tag tuple:
-    ``("location", i)`` for single-block encodings,
-    ``("start", a, i)`` / ``("dest", a, i)`` for StartDest.
     hamming_targets is a list of ((first_qubit, last_qubit+1), weight) pairs.
     objective is the penalty-free part of the encoded model.
     """
 
     variant: str
     n_qubits: int
-    qubit_roles: list[tuple]
     hamming_targets: list[tuple[tuple[int, int], int]]
     problem: FacilityProblem
     objective: QuboModel
-    c: int | None = None
-
-    def __post_init__(self) -> None:
-        if len(self.qubit_roles) != self.n_qubits:
-            raise ValueError("qubit_roles must cover every qubit exactly once")
 
     @cached_property
     def distances(self) -> np.ndarray:
@@ -148,11 +139,9 @@ def encode_single_complement(problem: FacilityProblem) -> tuple[QuboModel, Encod
     enc = Encoding(
         variant="ComplementSingle",
         n_qubits=L,
-        qubit_roles=[("location", i) for i in range(L)],
         hamming_targets=[((0, L), c)],
         problem=problem,
         objective=objective,
-        c=c,
     )
     return model, enc
 
@@ -218,8 +207,6 @@ def encode_start_dest(problem: FacilityProblem) -> tuple[QuboModel, Encoding]:
                 for b in range(a + 1, m):
                     add_quad(quadratic, start_q(a, i), start_q(b, i), lam)
 
-    roles = [("start", a, i) for a in range(m) for i in range(L)]
-    roles += [("dest", a, i) for a in range(m) for i in range(L)]
     targets = [((a * L, (a + 1) * L), 1) for a in range(m)]
     targets.append(((m * L, 2 * m * L), L))
 
@@ -228,7 +215,6 @@ def encode_start_dest(problem: FacilityProblem) -> tuple[QuboModel, Encoding]:
     enc = Encoding(
         variant="StartDest",
         n_qubits=n,
-        qubit_roles=roles,
         hamming_targets=targets,
         problem=problem,
         objective=objective,
@@ -265,7 +251,6 @@ def encode_position_linear(
     enc = Encoding(
         variant="PositionLinear",
         n_qubits=L,
-        qubit_roles=[("location", i) for i in range(L)],
         hamming_targets=[((0, L), m)],
         problem=problem,
         objective=objective,

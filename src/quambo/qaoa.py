@@ -32,6 +32,7 @@ from .simulator import (
 
 MIXER_KINDS = ("X", "XY", "ThreeXY")
 STRATEGIES = ("INTERP", "EXTRAP1", "EXTRAP2")  # the depth schedules of increasing_p_schedule
+INIT_KINDS = ("Uniform", "Dicke", "DickeBlocks", "RandomFeasible")  # the initial states a config can build
 
 
 @dataclass
@@ -72,7 +73,7 @@ class InitSpec:
     seed: int | None = None
 
     def __post_init__(self) -> None:
-        if self.kind not in ("Uniform", "Dicke", "DickeBlocks", "PureFeasible", "RandomFeasible"):
+        if self.kind not in (*INIT_KINDS, "PureFeasible"):
             raise ValueError(f"unknown init kind {self.kind!r}")
         if self.kind == "PureFeasible" and self.bitstring is None:
             raise ValueError("init PureFeasible needs a bitstring")
@@ -141,14 +142,6 @@ class Scorer:
         pos = np.minimum(np.searchsorted(self.indices, reads, sorter=order), len(order) - 1)
         hit = self.indices[order[pos]] == reads
         return np.bincount(order[pos[hit]], minlength=len(self.indices))
-
-
-@dataclass
-class QaoaConfig:
-    encoding: Encoding
-    mixer: MixerSpec
-    init: InitSpec
-    p: int
 
 
 # Largest number of qubits in one Hadamard block of the X-mixer engine.
@@ -426,7 +419,6 @@ class RestartResult:
     runs: list[tuple[Angles, RunMetrics]]
     summary: dict[str, float]
     best_index: int
-    engine: dict = field(default_factory=dict)
     optimizer: dict = field(default_factory=dict)
 
     @property
@@ -444,21 +436,20 @@ def summarize_metrics(runs: Sequence[RunMetrics]) -> dict[str, float]:
     return out
 
 
-def random_restart_search(config: QaoaConfig, model: QuboModel, n_starts: int, optimizer: OptimizerConfig,
+def random_restart_search(ctx: QaoaContext, p: int, n_starts: int, optimizer: OptimizerConfig,
                           seed: int) -> RestartResult:
     """Optimize from n_starts uniform [0, 2pi)^dim angle draws (optimize.restart_search); best run = lowest EV.
 
     All starts go to one minimize_batch call (Nelder-Mead and SPSA run them
     in lockstep); `optimizer` of the result records how it went.
     """
-    ctx = QaoaContext(config.encoding, model, config.mixer, config.init)
-    p, nb, ng = config.p, config.mixer.n_beta, config.mixer.n_gamma
+    nb, ng = ctx.mixer.n_beta, ctx.mixer.n_gamma
     found, block = restart_search(lambda X: ctx.ev_batch(X, p),
                                   lambda x: ctx.metrics(ctx.run(Angles.unflatten(x, p, nb, ng))),
                                   p * (nb + ng), n_starts, optimizer, seed)
     runs = [(Angles.unflatten(x, p, nb, ng), m) for x, m in found]
     best = int(np.argmin([m.ev for _, m in runs]))
-    return RestartResult(runs, summarize_metrics([m for _, m in runs]), best, engine=ctx.engine, optimizer=block)
+    return RestartResult(runs, summarize_metrics([m for _, m in runs]), best, optimizer=block)
 
 
 def interp_extend(angles: Angles) -> Angles:
@@ -497,8 +488,7 @@ def increasing_p_schedule(
     seed_angles: Angles,
     p_max: int,
     optimizer: OptimizerConfig,
-    config: QaoaConfig,
-    model: QuboModel,
+    ctx: QaoaContext,
     seed: int = 0,
 ) -> list[ScheduleLevel]:
     """Iterate extend -> optimize from a depth-p seed, recording metrics per depth.
@@ -509,8 +499,7 @@ def increasing_p_schedule(
     """
     if strategy not in STRATEGIES:
         raise ValueError(f"unknown strategy {strategy!r}")
-    ctx = QaoaContext(config.encoding, model, config.mixer, config.init)
-    nb, ng = config.mixer.n_beta, config.mixer.n_gamma
+    nb, ng = ctx.mixer.n_beta, ctx.mixer.n_gamma
 
     def record(angles: Angles, ev: float, evals: int) -> ScheduleLevel:
         m = ctx.metrics(ctx.run(angles), evals=evals)

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -140,20 +140,28 @@ def index_from_string(s: str | Sequence[int] | np.ndarray) -> int:
     return sum(int(c) << i for i, c in enumerate(s))
 
 
-def energies_at(model: QuboModel, indices: Sequence[int] | np.ndarray) -> np.ndarray:
-    """QUBO energies at an array of basis indices: the one energy kernel.
+def energies_at(model: QuboModel | IsingModel, indices: Sequence[int] | np.ndarray) -> np.ndarray:
+    """QUBO or Ising energies at an array of basis indices: the one energy kernel.
 
-    Terms are added in a fixed order (offset, then linear, then quadratic
-    terms, each in dict order), so every evaluation agrees bit for bit.
-    Indices that need more than 63 bits arrive as an object array of Python
-    ints and take the same path.
+    Terms are added in a fixed order (offset, then linear or field terms,
+    then quadratic or coupling terms, each in dict order), so every
+    evaluation agrees bit for bit.  Spin i of an index is z_i = 1 - 2 s_i and
+    a coupling's product z_i z_j is 1 - 2 (s_i xor s_j).  Indices that need
+    more than 63 bits arrive as an object array of Python ints and take the
+    same path.
     """
     idx = np.asarray(indices)
     e = np.full(idx.shape, float(model.offset))
-    for i, c in model.linear.items():
-        e = e + c * ((idx >> i) & 1)
-    for (i, j), c in model.quadratic.items():
-        e = e + c * ((idx >> i) & (idx >> j) & 1)
+    if isinstance(model, QuboModel):
+        for i, c in model.linear.items():
+            e = e + c * ((idx >> i) & 1)
+        for (i, j), c in model.quadratic.items():
+            e = e + c * ((idx >> i) & (idx >> j) & 1)
+    else:
+        for i, c in model.h.items():
+            e = e + c * (1 - 2 * ((idx >> i) & 1))
+        for (i, j), c in model.J.items():
+            e = e + c * (1 - 2 * (((idx >> i) ^ (idx >> j)) & 1))
     return np.asarray(e, dtype=float)
 
 
@@ -172,12 +180,9 @@ def energy_ising(model: IsingModel, z: Sequence[int] | np.ndarray) -> float:
     spins = np.asarray(z)
     if len(spins) != model.n:
         raise ValueError(f"state length {len(spins)} != n={model.n}")
-    e = model.offset
-    for i, c in model.h.items():
-        e += c * spins[i]
-    for (i, j), c in model.J.items():
-        e += c * spins[i] * spins[j]
-    return float(e)
+    if not np.isin(spins, (-1, 1)).all():
+        raise ValueError(f"not a spin assignment: {z!r}")
+    return float(energies_at(model, [index_from_string(spins < 0)])[0])
 
 
 def qubo_to_ising(model: QuboModel) -> IsingModel:
@@ -222,26 +227,13 @@ def energy_vector(model: QuboModel | IsingModel, n_override: int | None = None) 
     """Energies of all 2^n basis states, indexed by basis index (the cost diagonal)."""
     n = model.n if n_override is None else n_override
     CapacityError.check(n, SPECTRUM_CAP, "spectrum")
-    idx = np.arange(1 << n)
-    if isinstance(model, QuboModel):
-        return energies_at(model, idx)
-    energies = np.full(1 << n, float(model.offset))
-    spin = lambda i: 1.0 - 2.0 * ((idx >> i) & 1)  # noqa: E731
-    for i, c in model.h.items():
-        energies += c * spin(i)
-    for (i, j), c in model.J.items():
-        energies += c * spin(i) * spin(j)
-    return energies
+    return energies_at(model, np.arange(1 << n))
 
 
 def enumerate_spectrum(
-    model: QuboModel,
-    feasible: Callable[[str], bool] | None = None,
-    *,
-    states: Iterable[int] | None = None,
-    energies: np.ndarray | None = None,
+    model: QuboModel, *, states: Iterable[int] | None = None, energies: np.ndarray | None = None
 ) -> list[SpectrumEntry]:
-    """Exact sorted spectrum over all 2^n states (or the feasible subset), ties grouped.
+    """Exact sorted spectrum over all 2^n states (or a subset of them), ties grouped.
 
     `states` (with `energies`, if known) let callers restrict to a subset without
     touching the full space (used for large constrained sectors).  A level
@@ -253,9 +245,6 @@ def enumerate_spectrum(
     else:
         indices = np.asarray(list(states))
         values = energies_at(model, indices) if energies is None else np.asarray(energies, dtype=float)
-    if feasible is not None:
-        mask = np.array([feasible(s) for s in strings_from_indices(indices, model.n)], dtype=bool)
-        indices, values = indices[mask], values[mask]
 
     order = np.argsort(values, kind="stable")
     entries: list[SpectrumEntry] = []

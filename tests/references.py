@@ -1,6 +1,6 @@
-"""Reference implementations the tests check quambo against: scipy's Nelder-Mead, the one-row
-SPSA and finite-difference BFGS loops, the one-vector QAOA evaluator, the one-vector VQE
-circuit and the step-by-step anneal propagator."""
+"""Reference implementations the tests check quambo against: the per-state Ising energy loop,
+scipy's Nelder-Mead, the one-row SPSA and finite-difference BFGS loops, the one-vector QAOA
+evaluator, the one-vector VQE circuit and the step-by-step anneal propagator."""
 
 import numpy as np
 from scipy.optimize import minimize as scipy_minimize
@@ -8,6 +8,17 @@ from scipy.optimize import minimize as scipy_minimize
 from quambo.optimize import FdQuasiNewton, Spsa, spsa_schedules
 from quambo.qaoa import Angles
 from quambo.vqe import NARROW_MIN_ROWS, NARROW_STRIDE
+
+
+def reference_energy_ising(model, z):
+    """The Ising cost of one spin assignment, one term at a time: the oracle of energies_at on Ising models."""
+    spins = np.asarray(z)
+    e = model.offset
+    for i, c in model.h.items():
+        e += c * spins[i]
+    for (i, j), c in model.J.items():
+        e += c * spins[i] * spins[j]
+    return float(e)
 
 
 def scipy_nelder_mead(f, x0, config):

@@ -40,7 +40,6 @@ from quambo.qaoa import (
     Angles,
     InitSpec,
     MixerSpec,
-    QaoaConfig,
     QaoaContext,
     gain_decomposition,
     increasing_p_schedule,
@@ -161,12 +160,12 @@ def test_criterion_04_mixer_comparison():
     t0 = time.monotonic()
     model, enc = encode_a(40)
     xy = random_restart_search(
-        QaoaConfig(enc, MixerSpec("XY", rings=[[0, 1, 2, 3, 4]]), InitSpec("Dicke", k=4), 5),
-        model, 100, NelderMead(max_iter=400), seed=11,
+        QaoaContext(enc, model, MixerSpec("XY", rings=[[0, 1, 2, 3, 4]]), InitSpec("Dicke", k=4)),
+        5, 100, NelderMead(max_iter=400), seed=11,
     )
     x = random_restart_search(
-        QaoaConfig(enc, MixerSpec("X"), InitSpec("Uniform"), 5),
-        model, 100, NelderMead(max_iter=400), seed=12,
+        QaoaContext(enc, model, MixerSpec("X"), InitSpec("Uniform")),
+        5, 100, NelderMead(max_iter=400), seed=12,
     )
     elapsed = time.monotonic() - t0
     xy_gnd = xy.summary["mean_p_gnd"]
@@ -189,9 +188,7 @@ def test_criterion_05_lambda_threshold_trend():
     for lam in (0, 40, 100):
         model, enc = encode_a(lam)
         ctx = QaoaContext(enc, model, MixerSpec("X"), InitSpec("Uniform"))
-        res = random_restart_search(
-            QaoaConfig(enc, MixerSpec("X"), InitSpec("Uniform"), 5), model, 50, opt, seed=13
-        )
+        res = random_restart_search(ctx, 5, 50, opt, seed=13)
         p_nc = float(np.mean([ctx.run(a).probabilities()[idx] for a, _ in res.runs]))
         results[lam] = (p_nc, res.summary["mean_p_gnd"])
     elapsed = time.monotonic() - t0
@@ -208,13 +205,13 @@ def test_criterion_05_lambda_threshold_trend():
 def test_criterion_06_increasing_p_gain():
     t0 = time.monotonic()
     model, enc = encode_position_linear(problem_variant("C"))
-    config = QaoaConfig(enc, MixerSpec("X"), InitSpec("Uniform"), 1)
-    search = random_restart_search(config, model, 100, NelderMead(max_iter=400), seed=21)
+    ctx = QaoaContext(enc, model, MixerSpec("X"), InitSpec("Uniform"))
+    search = random_restart_search(ctx, 1, 100, NelderMead(max_iter=400), seed=21)
     seed_angles, seed_metrics = search.best
     gains, mono = {}, {}
     for strategy in ("INTERP", "EXTRAP1", "EXTRAP2"):
         levels = increasing_p_schedule(
-            strategy, seed_angles, 10, NelderMead(max_iter=800), config, model, seed=3
+            strategy, seed_angles, 10, NelderMead(max_iter=800), ctx, seed=3
         )
         evs = [lvl.metrics.ev for lvl in levels]
         mono[strategy] = all(b <= a + 1e-9 for a, b in zip(evs, evs[1:]))
@@ -243,9 +240,7 @@ def test_criterion_07_three_ring_structure():
 
     best_ev = {}
     for p in (1, 2):
-        res = random_restart_search(
-            QaoaConfig(enc, mixer, InitSpec("DickeBlocks"), p), model, 200, NelderMead(max_iter=200), seed=31
-        )
+        res = random_restart_search(ctx, p, 200, NelderMead(max_iter=200), seed=31)
         best_ev[p] = res.best[1].ev
     elapsed = time.monotonic() - t0
     ok = (

@@ -51,7 +51,7 @@ def assert_one_error(tmp_path, capsys, command, text, message):
 
 # A start/destination encoding of 13 sites and one ambulance: n = 26 qubits, over STATE_CAP.
 PROBLEM_N26 = "[problem]\ngeometry = line\ncols = 13\nambulances = 1\nlambda = 1\n"
-QAOA_KEYS = "valid keys: encoding, form, mixer, strategy, init, p, restarts"
+QAOA_KEYS = "valid keys: encoding, mixer, strategy, init, p, restarts"
 # The manifest's optimizer block of a qaoa or vqe run; qaoa adds schedule_s with a strategy.
 OPTIMIZER_KEYS = {"kind", "restarts", "lockstep_rows", "batch_calls", "points_per_call", "evals_per_row", "optimize_s"}
 
@@ -92,6 +92,10 @@ class TestEncode:
         with pytest.raises(ValueError, match="unknown encoding 'bogus'"):
             encoding_from_config(cp, problem_from_config(cp), "encode")
 
+    def test_a_qaoa_section_does_not_stand_in_for_encode(self, tmp_path, capsys):
+        assert_one_error(tmp_path, capsys, "encode", PROBLEM_A + "[qaoa]\nencoding = complement\n",
+                         "quambo encode needs a [encode] section")
+
     def test_position_linear_reads_include_penalty(self, tmp_path):
         cfg = write(tmp_path, "a.ini", PROBLEM_LINE4 + "[encode]\nencoding = position_linear\ninclude_penalty = no\n")
         assert main(["encode", "--config", cfg, "--out", str(tmp_path / "m.txt")]) == 0
@@ -108,6 +112,8 @@ class TestProblem:
          "(in [problem] forbid_colocation = maybe)"),
         ("lambda = 40", "lambda = 40\nmetric = taxicab",
          "unknown metric 'taxicab'; valid metrics: squared-euclidean, euclidean, manhattan"),
+        ("lambda = 40\n", "", "set exactly one penalty weight: lambda or lambda_ratio"),
+        ("lambda = 40", "lambda = 40\nlambda_ratio = 1", "set exactly one penalty weight: lambda or lambda_ratio"),
     ])
     def test_bad_problem_is_one_error_line(self, tmp_path, capsys, old, new, message):
         assert_one_error(tmp_path, capsys, "oracle", PROBLEM_A.replace(old, new), message)
@@ -279,10 +285,15 @@ class TestQaoa:
 
     def test_pure_feasible_without_bitstring_is_an_error(self, tmp_path, capsys):
         text = self.CONFIG.replace("mixer = X\ninit = Uniform", "mixer = XY\ninit = PureFeasible")
-        cfg = write(tmp_path, "q.ini", text)
-        assert main(["qaoa", "--config", cfg, "--out", str(tmp_path / "q.csv")]) == 1
-        err = capsys.readouterr().err
-        assert err.startswith("error:") and "bitstring" in err
+        assert_one_error(tmp_path, capsys, "qaoa", text, "unknown qaoa init 'PureFeasible'; "
+                         "valid inits: Uniform, Dicke, DickeBlocks, RandomFeasible")
+
+    def test_strategy_run_builds_one_context(self, tmp_path, monkeypatch):
+        built, build = [], qaoa.QaoaContext.__init__
+        monkeypatch.setattr(qaoa.QaoaContext, "__init__", lambda *args, **kw: built.append(1) or build(*args, **kw))
+        text = self.CONFIG.replace("restarts = 2", "restarts = 1\nstrategy = INTERP\np_max = 2")
+        assert main(["qaoa", "--config", write(tmp_path, "q.ini", text), "--out", str(tmp_path / "q.csv")]) == 0
+        assert len(built) == 1
 
     @pytest.mark.parametrize("old, new, message", [
         ("mixer = X", "mixer = xy", "unknown qaoa mixer 'xy'; valid mixers: X, XY, ThreeXY"),
@@ -293,6 +304,9 @@ class TestQaoa:
         ("p = 1", "p_max = 3", f"qaoa without a strategy does not read key 'p_max'; {QAOA_KEYS}"),
         ("p = 1", "strategy = INTERP\np_max = x", "invalid literal for int() with base 10: 'x' (in [qaoa] p_max = x)"),
         ("p = 1", "include_penalty = true", f"encoding 'complement' does not read key 'include_penalty'; {QAOA_KEYS}"),
+        ("p = 1", "form = ising", f"unknown key 'form' in [qaoa]; {QAOA_KEYS}"),
+        ("init = Uniform", "init = Bogus",
+         "unknown qaoa init 'Bogus'; valid inits: Uniform, Dicke, DickeBlocks, RandomFeasible"),
     ])
     def test_bad_setting_is_an_error(self, tmp_path, capsys, monkeypatch, old, new, message):
         monkeypatch.setattr("quambo.cli.encoding_from_config", None)  # rejected before any work
@@ -608,7 +622,7 @@ MISSING_SECTION = {
     "vqe": (PROBLEM_A + "[qaoa]\np = 1\n", "[vqe]"),
     "baseline": (PROBLEM_A, "[heuristic]"),
     "anneal": (PROBLEM_A, "[anneal]"),
-    "encode": (PROBLEM_A + "[vqe]\nlayers = 1\n", "[encode] or [qaoa]"),
+    "encode": (PROBLEM_A + "[vqe]\nlayers = 1\n", "[encode]"),
 }
 
 

@@ -20,7 +20,6 @@ from quambo.qaoa import (
     Angles,
     InitSpec,
     MixerSpec,
-    QaoaConfig,
     QaoaContext,
     RunMetrics,
     Scorer,
@@ -55,6 +54,12 @@ def ctx_a_xy(problem_a):
     model, enc = problem_a
     mixer = MixerSpec(kind="XY", rings=[[0, 1, 2, 3, 4]])
     return QaoaContext(enc, model, mixer, InitSpec(kind="Dicke", k=4))
+
+
+@pytest.fixture(scope="module")
+def ctx_a_x(problem_a):
+    model, enc = problem_a
+    return QaoaContext(enc, model, MixerSpec(kind="X"), InitSpec(kind="Uniform"))
 
 
 @pytest.fixture(scope="module")
@@ -423,40 +428,32 @@ class TestSchedules:
     def test_schedule_ev_non_increasing(self, problem_a):
         model, enc = problem_a
         mixer = MixerSpec(kind="XY", rings=[[0, 1, 2, 3, 4]])
-        config = QaoaConfig(encoding=enc, mixer=mixer, init=InitSpec(kind="Dicke", k=4), p=1)
+        ctx = QaoaContext(enc, model, mixer, InitSpec(kind="Dicke", k=4))
         seed_angles = Angles(beta=np.array([[0.5]]), gamma=np.array([[0.05]]))
         for strategy in ("INTERP", "EXTRAP1", "EXTRAP2"):
-            levels = increasing_p_schedule(
-                strategy, seed_angles, p_max=4, optimizer=NelderMead(max_iter=60), config=config, model=model
-            )
+            levels = increasing_p_schedule(strategy, seed_angles, p_max=4, optimizer=NelderMead(max_iter=60), ctx=ctx)
             evs = [lvl.metrics.ev for lvl in levels]
             assert all(b <= a + 1e-9 for a, b in zip(evs, evs[1:]))
             assert levels[-1].p == 4 if strategy != "EXTRAP2" else levels[-1].p in (3, 5)
 
-    def test_unknown_strategy(self, problem_a):
-        model, enc = problem_a
-        config = QaoaConfig(encoding=enc, mixer=MixerSpec(kind="X"), init=InitSpec(kind="Uniform"), p=1)
+    def test_unknown_strategy(self, ctx_a_x):
         with pytest.raises(ValueError):
             increasing_p_schedule(
-                "GEOMETRIC", Angles(beta=np.zeros((1, 1)), gamma=np.zeros((1, 1))), 2, NelderMead(), config, model
+                "GEOMETRIC", Angles(beta=np.zeros((1, 1)), gamma=np.zeros((1, 1))), 2, NelderMead(), ctx_a_x
             )
 
 
 class TestRestarts:
-    def test_search_shapes_and_best(self, problem_a):
-        model, enc = problem_a
-        config = QaoaConfig(encoding=enc, mixer=MixerSpec(kind="X"), init=InitSpec(kind="Uniform"), p=1)
-        res = random_restart_search(config, model, n_starts=4, optimizer=NelderMead(max_iter=50), seed=13)
+    def test_search_shapes_and_best(self, ctx_a_x):
+        res = random_restart_search(ctx_a_x, 1, n_starts=4, optimizer=NelderMead(max_iter=50), seed=13)
         assert len(res.runs) == 4
         evs = [m.ev for _, m in res.runs]
         assert res.best_index == int(np.argmin(evs))
         assert res.best[1].ev == min(evs)
         assert "mean_p_gnd" in res.summary
 
-    def test_optimizer_telemetry(self, problem_a):
-        model, enc = problem_a
-        config = QaoaConfig(encoding=enc, mixer=MixerSpec(kind="X"), init=InitSpec(kind="Uniform"), p=2)
-        res = random_restart_search(config, model, 5, NelderMead(max_iter=30), seed=2)
+    def test_optimizer_telemetry(self, ctx_a_x):
+        res = random_restart_search(ctx_a_x, 2, 5, NelderMead(max_iter=30), seed=2)
         block = res.optimizer
         evals = sum(m.evals for _, m in res.runs)
         assert block["kind"] == "nelder-mead" and block["restarts"] == block["lockstep_rows"] == 5
@@ -465,34 +462,28 @@ class TestRestarts:
         assert block["points_per_call"] == evals / block["batch_calls"]
         assert block["evals_per_row"] == evals / 5
         assert block["optimize_s"] > 0.0
-        spsa = random_restart_search(config, model, 2, Spsa(n_iter=5), seed=2).optimizer
+        spsa = random_restart_search(ctx_a_x, 2, 2, Spsa(n_iter=5), seed=2).optimizer
         # the start points, one +/- pair per row and step, the end points: 2 * (1 + 2 * 5 + 1) evaluations
         assert spsa["kind"] == "spsa" and spsa["lockstep_rows"] == 2 and spsa["batch_calls"] == 1 + 5 + 1
         assert spsa["points_per_call"] == 2 * (1 + 2 * 5 + 1) / 7
 
-    def test_no_restarts_is_an_error(self, problem_a):
-        model, enc = problem_a
-        config = QaoaConfig(encoding=enc, mixer=MixerSpec(kind="X"), init=InitSpec(kind="Uniform"), p=1)
+    def test_no_restarts_is_an_error(self, ctx_a_x):
         with pytest.raises(ValueError, match="restarts >= 1"):
-            random_restart_search(config, model, 0, NelderMead(), seed=0)
+            random_restart_search(ctx_a_x, 1, 0, NelderMead(), seed=0)
 
-    def test_search_equals_one_scipy_run_per_restart(self, problem_a):
-        model, enc = problem_a
-        config = QaoaConfig(encoding=enc, mixer=MixerSpec(kind="X"), init=InitSpec(kind="Uniform"), p=2)
+    def test_search_equals_one_scipy_run_per_restart(self, ctx_a_x):
         optimizer = NelderMead(max_iter=60, f_tol=1e-6, x_tol=1e-6)
-        res = random_restart_search(config, model, 5, optimizer, seed=9)
-        ctx = QaoaContext(enc, model, config.mixer, config.init)
+        res = random_restart_search(ctx_a_x, 2, 5, optimizer, seed=9)
         for i, (angles, m) in enumerate(res.runs):
             x0 = np.random.default_rng([9, i]).uniform(0.0, 2.0 * np.pi, size=4)
-            x_best, f_best, evals, _trace, _res = scipy_nelder_mead(lambda x: reference_ev(ctx, x, 2), x0, optimizer)
+            x_best, f_best, evals, _trace, _res = scipy_nelder_mead(lambda x: reference_ev(ctx_a_x, x, 2), x0,
+                                                                    optimizer)
             assert np.array_equal(angles.flatten(), x_best)
             assert (m.ev, m.evals) == (f_best, evals)
 
-    def test_search_deterministic(self, problem_a):
-        model, enc = problem_a
-        config = QaoaConfig(encoding=enc, mixer=MixerSpec(kind="X"), init=InitSpec(kind="Uniform"), p=1)
-        a = random_restart_search(config, model, 2, NelderMead(max_iter=30), seed=4)
-        b = random_restart_search(config, model, 2, NelderMead(max_iter=30), seed=4)
+    def test_search_deterministic(self, ctx_a_x):
+        a = random_restart_search(ctx_a_x, 1, 2, NelderMead(max_iter=30), seed=4)
+        b = random_restart_search(ctx_a_x, 1, 2, NelderMead(max_iter=30), seed=4)
         assert [m.ev for _, m in a.runs] == [m.ev for _, m in b.runs]
 
 

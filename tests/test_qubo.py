@@ -24,6 +24,8 @@ from quambo.qubo import (
     strings_from_indices,
 )
 
+from references import reference_energy_ising
+
 
 def problem_a(lam):
     problem = FacilityProblem(("line", 5), ambulances=1, lambda_=lam)
@@ -72,6 +74,19 @@ class TestEnergyKernel:
         for i in indices:
             assert energy_qubo(model, string_from_index(i, model.n)) == reference[i]
 
+    @given(qubo_models(), st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_ising_evaluators_equal_the_per_state_loop(self, model, data):
+        ising = IsingModel(model.n, h=model.linear, J=model.quadratic, offset=model.offset)
+        dim = 1 << model.n
+        spins = [1 - 2 * bits_from_string(string_from_index(i, model.n)) for i in range(dim)]
+        reference = np.array([reference_energy_ising(ising, z) for z in spins])
+        assert np.array_equal(energy_vector(ising), reference)
+        indices = data.draw(st.lists(st.integers(min_value=0, max_value=dim - 1), max_size=20))
+        assert np.array_equal(energies_at(ising, np.array(indices, dtype=np.int64)), reference[indices])
+        for i in indices:
+            assert energy_ising(ising, spins[i]) == reference[i]
+
     @given(qubo_models())
     @settings(max_examples=40, deadline=None)
     def test_ising_round_trip_through_energy_vector(self, model):
@@ -106,6 +121,11 @@ class TestEnergyKernel:
     def test_non_binary_assignment(self):
         with pytest.raises(ValueError):
             energy_qubo(QuboModel(n=2, linear={0: 1.0}), [2, 0])
+
+    @pytest.mark.parametrize("z", [[2, 0], [1, 0], [-1, 3]])
+    def test_non_spin_assignment(self, z):
+        with pytest.raises(ValueError, match="not a spin assignment"):
+            energy_ising(IsingModel(2, {0: 1.0}, {(0, 1): 2.0}), z)
 
 
 class TestEnergyQubo:
@@ -218,11 +238,6 @@ class TestSpectrum:
         model = random_qubo(6, rng)
         entries = enumerate_spectrum(model)
         assert sum(len(e.states) for e in entries) == 64
-
-    def test_feasible_filter(self):
-        model = problem_a(10)
-        entries = enumerate_spectrum(model, feasible=lambda s: s.count("1") == 4)
-        assert sum(len(e.states) for e in entries) == 5
 
     def test_cap(self):
         with pytest.raises(CapacityError):
