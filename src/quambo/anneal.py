@@ -162,15 +162,15 @@ def resolve_chain_majority(
     return "".join(bits)
 
 
-def sim_anneal_sampler(sweeps: int = 30, **settings):
-    """Stand-in annealer: each read is one short chain of SimAnneal(sweeps, **settings).
+def sim_anneal_sampler(sweeps: int = 30):
+    """Stand-in annealer: each read is one short chain of SimAnneal(sweeps).
 
     All reads run as one batch of chains; read r is seeded as restart r of
     `heuristics.restart_harness`.
     """
     from .heuristics import SimAnneal, batched_simulated_annealing, restart_seeds
 
-    config = SimAnneal(sweeps=sweeps, **settings)
+    config = SimAnneal(sweeps=sweeps)
 
     def sampler(model, reads: int, seed: int) -> list[str]:
         return batched_simulated_annealing(model, config, restart_seeds(seed, reads))[0]

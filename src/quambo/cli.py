@@ -277,17 +277,18 @@ def cmd_qaoa(args: argparse.Namespace, cp: configparser.ConfigParser, problem: F
     p_max = _get(sec, "p_max", 10)
     model, enc = encoding_from_config(cp, problem, "qaoa")
     ctx = qaoa.QaoaContext(enc, model, mixer, init)
-    search = qaoa.random_restart_search(ctx, p, restarts, optimizer, args.seed)
-    telemetry = search.optimizer
+    runs, telemetry = qaoa.random_restart_search(ctx, p, restarts, optimizer, args.seed)
     if strategy is not None:
         t0 = time.perf_counter()
-        levels = qaoa.increasing_p_schedule(strategy, search.best[0], p_max, optimizer, ctx, seed=args.seed)
+        best_x = min(runs, key=lambda run: run[1].ev)[0]  # the first lowest EV
+        levels = qaoa.increasing_p_schedule(strategy, best_x, p_max, optimizer, ctx, seed=args.seed)
         telemetry = {**telemetry, "schedule_s": round(time.perf_counter() - t0, 6)}
         rows = [[i, level.p, strategy, mixer.kind, init.kind, *_figures(level.metrics, args.seed)]
                 for i, level in enumerate(levels)]
     else:
-        rows = [[i, p, "", mixer.kind, init.kind, *_figures(m, args.seed)] for i, (_, m) in enumerate(search.runs)]
-        means = [search.summary[f"mean_{name}"] for name in ("ev", "r_approx", "p_feas", "p_gnd")]
+        rows = [[i, p, "", mixer.kind, init.kind, *_figures(m, args.seed)] for i, (_, m) in enumerate(runs)]
+        summary = qaoa.summarize_metrics([m for _, m in runs])
+        means = [summary[f"mean_{name}"] for name in ("ev", "r_approx", "p_feas", "p_gnd")]
         rows.append(["summary", p, "", mixer.kind, init.kind, *means, "", args.seed])
     return rows, {"engine": ctx.engine, "optimizer": telemetry}
 
@@ -343,9 +344,7 @@ def cmd_baseline(args: argparse.Namespace, cp: configparser.ConfigParser, proble
     oracle_s = time.perf_counter() - t0
     model, enc = encode_start_dest(problem)
     t1 = time.perf_counter()
-    result = heuristics.restart_harness(
-        heuristics.make_solver(config), model, restarts, args.seed, encoding=enc, d_min=d_min
-    )
+    result = heuristics.restart_harness(config, model, restarts, args.seed, encoding=enc, d_min=d_min)
     t2 = time.perf_counter()
     ratio = result.ratio if result.ratio is not None else float("nan")
     rows = [[_grid(problem), algorithm, restarts, result.best_energy, result.frequency_of_best, float(d_min), ratio]]

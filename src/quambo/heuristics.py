@@ -15,7 +15,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -215,16 +215,6 @@ def tabu_search(model: QuboModel, config: Tabu, seed: int) -> tuple[str, float]:
     return states[0], float(energies[0])
 
 
-# solver(model, seeds) -> (best state per seed, best energy per seed)
-Solver = Callable[[QuboModel, Sequence[int]], tuple[list[str], np.ndarray]]
-
-
-def make_solver(config: HeuristicConfig) -> Solver:
-    if isinstance(config, SimAnneal):
-        return lambda model, seeds: batched_simulated_annealing(model, config, seeds)
-    return lambda model, seeds: batched_tabu_search(model, config, seeds)
-
-
 @dataclass
 class HarnessResult:
     best_energy: float
@@ -235,14 +225,14 @@ class HarnessResult:
 
 
 def restart_harness(
-    solver: Solver,
+    config: HeuristicConfig,
     model: QuboModel,
     restarts: int,
     seed: int,
     encoding: Encoding | None = None,
     d_min: float | None = None,
 ) -> HarnessResult:
-    """Aggregate seeded restarts: best energy, its frequency, and d_sol/d_min.
+    """Aggregate seeded restarts of the config's heuristic: best energy, its frequency, and d_sol/d_min.
 
     All restarts run as one batch and are aggregated in restart order.  d_sol
     is the smallest decoded total distance over restarts whose returned state
@@ -250,7 +240,8 @@ def restart_harness(
     """
     if restarts < 1:
         raise ValueError(f"need restarts >= 1, got {restarts}")
-    states, energies = solver(model, restart_seeds(seed, restarts))
+    solve = batched_simulated_annealing if isinstance(config, SimAnneal) else batched_tabu_search
+    states, energies = solve(model, config, restart_seeds(seed, restarts))
     best_e = np.inf
     best_state = ""
     hits = 0

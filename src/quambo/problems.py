@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterator, Sequence
 
@@ -122,6 +122,8 @@ def encode_single_complement(problem: FacilityProblem) -> tuple[QuboModel, Encod
     """
     if problem.ambulances != 1:
         raise ValueError("ComplementSingle requires exactly one ambulance")
+    if problem.forbid_colocation:
+        raise ValueError("forbid_colocation needs the start_dest encoding; complement does not read it")
     L = problem.num_locations
     lam = problem.penalty_weight()
     dist = distance_matrix(problem)
@@ -230,6 +232,8 @@ def encode_position_linear(
     field_i = sum_l dist(i, l); the cardinality penalty lambda*(sum s - m)^2 is
     omitted when an XY mixer enforces the weight instead.
     """
+    if problem.forbid_colocation:
+        raise ValueError("forbid_colocation needs the start_dest encoding; position_linear does not read it")
     L = problem.num_locations
     m = problem.ambulances
     dist = distance_matrix(problem)

@@ -5,11 +5,15 @@ Three mixer families are supported: per-qubit X rotations, XY ring mixers
 (Hamming-weight conserving) and the three-ring XY variant used for
 start/destination encodings, where quadratic terms crossing blocks pick up
 the gamma of their start-block qubit.
+
+An angle point is one flat vector x: p rows of the mixer's beta-count betas,
+then p rows of its gamma-count gammas.  ev, run, the restart search and the
+depth schedules all take it in this form.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from functools import cached_property, lru_cache
 from typing import Sequence
 
@@ -79,33 +83,6 @@ class InitSpec:
             raise ValueError("init PureFeasible needs a bitstring")
         if self.kind == "RandomFeasible" and self.seed is None:
             raise ValueError("init RandomFeasible needs a seed")
-
-
-@dataclass
-class Angles:
-    """p steps of beta (p x beta-count) and gamma (p x gamma-count) angles."""
-
-    beta: np.ndarray
-    gamma: np.ndarray
-
-    def __post_init__(self) -> None:
-        self.beta = np.atleast_2d(np.asarray(self.beta, dtype=float))
-        self.gamma = np.atleast_2d(np.asarray(self.gamma, dtype=float))
-        if self.beta.shape[0] != self.gamma.shape[0]:
-            raise ValueError("beta and gamma must have one row per step")
-
-    @property
-    def p(self) -> int:
-        return self.beta.shape[0]
-
-    def flatten(self) -> np.ndarray:
-        return np.concatenate([self.beta.ravel(), self.gamma.ravel()])
-
-    @staticmethod
-    def unflatten(x: np.ndarray, p: int, n_beta: int, n_gamma: int) -> "Angles":
-        x = np.asarray(x, dtype=float)
-        nb = p * n_beta
-        return Angles(beta=x[:nb].reshape(p, n_beta), gamma=x[nb:].reshape(p, n_gamma))
 
 
 @dataclass
@@ -364,11 +341,10 @@ class QaoaContext:
                 psi = np.matmul(v, psi.view(float).reshape(K * pre, b, post)).reshape(K, -1).view(complex)
         return psi
 
-    def run(self, angles: Angles) -> StateVector:
-        if angles.beta.shape[1] != self.mixer.n_beta or angles.gamma.shape[1] != self.mixer.n_gamma:
-            raise ValueError("angle columns do not match the mixer's angle scheme")
+    def run(self, x: np.ndarray, p: int) -> StateVector:
+        """The ansatz state at the angles x of depth p, as ev(x, p) takes them."""
         amps = np.zeros(1 << self.n, dtype=complex)
-        amps[self._index] = self._evolve(angles.flatten()[None], angles.p)[0]
+        amps[self._index] = self._evolve(np.asarray(x, dtype=float)[None], p)[0]
         return StateVector(self.n, amps)
 
     def metrics(self, state: StateVector, evals: int = 0) -> RunMetrics:
@@ -414,18 +390,6 @@ def metrics(
     return RunMetrics(ev=ev, r_approx=r, p_feas=p_feas, p_gnd=p_gnd, evals=evals)
 
 
-@dataclass
-class RestartResult:
-    runs: list[tuple[Angles, RunMetrics]]
-    summary: dict[str, float]
-    best_index: int
-    optimizer: dict = field(default_factory=dict)
-
-    @property
-    def best(self) -> tuple[Angles, RunMetrics]:
-        return self.runs[self.best_index]
-
-
 def summarize_metrics(runs: Sequence[RunMetrics]) -> dict[str, float]:
     """Mean and 2 * SD-of-the-mean for each figure of merit (population SD)."""
     out: dict[str, float] = {}
@@ -437,61 +401,56 @@ def summarize_metrics(runs: Sequence[RunMetrics]) -> dict[str, float]:
 
 
 def random_restart_search(ctx: QaoaContext, p: int, n_starts: int, optimizer: OptimizerConfig,
-                          seed: int) -> RestartResult:
-    """Optimize from n_starts uniform [0, 2pi)^dim angle draws (optimize.restart_search); best run = lowest EV.
+                          seed: int) -> tuple[list[tuple[np.ndarray, RunMetrics]], dict]:
+    """Optimize from n_starts uniform [0, 2pi)^dim angle draws: optimize.restart_search's (runs, report).
 
     All starts go to one minimize_batch call (Nelder-Mead and SPSA run them
-    in lockstep); `optimizer` of the result records how it went.
+    in lockstep); each run is (x, metrics) at depth p.
     """
-    nb, ng = ctx.mixer.n_beta, ctx.mixer.n_gamma
-    found, block = restart_search(lambda X: ctx.ev_batch(X, p),
-                                  lambda x: ctx.metrics(ctx.run(Angles.unflatten(x, p, nb, ng))),
-                                  p * (nb + ng), n_starts, optimizer, seed)
-    runs = [(Angles.unflatten(x, p, nb, ng), m) for x, m in found]
-    best = int(np.argmin([m.ev for _, m in runs]))
-    return RestartResult(runs, summarize_metrics([m for _, m in runs]), best, optimizer=block)
+    return restart_search(lambda X: ctx.ev_batch(X, p), lambda x: ctx.metrics(ctx.run(x, p)),
+                          p * (ctx.mixer.n_beta + ctx.mixer.n_gamma), n_starts, optimizer, seed)
 
 
-def interp_extend(angles: Angles) -> Angles:
+def _steps(x: np.ndarray, p: int, n_beta: int) -> np.ndarray:
+    """The (p, angle count) matrix of x: row r holds step r's betas, then its gammas."""
+    return np.hstack([x[:p * n_beta].reshape(p, n_beta), x[p * n_beta:].reshape(p, -1)])
+
+
+def _flat(steps: np.ndarray, n_beta: int) -> np.ndarray:
+    """The angle vector of a _steps matrix: every step's betas, then every step's gammas."""
+    return np.concatenate([steps[:, :n_beta].ravel(), steps[:, n_beta:].ravel()])
+
+
+def interp_extend(x: np.ndarray, p: int, n_beta: int) -> np.ndarray:
     """Linear-interpolation seed for depth p+1, applied per angle family."""
-    p = angles.p
-
-    def extend(col: np.ndarray) -> np.ndarray:
-        padded = np.concatenate([[0.0], col, [0.0]])
-        return np.array(
-            [((i - 1) / p) * padded[i - 1] + ((p - i + 1) / p) * padded[i] for i in range(1, p + 2)]
-        )
-
-    beta = np.column_stack([extend(angles.beta[:, c]) for c in range(angles.beta.shape[1])])
-    gamma = np.column_stack([extend(angles.gamma[:, c]) for c in range(angles.gamma.shape[1])])
-    return Angles(beta=beta, gamma=gamma)
+    padded = np.pad(_steps(x, p, n_beta), ((1, 1), (0, 0)))
+    i = np.arange(1, p + 2)[:, None]
+    return _flat(((i - 1) / p) * padded[:-1] + ((p - i + 1) / p) * padded[1:], n_beta)
 
 
-def extrap_extend(angles: Angles, by: int = 1) -> Angles:
+def extrap_extend(x: np.ndarray, p: int, n_beta: int, by: int = 1) -> np.ndarray:
     """Append `by` zero (beta, gamma) steps; the EV at the extended point is unchanged."""
     if by not in (1, 2):
         raise ValueError("extrapolation appends 1 or 2 steps")
-    zb = np.zeros((by, angles.beta.shape[1]))
-    zg = np.zeros((by, angles.gamma.shape[1]))
-    return Angles(beta=np.vstack([angles.beta, zb]), gamma=np.vstack([angles.gamma, zg]))
+    return _flat(np.pad(_steps(x, p, n_beta), ((0, by), (0, 0))), n_beta)
 
 
 @dataclass
 class ScheduleLevel:
     p: int
-    angles: Angles
+    x: np.ndarray
     metrics: RunMetrics
 
 
 def increasing_p_schedule(
     strategy: str,
-    seed_angles: Angles,
+    x0: np.ndarray,
     p_max: int,
     optimizer: OptimizerConfig,
     ctx: QaoaContext,
     seed: int = 0,
 ) -> list[ScheduleLevel]:
-    """Iterate extend -> optimize from a depth-p seed, recording metrics per depth.
+    """Iterate extend -> optimize from the angles x0 (their depth is len(x0) / angles per step).
 
     The zero-padded previous optimum is always evaluated as a fallback (the
     zero-angle option), so the reported EV is non-increasing for every
@@ -499,32 +458,27 @@ def increasing_p_schedule(
     """
     if strategy not in STRATEGIES:
         raise ValueError(f"unknown strategy {strategy!r}")
-    nb, ng = ctx.mixer.n_beta, ctx.mixer.n_gamma
+    nb = ctx.mixer.n_beta
 
-    def record(angles: Angles, ev: float, evals: int) -> ScheduleLevel:
-        m = ctx.metrics(ctx.run(angles), evals=evals)
-        return ScheduleLevel(p=angles.p, angles=angles, metrics=replace(m, ev=ev))
+    def record(x: np.ndarray, p: int, ev: float, evals: int) -> ScheduleLevel:
+        m = ctx.metrics(ctx.run(x, p), evals=evals)
+        return ScheduleLevel(p=p, x=x, metrics=replace(m, ev=ev))
 
-    current = seed_angles
-    current_ev = ctx.ev(current.flatten(), current.p)
-    levels = [record(current, current_ev, 0)]
+    current = np.asarray(x0, dtype=float)
+    p = len(current) // (nb + ctx.mixer.n_gamma)
+    current_ev = ctx.ev(current, p)
+    levels = [record(current, p, current_ev, 0)]
     step = 2 if strategy == "EXTRAP2" else 1
-    while current.p + step <= p_max:
-        if strategy == "INTERP":
-            extended = current
-            for _ in range(step):
-                extended = interp_extend(extended)
-        else:
-            extended = extrap_extend(current, by=step)
-        p_new = current.p + step
-        res = minimize_batch(lambda X: ctx.ev_batch(X, p_new), extended.flatten()[None], optimizer, [seed])[0]
-        fallback = extrap_extend(current, by=step)
+    while p + step <= p_max:
+        extended = interp_extend(current, p, nb) if strategy == "INTERP" else extrap_extend(current, p, nb, by=step)
+        p_new = p + step
+        res = minimize_batch(lambda X: ctx.ev_batch(X, p_new), extended[None], optimizer, [seed])[0]
         if current_ev < res.f_best:
-            current, current_ev, evals = fallback, current_ev, res.evals
+            current = extrap_extend(current, p, nb, by=step)
         else:
-            current = Angles.unflatten(res.x_best, p_new, nb, ng)
-            current_ev, evals = res.f_best, res.evals
-        levels.append(record(current, current_ev, evals))
+            current, current_ev = res.x_best, res.f_best
+        p = p_new
+        levels.append(record(current, p, current_ev, res.evals))
     return levels
 
 

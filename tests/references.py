@@ -1,12 +1,12 @@
 """Reference implementations the tests check quambo against: the per-state Ising energy loop,
 scipy's Nelder-Mead, the one-row SPSA and finite-difference BFGS loops, the one-vector QAOA
-evaluator, the one-vector VQE circuit and the step-by-step anneal propagator."""
+evaluator, the per-column INTERP/EXTRAP depth extenders, the one-vector VQE circuit and the
+step-by-step anneal propagator."""
 
 import numpy as np
 from scipy.optimize import minimize as scipy_minimize
 
 from quambo.optimize import FdQuasiNewton, Spsa, spsa_schedules
-from quambo.qaoa import Angles
 from quambo.vqe import NARROW_MIN_ROWS, NARROW_STRIDE
 
 
@@ -100,11 +100,12 @@ def reference_minimize(objective, x0, config, seed=0):
 
 def reference_ev(ctx, x, p):
     """The engine's one-vector evaluator as it was before batching: the oracle of ev_batch."""
-    angles = Angles.unflatten(x, p, ctx.mixer.n_beta, ctx.mixer.n_gamma)
-    cost = np.exp(-1j * (angles.gamma @ ctx._cost_table))[:, ctx._cost_index]
-    mix = np.exp(-1j * (angles.beta @ ctx._mix_rows))
+    x = np.asarray(x, dtype=float)
+    nb = p * ctx.mixer.n_beta
+    cost = np.exp(-1j * (x[nb:].reshape(p, -1) @ ctx._cost_table))[:, ctx._cost_index]
+    mix = np.exp(-1j * (x[:nb].reshape(p, -1) @ ctx._mix_rows))
     psi = ctx._psi0
-    for r in range(angles.p):
+    for r in range(p):
         psi = psi * cost[r]
         for shape, vt, _v in ctx._steps:
             psi = np.matmul(vt, psi.view(float).reshape(shape)).reshape(-1).view(complex)
@@ -115,6 +116,28 @@ def reference_ev(ctx, x, p):
         for shape, _vt, v in ctx._steps:
             psi = np.matmul(v, psi.view(float).reshape(shape)).reshape(-1).view(complex)
     return float(np.abs(psi) ** 2 @ ctx._cost)
+
+
+def reference_interp_extend(beta, gamma):
+    """INTERP's depth p+1 seed of the (p, count) beta and gamma step matrices, one angle column at a time.
+
+    The oracle of qaoa.interp_extend, which works on the flat angle vector.
+    """
+    p = len(beta)
+
+    def extend(col):
+        padded = np.concatenate([[0.0], col, [0.0]])
+        return np.array([((i - 1) / p) * padded[i - 1] + ((p - i + 1) / p) * padded[i] for i in range(1, p + 2)])
+
+    return tuple(np.column_stack([extend(m[:, c]) for c in range(m.shape[1])]) for m in (beta, gamma))
+
+
+def reference_extrap_extend(beta, gamma, by):
+    """EXTRAP's seed: the beta and gamma step matrices with `by` zero steps appended.
+
+    The oracle of qaoa.extrap_extend.
+    """
+    return tuple(np.vstack([m, np.zeros((by, m.shape[1]))]) for m in (beta, gamma))
 
 
 def reference_circuit_run(m, gates, theta):

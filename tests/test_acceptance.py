@@ -23,7 +23,6 @@ from quambo.heuristics import (
     SimAnneal,
     Tabu,
     exact_facility_optimum,
-    make_solver,
     restart_harness,
 )
 from quambo.optimize import FdQuasiNewton, NelderMead, Spsa, minimize, spsa_schedules
@@ -37,19 +36,17 @@ from quambo.problems import (
     problem_variant,
 )
 from quambo.qaoa import (
-    Angles,
     InitSpec,
     MixerSpec,
     QaoaContext,
     gain_decomposition,
     increasing_p_schedule,
     random_restart_search,
+    summarize_metrics,
 )
 from quambo.qubo import (
     IsingModel,
     QuboModel,
-    bits_from_string,
-    energy_ising,
     energy_qubo,
     energy_vector,
     index_from_string,
@@ -61,7 +58,6 @@ from quambo.vqe import (
     causal_cone,
     ev_all_qubit_sampling,
     ev_causal_cone_sampling,
-    ev_statevector,
     run_reduced,
 )
 
@@ -138,8 +134,8 @@ def test_criterion_03_heuristic_sanity():
     problem = FacilityProblem(("grid", 5, 5), 2, lambda_ratio=2.5)
     model, enc = encode_start_dest(problem)
     d_min, _ = exact_facility_optimum(problem)
-    tabu = restart_harness(make_solver(Tabu(max_iter=400)), model, 10_000, seed=0, encoding=enc, d_min=d_min)
-    sa = restart_harness(make_solver(SimAnneal(sweeps=1000)), model, 100, seed=1, encoding=enc, d_min=d_min)
+    tabu = restart_harness(Tabu(max_iter=400), model, 10_000, seed=0, encoding=enc, d_min=d_min)
+    sa = restart_harness(SimAnneal(sweeps=1000), model, 100, seed=1, encoding=enc, d_min=d_min)
     elapsed = time.monotonic() - t0
     ok = (
         tabu.best_energy == 65.0
@@ -159,20 +155,21 @@ def test_criterion_03_heuristic_sanity():
 def test_criterion_04_mixer_comparison():
     t0 = time.monotonic()
     model, enc = encode_a(40)
-    xy = random_restart_search(
+    xy_runs, _ = random_restart_search(
         QaoaContext(enc, model, MixerSpec("XY", rings=[[0, 1, 2, 3, 4]]), InitSpec("Dicke", k=4)),
         5, 100, NelderMead(max_iter=400), seed=11,
     )
-    x = random_restart_search(
+    x_runs, _ = random_restart_search(
         QaoaContext(enc, model, MixerSpec("X"), InitSpec("Uniform")),
         5, 100, NelderMead(max_iter=400), seed=12,
     )
     elapsed = time.monotonic() - t0
-    xy_gnd = xy.summary["mean_p_gnd"]
-    x_gnd = x.summary["mean_p_gnd"]
+    xy = summarize_metrics([m for _, m in xy_runs])
+    xy_gnd = xy["mean_p_gnd"]
+    x_gnd = summarize_metrics([m for _, m in x_runs])["mean_p_gnd"]
     ok = (
         xy_gnd >= 0.8
-        and abs(xy.summary["mean_p_feas"] - 1.0) <= 1e-10
+        and abs(xy["mean_p_feas"] - 1.0) <= 1e-10
         and 0.05 <= x_gnd <= 0.3
         and xy_gnd >= 3.0 * x_gnd
         and elapsed < 900.0
@@ -188,9 +185,9 @@ def test_criterion_05_lambda_threshold_trend():
     for lam in (0, 40, 100):
         model, enc = encode_a(lam)
         ctx = QaoaContext(enc, model, MixerSpec("X"), InitSpec("Uniform"))
-        res = random_restart_search(ctx, 5, 50, opt, seed=13)
-        p_nc = float(np.mean([ctx.run(a).probabilities()[idx] for a, _ in res.runs]))
-        results[lam] = (p_nc, res.summary["mean_p_gnd"])
+        runs, _ = random_restart_search(ctx, 5, 50, opt, seed=13)
+        p_nc = float(np.mean([ctx.run(x, 5).probabilities()[idx] for x, _ in runs]))
+        results[lam] = (p_nc, summarize_metrics([m for _, m in runs])["mean_p_gnd"])
     elapsed = time.monotonic() - t0
     ratio = results[0][0] / results[100][0]
     ok = ratio >= 5.0 and results[40][1] > results[0][1] and elapsed < 1200.0
@@ -206,12 +203,12 @@ def test_criterion_06_increasing_p_gain():
     t0 = time.monotonic()
     model, enc = encode_position_linear(problem_variant("C"))
     ctx = QaoaContext(enc, model, MixerSpec("X"), InitSpec("Uniform"))
-    search = random_restart_search(ctx, 1, 100, NelderMead(max_iter=400), seed=21)
-    seed_angles, seed_metrics = search.best
+    runs, _ = random_restart_search(ctx, 1, 100, NelderMead(max_iter=400), seed=21)
+    seed_x, seed_metrics = min(runs, key=lambda run: run[1].ev)
     gains, mono = {}, {}
     for strategy in ("INTERP", "EXTRAP1", "EXTRAP2"):
         levels = increasing_p_schedule(
-            strategy, seed_angles, 10, NelderMead(max_iter=800), ctx, seed=3
+            strategy, seed_x, 10, NelderMead(max_iter=800), ctx, seed=3
         )
         evs = [lvl.metrics.ev for lvl in levels]
         mono[strategy] = all(b <= a + 1e-9 for a, b in zip(evs, evs[1:]))
@@ -230,18 +227,18 @@ def test_criterion_07_three_ring_structure():
     degeneracy = len(spectrum[0].states)
     mixer = MixerSpec("ThreeXY", angle_scheme=(1, 1))
     ctx = QaoaContext(enc, model, mixer, InitSpec("DickeBlocks"))
-    uniform = ctx.metrics(ctx.run(Angles(beta=np.zeros((1, 1)), gamma=np.zeros((1, 1)))))
+    uniform = ctx.metrics(ctx.run(np.zeros(2), 1))
 
     # leakage measured on the explicit full-space simulation
     slow = QaoaContext(enc, model, mixer, InitSpec("DickeBlocks"), use_sector=False)
     rng = np.random.default_rng(5)
-    angles = Angles(beta=rng.uniform(0, 2 * np.pi, (2, 1)), gamma=rng.uniform(0, 2 * np.pi, (2, 1)))
-    leakage = 1.0 - slow.metrics(slow.run(angles)).p_feas
+    x = rng.uniform(0, 2 * np.pi, 4)
+    leakage = 1.0 - slow.metrics(slow.run(x, 2)).p_feas
 
     best_ev = {}
     for p in (1, 2):
-        res = random_restart_search(ctx, p, 200, NelderMead(max_iter=200), seed=31)
-        best_ev[p] = res.best[1].ev
+        runs, _ = random_restart_search(ctx, p, 200, NelderMead(max_iter=200), seed=31)
+        best_ev[p] = min(m.ev for _, m in runs)
     elapsed = time.monotonic() - t0
     ok = (
         n_feas == 1120
@@ -430,11 +427,11 @@ def test_criterion_14_gain_multiplicativity():
     model, enc = encode_start_dest(problem_variant("B"))
     mixer = MixerSpec("ThreeXY", angle_scheme=(1, 1))
     ctx = QaoaContext(enc, model, mixer, InitSpec("DickeBlocks"))
-    baseline = ctx.metrics(ctx.run(Angles(beta=np.zeros((1, 1)), gamma=np.zeros((1, 1)))))
-    seed_angles = Angles(beta=np.array([[0.4]]), gamma=np.array([[0.08]]))
-    seed_m = ctx.metrics(ctx.run(seed_angles))
-    res = minimize(lambda x: ctx.ev(x, 1), seed_angles.flatten(), NelderMead(max_iter=300))
-    final = ctx.metrics(ctx.run(Angles.unflatten(res.x_best, 1, 1, 1)))
+    baseline = ctx.metrics(ctx.run(np.zeros(2), 1))
+    seed_x = np.array([0.4, 0.08])
+    seed_m = ctx.metrics(ctx.run(seed_x, 1))
+    res = minimize(lambda x: ctx.ev(x, 1), seed_x, NelderMead(max_iter=300))
+    final = ctx.metrics(ctx.run(res.x_best, 1))
     uniform_p_gnd = 12.0 / 2**16
     gains = gain_decomposition(baseline, seed_m, final, uniform_p_gnd)
     prod = gains["mixer"] * gains["seed"] * gains["feasible"] * gains["approx"] * gains["mix"]

@@ -15,7 +15,7 @@ from quambo import heuristics, qaoa, vqe
 from quambo.cli import _call, encoding_from_config, main, optimizer_from_config, problem_from_config
 from quambo.optimize import FdQuasiNewton, NelderMead, Spsa
 from quambo.problems import FacilityProblem, encode_single_complement
-from quambo.qubo import QuboModel, model_from_text, model_to_text
+from quambo.qubo import model_from_text, model_to_text
 
 
 PROBLEM_A = """\
@@ -311,6 +311,12 @@ class TestQaoa:
     def test_bad_setting_is_an_error(self, tmp_path, capsys, monkeypatch, old, new, message):
         monkeypatch.setattr("quambo.cli.encoding_from_config", None)  # rejected before any work
         assert_one_error(tmp_path, capsys, "qaoa", self.CONFIG.replace(old, new), message)
+
+    @pytest.mark.parametrize("encoding", ["complement", "position_linear"])
+    def test_forbid_colocation_needs_start_dest(self, tmp_path, capsys, encoding):
+        text = self.CONFIG.replace("lambda = 40", "lambda = 40\nforbid_colocation = true")
+        assert_one_error(tmp_path, capsys, "qaoa", text.replace("encoding = complement", f"encoding = {encoding}"),
+                         f"forbid_colocation needs the start_dest encoding; {encoding} does not read it")
 
     def test_rows_of_a_line_is_an_error(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setattr("quambo.cli.encoding_from_config", None)  # rejected before any work

@@ -20,7 +20,6 @@ from quambo.heuristics import (
     batched_simulated_annealing,
     batched_tabu_search,
     exact_facility_optimum,
-    make_solver,
     restart_harness,
     simulated_annealing,
     tabu_search,
@@ -32,7 +31,7 @@ from quambo.problems import (
     encode_single_complement,
     encode_start_dest,
 )
-from quambo.qubo import CapacityError, QuboModel, energy_qubo, energy_vector, string_from_index
+from quambo.qubo import CapacityError, QuboModel, energy_qubo, energy_vector
 
 
 def random_qubo(n, rng, integral=False):
@@ -186,7 +185,7 @@ class TestBatchedKernels:
     @settings(max_examples=40, deadline=None)
     def test_harness_equals_the_per_restart_loop(self, seed, n, restarts, integral, config):
         model = random_qubo(n, np.random.default_rng(seed), integral)
-        res = restart_harness(make_solver(config), model, restarts, seed)
+        res = restart_harness(config, model, restarts, seed)
         expected = reference_harness(reference_solver(config), model, restarts, seed)
         assert (res.best_energy, res.frequency_of_best, res.d_sol, res.ratio, res.best_state) == expected
 
@@ -199,7 +198,7 @@ class TestBatchedKernels:
         problem = FacilityProblem(geometry, ambulances, lambda_ratio=1.5)
         model, enc = encode(problem)
         d_min, _ = exact_facility_optimum(problem)
-        res = restart_harness(make_solver(config), model, 30, 5, encoding=enc, d_min=d_min)
+        res = restart_harness(config, model, 30, 5, encoding=enc, d_min=d_min)
         expected = reference_harness(reference_solver(config), model, 30, 5, encoding=enc, d_min=d_min)
         assert (res.best_energy, res.frequency_of_best, res.d_sol, res.ratio, res.best_state) == expected
         assert res.d_sol is not None
@@ -208,9 +207,9 @@ class TestBatchedKernels:
     @settings(max_examples=30, deadline=None)
     def test_sampler_equals_one_chain_per_read(self, seed, n, reads, sweeps):
         model = random_qubo(n, np.random.default_rng(seed))
-        config = SimAnneal(sweeps=sweeps, beta_initial=0.2, beta_final=5.0)
+        config = SimAnneal(sweeps=sweeps)
         expected = [reference_simulated_annealing(model, config, reference_seed(seed, r))[0] for r in range(reads)]
-        assert sim_anneal_sampler(sweeps=sweeps, beta_initial=0.2, beta_final=5.0)(model, reads, seed) == expected
+        assert sim_anneal_sampler(sweeps=sweeps)(model, reads, seed) == expected
 
     def test_tabu_chunks_equal_one_batch(self, monkeypatch):
         rng = np.random.default_rng(8)
@@ -374,8 +373,7 @@ class TestTabuSearch:
 class TestHarness:
     def test_frequency_and_best(self):
         model = QuboModel(n=5, linear={i: -1.0 for i in range(5)})
-        solver = make_solver(Tabu(max_iter=30))
-        res = restart_harness(solver, model, restarts=10, seed=0)
+        res = restart_harness(Tabu(max_iter=30), model, restarts=10, seed=0)
         assert res.best_energy == -5.0
         assert res.frequency_of_best == 1.0
         assert res.best_state == "11111"
@@ -383,22 +381,21 @@ class TestHarness:
     def test_d_sol_and_ratio(self):
         problem = FacilityProblem(("line", 4), 2, lambda_=10.0)
         model, enc = encode_start_dest(problem)
-        solver = make_solver(SimAnneal(sweeps=300))
-        res = restart_harness(solver, model, restarts=20, seed=3, encoding=enc, d_min=2.0)
+        res = restart_harness(SimAnneal(sweeps=300), model, restarts=20, seed=3, encoding=enc, d_min=2.0)
         assert res.d_sol == 2.0
         assert res.ratio == pytest.approx(1.0)
 
     def test_single_ambulance_decoding(self):
         problem = FacilityProblem(("line", 5), 1, lambda_=40.0)
         model, enc = encode_single_complement(problem)
-        res = restart_harness(make_solver(Tabu(max_iter=60)), model, 10, seed=1, encoding=enc, d_min=10.0)
+        res = restart_harness(Tabu(max_iter=60), model, 10, seed=1, encoding=enc, d_min=10.0)
         assert res.d_sol == 10.0
 
     def test_deterministic(self):
         model = random_qubo(8, np.random.default_rng(12))
-        solver = make_solver(SimAnneal(sweeps=60))
-        a = restart_harness(solver, model, 5, seed=21)
-        b = restart_harness(solver, model, 5, seed=21)
+        config = SimAnneal(sweeps=60)
+        a = restart_harness(config, model, 5, seed=21)
+        b = restart_harness(config, model, 5, seed=21)
         assert (a.best_energy, a.frequency_of_best, a.best_state) == (
             b.best_energy,
             b.frequency_of_best,

@@ -17,7 +17,6 @@ from quambo.problems import (
 from quambo import qaoa
 from quambo.optimize import NelderMead, Spsa
 from quambo.qaoa import (
-    Angles,
     InitSpec,
     MixerSpec,
     QaoaContext,
@@ -40,7 +39,7 @@ from quambo.simulator import (
     dicke_state,
 )
 
-from references import reference_ev, scipy_nelder_mead
+from references import reference_ev, reference_extrap_extend, reference_interp_extend, scipy_nelder_mead
 
 
 @pytest.fixture(scope="module")
@@ -89,20 +88,10 @@ class TestSpecs:
             with pytest.raises(ValueError):
                 InitSpec(kind=kind)
 
-    def test_angles_round_trip(self):
-        angles = Angles(beta=np.arange(6.0).reshape(2, 3), gamma=np.arange(2.0).reshape(2, 1))
-        back = Angles.unflatten(angles.flatten(), p=2, n_beta=3, n_gamma=1)
-        assert np.array_equal(back.beta, angles.beta)
-        assert np.array_equal(back.gamma, angles.gamma)
-
-    def test_angles_row_mismatch(self):
-        with pytest.raises(ValueError):
-            Angles(beta=np.zeros((2, 1)), gamma=np.zeros((3, 1)))
-
 
 class TestAnsatz:
     def test_zero_angles_is_initial_state(self, ctx_a_xy):
-        state = ctx_a_xy.run(Angles(beta=np.zeros((2, 1)), gamma=np.zeros((2, 1))))
+        state = ctx_a_xy.run(np.zeros(4), 2)
         assert np.abs(state.amplitudes - dicke_state(5, 4).amplitudes).max() < 1e-12
 
     def test_uniform_zero_mixer_ev_is_mean(self, problem_a):
@@ -113,13 +102,12 @@ class TestAnsatz:
 
     def test_xy_keeps_feasible_sector(self, ctx_a_xy):
         rng = np.random.default_rng(0)
-        angles = Angles(beta=rng.uniform(0, 2 * np.pi, (3, 1)), gamma=rng.uniform(0, 2 * np.pi, (3, 1)))
-        m = ctx_a_xy.metrics(ctx_a_xy.run(angles))
+        m = ctx_a_xy.metrics(ctx_a_xy.run(rng.uniform(0, 2 * np.pi, 6), 3))
         assert m.p_feas == pytest.approx(1.0, abs=1e-10)
 
     def test_angle_shape_checked(self, ctx_a_xy):
         with pytest.raises(ValueError):
-            ctx_a_xy.run(Angles(beta=np.zeros((1, 2)), gamma=np.zeros((1, 1))))
+            ctx_a_xy.run(np.zeros(3), 1)
 
     def test_three_xy_diagonals_sum_to_full(self, encoded_b):
         model, enc = encoded_b
@@ -136,12 +124,8 @@ class TestAnsatz:
         slow = QaoaContext(enc, model, mixer, InitSpec(kind="DickeBlocks"), use_sector=False)
         assert fast.basis == "sector" and slow.basis == "full"
         rng = np.random.default_rng(2)
-        angles = Angles(
-            beta=rng.uniform(0, 2 * np.pi, (2, scheme[0])),
-            gamma=rng.uniform(0, 2 * np.pi, (2, scheme[1])),
-        )
-        assert np.abs(fast.run(angles).amplitudes - slow.run(angles).amplitudes).max() < 1e-12
-        x = angles.flatten()
+        x = rng.uniform(0, 2 * np.pi, 2 * sum(scheme))
+        assert np.abs(fast.run(x, 2).amplitudes - slow.run(x, 2).amplitudes).max() < 1e-12
         assert fast.ev(x, 2) == pytest.approx(slow.ev(x, 2), abs=1e-10)
 
     def test_x_mixer_never_uses_sector(self, problem_a):
@@ -153,8 +137,7 @@ class TestAnsatz:
         model, enc = encoded_b
         ctx = QaoaContext(enc, model, MixerSpec(kind="ThreeXY", angle_scheme=(3, 3)), InitSpec(kind="DickeBlocks"))
         rng = np.random.default_rng(5)
-        angles = Angles(beta=rng.uniform(0, 2 * np.pi, (1, 3)), gamma=rng.uniform(0, 2 * np.pi, (1, 3)))
-        m = ctx.metrics(ctx.run(angles))
+        m = ctx.metrics(ctx.run(rng.uniform(0, 2 * np.pi, 6), 1))
         assert abs(m.p_feas - 1.0) < 1e-12
 
 
@@ -189,13 +172,14 @@ MIXERS += [("start-dest", "ThreeXY", scheme) for scheme in ((1, 1), (2, 1), (3, 
 INITS = ["Uniform", "Dicke", "DickeBlocks", "PureFeasible", "RandomFeasible"]
 
 
-def reference_state(ctx, angles):
-    """The ansatz built gate by gate from the simulator primitives alone."""
+def reference_state(ctx, x, p):
+    """The ansatz at the angles x of depth p, built gate by gate from the simulator primitives alone."""
     state = ctx.initial_state()
-    for r in range(angles.p):
-        for diag, g in zip(ctx.phase_diags, angles.gamma[r]):
+    betas, gammas = x[:p * ctx.mixer.n_beta].reshape(p, -1), x[p * ctx.mixer.n_beta:].reshape(p, -1)
+    for r in range(p):
+        for diag, g in zip(ctx.phase_diags, gammas[r]):
             apply_phase_vector(state, diag, g)
-        beta = angles.beta[r]
+        beta = betas[r]
         if ctx.mixer.kind == "X":
             apply_x_mixer(state, beta[0])
             continue
@@ -213,8 +197,8 @@ class TestEngineAgainstPrimitives:
         mixer = MixerSpec(kind, rings=rings if kind == "XY" else None, angle_scheme=scheme or (1, 1))
         feasible = string_from_index(int(feasible_sector(model, enc)[0][-1]), model.n)
         rng = np.random.default_rng([len(encoding), len(kind), *(scheme or ())])
-        angles = Angles(beta=rng.uniform(0, 2 * np.pi, (2, mixer.n_beta)),
-                        gamma=rng.uniform(0, 2 * np.pi, (2, mixer.n_gamma)) / 10)
+        x = np.concatenate([rng.uniform(0, 2 * np.pi, 2 * mixer.n_beta),
+                            rng.uniform(0, 2 * np.pi, 2 * mixer.n_gamma) / 10])
         for init in INITS:
             spec = InitSpec(init, bitstring=feasible if init == "PureFeasible" else None, seed=5)
             in_sector = kind != "X" and init != "Uniform" and not (init == "Dicke" and len(rings) > 1)
@@ -222,9 +206,9 @@ class TestEngineAgainstPrimitives:
             for use_sector in (None, False):
                 ctx = QaoaContext(enc, model, mixer, spec, use_sector=use_sector)
                 assert ctx.basis == ("sector" if in_sector and use_sector is None else "full")
-                want = want or reference_state(ctx, angles)
-                assert np.abs(ctx.run(angles).amplitudes - want.amplitudes).max() < 1e-12
-                assert ctx.ev(angles.flatten(), 2) == pytest.approx(want.probabilities() @ sum(ctx.phase_diags),
+                want = want or reference_state(ctx, x, 2)
+                assert np.abs(ctx.run(x, 2).amplitudes - want.amplitudes).max() < 1e-12
+                assert ctx.ev(x, 2) == pytest.approx(want.probabilities() @ sum(ctx.phase_diags),
                                                                    rel=1e-12, abs=1e-12)
 
 
@@ -403,66 +387,70 @@ class TestScorer:
 
 class TestSchedules:
     def test_interp_depth_one(self):
-        angles = Angles(beta=np.array([[0.8]]), gamma=np.array([[0.3]]))
-        ext = interp_extend(angles)
-        assert np.allclose(ext.beta.ravel(), [0.8, 0.8])
-        assert np.allclose(ext.gamma.ravel(), [0.3, 0.3])
+        assert np.allclose(interp_extend(np.array([0.8, 0.3]), 1, 1), [0.8, 0.8, 0.3, 0.3])
 
     def test_interp_depth_two(self):
-        angles = Angles(beta=np.array([[0.4], [0.9]]), gamma=np.array([[0.1], [0.2]]))
-        ext = interp_extend(angles)
-        assert np.allclose(ext.beta.ravel(), [0.4, 0.65, 0.9])
-        assert np.allclose(ext.gamma.ravel(), [0.1, 0.15, 0.2])
+        assert np.allclose(interp_extend(np.array([0.4, 0.9, 0.1, 0.2]), 2, 1), [0.4, 0.65, 0.9, 0.1, 0.15, 0.2])
 
     def test_extrap_preserves_ev(self, ctx_a_xy):
-        angles = Angles(beta=np.array([[0.7]]), gamma=np.array([[0.2]]))
-        base = ctx_a_xy.ev(angles.flatten(), 1)
+        x = np.array([0.7, 0.2])
+        base = ctx_a_xy.ev(x, 1)
         for by in (1, 2):
-            ext = extrap_extend(angles, by=by)
-            assert ctx_a_xy.ev(ext.flatten(), 1 + by) == pytest.approx(base, abs=1e-9)
+            assert ctx_a_xy.ev(extrap_extend(x, 1, 1, by=by), 1 + by) == pytest.approx(base, abs=1e-9)
 
     def test_extrap_by_range(self):
         with pytest.raises(ValueError):
-            extrap_extend(Angles(beta=np.zeros((1, 1)), gamma=np.zeros((1, 1))), by=3)
+            extrap_extend(np.zeros(2), 1, 1, by=3)
+
+    @given(st.integers(1, 11), st.integers(1, 3), st.integers(1, 3), st.integers(0, 2**32 - 1))
+    @settings(max_examples=200, deadline=None)
+    def test_flat_extenders_equal_the_per_column_reference(self, p, n_beta, n_gamma, seed):
+        rng = np.random.default_rng(seed)
+        beta, gamma = rng.uniform(-2 * np.pi, 2 * np.pi, (p, n_beta)), rng.uniform(-2 * np.pi, 2 * np.pi, (p, n_gamma))
+        x = np.concatenate([beta.ravel(), gamma.ravel()])
+
+        def flat(matrices):
+            return np.concatenate([m.ravel() for m in matrices]).tobytes()
+
+        assert interp_extend(x, p, n_beta).tobytes() == flat(reference_interp_extend(beta, gamma))
+        for by in (1, 2):
+            assert extrap_extend(x, p, n_beta, by=by).tobytes() == flat(reference_extrap_extend(beta, gamma, by))
 
     def test_schedule_ev_non_increasing(self, problem_a):
         model, enc = problem_a
         mixer = MixerSpec(kind="XY", rings=[[0, 1, 2, 3, 4]])
         ctx = QaoaContext(enc, model, mixer, InitSpec(kind="Dicke", k=4))
-        seed_angles = Angles(beta=np.array([[0.5]]), gamma=np.array([[0.05]]))
         for strategy in ("INTERP", "EXTRAP1", "EXTRAP2"):
-            levels = increasing_p_schedule(strategy, seed_angles, p_max=4, optimizer=NelderMead(max_iter=60), ctx=ctx)
+            levels = increasing_p_schedule(strategy, np.array([0.5, 0.05]), p_max=4, optimizer=NelderMead(max_iter=60),
+                                           ctx=ctx)
             evs = [lvl.metrics.ev for lvl in levels]
             assert all(b <= a + 1e-9 for a, b in zip(evs, evs[1:]))
+            assert [len(lvl.x) for lvl in levels] == [2 * lvl.p for lvl in levels]
             assert levels[-1].p == 4 if strategy != "EXTRAP2" else levels[-1].p in (3, 5)
 
     def test_unknown_strategy(self, ctx_a_x):
         with pytest.raises(ValueError):
-            increasing_p_schedule(
-                "GEOMETRIC", Angles(beta=np.zeros((1, 1)), gamma=np.zeros((1, 1))), 2, NelderMead(), ctx_a_x
-            )
+            increasing_p_schedule("GEOMETRIC", np.zeros(2), 2, NelderMead(), ctx_a_x)
 
 
 class TestRestarts:
     def test_search_shapes_and_best(self, ctx_a_x):
-        res = random_restart_search(ctx_a_x, 1, n_starts=4, optimizer=NelderMead(max_iter=50), seed=13)
-        assert len(res.runs) == 4
-        evs = [m.ev for _, m in res.runs]
-        assert res.best_index == int(np.argmin(evs))
-        assert res.best[1].ev == min(evs)
-        assert "mean_p_gnd" in res.summary
+        runs, block = random_restart_search(ctx_a_x, 1, n_starts=4, optimizer=NelderMead(max_iter=50), seed=13)
+        assert len(runs) == 4 and block["restarts"] == 4
+        # each run is a restart's best point and its metrics, whose ev is the engine's at that point
+        for x, m in runs:
+            assert x.shape == (2,) and m.ev == ctx_a_x.ev(x, 1)
 
     def test_optimizer_telemetry(self, ctx_a_x):
-        res = random_restart_search(ctx_a_x, 2, 5, NelderMead(max_iter=30), seed=2)
-        block = res.optimizer
-        evals = sum(m.evals for _, m in res.runs)
+        runs, block = random_restart_search(ctx_a_x, 2, 5, NelderMead(max_iter=30), seed=2)
+        evals = sum(m.evals for _, m in runs)
         assert block["kind"] == "nelder-mead" and block["restarts"] == block["lockstep_rows"] == 5
         # one call for the initial simplices, then at most three per iteration
         assert 1 < block["batch_calls"] <= 1 + 3 * 29
         assert block["points_per_call"] == evals / block["batch_calls"]
         assert block["evals_per_row"] == evals / 5
         assert block["optimize_s"] > 0.0
-        spsa = random_restart_search(ctx_a_x, 2, 2, Spsa(n_iter=5), seed=2).optimizer
+        _runs, spsa = random_restart_search(ctx_a_x, 2, 2, Spsa(n_iter=5), seed=2)
         # the start points, one +/- pair per row and step, the end points: 2 * (1 + 2 * 5 + 1) evaluations
         assert spsa["kind"] == "spsa" and spsa["lockstep_rows"] == 2 and spsa["batch_calls"] == 1 + 5 + 1
         assert spsa["points_per_call"] == 2 * (1 + 2 * 5 + 1) / 7
@@ -473,18 +461,18 @@ class TestRestarts:
 
     def test_search_equals_one_scipy_run_per_restart(self, ctx_a_x):
         optimizer = NelderMead(max_iter=60, f_tol=1e-6, x_tol=1e-6)
-        res = random_restart_search(ctx_a_x, 2, 5, optimizer, seed=9)
-        for i, (angles, m) in enumerate(res.runs):
+        runs, _block = random_restart_search(ctx_a_x, 2, 5, optimizer, seed=9)
+        for i, (x, m) in enumerate(runs):
             x0 = np.random.default_rng([9, i]).uniform(0.0, 2.0 * np.pi, size=4)
             x_best, f_best, evals, _trace, _res = scipy_nelder_mead(lambda x: reference_ev(ctx_a_x, x, 2), x0,
                                                                     optimizer)
-            assert np.array_equal(angles.flatten(), x_best)
+            assert np.array_equal(x, x_best)
             assert (m.ev, m.evals) == (f_best, evals)
 
     def test_search_deterministic(self, ctx_a_x):
-        a = random_restart_search(ctx_a_x, 1, 2, NelderMead(max_iter=30), seed=4)
-        b = random_restart_search(ctx_a_x, 1, 2, NelderMead(max_iter=30), seed=4)
-        assert [m.ev for _, m in a.runs] == [m.ev for _, m in b.runs]
+        a, _ = random_restart_search(ctx_a_x, 1, 2, NelderMead(max_iter=30), seed=4)
+        b, _ = random_restart_search(ctx_a_x, 1, 2, NelderMead(max_iter=30), seed=4)
+        assert [m.ev for _, m in a] == [m.ev for _, m in b]
 
 
 class TestGainDecomposition:
