@@ -1,4 +1,4 @@
-"""Toy Schrodinger annealing dynamics plus annealer-side formulas and sweeps.
+"""Toy Schrodinger annealing dynamics, the time-to-solution formula and lambda sweeps.
 
 H(s) = (1 - s) * H_init + s * H_problem with a transverse-field driver whose
 ground state is the uniform superposition.  Each step applies the exact
@@ -126,40 +126,6 @@ def tts(p_sol: float, t_cycle: float) -> float:
     if not 0.0 < p_sol < 1.0:
         raise ValueError("p_sol must lie in (0, 1)")
     return t_cycle * np.log(0.01) / np.log(1.0 - p_sol)
-
-
-def chain_strength(prefactor: float, model: IsingModel) -> float:
-    """prefactor * rms(couplings) * sqrt(mean couplings per qubit)."""
-    if not model.J:
-        raise ValueError("model has no couplings")
-    J = np.array(list(model.J.values()))
-    rms = np.sqrt((J**2).mean())
-    mean_edges = 2.0 * len(J) / model.n
-    return float(prefactor * rms * np.sqrt(mean_edges))
-
-
-def resolve_chain_majority(
-    chains: list[list[int]], physical_sample: str, seed: int = 0
-) -> str:
-    """Majority-vote each chain group of a physical readout; seeded tie-break."""
-    seen: set[int] = set()
-    for group in chains:
-        if not group:
-            raise ValueError("empty chain group")
-        if seen & set(group):
-            raise ValueError("chain groups must be disjoint")
-        seen |= set(group)
-    rng = np.random.default_rng(seed)
-    bits = []
-    for group in chains:
-        ones = sum(int(physical_sample[q]) for q in group)
-        if 2 * ones > len(group):
-            bits.append("1")
-        elif 2 * ones < len(group):
-            bits.append("0")
-        else:
-            bits.append(str(int(rng.integers(0, 2))))
-    return "".join(bits)
 
 
 def sim_anneal_sampler(sweeps: int = 30):

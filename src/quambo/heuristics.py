@@ -20,7 +20,7 @@ from typing import Sequence
 import numpy as np
 
 from .problems import Encoding, FacilityProblem, decode_solution, distance_matrix
-from .qubo import TIE_TOL, CapacityError, QuboModel, rows_where
+from .qubo import SEARCH_TOL, TIE_TOL, CapacityError, QuboModel, rows_where
 
 ORACLE_CAP = 10_000_000  # placements exact_facility_optimum may enumerate
 TABU_CHUNK_ROWS = 256  # tabu searches batched_tabu_search runs together
@@ -56,11 +56,11 @@ def exact_facility_optimum(problem: FacilityProblem) -> tuple[float, list[tuple[
     """Enumerate all ambulance position sets, assigning each site to its nearest.
 
     Position sets are scored in lexicographic blocks that share all but the
-    last position.  A block whose lowest total is more than 1e-12 below the
-    incumbent replaces it; one within 1e-12 of it adds its placements within
-    1e-12 of the block's lowest.  Nearest-assignment ties break toward the
-    lower position index (this can change assignments, never the total
-    distance).
+    last position.  A block whose lowest total is more than SEARCH_TOL below
+    the incumbent replaces it; one within SEARCH_TOL of it adds its placements
+    within SEARCH_TOL of the block's lowest.  Nearest-assignment ties break
+    toward the lower position index (this can change assignments, never the
+    total distance).
     """
     L = problem.num_locations
     m = problem.ambulances
@@ -77,11 +77,11 @@ def exact_facility_optimum(problem: FacilityProblem) -> tuple[float, list[tuple[
         start = prefix[-1] + 1 if prefix else 0
         totals = (np.minimum(D[start:], D[list(prefix)].min(axis=0)) if prefix else D).sum(axis=1)
         lo = totals.min()
-        if lo < best - 1e-12:
+        if lo < best - SEARCH_TOL:
             best, placements = lo, []
-        elif abs(lo - best) > 1e-12:
+        elif abs(lo - best) > SEARCH_TOL:
             continue
-        placements += [(*prefix, start + int(j)) for j in np.flatnonzero(np.abs(totals - lo) < 1e-12)]
+        placements += [(*prefix, start + int(j)) for j in np.flatnonzero(np.abs(totals - lo) < SEARCH_TOL)]
     return float(best), placements
 
 
@@ -114,15 +114,15 @@ def _bitstrings(Q: np.ndarray) -> list[str]:
 
 
 class _Best:
-    """Each chain's lowest energy so far and its spins; a chain improves when it gets more than 1e-12 lower."""
+    """Each chain's lowest energy so far and its spins; a chain improves when it gets more than SEARCH_TOL lower."""
 
     def __init__(self, Q: np.ndarray, E: np.ndarray) -> None:
-        self.Q, self.E, self.bar = Q.copy(), E.copy(), E - 1e-12
+        self.Q, self.E, self.bar = Q.copy(), E.copy(), E - SEARCH_TOL
 
     def update(self, Q: np.ndarray, E: np.ndarray) -> None:
         better = np.flatnonzero(E < self.bar)
         if better.size:
-            self.Q[better], self.E[better], self.bar[better] = Q[better], E[better], E[better] - 1e-12
+            self.Q[better], self.E[better], self.bar[better] = Q[better], E[better], E[better] - SEARCH_TOL
 
 
 def batched_simulated_annealing(

@@ -34,9 +34,10 @@ class FacilityProblem:
     """Problem instance: geometry, ambulance count, metric and penalty weight.
 
     geometry is ``("line", L)`` or ``("grid", rows, cols)`` with unit-spaced
-    integer coordinates.  Exactly one of lambda_ (config key lambda) and
-    lambda_ratio must be set, finite and >= 0; lambda_ratio expresses the
-    penalty as a multiple of the largest pairwise distance.
+    integer coordinates.  At most one of lambda_ (config key lambda) and
+    lambda_ratio may be set, finite and >= 0; lambda_ratio expresses the
+    penalty as a multiple of the largest pairwise distance.  Only an encoder
+    that adds a penalty needs one (penalty_weight).
     """
 
     geometry: tuple
@@ -51,11 +52,11 @@ class FacilityProblem:
             raise ValueError(f"unknown geometry {self.geometry!r}")
         if self.metric not in METRICS:
             raise ValueError(f"unknown metric {self.metric!r}; valid metrics: {', '.join(METRICS)}")
-        if (self.lambda_ is None) == (self.lambda_ratio is None):
-            raise ValueError("set exactly one penalty weight: lambda or lambda_ratio")
-        name, weight = ("lambda", self.lambda_) if self.lambda_ratio is None else ("lambda_ratio", self.lambda_ratio)
-        if not (math.isfinite(weight) and weight >= 0):
-            raise ValueError(f"need a finite {name} >= 0, got {weight}")
+        if self.lambda_ is not None and self.lambda_ratio is not None:
+            raise ValueError("set at most one penalty weight: lambda or lambda_ratio")
+        for name, weight in (("lambda", self.lambda_), ("lambda_ratio", self.lambda_ratio)):
+            if weight is not None and not (math.isfinite(weight) and weight >= 0):
+                raise ValueError(f"need a finite {name} >= 0, got {weight}")
         if not 1 <= self.ambulances <= self.num_locations:
             raise ValueError("need num_locations >= ambulances >= 1")
 
@@ -73,6 +74,8 @@ class FacilityProblem:
     def penalty_weight(self) -> float:
         if self.lambda_ is not None:
             return float(self.lambda_)
+        if self.lambda_ratio is None:
+            raise ValueError("the encoding's penalty needs a weight: set lambda or lambda_ratio")
         return float(self.lambda_ratio) * float(distance_matrix(self).max())
 
 
@@ -337,18 +340,14 @@ def feasible_spectrum(model: QuboModel, encoding: Encoding) -> list[SpectrumEntr
 
 # --- paper problem variants --------------------------------------------------
 
-def problem_variant(name: str, lam: float | None = None, lambda_ratio: float | None = None) -> FacilityProblem:
-    """The desk-scale study instances A-E (line geometries, squared euclidean)."""
+def problem_variant(name: str) -> FacilityProblem:
+    """The desk-scale study instances A-C (line geometries, squared euclidean, lambda_ratio 1)."""
     table = {
         "A": (("line", 5), 1),
         "B": (("line", 4), 2),
         "C": (("line", 8), 2),
-        "D": (("line", 17), 1),
-        "E": (("line", 5), 2),
     }
     if name not in table:
         raise ValueError(f"unknown problem variant {name!r}")
     geometry, m = table[name]
-    if lam is None and lambda_ratio is None:
-        lambda_ratio = 1.0
-    return FacilityProblem(geometry=geometry, ambulances=m, lambda_=lam, lambda_ratio=lambda_ratio)
+    return FacilityProblem(geometry=geometry, ambulances=m, lambda_ratio=1.0)

@@ -36,7 +36,7 @@ from .simulator import (
 
 MIXER_KINDS = ("X", "XY", "ThreeXY")
 STRATEGIES = ("INTERP", "EXTRAP1", "EXTRAP2")  # the depth schedules of increasing_p_schedule
-INIT_KINDS = ("Uniform", "Dicke", "DickeBlocks", "RandomFeasible")  # the initial states a config can build
+INIT_KINDS = ("Uniform", "Dicke", "DickeBlocks", "RandomFeasible")
 
 
 @dataclass
@@ -69,18 +69,15 @@ class MixerSpec:
 
 @dataclass
 class InitSpec:
-    """Initial state: Uniform | Dicke(k) | DickeBlocks | PureFeasible(s) | RandomFeasible(seed)."""
+    """Initial state: Uniform | Dicke(k) | DickeBlocks | RandomFeasible(seed)."""
 
     kind: str
     k: int | None = None
-    bitstring: str | None = None
     seed: int | None = None
 
     def __post_init__(self) -> None:
-        if self.kind not in (*INIT_KINDS, "PureFeasible"):
+        if self.kind not in INIT_KINDS:
             raise ValueError(f"unknown init kind {self.kind!r}")
-        if self.kind == "PureFeasible" and self.bitstring is None:
-            raise ValueError("init PureFeasible needs a bitstring")
         if self.kind == "RandomFeasible" and self.seed is None:
             raise ValueError("init RandomFeasible needs a seed")
 
@@ -92,7 +89,6 @@ class RunMetrics:
     p_feas: float
     p_gnd: float
     evals: int = 0
-    no_feasible_mass: bool = False
 
 
 class Scorer:
@@ -299,10 +295,6 @@ class QaoaContext:
             return dicke_state(self.n, k)
         if init.kind == "DickeBlocks":
             return block_product_state([(rng, w) for rng, w in enc.hamming_targets])
-        if init.kind == "PureFeasible":
-            if not is_feasible(enc, init.bitstring):
-                raise ValueError(f"init state {init.bitstring!r} is not feasible")
-            return basis_state(self.n, init.bitstring)
         # RandomFeasible: rejection-sample the full space against is_feasible
         rng = np.random.default_rng(init.seed)
         while True:
@@ -380,7 +372,7 @@ def metrics(
     """
     p_feas = float(mass.sum() / total)
     if p_feas <= 0.0:
-        return RunMetrics(ev=ev, r_approx=0.0, p_feas=0.0, p_gnd=0.0, evals=evals, no_feasible_mass=True)
+        return RunMetrics(ev=ev, r_approx=0.0, p_feas=0.0, p_gnd=0.0, evals=evals)
     p_gnd = float(mass[scorer.ground].sum() / total)
     if scorer.c_min == scorer.c_max:
         r = 1.0

@@ -1,4 +1,4 @@
-"""QUBO and Ising cost models, exact evaluation, conversion and brute-force spectra.
+"""QUBO and Ising cost models, exact evaluation, the QUBO-to-Ising map, brute-force spectra and the text format.
 
 Bit convention used everywhere in this package: bit i of a basis index is
 qubit/variable i (least-significant bit = variable 0).  When a state is
@@ -16,6 +16,9 @@ import numpy as np
 SPECTRUM_CAP = 26
 # Energies closer than this are one level: spectrum grouping and every ground set.
 TIE_TOL = 1e-9
+# The margin of the classical searches in `heuristics`: an oracle block's total ties the
+# incumbent within it, and a chain improves only by more than it (this bar gates tabu aspiration).
+SEARCH_TOL = 1e-12
 
 
 class CapacityError(ValueError):
@@ -175,16 +178,6 @@ def energy_qubo(model: QuboModel, s: str | Sequence[int] | np.ndarray) -> float:
     return float(energies_at(model, [index_from_string(bits)])[0])
 
 
-def energy_ising(model: IsingModel, z: Sequence[int] | np.ndarray) -> float:
-    """Evaluate the Ising cost for one spin assignment in {-1,+1}^n."""
-    spins = np.asarray(z)
-    if len(spins) != model.n:
-        raise ValueError(f"state length {len(spins)} != n={model.n}")
-    if not np.isin(spins, (-1, 1)).all():
-        raise ValueError(f"not a spin assignment: {z!r}")
-    return float(energies_at(model, [index_from_string(spins < 0)])[0])
-
-
 def qubo_to_ising(model: QuboModel) -> IsingModel:
     """Substitute s_i = (1 - z_i)/2; energies agree state-for-state under z = 1 - 2s.
 
@@ -205,22 +198,6 @@ def qubo_to_ising(model: QuboModel) -> IsingModel:
         h[j] -= c / 4.0
         offset += c / 4.0
     return IsingModel(n=model.n, h=h, J=J, offset=offset)
-
-
-def ising_to_qubo(model: IsingModel) -> QuboModel:
-    """Inverse map (z_i = 1 - 2 s_i); round trips preserve energies exactly."""
-    linear: dict[int, float] = {i: 0.0 for i in range(model.n)}
-    quadratic: dict[tuple[int, int], float] = {}
-    offset = model.offset
-    for i, c in model.h.items():
-        linear[i] -= 2.0 * c
-        offset += c
-    for (i, j), c in model.J.items():
-        quadratic[(i, j)] = quadratic.get((i, j), 0.0) + 4.0 * c
-        linear[i] -= 2.0 * c
-        linear[j] -= 2.0 * c
-        offset += c
-    return QuboModel(n=model.n, linear=linear, quadratic=quadratic, offset=offset)
 
 
 def energy_vector(model: QuboModel | IsingModel, n_override: int | None = None) -> np.ndarray:
@@ -261,8 +238,8 @@ def enumerate_spectrum(
 def model_to_text(model: QuboModel | IsingModel) -> str:
     """Serialize to the flat line format: n / offset / lin i c / quad i j c.
 
-    Ising models reuse the same line tags (lin = field, quad = coupling) with a
-    leading `kind` line so round trips restore the right type.
+    Ising models reuse the same line tags (lin = field, quad = coupling); a
+    leading `kind` line names the model type.
     """
     kind = "qubo" if isinstance(model, QuboModel) else "ising"
     lines = [f"kind {kind}", f"n {model.n}", f"offset {model.offset!r}"]
@@ -273,35 +250,3 @@ def model_to_text(model: QuboModel | IsingModel) -> str:
     for i, j in sorted(quad):
         lines.append(f"quad {i} {j} {quad[(i, j)]!r}")
     return "\n".join(lines) + "\n"
-
-
-def model_from_text(text: str) -> QuboModel | IsingModel:
-    kind = "qubo"
-    n = None
-    offset = 0.0
-    linear: dict[int, float] = {}
-    quadratic: dict[tuple[int, int], float] = {}
-    for raw in text.splitlines():
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        tag, *rest = line.split()
-        if tag == "kind":
-            kind = rest[0]
-        elif tag == "n":
-            n = int(rest[0])
-        elif tag == "offset":
-            offset = float(rest[0])
-        elif tag == "lin":
-            linear[int(rest[0])] = float(rest[1])
-        elif tag == "quad":
-            quadratic[(int(rest[0]), int(rest[1]))] = float(rest[2])
-        else:
-            raise ValueError(f"unknown model line: {raw!r}")
-    if n is None:
-        raise ValueError("model text missing `n` line")
-    if kind == "qubo":
-        return QuboModel(n=n, linear=linear, quadratic=quadratic, offset=offset)
-    if kind == "ising":
-        return IsingModel(n=n, h=linear, J=quadratic, offset=offset)
-    raise ValueError(f"unknown model kind {kind!r}")

@@ -5,8 +5,9 @@ qubit 0); string rendering puts qubit 0 leftmost.  States are mutated in
 place by the apply_* operations.  The states built here are complex; a
 StateVector may also hold real amplitudes (the compiled VQE circuits in
 `quambo.vqe` produce float64 ones), which probabilities() and sampling
-accept alike.  The gate primitives are the reference the faster engines
-are tested against.
+accept alike.  The QAOA and VQE engines do not call the gate primitives
+(apply_phase_vector, apply_x_mixer, apply_local_unitary): the tests build
+the gate-by-gate references they check the engines against from them.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from math import comb
 
 import numpy as np
 
-from .qubo import CapacityError, IsingModel, QuboModel, energy_vector, read_only, strings_from_indices
+from .qubo import CapacityError, read_only, strings_from_indices
 
 STATE_CAP = 24
 LOCAL_UNITARY_CAP = 12
@@ -85,11 +86,11 @@ def dicke_state(n: int, k: int) -> StateVector:
     return StateVector(n, amps)
 
 
-def block_product_state(blocks: list[tuple[tuple[int, int], int | str]]) -> StateVector:
-    """Tensor product of per-block Dicke states and/or pure bitstrings.
+def block_product_state(blocks: list[tuple[tuple[int, int], int]]) -> StateVector:
+    """Tensor product of per-block Dicke states.
 
-    Each block is ((first_qubit, last_qubit+1), weight-or-bitstring); the
-    ranges must partition 0..n-1.
+    Each block is ((first_qubit, last_qubit+1), weight); the ranges must
+    partition 0..n-1.
     """
     blocks = sorted(blocks, key=lambda b: b[0][0])
     expected = 0
@@ -100,22 +101,9 @@ def block_product_state(blocks: list[tuple[tuple[int, int], int | str]]) -> Stat
     n = expected
     # np.kron is A-major, so the low-offset block goes last
     amps = np.array([1.0 + 0.0j])
-    for (lo, hi), spec in reversed(blocks):
-        w = hi - lo
-        if isinstance(spec, str):
-            sub = basis_state(w, spec).amplitudes
-        else:
-            sub = dicke_state(w, spec).amplitudes
-        amps = np.kron(amps, sub)
+    for (lo, hi), weight in reversed(blocks):
+        amps = np.kron(amps, dicke_state(hi - lo, weight).amplitudes)
     return StateVector(n, amps)
-
-
-def apply_phase_separator(state: StateVector, model: QuboModel | IsingModel, gamma: float) -> StateVector:
-    """amplitude(z) *= exp(-i * gamma * C(z)) for the diagonal cost C."""
-    if model.n != state.n:
-        raise ValueError(f"model n={model.n} != state n={state.n}")
-    state.amplitudes *= np.exp(-1j * gamma * energy_vector(model))
-    return state
 
 
 def apply_phase_vector(state: StateVector, energies: np.ndarray, gamma: float) -> StateVector:
@@ -194,43 +182,6 @@ def xy_ring_eigensystem(m: int, weight: int | None = None) -> tuple[np.ndarray, 
         H[np.searchsorted(patterns, patterns[hop] ^ (1 << a) ^ (1 << b)), hop] += 1.0
     vals, vecs = np.linalg.eigh(H)
     return read_only(patterns), read_only(vals), read_only(vecs)
-
-
-def xy_ring_unitary(m: int, beta: float) -> np.ndarray:
-    _, vals, vecs = xy_ring_eigensystem(m)
-    return (vecs * np.exp(-1j * beta * vals)) @ vecs.conj().T
-
-
-def apply_xy_ring_mixer(state: StateVector, ring: list[int], beta: float) -> StateVector:
-    """Exact exp(-i beta H_XY) on an ordered qubit ring; conserves ring Hamming weight."""
-    return apply_local_unitary(state, list(ring), xy_ring_unitary(len(ring), beta))
-
-
-def apply_ry(state: StateVector, qubit: int, theta: float) -> StateVector:
-    c, s = np.cos(theta / 2.0), np.sin(theta / 2.0)
-    return apply_local_unitary(state, [qubit], np.array([[c, -s], [s, c]], dtype=complex))
-
-
-_CNOT = np.array(
-    [[1, 0, 0, 0],
-     [0, 0, 0, 1],
-     [0, 0, 1, 0],
-     [0, 1, 0, 0]],
-    dtype=complex,
-)
-
-
-def apply_cnot(state: StateVector, control: int, target: int) -> StateVector:
-    if control == target:
-        raise ValueError("control and target must differ")
-    # local basis: bit 0 = control, bit 1 = target; flip target when control set
-    return apply_local_unitary(state, [control, target], _CNOT)
-
-
-def expectation(state: StateVector, model: QuboModel | IsingModel) -> float:
-    if model.n != state.n:
-        raise ValueError(f"model n={model.n} != state n={state.n}")
-    return float(np.real(state.probabilities() @ energy_vector(model)))
 
 
 def sample_indices(state: StateVector, shots: int, seed) -> np.ndarray:

@@ -13,8 +13,9 @@ CNOTs is one precomputed index permutation.  A program runs a batch of K
 parameter vectors as a leading stacked axis that is never folded into the
 rows of a product, so each row is bitwise the one-vector result whatever K
 is.  The three estimators (exact statevector, all-qubit sampling, per-term
-causal cones) each evaluate such a batch in one call; their one-point forms
-are a batch of one.  `optimize.restart_search` runs random restarts of any.
+causal cones) each evaluate such a batch in one call; the two sampling
+estimators also have one-point forms, each a batch of one.
+`optimize.restart_search` runs random restarts of any.
 """
 
 from __future__ import annotations
@@ -33,7 +34,8 @@ from .simulator import EV_BATCH_AMPLITUDES, STATE_CAP, StateVector, sample_indic
 # the (rows, 2 stride) view with kron(R^T, I_stride) is faster; measured, it
 # wins from 128 rows up on qubits 0-2 and loses on wider blocks.  Qubit 0
 # (stride 1) always takes it: there the stacked 2 x 1 products round
-# differently from the simulator's gate primitives, the one product does not.
+# differently from the tests' gate-by-gate reference (a 2 x 2 unitary times
+# the amplitudes as a (2, 2^(n-1)) matrix), the one product does not.
 NARROW_STRIDE = 4
 NARROW_MIN_ROWS = 128
 
@@ -231,10 +233,6 @@ def ev_statevector_batch(ansatz: VqeAnsatz, Theta: np.ndarray, model: QuboModel 
     return np.matmul((a * a)[:, None, :], model.diagonal[:, None])[:, 0, 0]
 
 
-def ev_statevector(ansatz: VqeAnsatz, theta: Sequence[float], model: QuboModel | IsingModel) -> float:
-    return float(ev_statevector_batch(ansatz, np.asarray(theta, dtype=float)[None], model)[0])
-
-
 def ev_all_qubit_sampling_batch(
     ansatz: VqeAnsatz,
     Theta: np.ndarray,
@@ -280,11 +278,6 @@ def causal_cone(ansatz: VqeAnsatz, term: int | tuple[int, int]) -> tuple[set[int
         for g in reversed(kept_reversed)
     ]
     return cone, ReducedAnsatz(qubits=qubits, gates=reduced)
-
-
-def run_reduced(reduced: ReducedAnsatz, theta: Sequence[float]) -> StateVector:
-    """Execute a cone circuit (parameters indexed into the full theta vector)."""
-    return StateVector(len(reduced.qubits), run_program(reduced.program, theta))
 
 
 def ev_causal_cone_sampling_batch(

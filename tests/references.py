@@ -1,12 +1,13 @@
 """Reference implementations the tests check quambo against: the per-state Ising energy loop,
-scipy's Nelder-Mead, the one-row SPSA and finite-difference BFGS loops, the one-vector QAOA
-evaluator, the per-column INTERP/EXTRAP depth extenders, the one-vector VQE circuit and the
-step-by-step anneal propagator."""
+the XY-ring mixer, R_y and CNOT gates, scipy's Nelder-Mead, the one-row SPSA and
+finite-difference BFGS loops, the one-vector QAOA evaluator, the per-column INTERP/EXTRAP depth
+extenders, the one-vector VQE circuit and the step-by-step anneal propagator."""
 
 import numpy as np
 from scipy.optimize import minimize as scipy_minimize
 
 from quambo.optimize import FdQuasiNewton, Spsa, spsa_schedules
+from quambo.simulator import apply_local_unitary, xy_ring_eigensystem
 from quambo.vqe import NARROW_MIN_ROWS, NARROW_STRIDE
 
 
@@ -19,6 +20,41 @@ def reference_energy_ising(model, z):
     for (i, j), c in model.J.items():
         e += c * spins[i] * spins[j]
     return float(e)
+
+
+def xy_ring_unitary(m, beta):
+    _, vals, vecs = xy_ring_eigensystem(m)
+    return (vecs * np.exp(-1j * beta * vals)) @ vecs.conj().T
+
+
+def apply_xy_ring_mixer(state, ring, beta):
+    """Exact exp(-i beta H_XY) on an ordered qubit ring; conserves ring Hamming weight.
+
+    The gate-by-gate oracle of the QAOA engine's XY mixers.
+    """
+    return apply_local_unitary(state, list(ring), xy_ring_unitary(len(ring), beta))
+
+
+def apply_ry(state, qubit, theta):
+    c, s = np.cos(theta / 2.0), np.sin(theta / 2.0)
+    return apply_local_unitary(state, [qubit], np.array([[c, -s], [s, c]], dtype=complex))
+
+
+_CNOT = np.array(
+    [[1, 0, 0, 0],
+     [0, 0, 0, 1],
+     [0, 0, 1, 0],
+     [0, 1, 0, 0]],
+    dtype=complex,
+)
+
+
+def apply_cnot(state, control, target):
+    """The gate-by-gate oracle of the compiled VQE circuits, with apply_ry."""
+    if control == target:
+        raise ValueError("control and target must differ")
+    # local basis: bit 0 = control, bit 1 = target; flip target when control set
+    return apply_local_unitary(state, [control, target], _CNOT)
 
 
 def scipy_nelder_mead(f, x0, config):

@@ -1,4 +1,4 @@
-"""Tests for the annealing toolbox: dynamics, TTS, chains, parameter sweeps."""
+"""Tests for the annealing toolbox: dynamics, TTS, parameter sweeps."""
 
 import numpy as np
 import pytest
@@ -8,8 +8,6 @@ from hypothesis import strategies as st
 from quambo.anneal import (
     AnnealSchedule,
     anneal_parameter_sweep,
-    chain_strength,
-    resolve_chain_majority,
     sim_anneal_sampler,
     simulate_forward_anneal,
     simulate_reverse_anneal,
@@ -199,39 +197,6 @@ class TestAnnealerFormulas:
         for p in (0.0, 1.0, -0.1):
             with pytest.raises(ValueError):
                 tts(p, 1.0)
-
-    def test_chain_strength_complete_graph(self):
-        J = {(i, j): 2.0 for i in range(5) for j in range(i + 1, 5)}
-        model = IsingModel(n=5, J=J)
-        assert chain_strength(1.0, model) == pytest.approx(4.0)
-
-    def test_chain_strength_scales_with_prefactor(self):
-        model = IsingModel(n=2, J={(0, 1): 3.0})
-        assert chain_strength(2.0, model) == pytest.approx(2.0 * chain_strength(1.0, model))
-
-    def test_chain_strength_needs_couplings(self):
-        with pytest.raises(ValueError):
-            chain_strength(1.0, IsingModel(n=3, h={0: 1.0}))
-
-
-class TestChainMajority:
-    def test_clear_majority(self):
-        assert resolve_chain_majority([[0, 1, 2], [3, 4]], "11000") == "10"
-
-    def test_tie_is_seeded(self):
-        votes = {resolve_chain_majority([[0, 1]], "10", seed=s) for s in range(20)}
-        assert votes == {"0", "1"}
-        assert resolve_chain_majority([[0, 1]], "10", seed=4) == resolve_chain_majority(
-            [[0, 1]], "10", seed=4
-        )
-
-    def test_overlapping_groups_rejected(self):
-        with pytest.raises(ValueError):
-            resolve_chain_majority([[0, 1], [1, 2]], "000")
-
-    def test_empty_group_rejected(self):
-        with pytest.raises(ValueError):
-            resolve_chain_majority([[0], []], "0")
 
 
 class TestSweep:

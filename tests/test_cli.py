@@ -15,7 +15,7 @@ from quambo import heuristics, qaoa, vqe
 from quambo.cli import _call, encoding_from_config, main, optimizer_from_config, problem_from_config
 from quambo.optimize import FdQuasiNewton, NelderMead, Spsa
 from quambo.problems import FacilityProblem, encode_single_complement
-from quambo.qubo import model_from_text, model_to_text
+from quambo.qubo import model_to_text
 
 
 PROBLEM_A = """\
@@ -61,9 +61,8 @@ class TestEncode:
         cfg = write(tmp_path, "a.ini", PROBLEM_A + "[encode]\nencoding = complement\n")
         out = str(tmp_path / "model.txt")
         assert main(["encode", "--config", cfg, "--out", out]) == 0
-        model = model_from_text((tmp_path / "model.txt").read_text())
         expected, _ = encode_single_complement(FacilityProblem(("line", 5), 1, lambda_=40))
-        assert model_to_text(model) == model_to_text(expected)
+        assert (tmp_path / "model.txt").read_text() == model_to_text(expected)
 
     def test_ising_form(self, tmp_path):
         cfg = write(tmp_path, "a.ini", PROBLEM_A + "[encode]\nencoding = complement\nform = ising\n")
@@ -112,11 +111,28 @@ class TestProblem:
          "(in [problem] forbid_colocation = maybe)"),
         ("lambda = 40", "lambda = 40\nmetric = taxicab",
          "unknown metric 'taxicab'; valid metrics: squared-euclidean, euclidean, manhattan"),
-        ("lambda = 40\n", "", "set exactly one penalty weight: lambda or lambda_ratio"),
-        ("lambda = 40", "lambda = 40\nlambda_ratio = 1", "set exactly one penalty weight: lambda or lambda_ratio"),
+        ("lambda = 40", "lambda = 40\nlambda_ratio = 1", "set at most one penalty weight: lambda or lambda_ratio"),
     ])
     def test_bad_problem_is_one_error_line(self, tmp_path, capsys, old, new, message):
         assert_one_error(tmp_path, capsys, "oracle", PROBLEM_A.replace(old, new), message)
+
+    @pytest.mark.parametrize("command", ["encode", "qaoa", "vqe", "baseline"])
+    def test_an_encoding_with_a_penalty_needs_a_weight(self, tmp_path, capsys, command):
+        section = {"encode": "[encode]\nencoding = complement\n", "qaoa": "[qaoa]\nencoding = complement\n",
+                   "vqe": "[vqe]\nencoding = complement\n", "baseline": "[heuristic]\n"}[command]
+        assert_one_error(tmp_path, capsys, command, PROBLEM_A.replace("lambda = 40\n", "") + section,
+                         "the encoding's penalty needs a weight: set lambda or lambda_ratio")
+
+    @pytest.mark.parametrize("command", ["oracle", "anneal"])
+    def test_a_command_without_a_penalty_needs_no_weight(self, tmp_path, command):
+        """The oracle reads no weight and the sweep sets each of lambda_ratios: a weight changes no output."""
+        sweep = "[anneal]\nlambda_ratios = 1.0,5.0\nreads = 10\nsweeps = 10\n"
+        outputs = []
+        for name, problem in (("none", PROBLEM_A.replace("lambda = 40\n", "")), ("weight", PROBLEM_A)):
+            out = tmp_path / f"{name}.csv"
+            assert main([command, "--config", write(tmp_path, f"{name}.ini", problem + sweep), "--out", str(out)]) == 0
+            outputs.append(out.read_bytes())
+        assert outputs[0] == outputs[1]
 
     def test_bad_sweep_ratio_is_an_error(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setattr("quambo.anneal.encode_start_dest", None)  # every ratio is checked before any work

@@ -224,10 +224,14 @@ class TestPositionLinear:
 
 class TestProblemFiles:
     def test_requires_one_lambda(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="set at most one penalty weight"):
             FacilityProblem(("line", 5), 1, lambda_=1.0, lambda_ratio=1.0)
-        with pytest.raises(ValueError):
-            FacilityProblem(("line", 5), 1)
+        # a problem without a weight is whole; only an encoder that adds a penalty asks for one
+        problem = FacilityProblem(("line", 4), 1)
+        assert encode_position_linear(problem, include_penalty=False)[0].n == 4
+        for encode in (encode_single_complement, encode_start_dest, encode_position_linear):
+            with pytest.raises(ValueError, match="^the encoding's penalty needs a weight: set lambda or lambda_ratio$"):
+                encode(problem)
 
     @pytest.mark.parametrize("weights, message", [
         ({"lambda_": -1.0}, "need a finite lambda >= 0, got -1.0"),

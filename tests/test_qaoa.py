@@ -30,16 +30,16 @@ from quambo.qaoa import (
     random_restart_search,
     summarize_metrics,
 )
-from quambo.qubo import energy_vector, string_from_index
-from quambo.simulator import (
-    apply_phase_vector,
-    apply_x_mixer,
-    apply_xy_ring_mixer,
-    basis_state,
-    dicke_state,
-)
+from quambo.qubo import energy_vector
+from quambo.simulator import apply_phase_vector, apply_x_mixer, basis_state, dicke_state
 
-from references import reference_ev, reference_extrap_extend, reference_interp_extend, scipy_nelder_mead
+from references import (
+    apply_xy_ring_mixer,
+    reference_ev,
+    reference_extrap_extend,
+    reference_interp_extend,
+    scipy_nelder_mead,
+)
 
 
 @pytest.fixture(scope="module")
@@ -83,10 +83,8 @@ class TestSpecs:
     def test_init_kind(self):
         with pytest.raises(ValueError):
             InitSpec(kind="Thermal")
-        # the feasible kinds need their bitstring / seed
-        for kind in ("PureFeasible", "RandomFeasible"):
-            with pytest.raises(ValueError):
-                InitSpec(kind=kind)
+        with pytest.raises(ValueError, match="needs a seed"):
+            InitSpec(kind="RandomFeasible")
 
 
 class TestAnsatz:
@@ -169,7 +167,7 @@ ENCODINGS = {
 }
 MIXERS = [(enc, kind, None) for enc in ENCODINGS for kind in ("X", "XY")]
 MIXERS += [("start-dest", "ThreeXY", scheme) for scheme in ((1, 1), (2, 1), (3, 1), (3, 3))]
-INITS = ["Uniform", "Dicke", "DickeBlocks", "PureFeasible", "RandomFeasible"]
+INITS = ["Uniform", "Dicke", "DickeBlocks", "RandomFeasible"]
 
 
 def reference_state(ctx, x, p):
@@ -195,12 +193,11 @@ class TestEngineAgainstPrimitives:
         model, enc = ENCODINGS[encoding]
         rings = [list(range(lo, hi)) for (lo, hi), _w in enc.hamming_targets]
         mixer = MixerSpec(kind, rings=rings if kind == "XY" else None, angle_scheme=scheme or (1, 1))
-        feasible = string_from_index(int(feasible_sector(model, enc)[0][-1]), model.n)
         rng = np.random.default_rng([len(encoding), len(kind), *(scheme or ())])
         x = np.concatenate([rng.uniform(0, 2 * np.pi, 2 * mixer.n_beta),
                             rng.uniform(0, 2 * np.pi, 2 * mixer.n_gamma) / 10])
         for init in INITS:
-            spec = InitSpec(init, bitstring=feasible if init == "PureFeasible" else None, seed=5)
+            spec = InitSpec(init, seed=5)
             in_sector = kind != "X" and init != "Uniform" and not (init == "Dicke" and len(rings) > 1)
             want = None
             for use_sector in (None, False):
@@ -218,9 +215,8 @@ def contexts():
         model, enc = ENCODINGS[encoding]
         rings = [list(range(lo, hi)) for (lo, hi), _w in enc.hamming_targets]
         mixer = MixerSpec(kind, rings=rings if kind == "XY" else None, angle_scheme=scheme or (1, 1))
-        feasible = string_from_index(int(feasible_sector(model, enc)[0][-1]), model.n)
         for init in INITS:
-            spec = InitSpec(init, bitstring=feasible if init == "PureFeasible" else None, seed=5)
+            spec = InitSpec(init, seed=5)
             for use_sector in (None, False):
                 ctx = QaoaContext(enc, model, mixer, spec, use_sector=use_sector)
                 yield f"{encoding}-{kind}{scheme or ''}-{init}-{ctx.basis}", ctx
@@ -262,17 +258,6 @@ class TestEvBatch:
 
 
 class TestInitialStates:
-    def test_pure_feasible_requires_feasibility(self, problem_a):
-        model, enc = problem_a
-        ctx = QaoaContext(enc, model, MixerSpec(kind="X"), InitSpec(kind="PureFeasible", bitstring="11111"))
-        with pytest.raises(ValueError):
-            ctx.initial_state()
-
-    def test_pure_feasible_basis(self, problem_a):
-        model, enc = problem_a
-        ctx = QaoaContext(enc, model, MixerSpec(kind="X"), InitSpec(kind="PureFeasible", bitstring="11011"))
-        assert np.array_equal(ctx.initial_state().amplitudes, basis_state(5, "11011").amplitudes)
-
     def test_random_feasible_deterministic(self, problem_a):
         model, enc = problem_a
         def draw():
@@ -304,8 +289,7 @@ class TestMetrics:
 
     def test_no_feasible_mass_flag(self, ctx_a_xy):
         m = ctx_a_xy.metrics(basis_state(5, "11111"))
-        assert m.no_feasible_mass
-        assert m.r_approx == 0.0 and m.p_feas == 0.0
+        assert m.p_feas == m.p_gnd == m.r_approx == 0.0
 
     def test_summary_frozen_example(self):
         runs = [
@@ -352,7 +336,7 @@ class TestScorer:
         probs[b] = 1.0
         dense = metrics(scorer, probs[scorer.indices])
         sampled = metrics(scorer, scorer.counts(np.full(reads, b)), total=reads)
-        assert sampled.no_feasible_mass == dense.no_feasible_mass
+        assert (sampled.p_feas == 0.0) == (dense.p_feas == 0.0)
         for name in ("p_feas", "p_gnd", "r_approx"):
             assert getattr(sampled, name) == pytest.approx(getattr(dense, name), rel=1e-12, abs=1e-12)
 
@@ -376,7 +360,7 @@ class TestScorer:
         for name in ("p_feas", "p_gnd"):
             p = getattr(exact, name)
             within_5_se(getattr(sampled, name), p, p * (1.0 - p), shots)
-        if sampled.no_feasible_mass or scorer.c_min == scorer.c_max:
+        if sampled.p_feas == 0.0 or scorer.c_min == scorer.c_max:
             return
         # r_approx is the mean of (c_max - e) / (c_max - c_min) over feasible reads
         cond = probs[scorer.indices] / exact.p_feas
