@@ -14,10 +14,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Callable
 
 import numpy as np
 
+from .heuristics import SimAnneal, batched_simulated_annealing, restart_seeds
 from .problems import FacilityProblem, encode_start_dest
 from .qaoa import RunMetrics, Scorer, metrics
 from .qubo import TIE_TOL, CapacityError, IsingModel, energies_at, energy_vector, index_from_string
@@ -128,42 +128,25 @@ def tts(p_sol: float, t_cycle: float) -> float:
     return t_cycle * np.log(0.01) / np.log(1.0 - p_sol)
 
 
-def sim_anneal_sampler(sweeps: int = 30):
-    """Stand-in annealer: each read is one short chain of SimAnneal(sweeps).
-
-    All reads run as one batch of chains; read r is seeded as restart r of
-    `heuristics.restart_harness`.
-    """
-    from .heuristics import SimAnneal, batched_simulated_annealing, restart_seeds
-
-    config = SimAnneal(sweeps=sweeps)
-
-    def sampler(model, reads: int, seed: int) -> list[str]:
-        return batched_simulated_annealing(model, config, restart_seeds(seed, reads))[0]
-
-    return sampler
-
-
 def anneal_parameter_sweep(
-    problem: FacilityProblem,
-    lambda_ratios: list[float],
-    sampler: Callable[..., list[str]],
-    reads: int,
-    seed: int,
+    problem: FacilityProblem, lambda_ratios: list[float], sweeps: int, reads: int, seed: int
 ) -> list[tuple[float, RunMetrics]]:
-    """Re-encode per lambda ratio, draw `reads` samples, score the multiset.
+    """Re-encode per lambda ratio, take `reads` annealer reads, score the multiset.
 
-    The sampler is called as sampler(model, reads, seed) and returns one
-    bitstring per read.  ev is the mean model energy over all reads.
+    The stand-in annealer's read r at ratio j is the best state of one
+    SimAnneal(sweeps) chain seeded with child r of child j of seed; all reads
+    of a ratio run as one batch of chains.  ev is the mean model energy over
+    all reads.
     """
     if reads < 1:
         raise ValueError(f"need reads >= 1, got {reads}")
     problems = [replace(problem, lambda_=None, lambda_ratio=ratio) for ratio in lambda_ratios]  # each checked first
+    config = SimAnneal(sweeps)
     out = []
-    for j, (ratio, prob) in enumerate(zip(lambda_ratios, problems)):
+    for ratio, prob, ratio_seed in zip(lambda_ratios, problems, restart_seeds(seed, len(problems))):
         model, encoding = encode_start_dest(prob)
         scorer = Scorer.of(model, encoding)
-        states = sampler(model, reads, int(np.random.default_rng([seed, j]).integers(2**31)))
+        states, _energies = batched_simulated_annealing(model, config, restart_seeds(ratio_seed, reads))
         read_indices = np.array([index_from_string(s) for s in states])
         ev = float(energies_at(model, read_indices).mean())
         out.append((ratio, metrics(scorer, scorer.counts(read_indices), total=reads, ev=ev)))

@@ -26,7 +26,7 @@ keep the defaults of the dataclass or function they are passed to.
   [optimizer]  kind (nelder-mead | spsa | fd-quasi-newton: its fields)
   [heuristic]  algorithm (tabu | sa: the fields of heuristics.Tabu or
                SimAnneal), restarts
-  [anneal]     lambda_ratios, reads, sweeps
+  [anneal]     lambda_ratios, reads, sweeps (of each read's SA chain, default 30)
 p, restarts, reads and shots must be >= 1, and the vqe ansatz needs layers
 >= 1 or initial_layer = true.  Text that does not convert is an error naming
 its [section], key and text (_get).  A command fails at once without a
@@ -60,7 +60,7 @@ from . import anneal as anneal_mod
 from .optimize import FdQuasiNewton, NelderMead, Spsa, restart_search
 from .problems import (GEOMETRIES, METRICS, FacilityProblem, encode_position_linear, encode_single_complement,
                        encode_start_dest)
-from .qubo import model_to_text, qubo_to_ising
+from .qubo import child_seed, model_to_text, qubo_to_ising
 
 # The choices of three choosing keys; each choice reads the parameters of its dataclass or function.
 OPTIMIZERS = {config.kind: config for config in (NelderMead, Spsa, FdQuasiNewton)}
@@ -322,7 +322,7 @@ def cmd_vqe(args: argparse.Namespace, cp: configparser.ConfigParser, problem: Fa
         ising = qubo_to_ising(model)
 
         def estimate(Theta):
-            seeds = [int(np.random.default_rng([args.seed, next(counter)]).integers(2**31)) for _ in Theta]
+            seeds = [child_seed(args.seed, next(counter)) for _ in Theta]
             return vqe.ev_causal_cone_sampling_batch(ansatz, Theta, ising, shots, seeds)
 
     # sv rows do not depend on their batch; the sampled ones take seeds in point order, one restart at a time
@@ -358,9 +358,8 @@ def cmd_baseline(args: argparse.Namespace, cp: configparser.ConfigParser, proble
 def cmd_anneal(args: argparse.Namespace, cp: configparser.ConfigParser, problem: FacilityProblem):
     sec = cp["anneal"]
     ratios = _get(sec, "lambda_ratios", [1.0], lambda text: [float(x) for x in text.split(",")])
-    reads = _get(sec, "reads", 1000)
-    sampler = _call(anneal_mod.sim_anneal_sampler, sec)
-    points = anneal_mod.anneal_parameter_sweep(problem, ratios, sampler, reads, args.seed)
+    reads, sweeps = _get(sec, "reads", 1000), _get(sec, "sweeps", 30)
+    points = anneal_mod.anneal_parameter_sweep(problem, ratios, sweeps, reads, args.seed)
     return [[ratio, m.p_gnd, m.p_feas, m.r_approx, reads, args.seed] for ratio, m in points], {}
 
 

@@ -20,7 +20,7 @@ from typing import Sequence
 import numpy as np
 
 from .problems import Encoding, FacilityProblem, decode_solution, distance_matrix
-from .qubo import SEARCH_TOL, TIE_TOL, CapacityError, QuboModel, rows_where
+from .qubo import SEARCH_TOL, TIE_TOL, CapacityError, QuboModel, child_seed, rows_where
 
 ORACLE_CAP = 10_000_000  # placements exact_facility_optimum may enumerate
 TABU_CHUNK_ROWS = 256  # tabu searches batched_tabu_search runs together
@@ -64,12 +64,8 @@ def exact_facility_optimum(problem: FacilityProblem) -> tuple[float, list[tuple[
     """
     L = problem.num_locations
     m = problem.ambulances
-    if L > 1000:
-        raise CapacityError(f"{L} locations exceeds the enumeration cap")
-    count = math.comb(L, m)
-    if count > ORACLE_CAP:
-        raise CapacityError(f"{count} placements of {m} ambulances on {L} locations exceed the "
-                            f"enumeration cap {ORACLE_CAP}")
+    CapacityError.check(L, 1000, "enumeration", "locations")
+    CapacityError.check(math.comb(L, m), ORACLE_CAP, "enumeration", f"placements of {m} ambulances on {L} locations")
     D = distance_matrix(problem)
     best = np.inf
     placements: list[tuple[int, ...]] = []
@@ -86,8 +82,8 @@ def exact_facility_optimum(problem: FacilityProblem) -> tuple[float, list[tuple[
 
 
 def restart_seeds(seed: int, count: int) -> list[int]:
-    """The seed of each of `count` restarts (or reads): one draw from default_rng([seed, r])."""
-    return [int(np.random.default_rng([seed, r]).integers(2**31)) for r in range(count)]
+    """The seed of each of `count` restarts (or reads): child r of seed."""
+    return [child_seed(seed, r) for r in range(count)]
 
 
 def _start(model: QuboModel, seeds: Sequence[int]):
@@ -255,7 +251,7 @@ def restart_harness(
         if encoding is not None:
             if state not in distances:
                 try:
-                    distances[state] = decode_solution(encoding, state).total_distance
+                    distances[state] = decode_solution(encoding, state)
                 except ValueError:
                     distances[state] = None
             d = distances[state]

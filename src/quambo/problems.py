@@ -23,7 +23,8 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .qubo import QuboModel, SpectrumEntry, bits_from_string, energies_at, enumerate_spectrum, read_only
+from .qubo import CapacityError, QuboModel, SpectrumEntry, bits_from_string, energies_at, enumerate_spectrum, read_only
+from .simulator import STATE_CAP
 
 GEOMETRIES = {"grid": ("rows", "cols"), "line": ("cols",)}  # each geometry's size keys, in tuple order
 METRICS = ("squared-euclidean", "euclidean", "manhattan")  # the distances of distance_matrix, default first
@@ -95,11 +96,10 @@ class Encoding:
     """Variable layout and feasibility metadata produced by an encoder.
 
     hamming_targets is a list of ((first_qubit, last_qubit+1), weight) pairs.
-    objective is the penalty-free part of the encoded model.
+    objective is the penalty-free part of the encoded model; its n is the qubit count.
     """
 
     variant: str
-    n_qubits: int
     hamming_targets: list[tuple[tuple[int, int], int]]
     problem: FacilityProblem
     objective: QuboModel
@@ -108,13 +108,6 @@ class Encoding:
     def distances(self) -> np.ndarray:
         """The problem's distance matrix, built once per encoding (read-only)."""
         return read_only(distance_matrix(self.problem))
-
-
-@dataclass
-class Placement:
-    positions: list[int]
-    assignments: list[int]
-    total_distance: float
 
 
 def encode_single_complement(problem: FacilityProblem) -> tuple[QuboModel, Encoding]:
@@ -143,7 +136,6 @@ def encode_single_complement(problem: FacilityProblem) -> tuple[QuboModel, Encod
     objective = QuboModel(n=L, quadratic=obj_quadratic)
     enc = Encoding(
         variant="ComplementSingle",
-        n_qubits=L,
         hamming_targets=[((0, L), c)],
         problem=problem,
         objective=objective,
@@ -219,7 +211,6 @@ def encode_start_dest(problem: FacilityProblem) -> tuple[QuboModel, Encoding]:
     objective = QuboModel(n=n, quadratic=obj_quadratic)
     enc = Encoding(
         variant="StartDest",
-        n_qubits=n,
         hamming_targets=targets,
         problem=problem,
         objective=objective,
@@ -257,7 +248,6 @@ def encode_position_linear(
     objective = QuboModel(n=L, linear={i: float(fields[i]) for i in range(L)})
     enc = Encoding(
         variant="PositionLinear",
-        n_qubits=L,
         hamming_targets=[((0, L), m)],
         problem=problem,
         objective=objective,
@@ -268,8 +258,8 @@ def encode_position_linear(
 def is_feasible(encoding: Encoding, s: str | Sequence[int]) -> bool:
     """True iff every Hamming-weight target of the encoding holds."""
     bits = bits_from_string(s) if isinstance(s, str) else np.asarray(s)
-    if len(bits) != encoding.n_qubits:
-        raise ValueError(f"state length {len(bits)} != {encoding.n_qubits}")
+    if len(bits) != encoding.objective.n:
+        raise ValueError(f"state length {len(bits)} != {encoding.objective.n}")
     return all(int(bits[lo:hi].sum()) == w for (lo, hi), w in encoding.hamming_targets)
 
 
@@ -285,27 +275,24 @@ def feasible_indices(encoding: Encoding) -> Iterator[int]:
         yield sum(combo)
 
 
-def decode_solution(encoding: Encoding, s: str) -> Placement:
-    """Extract ambulance positions and per-site assignments from a feasible state."""
+def decode_solution(encoding: Encoding, s: str) -> float:
+    """The total distance of the placement a feasible state encodes.
+
+    ComplementSingle: every site's distance to the ambulance; PositionLinear:
+    every site's distance to every ambulance (the encoding's linear field);
+    StartDest: every site's distance to the ambulance that serves it.
+    """
     if not is_feasible(encoding, s):
         raise ValueError(f"cannot decode infeasible state {s!r}")
     bits = bits_from_string(s)
-    problem = encoding.problem
     dist = encoding.distances
-    L = problem.num_locations
+    L = encoding.problem.num_locations
 
     if encoding.variant == "ComplementSingle":
-        pos = int(np.flatnonzero(bits == 0)[0])
-        total = float(dist[pos].sum())
-        return Placement(positions=[pos], assignments=[0] * L, total_distance=total)
-
+        return float(dist[int(np.flatnonzero(bits == 0)[0])].sum())
     if encoding.variant == "PositionLinear":
-        positions = [int(i) for i in np.flatnonzero(bits == 1)]
-        total = float(sum(dist[p].sum() for p in positions))
-        # every site contributes to every ambulance's field; assignment is formal
-        return Placement(positions=positions, assignments=[0] * L, total_distance=total)
-
-    m = problem.ambulances
+        return float(sum(dist[p].sum() for p in np.flatnonzero(bits == 1)))
+    m = encoding.problem.ambulances
     positions = [int(np.flatnonzero(bits[a * L : (a + 1) * L])[0]) for a in range(m)]
     assignments = []
     for l in range(L):
@@ -313,8 +300,7 @@ def decode_solution(encoding: Encoding, s: str) -> Placement:
         if len(servers) != 1:
             raise ValueError(f"site {l} served {len(servers)} times in {s!r}")
         assignments.append(servers[0])
-    total = float(sum(dist[positions[assignments[l]], l] for l in range(L)))
-    return Placement(positions=positions, assignments=assignments, total_distance=total)
+    return float(sum(dist[positions[assignments[l]], l] for l in range(L)))
 
 
 def feasible_sector(model: QuboModel, encoding: Encoding) -> tuple[np.ndarray, np.ndarray]:
@@ -324,9 +310,13 @@ def feasible_sector(model: QuboModel, encoding: Encoding) -> tuple[np.ndarray, n
     min-over-feasible penalty contribution (full minus objective).  For
     encodings whose penalty is constant on the sector this removes the penalty
     entirely; otherwise intra-sector penalty variation is kept so the ground
-    set matches the full cost function.
+    set matches the full cost function.  The sector's size and the int64
+    indices' 63 bits are checked before it is enumerated.
     """
-    indices = np.fromiter(feasible_indices(encoding), dtype=np.int64)
+    count = math.prod(math.comb(hi - lo, w) for (lo, hi), w in encoding.hamming_targets)
+    CapacityError.check(count, 1 << STATE_CAP, "feasible sector", "feasible states")
+    CapacityError.check(encoding.objective.n, 63, "feasible sector")
+    indices = np.fromiter(feasible_indices(encoding), dtype=np.int64, count=count)
     full = energies_at(model, indices)
     floor = float((full - energies_at(encoding.objective, indices)).min())
     return indices, full - floor
@@ -341,9 +331,8 @@ def feasible_spectrum(model: QuboModel, encoding: Encoding) -> list[SpectrumEntr
 # --- paper problem variants --------------------------------------------------
 
 def problem_variant(name: str) -> FacilityProblem:
-    """The desk-scale study instances A-C (line geometries, squared euclidean, lambda_ratio 1)."""
+    """The desk-scale study instances B and C (line geometries, squared euclidean, lambda_ratio 1)."""
     table = {
-        "A": (("line", 5), 1),
         "B": (("line", 4), 2),
         "C": (("line", 8), 2),
     }

@@ -69,10 +69,9 @@ class MixerSpec:
 
 @dataclass
 class InitSpec:
-    """Initial state: Uniform | Dicke(k) | DickeBlocks | RandomFeasible(seed)."""
+    """Initial state: Uniform | Dicke (the first Hamming block's weight) | DickeBlocks | RandomFeasible(seed)."""
 
     kind: str
-    k: int | None = None
     seed: int | None = None
 
     def __post_init__(self) -> None:
@@ -233,9 +232,8 @@ class QaoaContext:
             return "the X mixer does not conserve Hamming weight"
         if self.rings != targets:
             return "the mixer rings do not tile the Hamming blocks"
-        blocks = self.encoding.hamming_targets
-        k = self.init.k if self.init.k is not None else blocks[0][1]
-        if self.init.kind == "Uniform" or (self.init.kind == "Dicke" and blocks != [((0, self.n), k)]):
+        one_block = [rng for rng, _w in self.encoding.hamming_targets] == [(0, self.n)]
+        if self.init.kind == "Uniform" or (self.init.kind == "Dicke" and not one_block):
             return f"the {self.init.kind} initial state is not inside the sector"
         return ""
 
@@ -278,7 +276,7 @@ class QaoaContext:
             quadratic[b][(i, j)] = c
         offsets = [self.model.offset, 0.0, 0.0]
         subs = [QuboModel(self.n, lin, quad, off) for lin, quad, off in zip(linear, quadratic, offsets)]
-        return [read_only(energy_vector(sub, n_override=self.n)) for sub in subs]
+        return [read_only(energy_vector(sub)) for sub in subs]
 
     @property
     def engine(self) -> dict:
@@ -291,8 +289,7 @@ class QaoaContext:
         if init.kind == "Uniform":
             return uniform_state(self.n)
         if init.kind == "Dicke":
-            k = init.k if init.k is not None else enc.hamming_targets[0][1]
-            return dicke_state(self.n, k)
+            return dicke_state(self.n, enc.hamming_targets[0][1])
         if init.kind == "DickeBlocks":
             return block_product_state([(rng, w) for rng, w in enc.hamming_targets])
         # RandomFeasible: rejection-sample the full space against is_feasible

@@ -25,10 +25,19 @@ class CapacityError(ValueError):
     """Raised when a brute-force operation exceeds its size cap, before it allocates."""
 
     @classmethod
-    def check(cls, n: int, cap: int, what: str) -> None:
-        """Raise if n qubits exceed the cap; call it before building anything of size 2^n."""
-        if n > cap:
-            raise cls(f"n={n} exceeds {what} cap {cap}")
+    def check(cls, size: int, cap: int, what: str, noun: str | None = None) -> None:
+        """Raise if size exceeds the cap; call it before building anything that large.
+
+        size counts qubits ("n=26 exceeds statevector cap 24") unless noun names
+        the things it counts ("1200 locations exceed the enumeration cap 1000").
+        """
+        if size > cap:
+            raise cls(f"{size} {noun} exceed the {what} cap {cap}" if noun else f"n={size} exceeds {what} cap {cap}")
+
+
+def child_seed(seed: int, i: int) -> int:
+    """The seed of child i (a restart, a read, a point or a term) of seed: one draw from default_rng([seed, i])."""
+    return int(np.random.default_rng([seed, i]).integers(2**31))
 
 
 def read_only(arr: np.ndarray) -> np.ndarray:

@@ -39,9 +39,6 @@ class StateVector:
         if self.amplitudes.shape != (1 << self.n,):
             raise ValueError("amplitude array has wrong length")
 
-    def copy(self) -> "StateVector":
-        return StateVector(self.n, self.amplitudes.copy())
-
     def probabilities(self) -> np.ndarray:
         return np.abs(self.amplitudes) ** 2
 
@@ -169,9 +166,9 @@ def xy_ring_eigensystem(m: int, weight: int | None = None) -> tuple[np.ndarray, 
     """
     if m < 2:
         raise ValueError(f"need a ring of length >= 2, got {m}")
+    CapacityError.check(m, STATE_CAP, "statevector")  # the patterns are drawn from all 2^m
     dim = 1 << m if weight is None else comb(m, weight)
-    if m > STATE_CAP or dim > 1 << XY_RING_CAP:
-        raise CapacityError(f"ring of length {m} (dimension {dim}) exceeds the XY ring cap of {XY_RING_CAP} qubits")
+    CapacityError.check(dim, 1 << XY_RING_CAP, "XY ring", f"states of a {m}-qubit ring")
     patterns = np.arange(1 << m)
     if weight is not None:
         patterns = patterns[popcounts(m) == weight]

@@ -26,7 +26,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .qubo import CapacityError, IsingModel, QuboModel, read_only
+from .qubo import CapacityError, IsingModel, QuboModel, child_seed, read_only
 from .simulator import EV_BATCH_AMPLITUDES, STATE_CAP, StateVector, sample_indices
 
 # An R_y multiplies a stack of `rows` blocks of shape (2, stride), and numpy
@@ -290,7 +290,7 @@ def ev_causal_cone_sampling_batch(
     """Estimate <H> at each point of Theta (K, P) by sampling each Z / ZZ term from its own cone circuit.
 
     Each term's cone circuit runs once for all K points.  Terms are sampled
-    independently, point k's term t with a seed derived from (seeds[k], t);
+    independently, point k's term t with child t of seeds[k] (qubo.child_seed);
     the extra variance from independent sampling is part of the estimator.
     A term's estimate is the integer sum of its draws times the targets'
     parity.
@@ -301,8 +301,7 @@ def ev_causal_cone_sampling_batch(
     for t, (term, coeff) in enumerate(terms):
         reduced, parity = ansatz.cone(term)
         for k, a in enumerate(run_program(reduced.program, Theta)):
-            seed = int(np.random.default_rng([seeds[k], t]).integers(2**31))
-            draws = sample_indices(StateVector(reduced.program.m, a), shots_per_term, seed)
+            draws = sample_indices(StateVector(reduced.program.m, a), shots_per_term, child_seed(seeds[k], t))
             totals[k] += coeff * float(draws @ parity) / shots_per_term
     return np.array(totals, dtype=float)
 

@@ -15,7 +15,6 @@ import pytest
 from quambo.anneal import (
     AnnealSchedule,
     anneal_parameter_sweep,
-    sim_anneal_sampler,
     simulate_forward_anneal,
     tts,
 )
@@ -157,7 +156,7 @@ def test_criterion_04_mixer_comparison():
     t0 = time.monotonic()
     model, enc = encode_a(40)
     xy_runs, _ = random_restart_search(
-        QaoaContext(enc, model, MixerSpec("XY", rings=[[0, 1, 2, 3, 4]]), InitSpec("Dicke", k=4)),
+        QaoaContext(enc, model, MixerSpec("XY", rings=[[0, 1, 2, 3, 4]]), InitSpec("Dicke")),
         5, 100, NelderMead(max_iter=400), seed=11,
     )
     x_runs, _ = random_restart_search(
@@ -410,7 +409,7 @@ def test_criterion_13_lambda_sweep_substitute():
     t0 = time.monotonic()
     problem = FacilityProblem(("grid", 3, 2), 2, lambda_ratio=1.0)
     points = dict(
-        anneal_parameter_sweep(problem, [1.0, 10.0], sim_anneal_sampler(sweeps=30), reads=4000, seed=19)
+        anneal_parameter_sweep(problem, [1.0, 10.0], 30, reads=4000, seed=19)
     )
     elapsed = time.monotonic() - t0
     low, high = points[1.0].p_gnd, points[10.0].p_gnd

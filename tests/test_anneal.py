@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from quambo.anneal import (
     AnnealSchedule,
     anneal_parameter_sweep,
-    sim_anneal_sampler,
     simulate_forward_anneal,
     simulate_reverse_anneal,
     tts,
@@ -200,21 +199,17 @@ class TestAnnealerFormulas:
 
 
 class TestSweep:
-    def test_sampler_shape_and_determinism(self):
-        from quambo.qubo import QuboModel
-
-        sampler = sim_anneal_sampler(sweeps=20)
-        model = QuboModel(n=4, linear={i: -1.0 for i in range(4)})
-        reads = sampler(model, 10, seed=3)
-        assert len(reads) == 10 and all(len(s) == 4 for s in reads)
-        assert reads == sampler(model, 10, seed=3)
-        assert reads.count("1111") >= 8
+    def test_sweep_is_deterministic(self):
+        problem = FacilityProblem(("line", 3), 1, lambda_ratio=1.0)
+        out = anneal_parameter_sweep(problem, [0.5, 4.0], 20, reads=10, seed=3)
+        assert out == anneal_parameter_sweep(problem, [0.5, 4.0], 20, reads=10, seed=3)
+        for _, m in out:  # p_feas and p_gnd are counts of the 10 reads
+            assert (10 * m.p_feas).is_integer() and (10 * m.p_gnd).is_integer()
+        assert out != anneal_parameter_sweep(problem, [0.5, 4.0], 20, reads=10, seed=4)
 
     def test_parameter_sweep_metrics(self):
         problem = FacilityProblem(("line", 2), 1, lambda_ratio=2.0)
-        out = anneal_parameter_sweep(
-            problem, [1.0, 5.0], sim_anneal_sampler(sweeps=20), reads=40, seed=9
-        )
+        out = anneal_parameter_sweep(problem, [1.0, 5.0], 20, reads=40, seed=9)
         assert [ratio for ratio, _ in out] == [1.0, 5.0]
         for _, m in out:
             assert 0.0 <= m.p_gnd <= m.p_feas <= 1.0

@@ -535,7 +535,7 @@ class TestBaseline:
     def test_location_cap_is_an_error(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setattr("quambo.cli.encode_start_dest", None)  # the oracle's cap is checked before encoding
         text = "[problem]\ngeometry = line\ncols = 1200\nambulances = 1\nlambda = 1\n[heuristic]\nalgorithm = tabu\n"
-        assert_one_error(tmp_path, capsys, "baseline", text, "1200 locations exceeds the enumeration cap")
+        assert_one_error(tmp_path, capsys, "baseline", text, "1200 locations exceed the enumeration cap 1000")
 
 
 class TestAnneal:
@@ -564,6 +564,17 @@ class TestAnneal:
         assert main(["anneal", "--config", cfg, "--out", str(tmp_path / "a.csv")]) == 1
         assert capsys.readouterr().err == f"error: need reads >= 1, got {reads}\n"
         assert not (tmp_path / "a.csv").exists()
+
+    @pytest.mark.parametrize("geometry, message", [
+        # 16^2 start choices times C(32, 16) destination patterns: about 1.5e11 states
+        ("grid\nrows = 4\ncols = 4\nambulances = 2", "153876579840 feasible states exceed the feasible sector cap 16777216"),
+        # 33 feasible states, but n = 66 qubits: their indices do not fit in int64
+        ("line\ncols = 33\nambulances = 1", "n=66 exceeds feasible sector cap 63"),
+    ])
+    def test_sector_cap_is_checked_before_enumerating(self, tmp_path, capsys, monkeypatch, geometry, message):
+        monkeypatch.setattr("quambo.problems.feasible_indices", None)  # refused before any enumeration
+        assert_one_error(tmp_path, capsys, "anneal", f"[problem]\ngeometry = {geometry}\n[anneal]\nreads = 5\n",
+                         message)
 
 
 class TestTts:

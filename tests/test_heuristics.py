@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from quambo import heuristics
-from quambo.anneal import sim_anneal_sampler
+from quambo.anneal import anneal_parameter_sweep
 from quambo.heuristics import (
     ORACLE_CAP,
     SimAnneal,
@@ -31,7 +31,8 @@ from quambo.problems import (
     encode_single_complement,
     encode_start_dest,
 )
-from quambo.qubo import CapacityError, QuboModel, energy_qubo, energy_vector
+from quambo.qaoa import Scorer, metrics
+from quambo.qubo import CapacityError, QuboModel, energy_qubo, energy_vector, index_from_string
 
 
 def random_qubo(n, rng, integral=False):
@@ -124,12 +125,12 @@ def reference_harness(solver, model, restarts, seed, encoding=None, d_min=None):
             hits += 1
         if encoding is not None:
             try:
-                placement = decode_solution(encoding, state)
+                d = decode_solution(encoding, state)
             except ValueError:
                 pass
             else:
-                if d_sol is None or placement.total_distance < d_sol:
-                    d_sol = placement.total_distance
+                if d_sol is None or d < d_sol:
+                    d_sol = d
     ratio = d_sol / d_min if d_sol is not None and d_min else None
     return float(best_e), hits / restarts, d_sol, ratio, best_state
 
@@ -203,13 +204,25 @@ class TestBatchedKernels:
         assert (res.best_energy, res.frequency_of_best, res.d_sol, res.ratio, res.best_state) == expected
         assert res.d_sol is not None
 
-    @given(st.integers(0, 2**32 - 1), st.integers(1, 12), st.integers(0, 9), st.integers(1, 12))
+    @given(st.integers(0, 2**32 - 1), st.sampled_from([(("line", 2), 1), (("line", 3), 1), (("line", 3), 2)]),
+           st.integers(1, 9), st.integers(1, 12))
     @settings(max_examples=30, deadline=None)
-    def test_sampler_equals_one_chain_per_read(self, seed, n, reads, sweeps):
-        model = random_qubo(n, np.random.default_rng(seed))
-        config = SimAnneal(sweeps=sweeps)
-        expected = [reference_simulated_annealing(model, config, reference_seed(seed, r))[0] for r in range(reads)]
-        assert sim_anneal_sampler(sweeps=sweeps)(model, reads, seed) == expected
+    def test_sweep_reads_are_one_chain_per_read(self, seed, shape, reads, sweeps):
+        # ratio j's read r is the best state of one reference chain seeded with child r of child j of seed
+        problem = FacilityProblem(*shape, lambda_ratio=1.0)
+        ratios = [0.5, 2.0]
+        out = anneal_parameter_sweep(problem, ratios, sweeps, reads, seed)
+        assert out == anneal_parameter_sweep(problem, ratios, sweeps, reads, seed)
+        assert [ratio for ratio, _m in out] == ratios
+        for j, (ratio, m) in enumerate(out):
+            model, enc = encode_start_dest(FacilityProblem(*shape, lambda_ratio=ratio))
+            states = [reference_simulated_annealing(model, SimAnneal(sweeps=sweeps),
+                                                    reference_seed(reference_seed(seed, j), r))[0]
+                      for r in range(reads)]
+            scorer = Scorer.of(model, enc)
+            indices = np.array([index_from_string(s) for s in states])
+            ev = float(np.mean([energy_qubo(model, s) for s in states]))
+            assert m == metrics(scorer, scorer.counts(indices), total=reads, ev=ev)
 
     def test_tabu_chunks_equal_one_batch(self, monkeypatch):
         rng = np.random.default_rng(8)

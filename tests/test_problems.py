@@ -101,11 +101,11 @@ class TestComplementSingle:
         for idx in feasible_indices(enc):
             s = string_from_index(idx, 5)
             cost = energy_qubo(model, s)
-            dist = decode_solution(enc, s).total_distance
+            dist = decode_solution(enc, s)
             if best_cost is None or cost < best_cost:
                 best_cost, best_dist = cost, dist
         distances = [
-            decode_solution(enc, string_from_index(i, 5)).total_distance
+            decode_solution(enc, string_from_index(i, 5))
             for i in feasible_indices(enc)
         ]
         assert best_dist == min(distances)
@@ -144,7 +144,7 @@ class TestStartDest:
         s = "".join(bits)
         assert is_feasible(enc, s)
         assert energy_qubo(model, s) == 2
-        assert decode_solution(enc, s).total_distance == 2
+        assert decode_solution(enc, s) == 2
 
     def test_feasible_energy_equals_distance(self, encoded):
         """On single-service feasible states the encoded energy is the decoded distance."""
@@ -154,11 +154,11 @@ class TestStartDest:
         for idx in feasible_indices(enc):
             s = string_from_index(idx, 16)
             try:
-                placement = decode_solution(enc, s)
+                total = decode_solution(enc, s)
             except ValueError:
                 continue
             if rng.random() < 0.2:
-                assert energy_qubo(model, s) == pytest.approx(placement.total_distance)
+                assert energy_qubo(model, s) == pytest.approx(total)
                 checked += 1
         assert checked > 20
 
@@ -169,7 +169,7 @@ class TestStartDest:
 
         def total(encoding, s):
             try:
-                return decode_solution(encoding, s).total_distance
+                return decode_solution(encoding, s)
             except ValueError:  # served twice
                 return None
 

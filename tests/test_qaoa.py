@@ -52,7 +52,7 @@ def problem_a():
 def ctx_a_xy(problem_a):
     model, enc = problem_a
     mixer = MixerSpec(kind="XY", rings=[[0, 1, 2, 3, 4]])
-    return QaoaContext(enc, model, mixer, InitSpec(kind="Dicke", k=4))
+    return QaoaContext(enc, model, mixer, InitSpec(kind="Dicke"))
 
 
 @pytest.fixture(scope="module")
@@ -403,7 +403,7 @@ class TestSchedules:
     def test_schedule_ev_non_increasing(self, problem_a):
         model, enc = problem_a
         mixer = MixerSpec(kind="XY", rings=[[0, 1, 2, 3, 4]])
-        ctx = QaoaContext(enc, model, mixer, InitSpec(kind="Dicke", k=4))
+        ctx = QaoaContext(enc, model, mixer, InitSpec(kind="Dicke"))
         for strategy in ("INTERP", "EXTRAP1", "EXTRAP2"):
             levels = increasing_p_schedule(strategy, np.array([0.5, 0.05]), p_max=4, optimizer=NelderMead(max_iter=60),
                                            ctx=ctx)

@@ -157,9 +157,12 @@ class TestXYRingMixer:
 
     @pytest.mark.parametrize("m, weight", [(13, None), (15, 7), (25, 1)])
     def test_ring_cap_is_a_capacity_error_before_allocating(self, m, weight):
+        message = {13: "8192 states of a 13-qubit ring exceed the XY ring cap 4096",
+                   15: "6435 states of a 15-qubit ring exceed the XY ring cap 4096",
+                   25: "n=25 exceeds statevector cap 24"}[m]
         tracemalloc.start()
         try:
-            with pytest.raises(CapacityError, match="exceeds the XY ring cap"):
+            with pytest.raises(CapacityError, match=f"^{message}$"):
                 xy_ring_eigensystem(m, weight)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
