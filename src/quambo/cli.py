@@ -27,10 +27,10 @@ keep the defaults of the dataclass or function they are passed to.
   [heuristic]  algorithm (tabu | sa: the fields of heuristics.Tabu or
                SimAnneal), restarts
   [anneal]     lambda_ratios, reads, sweeps (of each read's SA chain, default 30)
-p, restarts, reads and shots must be >= 1, and the vqe ansatz needs layers
->= 1 or initial_layer = true.  Text that does not convert is an error naming
-its [section], key and text (_get).  A command fails at once without a
-section it reads (NEEDS).
+p, restarts, reads and shots must be >= 1, p_max >= p, and the vqe ansatz
+needs layers >= 1 or initial_layer = true.  Text that does not convert is an
+error naming its [section], key and text (_get).  A command fails at once
+without a section it reads (NEEDS).
 
 CSV schemas:
   qaoa     run_id,p,strategy,mixer,init,ev,r_approx,p_feas,p_gnd,evals,seed
@@ -65,6 +65,10 @@ from .qubo import child_seed, model_to_text, qubo_to_ising
 # The choices of three choosing keys; each choice reads the parameters of its dataclass or function.
 OPTIMIZERS = {config.kind: config for config in (NelderMead, Spsa, FdQuasiNewton)}
 HEURISTICS = {"tabu": heuristics.Tabu, "sa": heuristics.SimAnneal}
+# Config text to the annotation of the parameter it is passed to (through _get).
+CONVERT = {"int": int, "int | None": int, "float": float, "float | None": float, "str": str,
+           "tuple[int, int]": lambda text: tuple(map(int, text.split(","))),
+           "bool": lambda text: _pick(configparser.ConfigParser.BOOLEAN_STATES, text.lower(), "boolean")}
 
 
 def _encoders() -> dict:
@@ -73,11 +77,19 @@ def _encoders() -> dict:
             "complement": encode_single_complement}
 
 
+def _signature(kind, skip: int = 0) -> dict:
+    """Each parameter of kind, leaving out the first `skip` -> the converter of its annotation (CONVERT)."""
+    params = list(inspect.signature(kind).parameters.values())[skip:]
+    return {param.name: CONVERT.get(param.annotation) for param in params}
+
+
 def _params(kinds: dict, skip: int = 0) -> dict:
-    """Each choice -> the names of its parameters, leaving out the first `skip`."""
-    return {name: tuple(inspect.signature(kind).parameters)[skip:] for name, kind in kinds.items()}
+    """Each choice -> the _signature of its dataclass or function."""
+    return {name: _signature(kind, skip) for name, kind in kinds.items()}
 
 
+# Read once, from the real signatures: an encoder replaced here later (a traced *args, **kwargs one) names none.
+SIGNATURES = _params({"problem": FacilityProblem, "mixer": qaoa.MixerSpec, "ansatz": vqe.VqeAnsatz})
 ENCODING = {"encoding": ("encoding", "start_dest", _params(_encoders(), skip=1))}
 # Per section: the keys it always reads, then per choosing key the name its errors use, its
 # default and, per choice, the further keys that choice reads.  load_config rejects any other key.
@@ -101,10 +113,6 @@ CONFIG = {
 # The sections each command needs.
 NEEDS = {"encode": ("problem", "encode"), "oracle": ("problem",), "qaoa": ("problem", "qaoa"),
          "vqe": ("problem", "vqe"), "baseline": ("problem", "heuristic"), "anneal": ("problem", "anneal")}
-# Config text to the annotation of the parameter it is passed to (through _get).
-CONVERT = {"int": int, "int | None": int, "float": float, "float | None": float, "str": str,
-           "tuple[int, int]": lambda text: tuple(map(int, text.split(","))),
-           "bool": lambda text: _pick(configparser.ConfigParser.BOOLEAN_STATES, text.lower(), "boolean")}
 
 
 def _pick(table: dict, name, what: str):
@@ -147,13 +155,20 @@ def _choice(sec: configparser.SectionProxy, key: str):
     return sec.get(key, CONFIG[sec.name][1][key][1])
 
 
-def _call(kind, sec: configparser.SectionProxy, renamed: dict | None = None, /, **given):
-    """kind(**given, and each other parameter the section sets, by its config key in renamed or its own name)."""
-    for name, param in inspect.signature(kind).parameters.items():
+def _call(kind, params: dict, sec: configparser.SectionProxy, renamed: dict | None = None, /, **given):
+    """kind(**given, and each other of its params (_signature) that the section sets, by its key in renamed or name)."""
+    for name, convert in params.items():
         key = (renamed or {}).get(name, name)
         if key in sec and name not in given:
-            given[name] = _get(sec, key, convert=CONVERT[param.annotation])
+            given[name] = _get(sec, key, convert=convert)
     return kind(**given)
+
+
+def _chosen(sec: configparser.SectionProxy, key: str, kinds: dict, /, **given):
+    """_call of the kind in kinds that the section's choosing key names, with that choice's CONFIG parameters."""
+    what, _default, params = CONFIG[sec.name][1][key]
+    choice = _choice(sec, key)
+    return _call(_pick(kinds, choice, what), params[choice], sec, **given)
 
 
 def load_config(path: str, command: str) -> configparser.ConfigParser:
@@ -177,20 +192,19 @@ def problem_from_config(cp: configparser.ConfigParser) -> FacilityProblem:
     for key in sizes:
         if key not in sec:
             raise ValueError(f"problem geometry {kind!r} needs key {key!r}")
-    return _call(FacilityProblem, sec, {"lambda_": "lambda"}, geometry=(kind, *(_get(sec, key) for key in sizes)))
+    return _call(FacilityProblem, SIGNATURES["problem"], sec, {"lambda_": "lambda"},
+                 geometry=(kind, *(_get(sec, key) for key in sizes)))
 
 
 def encoding_from_config(cp: configparser.ConfigParser, problem: FacilityProblem, section: str):
-    sec = cp[section]
-    return _call(_pick(_encoders(), _choice(sec, "encoding"), "encoding"), sec, problem=problem)
+    return _chosen(cp[section], "encoding", _encoders(), problem=problem)
 
 
 def optimizer_from_config(cp: configparser.ConfigParser):
     """[optimizer] as its kind's dataclass; unset keys keep its defaults."""
     if not cp.has_section("optimizer"):
         return NelderMead()
-    sec = cp["optimizer"]
-    return _call(_pick(OPTIMIZERS, _choice(sec, "kind"), "optimizer kind"), sec)
+    return _chosen(cp["optimizer"], "kind", OPTIMIZERS)
 
 
 def write_csv(path: str, header: list[str], rows: list[list]) -> None:
@@ -272,10 +286,12 @@ def cmd_oracle(args: argparse.Namespace, cp: configparser.ConfigParser, problem:
 def cmd_qaoa(args: argparse.Namespace, cp: configparser.ConfigParser, problem: FacilityProblem):
     optimizer = optimizer_from_config(cp)
     sec = cp["qaoa"]
-    mixer = _call(qaoa.MixerSpec, sec, kind=_choice(sec, "mixer"))
+    mixer = _call(qaoa.MixerSpec, SIGNATURES["mixer"], sec, kind=_choice(sec, "mixer"))
     init = qaoa.InitSpec(_choice(sec, "init"), seed=args.seed)
     p, restarts, strategy = _get(sec, "p", 1), _get(sec, "restarts", 100), _choice(sec, "strategy")
     p_max = _get(sec, "p_max", 10)
+    if strategy is not None and p_max < p:
+        raise ValueError(f"need p_max >= p for strategy {strategy}, got p_max = {p_max} and p = {p}")
     model, enc = encoding_from_config(cp, problem, "qaoa")
     ctx = qaoa.QaoaContext(enc, model, mixer, init)
     runs, telemetry = qaoa.random_restart_search(ctx, p, restarts, optimizer, args.seed)
@@ -302,7 +318,7 @@ def cmd_vqe(args: argparse.Namespace, cp: configparser.ConfigParser, problem: Fa
     shots = _get(sec, "shots", 9000) if method != "sv" else 0
     restarts = _get(sec, "restarts", 100)
     model, enc = encoding_from_config(cp, problem, "vqe")
-    ansatz = _call(vqe.VqeAnsatz, sec, {"entangling_layers": "layers"}, n=model.n)
+    ansatz = _call(vqe.VqeAnsatz, SIGNATURES["ansatz"], sec, {"entangling_layers": "layers"}, n=model.n)
     if ansatz.n_params == 0:
         raise ValueError("the vqe ansatz has no parameters; set layers >= 1 or initial_layer = true")
     scorer = qaoa.Scorer.of(model, enc)
@@ -339,7 +355,7 @@ def cmd_baseline(args: argparse.Namespace, cp: configparser.ConfigParser, proble
     sec = cp["heuristic"]
     algorithm = _choice(sec, "algorithm")
     restarts = _get(sec, "restarts", 100)
-    config = _call(HEURISTICS[algorithm], sec)
+    config = _chosen(sec, "algorithm", HEURISTICS)
     t0 = time.perf_counter()
     d_min, _ = heuristics.exact_facility_optimum(problem)  # its size cap is checked before encoding
     oracle_s = time.perf_counter() - t0
@@ -399,8 +415,8 @@ def cmd_summarize(args: argparse.Namespace) -> int:
     print("metric,mean,err,min,max")
     for name, vals in columns.items():
         arr = np.array(vals)
-        err = 2.0 * arr.std(ddof=0) / np.sqrt(len(arr))
-        print(f"{name},{_fmt(arr.mean())},{_fmt(err)},{_fmt(arr.min())},{_fmt(arr.max())}")
+        mean, err = qaoa.mean_and_err(arr)
+        print(f"{name},{_fmt(mean)},{_fmt(err)},{_fmt(arr.min())},{_fmt(arr.max())}")
     if best_id is not None:
         print(f"best_run,{best_id}")
     return 0

@@ -110,28 +110,37 @@ class Encoding:
         return read_only(distance_matrix(self.problem))
 
 
+def add_penalty(linear: dict, quadratic: dict, qubits: Sequence[int], lam: float, w: int) -> float:
+    """Add lam * (sum_{q in qubits} s_q - w)^2 to linear and quadratic; return its constant lam * w * w.
+
+    With s^2 = s the square is w^2 + (1 - 2w) sum s + 2 sum_{q<r} s_q s_r, so each qubit's
+    linear term gains lam * (1 - 2w) and each pair (qubits in increasing order) gains 2 lam.
+    """
+    for k, q in enumerate(qubits):
+        linear[q] = linear.get(q, 0.0) + lam * (1.0 - 2.0 * w)
+        for r in qubits[k + 1:]:
+            quadratic[(q, r)] = quadratic.get((q, r), 0.0) + 2.0 * lam
+    return lam * w * w
+
+
 def encode_single_complement(problem: FacilityProblem) -> tuple[QuboModel, Encoding]:
     """One-ambulance encoding over L qubits where a `0` marks the ambulance.
 
-    C(s) = sum_{i<j} s_i D_ij s_j + lambda * sum s_i P_ij s_j with
-    D_ij = -dist(i, j), P_ii = 1 - 2c, P_{i<j} = 2 and c = L - 1.
+    C(s) = -sum_{i<j} dist(i, j) s_i s_j + lambda * (sum s - c)^2 with
+    c = L - 1 (add_penalty), without the penalty's constant lambda * c^2.
     """
     if problem.ambulances != 1:
         raise ValueError("ComplementSingle requires exactly one ambulance")
     if problem.forbid_colocation:
         raise ValueError("forbid_colocation needs the start_dest encoding; complement does not read it")
     L = problem.num_locations
-    lam = problem.penalty_weight()
     dist = distance_matrix(problem)
     c = L - 1
 
-    linear = {i: lam * (1.0 - 2.0 * c) for i in range(L)}
-    quadratic = {}
-    obj_quadratic = {}
-    for i in range(L):
-        for j in range(i + 1, L):
-            obj_quadratic[(i, j)] = -float(dist[i, j])
-            quadratic[(i, j)] = -float(dist[i, j]) + 2.0 * lam
+    obj_quadratic = {(i, j): -float(dist[i, j]) for i in range(L) for j in range(i + 1, L)}
+    linear: dict[int, float] = {}
+    quadratic = dict(obj_quadratic)
+    add_penalty(linear, quadratic, range(L), problem.penalty_weight(), c)
     model = QuboModel(n=L, linear=linear, quadratic=quadratic)
     objective = QuboModel(n=L, quadratic=obj_quadratic)
     enc = Encoding(
@@ -148,64 +157,35 @@ def encode_start_dest(problem: FacilityProblem) -> tuple[QuboModel, Encoding]:
 
     Layout: start blocks for each ambulance, then dest blocks for each
     ambulance.  Objective sums start(a,i)*dest(a,l)*dist(i,l); squared
-    constraints force one start per ambulance and one server per site; the
-    constant terms of the squares are kept in the offset so proper feasible
-    states cost exactly their total distance.
+    constraints (add_penalty) force one start per ambulance and one server
+    per site; the constant terms of the squares are kept in the offset so
+    proper feasible states cost exactly their total distance.
+    forbid_colocation adds lambda * start(a,i)*start(b,i) for a < b.
     """
     L = problem.num_locations
     m = problem.ambulances
     lam = problem.penalty_weight()
     dist = distance_matrix(problem)
-
-    def start_q(a: int, i: int) -> int:
-        return a * L + i
-
-    def dest_q(a: int, i: int) -> int:
-        return m * L + a * L + i
-
     n = 2 * m * L
+
+    # objective: distance from each ambulance start to each site it serves (start qubits come first)
+    obj_quadratic = {(a * L + i, m * L + a * L + l): float(dist[i, l])
+                     for a in range(m) for i in range(L) for l in range(L) if dist[i, l] != 0.0}
     linear: dict[int, float] = {}
-    quadratic: dict[tuple[int, int], float] = {}
-    obj_quadratic: dict[tuple[int, int], float] = {}
-
-    def add_quad(d: dict, i: int, j: int, coeff: float) -> None:
-        if i == j:
-            raise ValueError("diagonal quadratic term")
-        key = (i, j) if i < j else (j, i)
-        d[key] = d.get(key, 0.0) + coeff
-
-    # objective: distance from each ambulance start to each site it serves
-    for a in range(m):
-        for i in range(L):
-            for l in range(L):
-                if dist[i, l] != 0.0:
-                    add_quad(obj_quadratic, start_q(a, i), dest_q(a, l), float(dist[i, l]))
-    quadratic.update(obj_quadratic)
-
-    # (sum_i start(a,i) - 1)^2 = 1 - sum_i start + 2 sum_{i<j} start_i start_j
+    quadratic = dict(obj_quadratic)
     offset = 0.0
-    for a in range(m):
-        offset += lam
-        for i in range(L):
-            linear[start_q(a, i)] = linear.get(start_q(a, i), 0.0) - lam
-            for j in range(i + 1, L):
-                add_quad(quadratic, start_q(a, i), start_q(a, j), 2.0 * lam)
-    # (sum_a dest(a,l) - 1)^2 per site
-    for l in range(L):
-        offset += lam
-        for a in range(m):
-            linear[dest_q(a, l)] = linear.get(dest_q(a, l), 0.0) - lam
-            for b in range(a + 1, m):
-                add_quad(quadratic, dest_q(a, l), dest_q(b, l), 2.0 * lam)
-
+    for a in range(m):  # one start per ambulance
+        offset += add_penalty(linear, quadratic, range(a * L, (a + 1) * L), lam, 1)
+    for l in range(L):  # one server per site
+        offset += add_penalty(linear, quadratic, range(m * L + l, n, L), lam, 1)
     if problem.forbid_colocation:
         for i in range(L):
             for a in range(m):
                 for b in range(a + 1, m):
-                    add_quad(quadratic, start_q(a, i), start_q(b, i), lam)
+                    quadratic[(a * L + i, b * L + i)] = lam
 
     targets = [((a * L, (a + 1) * L), 1) for a in range(m)]
-    targets.append(((m * L, 2 * m * L), L))
+    targets.append(((m * L, n), L))
 
     model = QuboModel(n=n, linear=linear, quadratic=quadratic, offset=offset)
     objective = QuboModel(n=n, quadratic=obj_quadratic)
@@ -223,27 +203,21 @@ def encode_position_linear(
 ) -> tuple[QuboModel, Encoding]:
     """Relaxed-metric encoding: a `1` marks an ambulance, cost is a linear field.
 
-    field_i = sum_l dist(i, l); the cardinality penalty lambda*(sum s - m)^2 is
-    omitted when an XY mixer enforces the weight instead.
+    field_i = sum_l dist(i, l); the cardinality penalty lambda*(sum s - m)^2
+    (add_penalty, constant in the offset) is omitted when an XY mixer enforces
+    the weight instead.
     """
     if problem.forbid_colocation:
         raise ValueError("forbid_colocation needs the start_dest encoding; position_linear does not read it")
     L = problem.num_locations
     m = problem.ambulances
-    dist = distance_matrix(problem)
-    fields = dist.sum(axis=1)
+    fields = distance_matrix(problem).sum(axis=1)
 
     linear = {i: float(fields[i]) for i in range(L)}
     quadratic: dict[tuple[int, int], float] = {}
     offset = 0.0
     if include_penalty:
-        lam = problem.penalty_weight()
-        # (sum s - m)^2 = m^2 + (1 - 2m) sum s + 2 sum_{i<j} s_i s_j
-        offset += lam * m * m
-        for i in range(L):
-            linear[i] = linear.get(i, 0.0) + lam * (1.0 - 2.0 * m)
-            for j in range(i + 1, L):
-                quadratic[(i, j)] = 2.0 * lam
+        offset += add_penalty(linear, quadratic, range(L), problem.penalty_weight(), m)
     model = QuboModel(n=L, linear=linear, quadratic=quadratic, offset=offset)
     objective = QuboModel(n=L, linear={i: float(fields[i]) for i in range(L)})
     enc = Encoding(

@@ -13,6 +13,7 @@ depth schedules all take it in this form.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from functools import cached_property, lru_cache
 from typing import Sequence
@@ -20,19 +21,9 @@ from typing import Sequence
 import numpy as np
 
 from .optimize import OptimizerConfig, minimize_batch, restart_search
-from .problems import Encoding, feasible_sector, is_feasible
-from .qubo import TIE_TOL, CapacityError, QuboModel, energy_vector, read_only, string_from_index
-from .simulator import (
-    EV_BATCH_AMPLITUDES,
-    STATE_CAP,
-    StateVector,
-    basis_state,
-    block_product_state,
-    dicke_state,
-    popcounts,
-    uniform_state,
-    xy_ring_eigensystem,
-)
+from .problems import Encoding, feasible_sector
+from .qubo import TIE_TOL, CapacityError, QuboModel, energy_vector, read_only
+from .simulator import EV_BATCH_AMPLITUDES, STATE_CAP, StateVector, xy_ring_eigensystem
 
 MIXER_KINDS = ("X", "XY", "ThreeXY")
 STRATEGIES = ("INTERP", "EXTRAP1", "EXTRAP2")  # the depth schedules of increasing_p_schedule
@@ -69,7 +60,12 @@ class MixerSpec:
 
 @dataclass
 class InitSpec:
-    """Initial state: Uniform | Dicke (the first Hamming block's weight) | DickeBlocks | RandomFeasible(seed)."""
+    """Initial state: Uniform | Dicke (the first Hamming block's weight) | DickeBlocks | RandomFeasible(seed).
+
+    The state is uniform over the basis states where each kept Hamming block has its weight (none for
+    Uniform, all n qubits for Dicke, the encoding's hamming_targets otherwise), or one of them for
+    RandomFeasible, drawn by rejection from the full space.
+    """
 
     kind: str
     seed: int | None = None
@@ -127,7 +123,15 @@ def _hadamard_eigensystem(w: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     for _ in range(w):
         vecs = np.kron(vecs, [[1.0, 1.0], [1.0, -1.0]])
     vecs /= 2.0 ** (w / 2)
-    return read_only(np.arange(1 << w)), read_only(w - 2.0 * popcounts(w)), read_only(vecs)
+    return read_only(np.arange(1 << w)), read_only(w - 2.0 * np.bitwise_count(np.arange(1 << w))), read_only(vecs)
+
+
+def _weights_hold(index, blocks: list[tuple[tuple[int, int], int]]) -> np.ndarray:
+    """True where the basis index (or array of them) has weight w in every ((lo, hi), w) block."""
+    keep = np.ones(np.shape(index), dtype=bool)
+    for (lo, hi), w in blocks:
+        keep &= np.bitwise_count((index >> lo) & ((1 << (hi - lo)) - 1)) == w
+    return keep
 
 
 def _phase_table(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -165,7 +169,7 @@ class QaoaContext:
     `sector_reason`).  A layer multiplies by the cost phase, applies V^T of
     every block's real mixer eigensystem (V, lambda), multiplies by
     exp(-i sum_b beta_b lambda_b) and applies V again.  Diagonals, eigensystems
-    and the initial state are built once, read-only, in the engine basis.
+    and the initial state (InitSpec) are built once, read-only, in the engine basis.
     """
 
     def __init__(
@@ -182,7 +186,9 @@ class QaoaContext:
         self.mixer = mixer
         self.init = init
         self.n = model.n
-        targets = [list(range(lo, hi)) for (lo, hi), _w in encoding.hamming_targets]
+        hamming = encoding.hamming_targets
+        self._init_blocks = {"Uniform": [], "Dicke": [((0, self.n), hamming[0][1])]}.get(init.kind, hamming)
+        targets = [list(range(lo, hi)) for (lo, hi), _w in hamming]
 
         self.rings: list[list[int]] = []
         if mixer.kind != "X":
@@ -232,8 +238,7 @@ class QaoaContext:
             return "the X mixer does not conserve Hamming weight"
         if self.rings != targets:
             return "the mixer rings do not tile the Hamming blocks"
-        one_block = [rng for rng, _w in self.encoding.hamming_targets] == [(0, self.n)]
-        if self.init.kind == "Uniform" or (self.init.kind == "Dicke" and not one_block):
+        if self._init_blocks != self.encoding.hamming_targets:
             return f"the {self.init.kind} initial state is not inside the sector"
         return ""
 
@@ -284,25 +289,21 @@ class QaoaContext:
         info = {"basis": self.basis, "dim": len(self._index), "block_dims": self.block_dims}
         return {**info, "reason": self.sector_reason} if self.sector_reason else info
 
-    def initial_state(self) -> StateVector:
-        init, enc = self.init, self.encoding
-        if init.kind == "Uniform":
-            return uniform_state(self.n)
-        if init.kind == "Dicke":
-            return dicke_state(self.n, enc.hamming_targets[0][1])
-        if init.kind == "DickeBlocks":
-            return block_product_state([(rng, w) for rng, w in enc.hamming_targets])
-        # RandomFeasible: rejection-sample the full space against is_feasible
-        rng = np.random.default_rng(init.seed)
-        while True:
-            idx = int(rng.integers(0, 1 << self.n))
-            s = string_from_index(idx, self.n)
-            if is_feasible(enc, s):
-                return basis_state(self.n, s)
-
     @cached_property
     def _psi0(self) -> np.ndarray:
-        return read_only(self.initial_state().amplitudes[self._index])
+        """The initial state (InitSpec) over the engine's basis indices."""
+        blocks = self._init_blocks
+        if self.init.kind == "RandomFeasible":
+            rng = np.random.default_rng(self.init.seed)
+            while not _weights_hold(index := int(rng.integers(0, 1 << self.n)), blocks):
+                pass
+            return read_only((self._index == index).astype(complex))
+        amp = (1 << self.n) ** -0.5
+        if blocks:  # one Dicke amplitude per block, multiplied last block first
+            amp = math.prod(math.comb(hi - lo, w) ** -0.5 for (lo, hi), w in reversed(blocks))
+        psi = np.zeros(len(self._index), dtype=complex)
+        psi[_weights_hold(self._index, blocks)] = amp
+        return read_only(psi)
 
     def _evolve(self, X: np.ndarray, p: int) -> np.ndarray:
         """The ansatz states (K, dim) of the angle rows X (K, P), in the engine basis.
@@ -379,13 +380,17 @@ def metrics(
     return RunMetrics(ev=ev, r_approx=r, p_feas=p_feas, p_gnd=p_gnd, evals=evals)
 
 
+def mean_and_err(values: Sequence[float]) -> tuple[float, float]:
+    """The mean of values and twice its standard error, with the population SD: 2 * SD / sqrt(n)."""
+    vals = np.asarray(values, dtype=float)
+    return float(vals.mean()), float(2.0 * vals.std(ddof=0) / np.sqrt(len(vals)))
+
+
 def summarize_metrics(runs: Sequence[RunMetrics]) -> dict[str, float]:
-    """Mean and 2 * SD-of-the-mean for each figure of merit (population SD)."""
+    """Mean and 2 * SD-of-the-mean (mean_and_err) for each figure of merit."""
     out: dict[str, float] = {}
     for name in ("ev", "r_approx", "p_feas", "p_gnd"):
-        vals = np.array([getattr(m, name) for m in runs], dtype=float)
-        out[f"mean_{name}"] = float(vals.mean())
-        out[f"err_{name}"] = float(2.0 * vals.std(ddof=0) / np.sqrt(len(vals)))
+        out[f"mean_{name}"], out[f"err_{name}"] = mean_and_err([getattr(m, name) for m in runs])
     return out
 
 

@@ -1,4 +1,4 @@
-"""Exact statevector simulation: state preparation, mixers, gates, sampling.
+"""Exact statevector simulation: uniform and basis states, mixers, gates, sampling.
 
 Amplitude array index encodes qubit i at bit i (least significant bit =
 qubit 0); string rendering puts qubit 0 leftmost.  States are mutated in
@@ -8,6 +8,9 @@ StateVector may also hold real amplitudes (the compiled VQE circuits in
 accept alike.  The QAOA and VQE engines do not call the gate primitives
 (apply_phase_vector, apply_x_mixer, apply_local_unitary): the tests build
 the gate-by-gate references they check the engines against from them.
+The QAOA engine builds its initial states (Dicke and per-block Dicke
+products among them) in its own basis; `quambo.anneal` starts from
+uniform_state and basis_state.
 """
 
 from __future__ import annotations
@@ -53,15 +56,6 @@ class SampleSet:
             raise ValueError("counts do not sum to shots")
 
 
-def popcounts(n: int) -> np.ndarray:
-    """Hamming weight of every index below 2^n."""
-    idx = np.arange(1 << n, dtype=np.uint32)
-    weights = np.zeros(1 << n, dtype=np.int64)
-    for i in range(n):
-        weights += (idx >> i) & 1
-    return weights
-
-
 def uniform_state(n: int) -> StateVector:
     dim = 1 << n
     return StateVector(n, np.full(dim, dim**-0.5, dtype=complex))
@@ -71,35 +65,6 @@ def basis_state(n: int, bitstring: str | int) -> StateVector:
     index = bitstring if isinstance(bitstring, int) else sum(int(c) << i for i, c in enumerate(bitstring))
     amps = np.zeros(1 << n, dtype=complex)
     amps[index] = 1.0
-    return StateVector(n, amps)
-
-
-def dicke_state(n: int, k: int) -> StateVector:
-    """Equal superposition of all weight-k basis states."""
-    if not 0 <= k <= n:
-        raise ValueError(f"weight {k} out of range for n={n}")
-    amps = np.zeros(1 << n, dtype=complex)
-    amps[popcounts(n) == k] = comb(n, k) ** -0.5
-    return StateVector(n, amps)
-
-
-def block_product_state(blocks: list[tuple[tuple[int, int], int]]) -> StateVector:
-    """Tensor product of per-block Dicke states.
-
-    Each block is ((first_qubit, last_qubit+1), weight); the ranges must
-    partition 0..n-1.
-    """
-    blocks = sorted(blocks, key=lambda b: b[0][0])
-    expected = 0
-    for (lo, hi), _ in blocks:
-        if lo != expected:
-            raise ValueError("block ranges must partition the qubits without overlap")
-        expected = hi
-    n = expected
-    # np.kron is A-major, so the low-offset block goes last
-    amps = np.array([1.0 + 0.0j])
-    for (lo, hi), weight in reversed(blocks):
-        amps = np.kron(amps, dicke_state(hi - lo, weight).amplitudes)
     return StateVector(n, amps)
 
 
@@ -171,7 +136,7 @@ def xy_ring_eigensystem(m: int, weight: int | None = None) -> tuple[np.ndarray, 
     CapacityError.check(dim, 1 << XY_RING_CAP, "XY ring", f"states of a {m}-qubit ring")
     patterns = np.arange(1 << m)
     if weight is not None:
-        patterns = patterns[popcounts(m) == weight]
+        patterns = patterns[np.bitwise_count(patterns) == weight]
     H = np.zeros((dim, dim))
     edges = [(0, 1)] if m == 2 else [(t, (t + 1) % m) for t in range(m)]
     for a, b in edges:

@@ -1,5 +1,5 @@
 """Reference implementations the tests check quambo against: the per-state Ising energy loop,
-the XY-ring mixer, R_y and CNOT gates, scipy's Nelder-Mead, the one-row SPSA and
+the QAOA initial states, the XY-ring mixer, R_y and CNOT gates, scipy's Nelder-Mead, the one-row SPSA and
 finite-difference BFGS loops, the one-vector QAOA evaluator, the per-column INTERP/EXTRAP depth
 extenders, the one-vector VQE circuit and the step-by-step anneal propagator."""
 
@@ -7,7 +7,9 @@ import numpy as np
 from scipy.optimize import minimize as scipy_minimize
 
 from quambo.optimize import FdQuasiNewton, Spsa, spsa_schedules
-from quambo.simulator import apply_local_unitary, xy_ring_eigensystem
+from quambo.problems import is_feasible
+from quambo.qubo import string_from_index
+from quambo.simulator import apply_local_unitary, basis_state, uniform_state, xy_ring_eigensystem
 from quambo.vqe import NARROW_MIN_ROWS, NARROW_STRIDE
 
 
@@ -20,6 +22,34 @@ def reference_energy_ising(model, z):
     for (i, j), c in model.J.items():
         e += c * spins[i] * spins[j]
     return float(e)
+
+
+def masked_uniform_state(n, blocks):
+    """The uniform state on n qubits kept where every ((lo, hi), w) block has weight w, normalised.
+
+    With the one block ((0, n), k) this is the Dicke state of weight k.
+    """
+    index = np.arange(1 << n)
+    state = uniform_state(n)
+    for (lo, hi), w in blocks:
+        state.amplitudes[sum((index >> q) & 1 for q in range(lo, hi)) != w] = 0.0
+    state.amplitudes /= np.linalg.norm(state.amplitudes)
+    return state
+
+
+def reference_initial_state(ctx):
+    """A QAOA context's initial state over all 2^n amplitudes, built apart from the engine's _psi0.
+
+    RandomFeasible is the first draw of its generator that is_feasible accepts.
+    """
+    enc, init, n = ctx.encoding, ctx.init, ctx.n
+    if init.kind == "RandomFeasible":
+        rng = np.random.default_rng(init.seed)
+        while not is_feasible(enc, string_from_index(index := int(rng.integers(0, 1 << n)), n)):
+            pass
+        return basis_state(n, index)
+    targets = enc.hamming_targets
+    return masked_uniform_state(n, {"Uniform": [], "Dicke": [((0, n), targets[0][1])]}.get(init.kind, targets))
 
 
 def xy_ring_unitary(m, beta):

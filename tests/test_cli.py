@@ -11,8 +11,8 @@ from pathlib import Path
 import pytest
 
 import quambo
-from quambo import heuristics, qaoa, vqe
-from quambo.cli import _call, encoding_from_config, main, optimizer_from_config, problem_from_config
+from quambo import cli, heuristics, qaoa, vqe
+from quambo.cli import _call, _signature, encoding_from_config, main, optimizer_from_config, problem_from_config
 from quambo.optimize import FdQuasiNewton, NelderMead, Spsa
 from quambo.problems import FacilityProblem, encode_single_complement
 from quambo.qubo import model_to_text
@@ -99,6 +99,22 @@ class TestEncode:
         cfg = write(tmp_path, "a.ini", PROBLEM_LINE4 + "[encode]\nencoding = position_linear\ninclude_penalty = no\n")
         assert main(["encode", "--config", cfg, "--out", str(tmp_path / "m.txt")]) == 0
         assert "quad" not in (tmp_path / "m.txt").read_text()  # the penalty is the only quadratic term
+
+    def test_a_wrapped_encoder_still_reads_its_keys(self, tmp_path, monkeypatch):
+        # a (*args, **kwargs) wrapper, as a tracer installs, hides the encoder's own parameters
+        calls, encode = [], cli.encode_position_linear
+
+        def wrapper(*args, **kwargs):
+            calls.append(1)
+            return encode(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "encode_position_linear", wrapper)
+        text = PROBLEM_LINE4 + "[encode]\nencoding = position_linear\ninclude_penalty = false\n"
+        cfg = write(tmp_path, "a.ini", text)
+        assert main(["encode", "--config", cfg, "--out", str(tmp_path / "m.txt")]) == 0
+        lines = (tmp_path / "m.txt").read_text().splitlines()
+        assert calls == [1]  # the wrapper is the encoder called
+        assert lines[2] == "offset 0.0" and [line.split()[0] for line in lines[3:]] == ["lin"] * 4
 
 
 class TestProblem:
@@ -276,7 +292,7 @@ class TestQaoa:
     def test_keys_convert_by_annotation_and_unset_keys_keep_defaults(self, kind, text, given, want):
         cp = configparser.ConfigParser()
         cp.read_string(f"[vqe]\n{text}\n")
-        assert _call(kind, cp["vqe"], {"entangling_layers": "layers"}, **given) == want
+        assert _call(kind, _signature(kind), cp["vqe"], {"entangling_layers": "layers"}, **given) == want
 
     def test_bad_boolean_is_an_error(self, tmp_path, capsys):
         assert_one_error(tmp_path, capsys, "qaoa", self.CONFIG.replace("encoding = complement", "encoding = "
@@ -352,6 +368,13 @@ class TestQaoa:
         err = capsys.readouterr().err
         assert "'restart'" in err and "[qaoa]" in err and "restarts" in err
         assert not (tmp_path / "q.csv").exists()
+
+    @pytest.mark.parametrize("p_max", [0, -4])
+    def test_p_max_below_p_is_an_error(self, tmp_path, capsys, monkeypatch, p_max):
+        monkeypatch.setattr("quambo.qaoa.random_restart_search", None)  # rejected before any search
+        text = self.CONFIG.replace("p = 1", f"p = 3\nstrategy = INTERP\np_max = {p_max}")
+        assert_one_error(tmp_path, capsys, "qaoa", text,
+                         f"need p_max >= p for strategy INTERP, got p_max = {p_max} and p = 3")
 
     def test_schedule_strategy_rows(self, tmp_path):
         cfg = write(

@@ -31,11 +31,13 @@ from quambo.qaoa import (
     summarize_metrics,
 )
 from quambo.qubo import energy_vector
-from quambo.simulator import apply_phase_vector, apply_x_mixer, basis_state, dicke_state
+from quambo.simulator import apply_phase_vector, apply_x_mixer, basis_state
 
 from references import (
     apply_xy_ring_mixer,
+    masked_uniform_state,
     reference_ev,
+    reference_initial_state,
     reference_extrap_extend,
     reference_interp_extend,
     scipy_nelder_mead,
@@ -90,7 +92,7 @@ class TestSpecs:
 class TestAnsatz:
     def test_zero_angles_is_initial_state(self, ctx_a_xy):
         state = ctx_a_xy.run(np.zeros(4), 2)
-        assert np.abs(state.amplitudes - dicke_state(5, 4).amplitudes).max() < 1e-12
+        assert np.abs(state.amplitudes - masked_uniform_state(5, [((0, 5), 4)]).amplitudes).max() < 1e-12
 
     def test_uniform_zero_mixer_ev_is_mean(self, problem_a):
         model, enc = problem_a
@@ -172,7 +174,7 @@ INITS = ["Uniform", "Dicke", "DickeBlocks", "RandomFeasible"]
 
 def reference_state(ctx, x, p):
     """The ansatz at the angles x of depth p, built gate by gate from the simulator primitives alone."""
-    state = ctx.initial_state()
+    state = reference_initial_state(ctx)
     betas, gammas = x[:p * ctx.mixer.n_beta].reshape(p, -1), x[p * ctx.mixer.n_beta:].reshape(p, -1)
     for r in range(p):
         for diag, g in zip(ctx.phase_diags, gammas[r]):
@@ -258,19 +260,40 @@ class TestEvBatch:
 
 
 class TestInitialStates:
+    """The engine's initial state in the full basis: its basis indices with nonzero amplitude, and those amplitudes."""
+
+    @staticmethod
+    def support(encoded, mixer, kind, seed=None):
+        model, enc = encoded
+        ctx = QaoaContext(enc, model, mixer, InitSpec(kind=kind, seed=seed), use_sector=False)
+        nonzero = np.abs(ctx._psi0) > 0
+        return ctx._index[nonzero], ctx._psi0[nonzero]
+
     def test_random_feasible_deterministic(self, problem_a):
-        model, enc = problem_a
-        def draw():
-            ctx = QaoaContext(enc, model, MixerSpec(kind="X"), InitSpec(kind="RandomFeasible", seed=3))
-            return ctx.initial_state().amplitudes
-        assert np.array_equal(draw(), draw())
+        draw = lambda: self.support(problem_a, MixerSpec(kind="X"), "RandomFeasible", seed=3)  # noqa: E731
+        (index, amps), (again, _) = draw(), draw()
+        assert index.tolist() == again.tolist() and len(index) == 1 and amps.tolist() == [1.0]
 
     def test_dicke_default_weight(self, problem_a):
-        model, enc = problem_a
-        ctx = QaoaContext(enc, model, MixerSpec(kind="X"), InitSpec(kind="Dicke"))
-        state = ctx.initial_state()
-        support = np.flatnonzero(np.abs(state.amplitudes) > 0)
-        assert len(support) == 5  # weight-4 sector of 5 qubits
+        index, _ = self.support(problem_a, MixerSpec(kind="X"), "Dicke")
+        assert len(index) == 5 and (np.bitwise_count(index) == 4).all()  # weight-4 sector of 5 qubits
+
+    def test_dicke_4_2(self):
+        encoded = encode_position_linear(FacilityProblem(("line", 4), 2, lambda_ratio=1.0))
+        index, amps = self.support(encoded, MixerSpec(kind="XY"), "Dicke")
+        assert len(index) == 6 and (np.bitwise_count(index) == 2).all()
+        assert np.allclose(np.abs(amps), 6**-0.5)
+
+    def test_dicke_weight_zero(self):
+        # one site: the complement encoding's single qubit has weight L - 1 = 0
+        encoded = encode_single_complement(FacilityProblem(("line", 1), 1, lambda_=1.0))
+        index, amps = self.support(encoded, MixerSpec(kind="X"), "Dicke")
+        assert index.tolist() == [0] and amps.tolist() == [1.0]
+
+    def test_dicke_blocks_support(self, encoded_b):
+        index, amps = self.support(encoded_b, MixerSpec(kind="ThreeXY"), "DickeBlocks")
+        assert len(index) == 1120 and (np.bitwise_count(index) == 6).all()
+        assert np.allclose(np.abs(amps), 1120**-0.5)
 
 
 class TestMetrics:

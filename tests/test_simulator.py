@@ -15,16 +15,13 @@ from quambo.simulator import (
     apply_phase_vector,
     apply_x_mixer,
     basis_state,
-    block_product_state,
-    dicke_state,
-    popcounts,
     sample,
     sample_indices,
     uniform_state,
     xy_ring_eigensystem,
 )
 
-from references import apply_cnot, apply_ry, apply_xy_ring_mixer
+from references import apply_cnot, apply_ry, apply_xy_ring_mixer, masked_uniform_state
 
 
 def norm(state):
@@ -43,31 +40,6 @@ class TestPreparation:
     def test_cap(self):
         with pytest.raises(ValueError):
             uniform_state(25)
-
-    def test_dicke_4_2(self):
-        state = dicke_state(4, 2)
-        support = np.flatnonzero(np.abs(state.amplitudes) > 0)
-        assert len(support) == 6
-        assert np.allclose(np.abs(state.amplitudes[support]), 6**-0.5)
-
-    def test_dicke_weight_zero(self):
-        state = dicke_state(3, 0)
-        assert state.amplitudes[0] == 1.0
-
-    def test_dicke_out_of_range(self):
-        with pytest.raises(ValueError):
-            dicke_state(3, 4)
-
-    def test_block_product_support(self):
-        state = block_product_state([((0, 4), 1), ((4, 8), 1), ((8, 16), 4)])
-        support = np.flatnonzero(np.abs(state.amplitudes) > 0)
-        assert len(support) == 1120
-        weights = popcounts(16)[support]
-        assert (weights == 6).all()
-
-    def test_block_overlap_rejected(self):
-        with pytest.raises(ValueError):
-            block_product_state([((0, 3), 1), ((2, 5), 1)])
 
 
 class TestPhaseSeparator:
@@ -132,13 +104,13 @@ class TestXYRingMixer:
         assert abs(state.amplitudes[idx10]) ** 2 == pytest.approx(np.sin(beta) ** 2)
 
     def test_weight_sector_preserved(self):
-        state = dicke_state(4, 2)
+        state = masked_uniform_state(4, [((0, 4), 2)])  # the weight-2 Dicke state
         apply_xy_ring_mixer(state, [0, 1, 2, 3], 1.3)
-        outside = popcounts(4) != 2
+        outside = np.bitwise_count(np.arange(16)) != 2
         assert np.abs(state.amplitudes[outside]).max() < 1e-12
 
     def test_beta_zero_identity(self):
-        state = dicke_state(5, 2)
+        state = masked_uniform_state(5, [((0, 5), 2)])
         before = state.amplitudes.copy()
         apply_xy_ring_mixer(state, [0, 1, 2, 3, 4], 0.0)
         assert np.abs(state.amplitudes - before).max() < 1e-12
