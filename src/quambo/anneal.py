@@ -131,23 +131,28 @@ def tts(p_sol: float, t_cycle: float) -> float:
 def anneal_parameter_sweep(
     problem: FacilityProblem, lambda_ratios: list[float], sweeps: int, reads: int, seed: int
 ) -> list[tuple[float, RunMetrics]]:
-    """Re-encode per lambda ratio, take `reads` annealer reads, score the multiset.
+    """Encode at each lambda ratio, take `reads` annealer reads, score the multiset.
 
     The stand-in annealer's read r at ratio j is the best state of one
     SimAnneal(sweeps) chain seeded with child r of child j of seed; all reads
     of a ratio run as one batch of chains.  ev is the mean model energy over
-    all reads.
+    all reads.  The feasible sector and its objective energies do not depend
+    on lambda, so every ratio scores against the first ratio's encoding: the
+    sector is enumerated once per sweep, and each ratio adds one pass of its
+    model's energies, held only while that ratio is scored.
     """
     if reads < 1:
         raise ValueError(f"need reads >= 1, got {reads}")
     problems = [replace(problem, lambda_=None, lambda_ratio=ratio) for ratio in lambda_ratios]  # each checked first
     config = SimAnneal(sweeps)
-    out = []
+    out, first = [], None
     for ratio, prob, ratio_seed in zip(lambda_ratios, problems, restart_seeds(seed, len(problems))):
         model, encoding = encode_start_dest(prob)
-        scorer = Scorer.of(model, encoding)
+        first = first or encoding
+        scorer = Scorer.of(model, first)
         states, _energies = batched_simulated_annealing(model, config, restart_seeds(ratio_seed, reads))
         read_indices = np.array([index_from_string(s) for s in states])
         ev = float(energies_at(model, read_indices).mean())
         out.append((ratio, metrics(scorer, scorer.counts(read_indices), total=reads, ev=ev)))
+        del scorer  # the next ratio's energies replace this one's
     return out

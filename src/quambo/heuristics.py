@@ -140,9 +140,10 @@ def batched_simulated_annealing(
     # exp(-beta * delta) may overflow on downhill moves, which are accepted without it
     with np.errstate(over="ignore"):
         for beta in np.geomspace(config.beta_initial, config.beta_final, config.sweeps):
-            for r, rng in enumerate(rngs):
-                order[r] = rng.permutation(n)
-                U[r] = rng.random(n)
+            order[:] = np.arange(n)  # each row shuffled in place: the stream of rng.permutation(n)
+            for row, u, rng in zip(order, U, rngs):
+                rng.shuffle(row)
+                rng.random(out=u)
             # row t of each: the t-th flip of every chain
             sites, flat = order.T.copy(), (order + base[:, None]).T.copy()
             lin_t, U_t = lin[order].T.copy(), U.T.copy()

@@ -19,7 +19,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterator, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -108,6 +108,15 @@ class Encoding:
     def distances(self) -> np.ndarray:
         """The problem's distance matrix, built once per encoding (read-only)."""
         return read_only(distance_matrix(self.problem))
+
+    @cached_property
+    def sector(self) -> tuple[np.ndarray, np.ndarray]:
+        """(feasible_indices, their objective energies), built once per encoding (read-only).
+
+        Neither depends on the penalty weight: encodings of one problem at several weights can share one.
+        """
+        indices = feasible_indices(self)
+        return read_only(indices), read_only(energies_at(self.objective, indices))
 
 
 def add_penalty(linear: dict, quadratic: dict, qubits: Sequence[int], lam: float, w: int) -> float:
@@ -237,16 +246,20 @@ def is_feasible(encoding: Encoding, s: str | Sequence[int]) -> bool:
     return all(int(bits[lo:hi].sum()) == w for (lo, hi), w in encoding.hamming_targets)
 
 
-def feasible_indices(encoding: Encoding) -> Iterator[int]:
-    """Generate all feasible basis indices without scanning the full space."""
-    block_choices = []
+def feasible_indices(encoding: Encoding) -> np.ndarray:
+    """All feasible basis indices (int64), checked against the sector caps before anything is built.
+
+    Outer sums of each Hamming block's choice masks, the first block varying
+    slowest: the order of itertools.product over the blocks' combinations.
+    """
+    count = math.prod(math.comb(hi - lo, w) for (lo, hi), w in encoding.hamming_targets)
+    CapacityError.check(count, 1 << STATE_CAP, "feasible sector", "feasible states")
+    CapacityError.check(encoding.objective.n, 63, "feasible sector")
+    indices = np.zeros(1, dtype=np.int64)
     for (lo, hi), w in encoding.hamming_targets:
-        choices = []
-        for ones in itertools.combinations(range(lo, hi), w):
-            choices.append(sum(1 << q for q in ones))
-        block_choices.append(choices)
-    for combo in itertools.product(*block_choices):
-        yield sum(combo)
+        masks = [sum(1 << q for q in ones) for ones in itertools.combinations(range(lo, hi), w)]
+        indices = np.add.outer(indices, np.array(masks, dtype=np.int64)).reshape(-1)
+    return indices
 
 
 def decode_solution(encoding: Encoding, s: str) -> float:
@@ -284,16 +297,13 @@ def feasible_sector(model: QuboModel, encoding: Encoding) -> tuple[np.ndarray, n
     min-over-feasible penalty contribution (full minus objective).  For
     encodings whose penalty is constant on the sector this removes the penalty
     entirely; otherwise intra-sector penalty variation is kept so the ground
-    set matches the full cost function.  The sector's size and the int64
-    indices' 63 bits are checked before it is enumerated.
+    set matches the full cost function.  The indices and objective energies
+    come from encoding.sector, so each call adds one energy pass of the model.
     """
-    count = math.prod(math.comb(hi - lo, w) for (lo, hi), w in encoding.hamming_targets)
-    CapacityError.check(count, 1 << STATE_CAP, "feasible sector", "feasible states")
-    CapacityError.check(encoding.objective.n, 63, "feasible sector")
-    indices = np.fromiter(feasible_indices(encoding), dtype=np.int64, count=count)
-    full = energies_at(model, indices)
-    floor = float((full - energies_at(encoding.objective, indices)).min())
-    return indices, full - floor
+    indices, objective = encoding.sector
+    energies = energies_at(model, indices)
+    energies -= float((energies - objective).min())
+    return indices, energies
 
 
 def feasible_spectrum(model: QuboModel, encoding: Encoding) -> list[SpectrumEntry]:

@@ -139,9 +139,15 @@ def _phase_table(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
     A phase exp(-i angles . rows) is then computed once per distinct column:
     the X eigenvalue sums take n + 1 values, and cost diagonals repeat too.
+    Columns are ranked row by row (key * distinct + rank in the row, re-ranked
+    so keys stay below dim^2), which sorts them lexicographically, as
+    np.unique(rows.T, axis=0) does, without sorting a structured dtype.
     """
-    table, index = np.unique(rows.T, axis=0, return_inverse=True)
-    return read_only(np.ascontiguousarray(table.T)), read_only(index.reshape(-1))
+    key = np.zeros(rows.shape[1], dtype=np.int64)
+    for row in rows:
+        values, rank = np.unique(row, return_inverse=True)
+        _, first, key = np.unique(key * len(values) + rank, return_index=True, return_inverse=True)
+    return read_only(np.ascontiguousarray(rows[:, first])), read_only(key)
 
 
 def _check_rings(rings: list[list[int]], n: int) -> None:
@@ -313,6 +319,8 @@ class QaoaContext:
         the other rows are.
         """
         K, nb, ng = len(X), self.mixer.n_beta, self.mixer.n_gamma
+        if p < 1:
+            raise ValueError(f"need p >= 1 layers, got p = {p}")
         if X.shape[1] != p * (nb + ng):
             raise ValueError("angle columns do not match the mixer's angle scheme")
         cost = np.take(np.exp(-1j * (X[:, p * nb:].reshape(K, p, ng) @ self._cost_table)), self._cost_index, axis=2)

@@ -14,6 +14,8 @@ from typing import Iterable, Sequence
 import numpy as np
 
 SPECTRUM_CAP = 26
+# Indices per pass of energies_at: its bit planes (n x ENERGY_CHUNK floats) stay in cache.
+ENERGY_CHUNK = 4096
 # Energies closer than this are one level: spectrum grouping and every ground set.
 TIE_TOL = 1e-9
 # The margin of the classical searches in `heuristics`: an oracle block's total ties the
@@ -155,26 +157,35 @@ def index_from_string(s: str | Sequence[int] | np.ndarray) -> int:
 def energies_at(model: QuboModel | IsingModel, indices: Sequence[int] | np.ndarray) -> np.ndarray:
     """QUBO or Ising energies at an array of basis indices: the one energy kernel.
 
-    Terms are added in a fixed order (offset, then linear or field terms,
-    then quadratic or coupling terms, each in dict order), so every
-    evaluation agrees bit for bit.  Spin i of an index is z_i = 1 - 2 s_i and
-    a coupling's product z_i z_j is 1 - 2 (s_i xor s_j).  Indices that need
+    Indices are taken ENERGY_CHUNK at a time; a chunk's bits become one float
+    plane per variable (s_i in {0, 1}, or the spin z_i = 1 - 2 s_i), and each
+    term, c * s_i or (s_i s_j) * c, is added in place into buffers allocated
+    once.  Terms are added in a fixed order (offset, then linear or field
+    terms, then quadratic or coupling terms, each in dict order), so every
+    evaluation agrees bit for bit, whatever the chunking.  Indices that need
     more than 63 bits arrive as an object array of Python ints and take the
     same path.
     """
     idx = np.asarray(indices)
-    e = np.full(idx.shape, float(model.offset))
-    if isinstance(model, QuboModel):
-        for i, c in model.linear.items():
-            e = e + c * ((idx >> i) & 1)
-        for (i, j), c in model.quadratic.items():
-            e = e + c * ((idx >> i) & (idx >> j) & 1)
-    else:
-        for i, c in model.h.items():
-            e = e + c * (1 - 2 * ((idx >> i) & 1))
-        for (i, j), c in model.J.items():
-            e = e + c * (1 - 2 * (((idx >> i) ^ (idx >> j)) & 1))
-    return np.asarray(e, dtype=float)
+    flat, out = idx.reshape(-1), np.empty(idx.size)
+    qubo = isinstance(model, QuboModel)
+    linear, quadratic = (model.linear, model.quadratic) if qubo else (model.h, model.J)
+    size = min(idx.size, ENERGY_CHUNK)
+    planes, term, shifts = np.empty((model.n, size)), np.empty(size), np.arange(model.n)[:, None]
+    for lo in range(0, idx.size, ENERGY_CHUNK):
+        e = out[lo:lo + ENERGY_CHUNK]
+        bits, t = planes[:, :len(e)], term[:len(e)]
+        bits[...] = (flat[lo:lo + len(e)] >> shifts) & 1
+        if not qubo:
+            bits *= -2.0
+            bits += 1.0
+        e[...] = model.offset
+        for i, c in linear.items():
+            e += np.multiply(bits[i], c, out=t)
+        for (i, j), c in quadratic.items():
+            np.multiply(bits[i], bits[j], out=t)
+            e += np.multiply(t, c, out=t)
+    return out.reshape(idx.shape)
 
 
 def energy_qubo(model: QuboModel, s: str | Sequence[int] | np.ndarray) -> float:

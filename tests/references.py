@@ -1,7 +1,10 @@
 """Reference implementations the tests check quambo against: the per-state Ising energy loop,
-the QAOA initial states, the XY-ring mixer, R_y and CNOT gates, scipy's Nelder-Mead, the one-row SPSA and
-finite-difference BFGS loops, the one-vector QAOA evaluator, the per-column INTERP/EXTRAP depth
-extenders, the one-vector VQE circuit and the step-by-step anneal propagator."""
+the feasible-index generator, the QAOA initial states, the XY-ring mixer, R_y and CNOT gates,
+scipy's Nelder-Mead, the one-row SPSA and finite-difference BFGS loops, the one-vector QAOA
+evaluator, the per-column INTERP/EXTRAP depth extenders, the one-vector VQE circuit and the
+step-by-step anneal propagator."""
+
+import itertools
 
 import numpy as np
 from scipy.optimize import minimize as scipy_minimize
@@ -22,6 +25,15 @@ def reference_energy_ising(model, z):
     for (i, j), c in model.J.items():
         e += c * spins[i] * spins[j]
     return float(e)
+
+
+def reference_feasible_indices(encoding):
+    """Every feasible basis index, one itertools.product combination of the blocks' choices at a time:
+    the oracle of problems.feasible_indices."""
+    block_choices = [[sum(1 << q for q in ones) for ones in itertools.combinations(range(lo, hi), w)]
+                     for (lo, hi), w in encoding.hamming_targets]
+    for combo in itertools.product(*block_choices):
+        yield sum(combo)
 
 
 def masked_uniform_state(n, blocks):

@@ -12,8 +12,11 @@ from quambo.anneal import (
     simulate_reverse_anneal,
     tts,
 )
-from quambo.problems import FacilityProblem
-from quambo.qubo import TIE_TOL, CapacityError, IsingModel, energy_vector
+from quambo import problems
+from quambo.heuristics import SimAnneal, batched_simulated_annealing, restart_seeds
+from quambo.problems import FacilityProblem, encode_start_dest
+from quambo.qaoa import Scorer, metrics
+from quambo.qubo import TIE_TOL, CapacityError, IsingModel, energies_at, energy_vector, index_from_string
 from quambo.simulator import basis_state, uniform_state
 from references import reference_propagate
 
@@ -213,3 +216,21 @@ class TestSweep:
         assert [ratio for ratio, _ in out] == [1.0, 5.0]
         for _, m in out:
             assert 0.0 <= m.p_gnd <= m.p_feas <= 1.0
+
+    def test_sweep_equals_one_scorer_per_ratio_with_one_enumeration(self, monkeypatch):
+        # each ratio scored against its own encoding's sector, as Scorer.of builds it
+        problem = FacilityProblem(("grid", 2, 2), 2, lambda_ratio=1.0)
+        ratios, sweeps, reads, seed = [0.25, 1.0, 6.0], 15, 30, 5
+        want = []
+        for ratio, ratio_seed in zip(ratios, restart_seeds(seed, len(ratios))):
+            model, enc = encode_start_dest(FacilityProblem(("grid", 2, 2), 2, lambda_ratio=ratio))
+            scorer = Scorer.of(model, enc)
+            states, _e = batched_simulated_annealing(model, SimAnneal(sweeps), restart_seeds(ratio_seed, reads))
+            indices = np.array([index_from_string(s) for s in states])
+            ev = float(energies_at(model, indices).mean())
+            want.append((ratio, metrics(scorer, scorer.counts(indices), total=reads, ev=ev)))
+        calls = []
+        original = problems.feasible_indices
+        monkeypatch.setattr(problems, "feasible_indices", lambda enc: calls.append(enc) or original(enc))
+        assert anneal_parameter_sweep(problem, ratios, sweeps, reads, seed) == want
+        assert len(calls) == 1

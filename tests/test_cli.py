@@ -595,7 +595,7 @@ class TestAnneal:
         ("line\ncols = 33\nambulances = 1", "n=66 exceeds feasible sector cap 63"),
     ])
     def test_sector_cap_is_checked_before_enumerating(self, tmp_path, capsys, monkeypatch, geometry, message):
-        monkeypatch.setattr("quambo.problems.feasible_indices", None)  # refused before any enumeration
+        monkeypatch.setattr("quambo.problems.itertools", None)  # refused before any block choice is listed
         assert_one_error(tmp_path, capsys, "anneal", f"[problem]\ngeometry = {geometry}\n[anneal]\nreads = 5\n",
                          message)
 

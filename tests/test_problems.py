@@ -12,11 +12,13 @@ from quambo.problems import (
     encode_single_complement,
     encode_start_dest,
     feasible_indices,
+    feasible_sector,
     feasible_spectrum,
     is_feasible,
     problem_variant,
 )
-from quambo.qubo import energy_qubo, string_from_index
+from quambo.qubo import CapacityError, QuboModel, energies_at, energy_qubo, string_from_index
+from references import reference_feasible_indices
 
 # Cost table for the 5-location single-ambulance problem; the first row of the
 # published table at lam=0 (-26) is inconsistent with every other column of
@@ -220,6 +222,55 @@ class TestPositionLinear:
         without, _ = encode_position_linear(problem, include_penalty=False)
         assert energy_qubo(with_pen, "1100") == energy_qubo(without, "1100")
         assert energy_qubo(with_pen, "1110") == energy_qubo(without, "1110") + 11.0
+
+
+class TestFeasibleSector:
+    ENCODINGS = [
+        *[(encode_single_complement, ("line", L), 1) for L in (2, 3, 6)],
+        *[(encode_start_dest, geometry, m) for geometry, m in
+          ((("line", 2), 1), (("line", 3), 2), (("line", 4), 2), (("grid", 2, 2), 3))],
+        *[(encode_position_linear, ("line", L), m) for L, m in ((3, 1), (5, 2), (6, 6))],
+    ]
+
+    @pytest.mark.parametrize("encoder, geometry, m", ENCODINGS)
+    def test_indices_equal_the_product_generator(self, encoder, geometry, m):
+        _, enc = encoder(FacilityProblem(geometry, m, lambda_=3.0))
+        got = feasible_indices(enc)
+        assert got.dtype == np.int64
+        assert got.tolist() == list(reference_feasible_indices(enc))
+
+    def test_empty_and_full_blocks(self):
+        # weight 0 and full-weight blocks have one choice each; the middle block varies
+        _, enc = encode_single_complement(FacilityProblem(("line", 4), 1, lambda_=1.0))
+        enc.hamming_targets = [((0, 2), 0), ((2, 5), 2), ((5, 7), 2)]
+        enc.objective = QuboModel(7)
+        assert feasible_indices(enc).tolist() == list(reference_feasible_indices(enc)) == [108, 116, 120]
+
+    @pytest.mark.parametrize("geometry, m, message", [
+        # 16^2 start choices times C(32, 16) destination patterns
+        (("grid", 4, 4), 2, "153876579840 feasible states exceed the feasible sector cap"),
+        # 33 feasible states over 66 qubits: their indices do not fit in int64
+        (("line", 33), 1, "n=66 exceeds feasible sector cap 63"),
+    ])
+    def test_caps_are_checked_before_any_choice_is_listed(self, monkeypatch, geometry, m, message):
+        _, enc = encode_start_dest(FacilityProblem(geometry, m, lambda_=1.0))
+        monkeypatch.setattr(problems, "itertools", None)
+        with pytest.raises(CapacityError, match=message):
+            feasible_indices(enc)
+
+    def test_sector_is_built_once_per_encoding(self, monkeypatch):
+        calls = []
+        original = problems.feasible_indices
+        monkeypatch.setattr(problems, "feasible_indices", lambda enc: calls.append(enc) or original(enc))
+        _, enc = encode_start_dest(FacilityProblem(("line", 4), 2, lambda_ratio=0.5))
+        heavy, own = encode_start_dest(FacilityProblem(("line", 4), 2, lambda_ratio=4.0))
+        indices, objective = enc.sector
+        assert enc.sector[0] is indices and not indices.flags.writeable and not objective.flags.writeable
+        assert np.array_equal(objective, energies_at(enc.objective, indices))
+        shared = feasible_sector(heavy, enc)  # the heavy model over the light encoding's sector
+        assert shared[0] is indices and len(calls) == 1
+        want = feasible_sector(heavy, own)
+        assert len(calls) == 2 and all(np.array_equal(a, b) for a, b in zip(shared, want))
 
 
 class TestProblemFiles:

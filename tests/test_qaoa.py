@@ -109,6 +109,21 @@ class TestAnsatz:
         with pytest.raises(ValueError):
             ctx_a_xy.run(np.zeros(3), 1)
 
+    @pytest.mark.parametrize("call", ["run", "ev"])
+    def test_zero_layers_is_an_error(self, ctx_a_xy, call):
+        with pytest.raises(ValueError, match="need p >= 1"):
+            getattr(ctx_a_xy, call)(np.zeros(0), 0)
+
+    @given(st.integers(min_value=0, max_value=2**31 - 1))
+    @settings(max_examples=40, deadline=None)
+    def test_phase_table_is_the_sorted_distinct_columns(self, seed):
+        rng = np.random.default_rng(seed)
+        rows = rng.integers(-3, 4, size=(int(rng.integers(1, 4)), int(rng.integers(1, 300)))) * 0.5
+        table, index = qaoa._phase_table(rows)
+        want_table, want_index = np.unique(rows.T, axis=0, return_inverse=True)
+        assert np.array_equal(table, want_table.T) and np.array_equal(index, want_index.reshape(-1))
+        assert index.dtype == np.int64 and np.array_equal(table[:, index], rows)
+
     def test_three_xy_diagonals_sum_to_full(self, encoded_b):
         model, enc = encoded_b
         ctx = QaoaContext(enc, model, MixerSpec(kind="ThreeXY", angle_scheme=(3, 3)), InitSpec(kind="DickeBlocks"))

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from quambo.problems import FacilityProblem, encode_single_complement, feasible_spectrum
 from quambo.qubo import (
+    ENERGY_CHUNK,
     CapacityError,
     IsingModel,
     QuboModel,
@@ -90,6 +91,51 @@ class TestEnergyKernel:
         qubo = energy_vector(model)
         ising = qubo_to_ising(model)
         assert np.abs(energy_vector(ising) - qubo).max() <= 1e-9 * scale
+
+    @pytest.mark.parametrize("length", [0, 1, ENERGY_CHUNK - 1, ENERGY_CHUNK, ENERGY_CHUNK + 1, 2 * ENERGY_CHUNK + 3])
+    @pytest.mark.parametrize("kind", ["qubo", "ising"])
+    @pytest.mark.parametrize("offset", [0.0, -0.0])
+    @pytest.mark.parametrize("quadratic_values", [(-0.5, -3.0), (-0.5, 0.25, -3.0)])
+    def test_chunks_equal_the_per_state_loop_bitwise(self, length, kind, offset, quadratic_values):
+        """Every chunk boundary, with negative coefficients and a zero offset: signed zeros must match too.
+
+        With offset -0.0 and only negative coefficients, the QUBO energy of the
+        all-zero state is -0.0; a positive coefficient adds +0.0 and makes it +0.0.
+        """
+        rng = np.random.default_rng([length, len(quadratic_values)])
+        n = 13
+        linear = {i: -float(rng.integers(1, 4)) for i in range(0, n, 2)}
+        quadratic = {(i, j): float(rng.choice(quadratic_values)) for i in range(n) for j in range(i + 1, n)
+                     if rng.random() < 0.3}
+        indices = rng.integers(0, 1 << n, size=length)
+        indices[:1] = 0
+        if kind == "qubo":
+            model = QuboModel(n, linear, quadratic, offset)
+            reference = [reference_energy(model, int(i)) for i in indices]
+        else:
+            model = IsingModel(n, h=linear, J=quadratic, offset=offset)
+            reference = [reference_energy_ising(model, 1 - 2 * ((int(i) >> np.arange(n)) & 1)) for i in indices]
+        got = energies_at(model, indices)
+        assert got.shape == (length,) and got.dtype == np.float64
+        assert np.array_equal(got.view(np.int64), np.array(reference, dtype=float).view(np.int64))
+        if kind == "qubo" and length:
+            assert got[0] == 0.0 and np.signbit(got[0]) == (np.signbit(offset) and max(quadratic_values) < 0)
+
+    @pytest.mark.parametrize("kind", ["qubo", "ising"])
+    def test_object_indices_beyond_63_bits_take_the_chunked_path(self, kind):
+        rng = np.random.default_rng(8)
+        n = 70
+        linear = {i: float(rng.normal()) for i in (0, 5, 63, 69)}
+        quadratic = {(0, 69): -5.0, (5, 64): 0.75, (62, 63): -1.25}
+        indices = np.array([int(rng.integers(0, 1 << 62)) << 8 | int(rng.integers(0, 256))
+                            for _ in range(ENERGY_CHUNK + 5)], dtype=object)
+        if kind == "qubo":
+            model = QuboModel(n, linear, quadratic, -0.0)
+            reference = [reference_energy(model, i) for i in indices]
+        else:
+            model = IsingModel(n, h=linear, J=quadratic, offset=-0.0)
+            reference = [reference_energy_ising(model, [1 - 2 * ((i >> q) & 1) for q in range(n)]) for i in indices]
+        assert np.array_equal(energies_at(model, indices).view(np.int64), np.array(reference).view(np.int64))
 
     def test_indices_beyond_63_bits(self):
         model = QuboModel(n=100, linear={99: 2.0}, quadratic={(0, 99): -5.0}, offset=1.0)
