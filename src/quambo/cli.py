@@ -431,17 +431,14 @@ def main(argv: list[str] | None = None) -> int:
         p = sub.add_parser(name)
         if needs_config:
             p.add_argument("--config", required=True)
-        p.add_argument("--seed", type=int, default=0)
         p.add_argument("--out", default=None)
         p.set_defaults(fn=fn)
         return p
 
     add("encode", cmd_encode)
-    add("oracle", cmd_oracle)
-    add("qaoa", cmd_qaoa)
-    add("vqe", cmd_vqe)
-    add("baseline", cmd_baseline)
-    add("anneal", cmd_anneal)
+    for name, fn in (("oracle", cmd_oracle), ("qaoa", cmd_qaoa), ("vqe", cmd_vqe), ("baseline", cmd_baseline),
+                     ("anneal", cmd_anneal)):
+        add(name, fn).add_argument("--seed", type=int, default=0)  # every study records --seed in its manifest
     p_tts = add("tts", cmd_tts, needs_config=False)
     p_tts.add_argument("--p-sol", type=float, required=True, dest="p_sol")
     p_tts.add_argument("--t-cycle", type=float, required=True, dest="t_cycle")

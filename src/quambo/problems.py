@@ -118,6 +118,11 @@ class Encoding:
         indices = feasible_indices(self)
         return read_only(indices), read_only(energies_at(self.objective, indices))
 
+    @cached_property
+    def sector_order(self) -> np.ndarray:
+        """np.argsort of the sector's indices, built once per encoding (read-only) for every Scorer of it."""
+        return read_only(np.argsort(self.sector[0]))
+
 
 def add_penalty(linear: dict, quadratic: dict, qubits: Sequence[int], lam: float, w: int) -> float:
     """Add lam * (sum_{q in qubits} s_q - w)^2 to linear and quadratic; return its constant lam * w * w.

@@ -3,12 +3,12 @@
 The ansatz is  psi = prod_{r=1..p} [mixer(beta_r) . phase(gamma_r)] |init>.
 Three mixer families are supported: per-qubit X rotations, XY ring mixers
 (Hamming-weight conserving) and the three-ring XY variant used for
-start/destination encodings, where quadratic terms crossing blocks pick up
-the gamma of their start-block qubit.
+start/destination encodings, where with three gammas each cost term takes
+the gamma of its lowest ring.
 
 An angle point is one flat vector x: p rows of the mixer's beta-count betas,
-then p rows of its gamma-count gammas.  ev, run, the restart search and the
-depth schedules all take it in this form.
+then p rows of its gamma-count gammas.  ev, metrics, run, the restart search
+and the depth schedules all take it in this form.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ import numpy as np
 
 from .optimize import OptimizerConfig, minimize_batch, restart_search
 from .problems import Encoding, feasible_sector
-from .qubo import TIE_TOL, CapacityError, QuboModel, energy_vector, read_only
+from .qubo import TIE_TOL, CapacityError, QuboModel, energies_at, read_only
 from .simulator import EV_BATCH_AMPLITUDES, STATE_CAP, StateVector, xy_ring_eigensystem
 
 MIXER_KINDS = ("X", "XY", "ThreeXY")
@@ -36,7 +36,8 @@ class MixerSpec:
 
     The rings default to the encoding's Hamming-target blocks (start blocks
     then the destination block).  For ThreeXY angle_scheme gives the
-    (beta-count, gamma-count) pair.
+    (beta-count, gamma-count) pair; with three gammas the first two rings
+    must be the start blocks, so a cost term's lowest ring holds its start qubit.
     """
 
     kind: str
@@ -90,26 +91,31 @@ class Scorer:
     """The feasible sector of one (model, encoding), ready to score masses over it.
 
     indices are the feasible basis indices in feasible_indices order and
-    energies their model energies with the penalty floor removed.
+    energies their model energies with the penalty floor removed; order is
+    np.argsort(indices) (the encoding's shared sector_order for Scorer.of).
     """
 
-    def __init__(self, indices: np.ndarray, energies: np.ndarray):
+    def __init__(self, indices: np.ndarray, energies: np.ndarray, order: np.ndarray):
         self.indices = indices
         self.energies = energies
+        self.order = order
         self.c_min = float(energies.min())
         self.c_max = float(energies.max())
         self.ground = np.abs(energies - self.c_min) < TIE_TOL
 
     @classmethod
     def of(cls, model: QuboModel, encoding: Encoding) -> "Scorer":
-        return cls(*feasible_sector(model, encoding))
+        return cls(*feasible_sector(model, encoding), encoding.sector_order)
+
+    def find(self, basis: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(hit, at): where the basis indices are feasible, and the positions in indices of those that are."""
+        pos = self.order[np.minimum(np.searchsorted(self.indices, basis, sorter=self.order), len(self.order) - 1)]
+        hit = self.indices[pos] == basis
+        return hit, pos[hit]
 
     def counts(self, reads: np.ndarray) -> np.ndarray:
         """Integer read counts per feasible state, from the basis indices of the reads."""
-        order = np.argsort(self.indices)
-        pos = np.minimum(np.searchsorted(self.indices, reads, sorter=order), len(order) - 1)
-        hit = self.indices[order[pos]] == reads
-        return np.bincount(order[pos[hit]], minlength=len(self.indices))
+        return np.bincount(self.find(reads)[1], minlength=len(self.indices))
 
 
 # Largest number of qubits in one Hadamard block of the X-mixer engine.
@@ -174,8 +180,9 @@ class QaoaContext:
     weight (`basis` is then "sector"; otherwise "full", with the cause in
     `sector_reason`).  A layer multiplies by the cost phase, applies V^T of
     every block's real mixer eigensystem (V, lambda), multiplies by
-    exp(-i sum_b beta_b lambda_b) and applies V again.  Diagonals, eigensystems
-    and the initial state (InitSpec) are built once, read-only, in the engine basis.
+    exp(-i sum_b beta_b lambda_b) and applies V again.  Cost rows (one per gamma
+    family), eigensystems and the initial state (InitSpec) are built once, read-only,
+    in the engine basis, where ev and metrics score; only run fills all 2^n amplitudes.
     """
 
     def __init__(
@@ -203,9 +210,6 @@ class QaoaContext:
                 raise ValueError("ThreeXY needs exactly three rings")
             _check_rings(rings, self.n)
             self.rings = [list(ring) for ring in rings]
-        self.phase_diags = self._split_phase_diagonals(self.rings) if mixer.n_gamma == 3 else [model.diagonal]
-        self._energy = read_only(sum(self.phase_diags[1:], self.phase_diags[0]))
-
         self.scorer = Scorer.of(model, encoding)
 
         self.sector_reason = self._sector_reason(use_sector, targets)
@@ -233,8 +237,12 @@ class QaoaContext:
         self._mix_rows = read_only(np.hstack([np.outer(drive[:, b], block[2]) for b, block in enumerate(blocks)]))
         edges = np.cumsum([0] + self.block_dims)
         self._mix_slices = [slice(lo, hi) for lo, hi in zip(edges, edges[1:])]
-        self._cost_table, self._cost_index = _phase_table(np.array([d[self._index] for d in self.phase_diags]))
-        self._cost = read_only(self._energy[self._index])
+        rows = [energies_at(sub, self._index) for sub in self._gamma_models()]
+        self._cost_table, self._cost_index = _phase_table(np.array(rows))
+        self._cost = read_only(sum(rows[1:], rows[0]))
+        # the engine position of each of scorer.indices: every feasible state is an engine basis state
+        hit, at = self.scorer.find(self._index)
+        self._feasible_at = read_only(np.flatnonzero(hit)[np.argsort(at)])
 
     def _sector_reason(self, use_sector: bool | None, targets: list[list[int]]) -> str:
         """Why the engine cannot run in the Hamming-weight sector ("" when it can)."""
@@ -264,30 +272,21 @@ class QaoaContext:
             blocks.append((idle, np.arange(1 << len(idle)), np.zeros(1 << len(idle)), None))
         return blocks
 
-    def _block_of(self, q: int) -> int:
-        for r, ring in enumerate(self.rings):
-            if q in ring:
-                return r
-        raise ValueError(f"qubit {q} not in any ring")
-
-    def _split_phase_diagonals(self, rings: list[list[int]]) -> list[np.ndarray]:
-        """One diagonal per gamma family; cross-block terms follow their start-block qubit."""
-        linear: list[dict[int, float]] = [{}, {}, {}]
-        quadratic: list[dict[tuple[int, int], float]] = [{}, {}, {}]
+    def _gamma_models(self) -> list[QuboModel]:
+        """The model per gamma family: itself, or with three gammas each term in its lowest ring's family."""
+        if self.mixer.n_gamma == 1:
+            return [self.model]
+        if [set(ring) for ring in self.rings[:2]] != [set(range(*b)) for b, _w in self.encoding.hamming_targets[:2]]:
+            raise ValueError("three gammas need the two start blocks as the first two rings")
+        ring_of = {q: r for r, ring in enumerate(self.rings) for q in ring}
+        if missing := set(self.model.linear).union(*self.model.quadratic) - set(ring_of):
+            raise ValueError(f"qubit {min(missing)} not in any ring")
+        terms = [({}, {}, offset) for offset in (self.model.offset, 0.0, 0.0)]
         for i, c in self.model.linear.items():
-            linear[self._block_of(i)][i] = c
-        n_start = len(rings[0]) + len(rings[1])
+            terms[ring_of[i]][0][i] = c
         for (i, j), c in self.model.quadratic.items():
-            bi, bj = self._block_of(i), self._block_of(j)
-            if bi == bj:
-                b = bi
-            else:
-                start_blocks = [b for b, q in ((bi, i), (bj, j)) if q < n_start]
-                b = min(start_blocks) if start_blocks else min(bi, bj)
-            quadratic[b][(i, j)] = c
-        offsets = [self.model.offset, 0.0, 0.0]
-        subs = [QuboModel(self.n, lin, quad, off) for lin, quad, off in zip(linear, quadratic, offsets)]
-        return [read_only(energy_vector(sub)) for sub in subs]
+            terms[min(ring_of[i], ring_of[j])][1][i, j] = c
+        return [QuboModel(self.n, *family) for family in terms]
 
     @property
     def engine(self) -> dict:
@@ -340,14 +339,15 @@ class QaoaContext:
         return psi
 
     def run(self, x: np.ndarray, p: int) -> StateVector:
-        """The ansatz state at the angles x of depth p, as ev(x, p) takes them."""
+        """The ansatz state at the angles x of depth p, as ev(x, p) takes them, over all 2^n amplitudes."""
         amps = np.zeros(1 << self.n, dtype=complex)
         amps[self._index] = self._evolve(np.asarray(x, dtype=float)[None], p)[0]
         return StateVector(self.n, amps)
 
-    def metrics(self, state: StateVector, evals: int = 0) -> RunMetrics:
-        probs = state.probabilities()
-        return metrics(self.scorer, probs[self.scorer.indices], ev=float(probs @ self._energy), evals=evals)
+    def metrics(self, x: np.ndarray, p: int, evals: int = 0) -> RunMetrics:
+        """The figures of merit of the ansatz at the angles x of depth p from one evolution; ev is bitwise ev(x, p)."""
+        probs = np.abs(self._evolve(np.asarray(x, dtype=float)[None], p)[0]) ** 2
+        return metrics(self.scorer, probs[self._feasible_at], ev=float(probs @ self._cost), evals=evals)
 
     def ev_batch(self, X: np.ndarray, p: int) -> np.ndarray:
         """The cost expectation of each angle row of X (K, P) at depth p; row k is bitwise ev(X[k], p).
@@ -409,7 +409,7 @@ def random_restart_search(ctx: QaoaContext, p: int, n_starts: int, optimizer: Op
     All starts go to one minimize_batch call (Nelder-Mead and SPSA run them
     in lockstep); each run is (x, metrics) at depth p.
     """
-    return restart_search(lambda X: ctx.ev_batch(X, p), lambda x: ctx.metrics(ctx.run(x, p)),
+    return restart_search(lambda X: ctx.ev_batch(X, p), lambda x: ctx.metrics(x, p),
                           p * (ctx.mixer.n_beta + ctx.mixer.n_gamma), n_starts, optimizer, seed)
 
 
@@ -463,7 +463,7 @@ def increasing_p_schedule(
     nb = ctx.mixer.n_beta
 
     def record(x: np.ndarray, p: int, ev: float, evals: int) -> ScheduleLevel:
-        m = ctx.metrics(ctx.run(x, p), evals=evals)
+        m = ctx.metrics(x, p, evals=evals)
         return ScheduleLevel(p=p, x=x, metrics=replace(m, ev=ev))
 
     current = np.asarray(x0, dtype=float)

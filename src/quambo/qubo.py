@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -228,24 +228,20 @@ def energy_vector(model: QuboModel | IsingModel, n_override: int | None = None) 
 
 
 def enumerate_spectrum(
-    model: QuboModel, *, states: Iterable[int] | None = None, energies: np.ndarray | None = None
+    model: QuboModel, *, states: np.ndarray | None = None, energies: np.ndarray | None = None
 ) -> list[SpectrumEntry]:
-    """Exact sorted spectrum over all 2^n states (or a subset of them), ties grouped.
+    """Exact sorted spectrum over all 2^n states, or over the basis indices `states` at their `energies`, ties grouped.
 
-    `states` (with `energies`, if known) let callers restrict to a subset without
-    touching the full space (used for large constrained sectors).  A level
-    holds every state within TIE_TOL of its lowest energy, which it reports.
+    `states` and `energies` (arrays, taken as they are) let callers restrict to a
+    subset without touching the full space (used for large constrained sectors).
+    A level holds every state within TIE_TOL of its lowest energy, which it reports.
     """
     if states is None:
-        values = energy_vector(model)  # checks SPECTRUM_CAP first
-        indices = np.arange(len(values))
-    else:
-        indices = np.asarray(list(states))
-        values = energies_at(model, indices) if energies is None else np.asarray(energies, dtype=float)
-
-    order = np.argsort(values, kind="stable")
+        energies = energy_vector(model)  # checks SPECTRUM_CAP first
+        states = np.arange(len(energies))
+    order = np.argsort(energies, kind="stable")
     entries: list[SpectrumEntry] = []
-    for e, s in zip(values[order].tolist(), strings_from_indices(indices[order], model.n)):
+    for e, s in zip(energies[order].tolist(), strings_from_indices(states[order], model.n)):
         if entries and e - entries[-1].energy < TIE_TOL:
             entries[-1].states.append(s)
         else:

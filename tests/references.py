@@ -1,5 +1,5 @@
 """Reference implementations the tests check quambo against: the per-state Ising energy loop,
-the feasible-index generator, the QAOA initial states, the XY-ring mixer, R_y and CNOT gates,
+the feasible-index generator, the QAOA initial states and cost split, the XY-ring mixer, R_y and CNOT gates,
 scipy's Nelder-Mead, the one-row SPSA and finite-difference BFGS loops, the one-vector QAOA
 evaluator, the per-column INTERP/EXTRAP depth extenders, the one-vector VQE circuit and the
 step-by-step anneal propagator."""
@@ -11,7 +11,7 @@ from scipy.optimize import minimize as scipy_minimize
 
 from quambo.optimize import FdQuasiNewton, Spsa, spsa_schedules
 from quambo.problems import is_feasible
-from quambo.qubo import string_from_index
+from quambo.qubo import QuboModel, energy_vector, string_from_index
 from quambo.simulator import apply_local_unitary, basis_state, uniform_state, xy_ring_eigensystem
 from quambo.vqe import NARROW_MIN_ROWS, NARROW_STRIDE
 
@@ -62,6 +62,25 @@ def reference_initial_state(ctx):
         return basis_state(n, index)
     targets = enc.hamming_targets
     return masked_uniform_state(n, {"Uniform": [], "Dicke": [((0, n), targets[0][1])]}.get(init.kind, targets))
+
+
+def reference_phase_diagonals(ctx):
+    """A QAOA context's cost diagonal per gamma family over all 2^n states: the oracle of the engine's cost rows.
+
+    With one gamma it is the model's energy_vector.  With three, each family is a
+    sub-model: a linear term joins the family of its qubit's ring, a quadratic term
+    the lower of its two qubits' rings, and the offset the first family.
+    """
+    model = ctx.model
+    if ctx.mixer.n_gamma == 1:
+        return [energy_vector(model)]
+    ring = {q: r for r, qubits in enumerate(ctx.rings) for q in qubits}
+    return [energy_vector(QuboModel(
+        model.n,
+        {i: c for i, c in model.linear.items() if ring[i] == family},
+        {(i, j): c for (i, j), c in model.quadratic.items() if min(ring[i], ring[j]) == family},
+        model.offset if family == 0 else 0.0,
+    )) for family in range(3)]
 
 
 def xy_ring_unitary(m, beta):

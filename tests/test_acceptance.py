@@ -40,6 +40,7 @@ from quambo.qaoa import (
     QaoaContext,
     gain_decomposition,
     increasing_p_schedule,
+    metrics,
     random_restart_search,
     summarize_metrics,
 )
@@ -227,13 +228,13 @@ def test_criterion_07_three_ring_structure():
     degeneracy = len(spectrum[0].states)
     mixer = MixerSpec("ThreeXY", angle_scheme=(1, 1))
     ctx = QaoaContext(enc, model, mixer, InitSpec("DickeBlocks"))
-    uniform = ctx.metrics(ctx.run(np.zeros(2), 1))
+    uniform = ctx.metrics(np.zeros(2), 1)
 
     # leakage measured on the explicit full-space simulation
     slow = QaoaContext(enc, model, mixer, InitSpec("DickeBlocks"), use_sector=False)
     rng = np.random.default_rng(5)
     x = rng.uniform(0, 2 * np.pi, 4)
-    leakage = 1.0 - slow.metrics(slow.run(x, 2)).p_feas
+    leakage = 1.0 - slow.metrics(x, 2).p_feas
 
     best_ev = {}
     for p in (1, 2):
@@ -273,7 +274,7 @@ def test_criterion_08_vqe_reference_bands():
         rng = np.random.default_rng([41, i])
         X0 = [rng.uniform(0.0, 2.0 * np.pi, ansatz.n_params) for _ in range(3)]
         best = min(minimize_batch(objective, X0, FdQuasiNewton(eps=0.1, max_iter=200)), key=lambda res: res.f_best)
-        p_gnd.append(ctx.metrics(apply_ansatz(ansatz, best.x_best)).p_gnd)
+        p_gnd.append(metrics(ctx.scorer, apply_ansatz(ansatz, best.x_best).probabilities()[ctx.scorer.indices]).p_gnd)
     p_gnd = np.array(p_gnd)
 
     c_min = float(diag.min())
@@ -421,11 +422,11 @@ def test_criterion_14_gain_multiplicativity():
     model, enc = encode_start_dest(problem_variant("B"))
     mixer = MixerSpec("ThreeXY", angle_scheme=(1, 1))
     ctx = QaoaContext(enc, model, mixer, InitSpec("DickeBlocks"))
-    baseline = ctx.metrics(ctx.run(np.zeros(2), 1))
+    baseline = ctx.metrics(np.zeros(2), 1)
     seed_x = np.array([0.4, 0.08])
-    seed_m = ctx.metrics(ctx.run(seed_x, 1))
+    seed_m = ctx.metrics(seed_x, 1)
     res = minimize(lambda x: ctx.ev(x, 1), seed_x, NelderMead(max_iter=300))
-    final = ctx.metrics(ctx.run(res.x_best, 1))
+    final = ctx.metrics(res.x_best, 1)
     uniform_p_gnd = 12.0 / 2**16
     gains = gain_decomposition(baseline, seed_m, final, uniform_p_gnd)
     prod = gains["mixer"] * gains["seed"] * gains["feasible"] * gains["approx"] * gains["mix"]

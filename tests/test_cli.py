@@ -617,6 +617,15 @@ class TestTts:
         assert "error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["encode", "tts"])
+def test_seed_is_refused_by_commands_that_draw_nothing(tmp_path, capsys, command):
+    cfg = write(tmp_path, "a.ini", PROBLEM_A + "[encode]\nencoding = complement\n")
+    args = {"encode": ["--config", cfg], "tts": ["--p-sol", "0.5", "--t-cycle", "100"]}[command]
+    with pytest.raises(SystemExit) as exc:
+        main([command, *args, "--seed", "3"])
+    assert exc.value.code == 2 and "unrecognized arguments: --seed 3" in capsys.readouterr().err
+
+
 class TestSummarize:
     def test_mean_and_error(self, tmp_path, capsys):
         csv_path = write(

@@ -1,5 +1,7 @@
 """Tests for the QAOA engine: ansatz, metrics, schedules, gain breakdown."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -38,6 +40,7 @@ from references import (
     masked_uniform_state,
     reference_ev,
     reference_initial_state,
+    reference_phase_diagonals,
     reference_extrap_extend,
     reference_interp_extend,
     scipy_nelder_mead,
@@ -102,7 +105,7 @@ class TestAnsatz:
 
     def test_xy_keeps_feasible_sector(self, ctx_a_xy):
         rng = np.random.default_rng(0)
-        m = ctx_a_xy.metrics(ctx_a_xy.run(rng.uniform(0, 2 * np.pi, 6), 3))
+        m = ctx_a_xy.metrics(rng.uniform(0, 2 * np.pi, 6), 3)
         assert m.p_feas == pytest.approx(1.0, abs=1e-10)
 
     def test_angle_shape_checked(self, ctx_a_xy):
@@ -125,11 +128,17 @@ class TestAnsatz:
         assert index.dtype == np.int64 and np.array_equal(table[:, index], rows)
 
     def test_three_xy_diagonals_sum_to_full(self, encoded_b):
+        """The engine's cost rows are the reference split at its basis indices, bitwise, in either basis."""
         model, enc = encoded_b
-        ctx = QaoaContext(enc, model, MixerSpec(kind="ThreeXY", angle_scheme=(3, 3)), InitSpec(kind="DickeBlocks"))
-        assert len(ctx.phase_diags) == 3
-        total = ctx.phase_diags[0] + ctx.phase_diags[1] + ctx.phase_diags[2]
-        assert np.abs(total - energy_vector(model)).max() < 1e-9
+        mixer = MixerSpec(kind="ThreeXY", angle_scheme=(3, 3))
+        for use_sector in (None, False):
+            ctx = QaoaContext(enc, model, mixer, InitSpec(kind="DickeBlocks"), use_sector=use_sector)
+            split = reference_phase_diagonals(ctx)
+            assert len(split) == 3 and len(ctx._cost_table) == 3
+            assert np.array_equal(ctx._cost_table[:, ctx._cost_index], np.array([d[ctx._index] for d in split]))
+            total = split[0] + split[1] + split[2]
+            assert np.array_equal(ctx._cost, total[ctx._index])
+            assert np.abs(total - energy_vector(model)).max() < 1e-9
 
     @pytest.mark.parametrize("scheme", [(1, 1), (3, 3)])
     def test_sector_fast_path_matches_full_simulation(self, encoded_b, scheme):
@@ -152,7 +161,7 @@ class TestAnsatz:
         model, enc = encoded_b
         ctx = QaoaContext(enc, model, MixerSpec(kind="ThreeXY", angle_scheme=(3, 3)), InitSpec(kind="DickeBlocks"))
         rng = np.random.default_rng(5)
-        m = ctx.metrics(ctx.run(rng.uniform(0, 2 * np.pi, 6), 1))
+        m = ctx.metrics(rng.uniform(0, 2 * np.pi, 6), 1)
         assert abs(m.p_feas - 1.0) < 1e-12
 
 
@@ -175,6 +184,23 @@ class TestRings:
         with pytest.raises(ValueError, match="overlaps"):
             QaoaContext(enc, model, MixerSpec(kind="ThreeXY", rings=rings), InitSpec(kind="Uniform"))
 
+    def test_three_gammas_need_every_cost_qubit_in_a_ring(self, encoded_b):
+        model, enc = encoded_b
+        rings = [[0, 1, 2, 3], [4, 5, 6, 7], list(range(8, 15))]
+        mixer = MixerSpec(kind="ThreeXY", rings=rings, angle_scheme=(3, 3))
+        with pytest.raises(ValueError, match="qubit 15 not in any ring"):
+            QaoaContext(enc, model, mixer, InitSpec(kind="Uniform"))
+
+    def test_three_gammas_need_the_start_blocks_first(self, encoded_b):
+        # a cost term takes its lowest ring's gamma: that is its start-block qubit's only with the start blocks first
+        model, enc = encoded_b
+        rings = [list(range(8, 16)), [0, 1, 2, 3], [4, 5, 6, 7]]
+        mixer = MixerSpec(kind="ThreeXY", rings=rings, angle_scheme=(3, 3))
+        with pytest.raises(ValueError, match="start blocks as the first two rings"):
+            QaoaContext(enc, model, mixer, InitSpec(kind="Uniform"))
+        rings = [[3, 2, 1, 0], [4, 5, 6, 7], list(range(8, 16))]  # order within a ring is free
+        QaoaContext(enc, model, MixerSpec(kind="ThreeXY", rings=rings, angle_scheme=(3, 3)), InitSpec(kind="Uniform"))
+
 
 # Small instances of the three encodings; start/dest has the three Hamming blocks ThreeXY needs.
 ENCODINGS = {
@@ -191,8 +217,9 @@ def reference_state(ctx, x, p):
     """The ansatz at the angles x of depth p, built gate by gate from the simulator primitives alone."""
     state = reference_initial_state(ctx)
     betas, gammas = x[:p * ctx.mixer.n_beta].reshape(p, -1), x[p * ctx.mixer.n_beta:].reshape(p, -1)
+    diags = reference_phase_diagonals(ctx)
     for r in range(p):
-        for diag, g in zip(ctx.phase_diags, gammas[r]):
+        for diag, g in zip(diags, gammas[r]):
             apply_phase_vector(state, diag, g)
         beta = betas[r]
         if ctx.mixer.kind == "X":
@@ -222,8 +249,8 @@ class TestEngineAgainstPrimitives:
                 assert ctx.basis == ("sector" if in_sector and use_sector is None else "full")
                 want = want or reference_state(ctx, x, 2)
                 assert np.abs(ctx.run(x, 2).amplitudes - want.amplitudes).max() < 1e-12
-                assert ctx.ev(x, 2) == pytest.approx(want.probabilities() @ sum(ctx.phase_diags),
-                                                                   rel=1e-12, abs=1e-12)
+                assert ctx.ev(x, 2) == pytest.approx(want.probabilities() @ sum(reference_phase_diagonals(ctx)),
+                                                     rel=1e-12, abs=1e-12)
 
 
 def contexts():
@@ -237,6 +264,39 @@ def contexts():
             for use_sector in (None, False):
                 ctx = QaoaContext(enc, model, mixer, spec, use_sector=use_sector)
                 yield f"{encoding}-{kind}{scheme or ''}-{init}-{ctx.basis}", ctx
+
+
+def score(ctx, state):
+    """The figures of merit of a full state, scored as callers outside the engine score one."""
+    return metrics(ctx.scorer, state.probabilities()[ctx.scorer.indices])
+
+
+class TestContextMetrics:
+    """ctx.metrics(x, p) scores the engine's own amplitudes: the figures of merit of run(x, p), and ev(x, p)."""
+
+    @pytest.mark.parametrize("p", [1, 2])
+    def test_equal_the_full_state_scored_bitwise(self, p):
+        rng = np.random.default_rng(p)
+        for name, ctx in contexts():
+            x = rng.uniform(0.0, 2.0 * np.pi, p * (ctx.mixer.n_beta + ctx.mixer.n_gamma))
+            got, want = ctx.metrics(x, p, evals=7), score(ctx, ctx.run(x, p))
+            assert (got.p_feas, got.p_gnd, got.r_approx) == (want.p_feas, want.p_gnd, want.r_approx), name
+            assert got.ev == ctx.ev(x, p) and got.evals == 7, name
+
+    def test_n24_sector_builds_nothing_of_size_2_to_the_n(self):
+        """3x2 grid, 2 ambulances: n = 24, a sector of 33 264 states; one 2^24 float64 array is 128 MiB."""
+        model, enc = encode_start_dest(FacilityProblem(("grid", 3, 2), 2, lambda_ratio=1.0))
+        tracemalloc.start()
+        try:
+            for scheme in ((1, 1), (3, 3)):
+                ctx = QaoaContext(enc, model, MixerSpec("ThreeXY", angle_scheme=scheme), InitSpec("DickeBlocks"))
+                assert ctx.basis == "sector" and ctx.engine["dim"] == 33264
+                x = np.full(sum(scheme), 0.3)
+                assert ctx.metrics(x, 1).ev == ctx.ev(x, 1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 128 << 20, f"traced peak {peak / 2**20:.0f} MiB"
 
 
 class TestEvBatch:
@@ -314,19 +374,19 @@ class TestInitialStates:
 class TestMetrics:
     def test_pure_ground_state(self, ctx_a_xy):
         # 11011 is the distance-optimal single-ambulance layout
-        m = ctx_a_xy.metrics(basis_state(5, "11011"))
+        m = score(ctx_a_xy, basis_state(5, "11011"))
         assert m.p_gnd == pytest.approx(1.0)
         assert m.r_approx == pytest.approx(1.0)
         assert m.p_feas == pytest.approx(1.0)
 
     def test_pure_worst_feasible(self, ctx_a_xy):
         worst = feasible_spectrum(ctx_a_xy.model, ctx_a_xy.encoding)[-1].states[0]
-        m = ctx_a_xy.metrics(basis_state(5, worst))
+        m = score(ctx_a_xy, basis_state(5, worst))
         assert m.r_approx == pytest.approx(0.0)
         assert m.p_gnd == 0.0
 
     def test_no_feasible_mass_flag(self, ctx_a_xy):
-        m = ctx_a_xy.metrics(basis_state(5, "11111"))
+        m = score(ctx_a_xy, basis_state(5, "11111"))
         assert m.p_feas == m.p_gnd == m.r_approx == 0.0
 
     def test_summary_frozen_example(self):
@@ -342,7 +402,7 @@ class TestMetrics:
 def random_scorer(rng, n):
     """A scorer over a random non-empty subset of the 2^n states with random energies."""
     indices = rng.permutation(1 << n)[: int(rng.integers(1, (1 << n) + 1))]
-    return Scorer(indices, rng.normal(size=len(indices)))
+    return Scorer(indices, rng.normal(size=len(indices)), np.argsort(indices))
 
 
 class TestScorer:
@@ -352,15 +412,23 @@ class TestScorer:
         problem = FacilityProblem(("grid", 3, 3), 1, metric="euclidean", lambda_=10.0)
         indices, energies = feasible_sector(*encode_single_complement(problem))
         keep = energies > energies.min()
-        scorer = Scorer(indices[keep], energies[keep])
+        scorer = Scorer(indices[keep], energies[keep], np.argsort(indices[keep]))
         level = scorer.indices[np.argsort(scorer.energies)[:4]]
         assert np.ptp(scorer.energies[np.isin(scorer.indices, level)]) > 0.0
         m = metrics(scorer, scorer.counts(np.repeat(level, 3)), total=12)
         assert m.p_gnd == 1.0
 
     def test_reads_outside_the_sector(self):
-        scorer = Scorer(np.array([5, 2, 7]), np.array([1.0, 0.0, 3.0]))
+        scorer = Scorer(np.array([5, 2, 7]), np.array([1.0, 0.0, 3.0]), np.array([1, 0, 2]))
         assert scorer.counts(np.array([2, 0, 7, 8, 2, 5, 1])).tolist() == [1, 2, 1]
+
+    def test_scorers_of_one_encoding_share_its_sort_order(self, encoded_b):
+        model, enc = encoded_b
+        first, second = Scorer.of(model, enc), Scorer.of(model, enc)
+        assert first.order is second.order is enc.sector_order
+        reads = np.random.default_rng(0).integers(0, 1 << 16, 5000)
+        fresh = Scorer(first.indices, first.energies, np.argsort(first.indices))
+        assert np.array_equal(fresh.order, first.order) and np.array_equal(fresh.counts(reads), first.counts(reads))
 
     @given(st.integers(min_value=0, max_value=2**31 - 1))
     @settings(max_examples=50, deadline=None)

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from quambo import qubo, simulator, vqe
 from quambo.optimize import NelderMead, restart_search
 from quambo.problems import FacilityProblem, encode_single_complement
-from quambo.qaoa import InitSpec, MixerSpec, QaoaContext
+from quambo.qaoa import Scorer, metrics
 from quambo.qubo import IsingModel, QuboModel, energy_vector, qubo_to_ising
 from quambo.simulator import StateVector, basis_state, sample
 from references import apply_cnot, apply_ry, reference_circuit_run
@@ -400,9 +400,12 @@ class TestRestartSearch:
     @staticmethod
     def search(problem_a, ansatz, n_starts, optimizer, seed):
         model, enc = problem_a
-        ctx = QaoaContext(enc, model, MixerSpec(kind="X"), InitSpec(kind="Uniform"))
-        return restart_search(lambda Theta: ev_statevector_batch(ansatz, Theta, model),
-                              lambda theta: ctx.metrics(apply_ansatz(ansatz, theta)),
+        scorer = Scorer.of(model, enc)
+
+        def score(theta):
+            return metrics(scorer, apply_ansatz(ansatz, theta).probabilities()[scorer.indices])
+
+        return restart_search(lambda Theta: ev_statevector_batch(ansatz, Theta, model), score,
                               ansatz.n_params, n_starts, optimizer, seed)
 
     def test_small_search(self, problem_a):
