@@ -14,8 +14,8 @@ after its `:` too; any other key, section or choice is an error.  Unset keys
 keep the defaults of the dataclass or function they are passed to.
   [problem]    geometry (grid: rows, cols | line: cols), metric
                (squared-euclidean | euclidean, manhattan), ambulances, lambda
-               or lambda_ratio (needed by an encoding that adds a penalty),
-               forbid_colocation
+               or lambda_ratio (needed by an encoding that adds a penalty;
+               position_linear without one refuses it), forbid_colocation
   [encode]     encoding (start_dest | position_linear: include_penalty |
                complement), form (qubo | ising)
   [qaoa]       encoding as [encode], mixer (X | XY | ThreeXY: angle_scheme),

@@ -219,10 +219,12 @@ def encode_position_linear(
 
     field_i = sum_l dist(i, l); the cardinality penalty lambda*(sum s - m)^2
     (add_penalty, constant in the offset) is omitted when an XY mixer enforces
-    the weight instead.
+    the weight instead, and a problem that sets a penalty weight is then refused.
     """
     if problem.forbid_colocation:
         raise ValueError("forbid_colocation needs the start_dest encoding; position_linear does not read it")
+    if not include_penalty and (problem.lambda_ is not None or problem.lambda_ratio is not None):
+        raise ValueError("lambda and lambda_ratio need include_penalty = true; position_linear does not read them")
     L = problem.num_locations
     m = problem.ambulances
     fields = distance_matrix(problem).sum(axis=1)

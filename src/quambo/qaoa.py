@@ -2,9 +2,9 @@
 
 The ansatz is  psi = prod_{r=1..p} [mixer(beta_r) . phase(gamma_r)] |init>.
 Three mixer families are supported: per-qubit X rotations, XY ring mixers
-(Hamming-weight conserving) and the three-ring XY variant used for
-start/destination encodings, where with three gammas each cost term takes
-the gamma of its lowest ring.
+(Hamming-weight conserving, one ring per Hamming block of the encoding) and
+the three-ring XY variant used for start/destination encodings, where with
+three gammas each cost term takes the gamma of its lower qubit's block.
 
 An angle point is one flat vector x: p rows of the mixer's beta-count betas,
 then p rows of its gamma-count gammas.  ev, metrics, run, the restart search
@@ -32,12 +32,12 @@ INIT_KINDS = ("Uniform", "Dicke", "DickeBlocks", "RandomFeasible")
 
 @dataclass
 class MixerSpec:
-    """kind is one of "X", "XY" or "ThreeXY"; rings are qubit lists.
+    """kind is one of "X", "XY" or "ThreeXY"; for ThreeXY angle_scheme gives the (beta-count, gamma-count) pair.
 
-    The rings default to the encoding's Hamming-target blocks (start blocks
-    then the destination block).  For ThreeXY angle_scheme gives the
-    (beta-count, gamma-count) pair; with three gammas the first two rings
-    must be the start blocks, so a cost term's lowest ring holds its start qubit.
+    The XY and ThreeXY rings are the encoding's Hamming blocks (the start
+    blocks, then the destination block).  rings is None or those blocks as
+    qubit lists; QaoaContext refuses any other value.  It is kept only
+    because the benchmark's study specs pass the blocks.
     """
 
     kind: str
@@ -156,33 +156,22 @@ def _phase_table(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return read_only(np.ascontiguousarray(rows[:, first])), read_only(key)
 
 
-def _check_rings(rings: list[list[int]], n: int) -> None:
-    for k, ring in enumerate(rings):
-        if len(ring) < 2:
-            raise ValueError(f"XY ring {ring} has fewer than 2 qubits")
-        if any(not 0 <= q < n for q in ring):
-            raise ValueError(f"XY ring {ring} has a qubit outside 0..{n - 1}")
-        if len(set(ring)) != len(ring):
-            raise ValueError(f"XY ring {ring} repeats a qubit")
-        if set(ring) & set().union(*rings[:k]):
-            raise ValueError(f"XY ring {ring} overlaps another ring")
-
-
 class QaoaContext:
     """Precomputed machinery for repeated ansatz evaluations on one problem.
 
     One engine evolves every mixer.  Its state is a flat complex array viewed
-    as a tensor with one axis per mixer block: a Hadamard block of at most
-    X_BLOCK_CAP qubits for X, one XY ring per block otherwise (qubits in no
-    ring form one block the mixer leaves alone).  A block's basis is all its
-    bit patterns, or, when the rings tile the Hamming blocks and the initial
-    state lies in the feasible sector, the patterns of the block's Hamming
-    weight (`basis` is then "sector"; otherwise "full", with the cause in
-    `sector_reason`).  A layer multiplies by the cost phase, applies V^T of
-    every block's real mixer eigensystem (V, lambda), multiplies by
-    exp(-i sum_b beta_b lambda_b) and applies V again.  Cost rows (one per gamma
-    family), eigensystems and the initial state (InitSpec) are built once, read-only,
-    in the engine basis, where ev and metrics score; only run fills all 2^n amplitudes.
+    as a tensor with one axis per mixer block, each a contiguous qubit range:
+    a Hadamard block of at most X_BLOCK_CAP qubits for X, otherwise one XY
+    ring per Hamming block of the encoding.  A block's basis is all its bit
+    patterns, or, when the initial state lies in the feasible sector, the
+    patterns of the block's Hamming weight (`basis` is then "sector";
+    otherwise "full", with the cause in `sector_reason`); the engine's basis
+    indices are the outer sum of every block's patterns shifted to its range.
+    A layer multiplies by the cost phase, applies V^T of every block's real
+    mixer eigensystem (V, lambda), multiplies by exp(-i sum_b beta_b lambda_b)
+    and applies V again.  Cost rows (one per gamma family), eigensystems and
+    the initial state (InitSpec) are built once, read-only, in the engine
+    basis, where ev and metrics score; only run fills all 2^n amplitudes.
     """
 
     def __init__(
@@ -201,33 +190,26 @@ class QaoaContext:
         self.n = model.n
         hamming = encoding.hamming_targets
         self._init_blocks = {"Uniform": [], "Dicke": [((0, self.n), hamming[0][1])]}.get(init.kind, hamming)
-        targets = [list(range(lo, hi)) for (lo, hi), _w in hamming]
-
-        self.rings: list[list[int]] = []
-        if mixer.kind != "X":
-            rings = mixer.rings or targets
-            if mixer.kind == "ThreeXY" and len(rings) != 3:
-                raise ValueError("ThreeXY needs exactly three rings")
-            _check_rings(rings, self.n)
-            self.rings = [list(ring) for ring in rings]
+        rings = [list(range(lo, hi)) for (lo, hi), _w in hamming]
+        if mixer.rings is not None and [list(ring) for ring in mixer.rings] != rings:
+            raise ValueError(f"rings must be None or the encoding's Hamming blocks {rings}")
+        if mixer.kind == "ThreeXY" and len(hamming) != 3:
+            raise ValueError("ThreeXY needs an encoding with three Hamming blocks")
         self.scorer = Scorer.of(model, encoding)
 
-        self.sector_reason = self._sector_reason(use_sector, targets)
+        self.sector_reason = self._sector_reason(use_sector)
         self.basis = "full" if self.sector_reason else "sector"
         blocks = self._blocks()
-        self.block_dims = [len(patterns) for _q, patterns, _l, _v in blocks]
+        self.block_dims = [len(patterns) for _lo, patterns, _l, _v in blocks]
         index = np.zeros((), dtype=np.int64)
         self._steps = []
-        for axis, (qubits, patterns, _vals, vecs) in enumerate(blocks):
-            shape = [1] * len(blocks)
-            shape[axis] = -1
-            index = index + sum(((patterns >> t) & 1) << q for t, q in enumerate(qubits)).reshape(shape)
-            if vecs is not None:
-                pre, post = int(np.prod(self.block_dims[:axis])), int(np.prod(self.block_dims[axis + 1:]))
-                self._steps.append(((pre, len(patterns), 2 * post), read_only(np.ascontiguousarray(vecs.T)), vecs))
+        for axis, (lo, patterns, _vals, vecs) in enumerate(blocks):
+            index = np.add.outer(index, patterns << lo)
+            pre, post = int(np.prod(self.block_dims[:axis])), int(np.prod(self.block_dims[axis + 1:]))
+            self._steps.append(((pre, len(patterns), 2 * post), read_only(np.ascontiguousarray(vecs.T)), vecs))
         # engine amplitude i is the computational basis state _index[i]
         self._index = read_only(index.reshape(-1))
-        # drive[c, b] = 1 when beta column c is the angle of block b (the rings' blocks come first)
+        # drive[c, b] = 1 when beta column c is the angle of block b
         columns = [0] * len(blocks)
         if mixer.kind == "ThreeXY":
             columns = {1: [0, 0, 0], 2: [0, 0, 1], 3: [0, 1, 2]}[mixer.n_beta]
@@ -244,48 +226,40 @@ class QaoaContext:
         hit, at = self.scorer.find(self._index)
         self._feasible_at = read_only(np.flatnonzero(hit)[np.argsort(at)])
 
-    def _sector_reason(self, use_sector: bool | None, targets: list[list[int]]) -> str:
+    def _sector_reason(self, use_sector: bool | None) -> str:
         """Why the engine cannot run in the Hamming-weight sector ("" when it can)."""
         if use_sector is False:
             return "use_sector=False"
         if self.mixer.kind == "X":
             return "the X mixer does not conserve Hamming weight"
-        if self.rings != targets:
-            return "the mixer rings do not tile the Hamming blocks"
         if self._init_blocks != self.encoding.hamming_targets:
             return f"the {self.init.kind} initial state is not inside the sector"
         return ""
 
-    def _blocks(self) -> list[tuple[list[int], np.ndarray, np.ndarray, np.ndarray | None]]:
-        """(qubits, patterns, vals, vecs) per engine axis; local bit t of a pattern is qubits[t]."""
+    def _blocks(self) -> list[tuple[int, np.ndarray, np.ndarray, np.ndarray]]:
+        """(lo, patterns, vals, vecs) per engine axis: bit t of the block's patterns is qubit lo + t."""
         if self.mixer.kind == "X":
             # near-equal blocks, highest qubits on axis 0, so the engine basis is the computational one
             count = -(-self.n // X_BLOCK_CAP)
             sizes = [self.n // count + (b < self.n % count) for b in range(count)]
             tops = np.cumsum([0] + sizes)
-            return [(list(range(self.n - hi, self.n - lo)), *_hadamard_eigensystem(hi - lo))
-                    for lo, hi in zip(tops, tops[1:])]
-        weights = [w for _r, w in self.encoding.hamming_targets] if self.basis == "sector" else [None] * len(self.rings)
-        blocks = [(ring, *xy_ring_eigensystem(len(ring), w)) for ring, w in zip(self.rings, weights)]
-        idle = sorted(set(range(self.n)).difference(*self.rings))
-        if idle:
-            blocks.append((idle, np.arange(1 << len(idle)), np.zeros(1 << len(idle)), None))
-        return blocks
+            return [(self.n - hi, *_hadamard_eigensystem(hi - lo)) for lo, hi in zip(tops, tops[1:])]
+        return [(lo, *xy_ring_eigensystem(hi - lo, w if self.basis == "sector" else None))
+                for (lo, hi), w in self.encoding.hamming_targets]
 
     def _gamma_models(self) -> list[QuboModel]:
-        """The model per gamma family: itself, or with three gammas each term in its lowest ring's family."""
+        """The model per gamma family: itself, or with three gammas each term in its lower qubit's block's family.
+
+        The blocks ascend, so that is the family of a cross-block term's start-block qubit, as in the paper.
+        """
         if self.mixer.n_gamma == 1:
             return [self.model]
-        if [set(ring) for ring in self.rings[:2]] != [set(range(*b)) for b, _w in self.encoding.hamming_targets[:2]]:
-            raise ValueError("three gammas need the two start blocks as the first two rings")
-        ring_of = {q: r for r, ring in enumerate(self.rings) for q in ring}
-        if missing := set(self.model.linear).union(*self.model.quadratic) - set(ring_of):
-            raise ValueError(f"qubit {min(missing)} not in any ring")
+        block_of = [b for b, ((lo, hi), _w) in enumerate(self.encoding.hamming_targets) for _q in range(lo, hi)]
         terms = [({}, {}, offset) for offset in (self.model.offset, 0.0, 0.0)]
         for i, c in self.model.linear.items():
-            terms[ring_of[i]][0][i] = c
+            terms[block_of[i]][0][i] = c
         for (i, j), c in self.model.quadratic.items():
-            terms[min(ring_of[i], ring_of[j])][1][i, j] = c
+            terms[block_of[i]][1][i, j] = c
         return [QuboModel(self.n, *family) for family in terms]
 
     @property

@@ -68,13 +68,14 @@ def reference_phase_diagonals(ctx):
     """A QAOA context's cost diagonal per gamma family over all 2^n states: the oracle of the engine's cost rows.
 
     With one gamma it is the model's energy_vector.  With three, each family is a
-    sub-model: a linear term joins the family of its qubit's ring, a quadratic term
-    the lower of its two qubits' rings, and the offset the first family.
+    sub-model over the encoding's three Hamming blocks (the rings): a linear term
+    joins the family of its qubit's ring, a quadratic term the lower of its two
+    qubits' rings, and the offset the first family.
     """
     model = ctx.model
     if ctx.mixer.n_gamma == 1:
         return [energy_vector(model)]
-    ring = {q: r for r, qubits in enumerate(ctx.rings) for q in qubits}
+    ring = {q: r for r, ((lo, hi), _w) in enumerate(ctx.encoding.hamming_targets) for q in range(lo, hi)}
     return [energy_vector(QuboModel(
         model.n,
         {i: c for i, c in model.linear.items() if ring[i] == family},

@@ -33,6 +33,8 @@ cols = 4
 ambulances = 2
 lambda_ratio = 2.5
 """
+# The same problem without a penalty weight, for position_linear without its penalty, which reads none.
+PROBLEM_LINE4_UNWEIGHTED = PROBLEM_LINE4.replace("lambda_ratio = 2.5\n", "")
 
 
 def write(tmp_path, name, text):
@@ -96,9 +98,16 @@ class TestEncode:
                          "quambo encode needs a [encode] section")
 
     def test_position_linear_reads_include_penalty(self, tmp_path):
-        cfg = write(tmp_path, "a.ini", PROBLEM_LINE4 + "[encode]\nencoding = position_linear\ninclude_penalty = no\n")
+        cfg = write(tmp_path, "a.ini", PROBLEM_LINE4_UNWEIGHTED + "[encode]\nencoding = position_linear\n"
+                    "include_penalty = no\n")
         assert main(["encode", "--config", cfg, "--out", str(tmp_path / "m.txt")]) == 0
         assert "quad" not in (tmp_path / "m.txt").read_text()  # the penalty is the only quadratic term
+
+    @pytest.mark.parametrize("weight", ["lambda = 7.5", "lambda_ratio = 2.5"])
+    def test_position_linear_without_its_penalty_refuses_a_weight(self, tmp_path, capsys, weight):
+        assert_one_error(tmp_path, capsys, "encode", PROBLEM_LINE4.replace("lambda_ratio = 2.5", weight)
+                         + "[encode]\nencoding = position_linear\ninclude_penalty = false\n",
+                         "lambda and lambda_ratio need include_penalty = true; position_linear does not read them")
 
     def test_a_wrapped_encoder_still_reads_its_keys(self, tmp_path, monkeypatch):
         # a (*args, **kwargs) wrapper, as a tracer installs, hides the encoder's own parameters
@@ -109,7 +118,7 @@ class TestEncode:
             return encode(*args, **kwargs)
 
         monkeypatch.setattr(cli, "encode_position_linear", wrapper)
-        text = PROBLEM_LINE4 + "[encode]\nencoding = position_linear\ninclude_penalty = false\n"
+        text = PROBLEM_LINE4_UNWEIGHTED + "[encode]\nencoding = position_linear\ninclude_penalty = false\n"
         cfg = write(tmp_path, "a.ini", text)
         assert main(["encode", "--config", cfg, "--out", str(tmp_path / "m.txt")]) == 0
         lines = (tmp_path / "m.txt").read_text().splitlines()
@@ -349,6 +358,17 @@ class TestQaoa:
         text = self.CONFIG.replace("lambda = 40", "lambda = 40\nforbid_colocation = true")
         assert_one_error(tmp_path, capsys, "qaoa", text.replace("encoding = complement", f"encoding = {encoding}"),
                          f"forbid_colocation needs the start_dest encoding; {encoding} does not read it")
+
+    def test_xy_on_one_qubit_blocks_is_an_error(self, tmp_path, capsys):
+        """One site and one ambulance under start_dest: two one-qubit Hamming blocks, too short for an XY ring."""
+        problem = "[problem]\ngeometry = line\ncols = 1\nambulances = 1\nlambda = 1\n"
+        assert_one_error(tmp_path, capsys, "qaoa", problem + self.CONFIG[len(PROBLEM_A):].replace(
+            "encoding = complement\nmixer = X", "encoding = start_dest\nmixer = XY"),
+            "need a ring of length >= 2, got 1")
+
+    def test_three_xy_needs_three_hamming_blocks(self, tmp_path, capsys):
+        assert_one_error(tmp_path, capsys, "qaoa", self.CONFIG.replace("mixer = X", "mixer = ThreeXY"),
+                         "ThreeXY needs an encoding with three Hamming blocks")
 
     def test_rows_of_a_line_is_an_error(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setattr("quambo.cli.encoding_from_config", None)  # rejected before any work
@@ -659,7 +679,7 @@ NELDER_MEAD_40 = "[optimizer]\nkind = nelder-mead\nmax_iter = 40\n"
 STUDY_GOLDEN = {
     "qaoa-A-X": ("qaoa", PROBLEM_A + "[qaoa]\nencoding = complement\nmixer = X\ninit = Uniform\np = 1\n"
                  "restarts = 3\n" + NELDER_MEAD_40),
-    "qaoa-B-XY": ("qaoa", PROBLEM_LINE4 + "[qaoa]\nencoding = position_linear\ninclude_penalty = false\n"
+    "qaoa-B-XY": ("qaoa", PROBLEM_LINE4_UNWEIGHTED + "[qaoa]\nencoding = position_linear\ninclude_penalty = false\n"
                   "mixer = XY\ninit = Dicke\np = 2\nrestarts = 2\n" + NELDER_MEAD_40),
     "qaoa-A-interp": ("qaoa", PROBLEM_A + "[qaoa]\nencoding = complement\np = 1\nrestarts = 2\n"
                       "strategy = INTERP\np_max = 3\n" + NELDER_MEAD_40),

@@ -208,7 +208,7 @@ class TestStartDest:
 
 class TestPositionLinear:
     def test_field_values(self):
-        problem = FacilityProblem(("line", 3), 1, lambda_=1.0)
+        problem = FacilityProblem(("line", 3), 1)
         model, _ = encode_position_linear(problem, include_penalty=False)
         assert [model.linear[i] for i in range(3)] == [5, 2, 5]
 
@@ -217,9 +217,8 @@ class TestPositionLinear:
         assert sum(1 for _ in feasible_indices(enc)) == 28
 
     def test_weight_m_penalty_zero(self):
-        problem = FacilityProblem(("line", 4), 2, lambda_=11.0)
-        with_pen, _ = encode_position_linear(problem, include_penalty=True)
-        without, _ = encode_position_linear(problem, include_penalty=False)
+        with_pen, _ = encode_position_linear(FacilityProblem(("line", 4), 2, lambda_=11.0), include_penalty=True)
+        without, _ = encode_position_linear(FacilityProblem(("line", 4), 2), include_penalty=False)
         assert energy_qubo(with_pen, "1100") == energy_qubo(without, "1100")
         assert energy_qubo(with_pen, "1110") == energy_qubo(without, "1110") + 11.0
 

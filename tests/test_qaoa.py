@@ -166,40 +166,26 @@ class TestAnsatz:
 
 
 class TestRings:
-    @pytest.mark.parametrize("rings, message", [
-        ([[0, 7]], "outside"),
-        ([[0, -1]], "outside"),
-        ([[0, 1, 1]], "repeats"),
-        ([[0, 1, 2], [2, 3, 4]], "overlaps"),
-        ([[0]], "fewer than 2"),
-    ])
-    def test_bad_ring_rejected_at_build(self, problem_a, rings, message):
-        model, enc = problem_a
-        with pytest.raises(ValueError, match=message):
-            QaoaContext(enc, model, MixerSpec(kind="XY", rings=rings), InitSpec(kind="Uniform"))
+    """The XY rings are the encoding's Hamming blocks; rings is None or exactly those blocks."""
 
-    def test_three_xy_rings_checked(self, encoded_b):
+    @pytest.mark.parametrize("kind", ["XY", "ThreeXY"])
+    def test_rings_other_than_the_blocks_are_refused(self, encoded_b, kind):
         model, enc = encoded_b
-        rings = [[0, 1, 2, 3], [3, 4, 5, 6], list(range(8, 16))]
-        with pytest.raises(ValueError, match="overlaps"):
-            QaoaContext(enc, model, MixerSpec(kind="ThreeXY", rings=rings), InitSpec(kind="Uniform"))
+        rings = [[3, 2, 1, 0], [4, 5, 6, 7], list(range(8, 16))]
+        with pytest.raises(ValueError, match=r"^rings must be None or the encoding's Hamming blocks "
+                                             r"\[\[0, 1, 2, 3\], \[4, 5, 6, 7\], \[8, 9, .*, 15\]\]$"):
+            QaoaContext(enc, model, MixerSpec(kind, rings=rings, angle_scheme=(3, 3)), InitSpec("Uniform"))
 
-    def test_three_gammas_need_every_cost_qubit_in_a_ring(self, encoded_b):
+    @pytest.mark.parametrize("kind", ["X", "XY", "ThreeXY"])
+    def test_rings_equal_to_the_blocks_build_the_default_context(self, encoded_b, kind):
         model, enc = encoded_b
-        rings = [[0, 1, 2, 3], [4, 5, 6, 7], list(range(8, 15))]
-        mixer = MixerSpec(kind="ThreeXY", rings=rings, angle_scheme=(3, 3))
-        with pytest.raises(ValueError, match="qubit 15 not in any ring"):
-            QaoaContext(enc, model, mixer, InitSpec(kind="Uniform"))
-
-    def test_three_gammas_need_the_start_blocks_first(self, encoded_b):
-        # a cost term takes its lowest ring's gamma: that is its start-block qubit's only with the start blocks first
-        model, enc = encoded_b
-        rings = [list(range(8, 16)), [0, 1, 2, 3], [4, 5, 6, 7]]
-        mixer = MixerSpec(kind="ThreeXY", rings=rings, angle_scheme=(3, 3))
-        with pytest.raises(ValueError, match="start blocks as the first two rings"):
-            QaoaContext(enc, model, mixer, InitSpec(kind="Uniform"))
-        rings = [[3, 2, 1, 0], [4, 5, 6, 7], list(range(8, 16))]  # order within a ring is free
-        QaoaContext(enc, model, MixerSpec(kind="ThreeXY", rings=rings, angle_scheme=(3, 3)), InitSpec(kind="Uniform"))
+        blocks = [list(range(lo, hi)) for (lo, hi), _w in enc.hamming_targets]
+        mixers = [MixerSpec(kind, rings=rings, angle_scheme=(3, 3)) for rings in (blocks, None)]
+        x = np.random.default_rng(4).uniform(0.0, 2.0 * np.pi, 2 * (mixers[0].n_beta + mixers[0].n_gamma))
+        for init in ("Uniform", "DickeBlocks"):
+            given, default = (QaoaContext(enc, model, mixer, InitSpec(init)) for mixer in mixers)
+            assert given.engine == default.engine and np.array_equal(given._index, default._index)
+            assert np.float64(given.ev(x, 2)).tobytes() == np.float64(default.ev(x, 2)).tobytes()
 
 
 # Small instances of the three encodings; start/dest has the three Hamming blocks ThreeXY needs.
@@ -226,8 +212,8 @@ def reference_state(ctx, x, p):
             apply_x_mixer(state, beta[0])
             continue
         ring_betas = {1: [0, 0, 0], 2: [0, 0, 1], 3: [0, 1, 2]}[len(beta)]
-        for t, ring in enumerate(ctx.rings):
-            apply_xy_ring_mixer(state, ring, beta[ring_betas[t] if ctx.mixer.kind == "ThreeXY" else 0])
+        for t, ((lo, hi), _w) in enumerate(ctx.encoding.hamming_targets):  # one ring per Hamming block
+            apply_xy_ring_mixer(state, range(lo, hi), beta[ring_betas[t] if ctx.mixer.kind == "ThreeXY" else 0])
     return state
 
 
