@@ -125,6 +125,8 @@ def tts(p_sol: float, t_cycle: float) -> float:
     """Expected time to observe the optimum with 99% confidence."""
     if not 0.0 < p_sol < 1.0:
         raise ValueError("p_sol must lie in (0, 1)")
+    if not (math.isfinite(t_cycle) and t_cycle > 0):
+        raise ValueError(f"need a finite t_cycle > 0, got {t_cycle}")
     return t_cycle * np.log(0.01) / np.log(1.0 - p_sol)
 
 
@@ -136,10 +138,10 @@ def anneal_parameter_sweep(
     The stand-in annealer's read r at ratio j is the best state of one
     SimAnneal(sweeps) chain seeded with child r of child j of seed; all reads
     of a ratio run as one batch of chains.  ev is the mean model energy over
-    all reads.  The feasible sector and its objective energies do not depend
-    on lambda, so every ratio scores against the first ratio's encoding: the
-    sector is enumerated once per sweep, and each ratio adds one pass of its
-    model's energies, held only while that ratio is scored.
+    all reads.  The sector does not depend on lambda and the start/destination
+    sector_shift is 0 at every weight, so every ratio scores exactly against the
+    first ratio's encoding: the sector is enumerated once per sweep, and each
+    ratio adds one pass of its model's energies, held only while it is scored.
     """
     if reads < 1:
         raise ValueError(f"need reads >= 1, got {reads}")

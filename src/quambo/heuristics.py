@@ -33,6 +33,8 @@ class SimAnneal:
     beta_final: float = 10.0
 
     def __post_init__(self) -> None:
+        if not math.isfinite(self.beta_final):
+            raise ValueError(f"need a finite beta_final, got {self.beta_final}")
         if self.sweeps < 1 or not 0 < self.beta_initial < self.beta_final:
             raise ValueError("need sweeps >= 1 and 0 < beta_initial < beta_final")
 

@@ -95,14 +95,15 @@ def distance_matrix(problem: FacilityProblem) -> np.ndarray:
 class Encoding:
     """Variable layout and feasibility metadata produced by an encoder.
 
-    hamming_targets is a list of ((first_qubit, last_qubit+1), weight) pairs.
-    objective is the penalty-free part of the encoded model; its n is the qubit count.
+    hamming_targets is a list of ((first_qubit, last_qubit+1), weight) pairs over n qubits.
+    sector_shift is the penalty constant the model leaves out of its offset (feasible_sector adds it).
     """
 
     variant: str
     hamming_targets: list[tuple[tuple[int, int], int]]
     problem: FacilityProblem
-    objective: QuboModel
+    n: int
+    sector_shift: float = 0.0
 
     @cached_property
     def distances(self) -> np.ndarray:
@@ -110,18 +111,14 @@ class Encoding:
         return read_only(distance_matrix(self.problem))
 
     @cached_property
-    def sector(self) -> tuple[np.ndarray, np.ndarray]:
-        """(feasible_indices, their objective energies), built once per encoding (read-only).
-
-        Neither depends on the penalty weight: encodings of one problem at several weights can share one.
-        """
-        indices = feasible_indices(self)
-        return read_only(indices), read_only(energies_at(self.objective, indices))
+    def sector(self) -> np.ndarray:
+        """feasible_indices, built once per encoding (read-only); encodings of one problem at any weight share it."""
+        return read_only(feasible_indices(self))
 
     @cached_property
     def sector_order(self) -> np.ndarray:
-        """np.argsort of the sector's indices, built once per encoding (read-only) for every Scorer of it."""
-        return read_only(np.argsort(self.sector[0]))
+        """np.argsort of the sector, built once per encoding (read-only) for every Scorer of it."""
+        return read_only(np.argsort(self.sector))
 
 
 def add_penalty(linear: dict, quadratic: dict, qubits: Sequence[int], lam: float, w: int) -> float:
@@ -151,17 +148,16 @@ def encode_single_complement(problem: FacilityProblem) -> tuple[QuboModel, Encod
     dist = distance_matrix(problem)
     c = L - 1
 
-    obj_quadratic = {(i, j): -float(dist[i, j]) for i in range(L) for j in range(i + 1, L)}
     linear: dict[int, float] = {}
-    quadratic = dict(obj_quadratic)
-    add_penalty(linear, quadratic, range(L), problem.penalty_weight(), c)
+    quadratic = {(i, j): -float(dist[i, j]) for i in range(L) for j in range(i + 1, L)}
+    shift = add_penalty(linear, quadratic, range(L), problem.penalty_weight(), c)
     model = QuboModel(n=L, linear=linear, quadratic=quadratic)
-    objective = QuboModel(n=L, quadratic=obj_quadratic)
     enc = Encoding(
         variant="ComplementSingle",
         hamming_targets=[((0, L), c)],
         problem=problem,
-        objective=objective,
+        n=L,
+        sector_shift=shift,
     )
     return model, enc
 
@@ -183,10 +179,9 @@ def encode_start_dest(problem: FacilityProblem) -> tuple[QuboModel, Encoding]:
     n = 2 * m * L
 
     # objective: distance from each ambulance start to each site it serves (start qubits come first)
-    obj_quadratic = {(a * L + i, m * L + a * L + l): float(dist[i, l])
-                     for a in range(m) for i in range(L) for l in range(L) if dist[i, l] != 0.0}
+    quadratic = {(a * L + i, m * L + a * L + l): float(dist[i, l])
+                 for a in range(m) for i in range(L) for l in range(L) if dist[i, l] != 0.0}
     linear: dict[int, float] = {}
-    quadratic = dict(obj_quadratic)
     offset = 0.0
     for a in range(m):  # one start per ambulance
         offset += add_penalty(linear, quadratic, range(a * L, (a + 1) * L), lam, 1)
@@ -202,12 +197,11 @@ def encode_start_dest(problem: FacilityProblem) -> tuple[QuboModel, Encoding]:
     targets.append(((m * L, n), L))
 
     model = QuboModel(n=n, linear=linear, quadratic=quadratic, offset=offset)
-    objective = QuboModel(n=n, quadratic=obj_quadratic)
     enc = Encoding(
         variant="StartDest",
         hamming_targets=targets,
         problem=problem,
-        objective=objective,
+        n=n,
     )
     return model, enc
 
@@ -235,12 +229,11 @@ def encode_position_linear(
     if include_penalty:
         offset += add_penalty(linear, quadratic, range(L), problem.penalty_weight(), m)
     model = QuboModel(n=L, linear=linear, quadratic=quadratic, offset=offset)
-    objective = QuboModel(n=L, linear={i: float(fields[i]) for i in range(L)})
     enc = Encoding(
         variant="PositionLinear",
         hamming_targets=[((0, L), m)],
         problem=problem,
-        objective=objective,
+        n=L,
     )
     return model, enc
 
@@ -248,8 +241,8 @@ def encode_position_linear(
 def is_feasible(encoding: Encoding, s: str | Sequence[int]) -> bool:
     """True iff every Hamming-weight target of the encoding holds."""
     bits = bits_from_string(s) if isinstance(s, str) else np.asarray(s)
-    if len(bits) != encoding.objective.n:
-        raise ValueError(f"state length {len(bits)} != {encoding.objective.n}")
+    if len(bits) != encoding.n:
+        raise ValueError(f"state length {len(bits)} != {encoding.n}")
     return all(int(bits[lo:hi].sum()) == w for (lo, hi), w in encoding.hamming_targets)
 
 
@@ -261,7 +254,7 @@ def feasible_indices(encoding: Encoding) -> np.ndarray:
     """
     count = math.prod(math.comb(hi - lo, w) for (lo, hi), w in encoding.hamming_targets)
     CapacityError.check(count, 1 << STATE_CAP, "feasible sector", "feasible states")
-    CapacityError.check(encoding.objective.n, 63, "feasible sector")
+    CapacityError.check(encoding.n, 63, "feasible sector")
     indices = np.zeros(1, dtype=np.int64)
     for (lo, hi), w in encoding.hamming_targets:
         masks = [sum(1 << q for q in ones) for ones in itertools.combinations(range(lo, hi), w)]
@@ -300,17 +293,14 @@ def decode_solution(encoding: Encoding, s: str) -> float:
 def feasible_sector(model: QuboModel, encoding: Encoding) -> tuple[np.ndarray, np.ndarray]:
     """Feasible basis indices, in feasible_indices order, and their energies with the penalty floor removed.
 
-    Each feasible state's energy is the full model energy minus the constant
-    min-over-feasible penalty contribution (full minus objective).  For
-    encodings whose penalty is constant on the sector this removes the penalty
-    entirely; otherwise intra-sector penalty variation is kept so the ground
-    set matches the full cost function.  The indices and objective energies
-    come from encoding.sector, so each call adds one energy pass of the model.
+    Each energy is the model energy plus encoding.sector_shift, so the penalty's minimum over the sector
+    is 0: the complement penalty vanishes there, while the start/destination penalty keeps its variation
+    within the sector (forbid_colocation), so the ground set matches the full cost function.  Each call
+    adds one energy pass of the model over encoding.sector.
     """
-    indices, objective = encoding.sector
-    energies = energies_at(model, indices)
-    energies -= float((energies - objective).min())
-    return indices, energies
+    energies = energies_at(model, encoding.sector)
+    energies += encoding.sector_shift
+    return encoding.sector, energies
 
 
 def feasible_spectrum(model: QuboModel, encoding: Encoding) -> list[SpectrumEntry]:

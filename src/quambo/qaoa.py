@@ -195,6 +195,10 @@ class QaoaContext:
             raise ValueError(f"rings must be None or the encoding's Hamming blocks {rings}")
         if mixer.kind == "ThreeXY" and len(hamming) != 3:
             raise ValueError("ThreeXY needs an encoding with three Hamming blocks")
+        short = next((block for block, _w in hamming if block[1] - block[0] < 2), None)
+        if mixer.kind != "X" and short:
+            raise ValueError(f"the {mixer.kind} mixer needs Hamming blocks of 2 or more qubits; "
+                             f"the {encoding.variant} block {short} has one")
         self.scorer = Scorer.of(model, encoding)
 
         self.sector_reason = self._sector_reason(use_sector)

@@ -1,8 +1,9 @@
 """Reference implementations the tests check quambo against: the per-state Ising energy loop,
-the feasible-index generator, the QAOA initial states and cost split, the XY-ring mixer, R_y and CNOT gates,
-scipy's Nelder-Mead, the one-row SPSA and finite-difference BFGS loops, the one-vector QAOA
-evaluator, the per-column INTERP/EXTRAP depth extenders, the one-vector VQE circuit and the
-step-by-step anneal propagator."""
+the feasible-index generator, the sector energies with the penalty floor found numerically,
+the QAOA initial states and cost split, the XY-ring mixer, R_y and CNOT gates, scipy's
+Nelder-Mead, the one-row SPSA and finite-difference BFGS loops, the one-vector QAOA evaluator,
+the per-column INTERP/EXTRAP depth extenders, the one-vector VQE circuit and the step-by-step
+anneal propagator."""
 
 import itertools
 
@@ -10,8 +11,8 @@ import numpy as np
 from scipy.optimize import minimize as scipy_minimize
 
 from quambo.optimize import FdQuasiNewton, Spsa, spsa_schedules
-from quambo.problems import is_feasible
-from quambo.qubo import QuboModel, energy_vector, string_from_index
+from quambo.problems import distance_matrix, is_feasible
+from quambo.qubo import QuboModel, energies_at, energy_vector, string_from_index
 from quambo.simulator import apply_local_unitary, basis_state, uniform_state, xy_ring_eigensystem
 from quambo.vqe import NARROW_MIN_ROWS, NARROW_STRIDE
 
@@ -34,6 +35,28 @@ def reference_feasible_indices(encoding):
                      for (lo, hi), w in encoding.hamming_targets]
     for combo in itertools.product(*block_choices):
         yield sum(combo)
+
+
+def reference_feasible_energies(model, encoding):
+    """The feasible sector's energies with the penalty floor found numerically: the oracle of feasible_sector.
+
+    The penalty-free objective of each feasible state is built from the distance matrix,
+    and its energy is the model's minus the least (model - objective) over the sector.
+    """
+    problem = encoding.problem
+    L, m = problem.num_locations, problem.ambulances
+    indices = np.fromiter(reference_feasible_indices(encoding), dtype=np.int64)
+    bits = ((indices[:, None] >> np.arange(encoding.n)) & 1).astype(float)
+    dist = distance_matrix(problem)
+    if encoding.variant == "ComplementSingle":  # minus the distances among the 1s
+        objective = -0.5 * np.einsum("si,ij,sj->s", bits, dist, bits)
+    elif encoding.variant == "PositionLinear":  # every site's distance to every ambulance
+        objective = bits @ dist.sum(axis=1)
+    else:  # each ambulance's start to every site it serves
+        start, dest = bits[:, : m * L].reshape(-1, m, L), bits[:, m * L :].reshape(-1, m, L)
+        objective = np.einsum("sai,il,sal->s", start, dist, dest)
+    energies = energies_at(model, indices)
+    return indices, energies - float((energies - objective).min())
 
 
 def masked_uniform_state(n, blocks):

@@ -199,6 +199,9 @@ class TestAnnealerFormulas:
         for p in (0.0, 1.0, -0.1):
             with pytest.raises(ValueError):
                 tts(p, 1.0)
+        for t_cycle in (0.0, -1.0, float("nan"), float("inf")):
+            with pytest.raises(ValueError, match=f"^need a finite t_cycle > 0, got {t_cycle}$"):
+                tts(0.5, t_cycle)
 
 
 class TestSweep:

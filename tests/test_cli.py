@@ -364,7 +364,7 @@ class TestQaoa:
         problem = "[problem]\ngeometry = line\ncols = 1\nambulances = 1\nlambda = 1\n"
         assert_one_error(tmp_path, capsys, "qaoa", problem + self.CONFIG[len(PROBLEM_A):].replace(
             "encoding = complement\nmixer = X", "encoding = start_dest\nmixer = XY"),
-            "need a ring of length >= 2, got 1")
+            "the XY mixer needs Hamming blocks of 2 or more qubits; the StartDest block (0, 1) has one")
 
     def test_three_xy_needs_three_hamming_blocks(self, tmp_path, capsys):
         assert_one_error(tmp_path, capsys, "qaoa", self.CONFIG.replace("mixer = X", "mixer = ThreeXY"),
@@ -558,6 +558,7 @@ class TestBaseline:
         ("algorithm = tabu\ntenure = -3", "need tenure >= 1, got -3"),
         ("algorithm = tabu\ntenure = 0", "need tenure >= 1, got 0"),
         ("algorithm = sa\nbeta_initial = -1", "need sweeps >= 1 and 0 < beta_initial < beta_final"),
+        ("algorithm = sa\nbeta_final = inf", "need a finite beta_final, got inf"),
         ("algorithm = tabu\nsweeps = 10", "baseline algorithm 'tabu' does not read key 'sweeps'; "
          "valid keys: algorithm, restarts, tenure, max_iter"),
         ("algorithm = sa\ntenure = 5", "baseline algorithm 'sa' does not read key 'tenure'; "
@@ -635,6 +636,11 @@ class TestTts:
     def test_invalid_p_sol_exits_nonzero(self, capsys):
         assert main(["tts", "--p-sol", "1.5", "--t-cycle", "1"]) == 1
         assert "error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("t_cycle", ["-1", "0", "nan", "inf"])
+    def test_invalid_t_cycle_is_an_error(self, capsys, t_cycle):
+        assert main(["tts", "--p-sol", "0.5", "--t-cycle", t_cycle]) == 1
+        assert capsys.readouterr() == ("", f"error: need a finite t_cycle > 0, got {float(t_cycle)}\n")
 
 
 @pytest.mark.parametrize("command", ["encode", "tts"])

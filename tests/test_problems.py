@@ -17,8 +17,8 @@ from quambo.problems import (
     is_feasible,
     problem_variant,
 )
-from quambo.qubo import CapacityError, QuboModel, energies_at, energy_qubo, string_from_index
-from references import reference_feasible_indices
+from quambo.qubo import CapacityError, energy_qubo, string_from_index
+from references import reference_feasible_energies, reference_feasible_indices
 
 # Cost table for the 5-location single-ambulance problem; the first row of the
 # published table at lam=0 (-26) is inconsistent with every other column of
@@ -242,7 +242,7 @@ class TestFeasibleSector:
         # weight 0 and full-weight blocks have one choice each; the middle block varies
         _, enc = encode_single_complement(FacilityProblem(("line", 4), 1, lambda_=1.0))
         enc.hamming_targets = [((0, 2), 0), ((2, 5), 2), ((5, 7), 2)]
-        enc.objective = QuboModel(7)
+        enc.n = 7
         assert feasible_indices(enc).tolist() == list(reference_feasible_indices(enc)) == [108, 116, 120]
 
     @pytest.mark.parametrize("geometry, m, message", [
@@ -257,15 +257,37 @@ class TestFeasibleSector:
         with pytest.raises(CapacityError, match=message):
             feasible_indices(enc)
 
+    @pytest.mark.parametrize("encoder, geometry, m, forbid", [
+        *[(encode_single_complement, geometry, 1, False) for geometry in (("line", 3), ("line", 5), ("grid", 2, 3))],
+        *[(encode_position_linear, geometry, m, False) for geometry, m in
+          ((("line", 4), 2), (("grid", 2, 2), 1), (("grid", 2, 3), 3))],
+        *[(encode_start_dest, geometry, m, forbid) for geometry, m in
+          ((("line", 3), 2), (("line", 4), 1), (("grid", 2, 2), 2), (("grid", 2, 3), 2)) for forbid in (False, True)],
+    ])
+    def test_energies_equal_the_numeric_penalty_floor(self, encoder, geometry, m, forbid):
+        """The encoder's sector_shift gives the energies that subtracting min(model - objective) gave:
+        bitwise when the distances and the weight are exact binary fractions, within 1e-12 otherwise."""
+        for metric in problems.METRICS:
+            for weight in ({"lambda_": 40.0}, {"lambda_ratio": 1.0}, {"lambda_ratio": 2.5}, {"lambda_": 0.1}):
+                problem = FacilityProblem(geometry, m, metric, forbid_colocation=forbid, **weight)
+                model, enc = encoder(problem)
+                indices, energies = feasible_sector(model, enc)
+                want_indices, want = reference_feasible_energies(model, enc)
+                assert np.array_equal(indices, want_indices)
+                if np.all(np.append(distance_matrix(problem), problem.penalty_weight()) * 2 % 1 == 0):
+                    assert energies.tobytes() == want.tobytes(), (metric, weight)
+                else:
+                    np.testing.assert_allclose(energies, want, rtol=0, atol=1e-12 * np.abs(want).max())
+
     def test_sector_is_built_once_per_encoding(self, monkeypatch):
         calls = []
         original = problems.feasible_indices
         monkeypatch.setattr(problems, "feasible_indices", lambda enc: calls.append(enc) or original(enc))
         _, enc = encode_start_dest(FacilityProblem(("line", 4), 2, lambda_ratio=0.5))
         heavy, own = encode_start_dest(FacilityProblem(("line", 4), 2, lambda_ratio=4.0))
-        indices, objective = enc.sector
-        assert enc.sector[0] is indices and not indices.flags.writeable and not objective.flags.writeable
-        assert np.array_equal(objective, energies_at(enc.objective, indices))
+        indices = enc.sector
+        assert enc.sector is indices and not indices.flags.writeable
+        assert indices.tolist() == list(reference_feasible_indices(enc))
         shared = feasible_sector(heavy, enc)  # the heavy model over the light encoding's sector
         assert shared[0] is indices and len(calls) == 1
         want = feasible_sector(heavy, own)
