@@ -12,8 +12,11 @@ Nelder-Mead rows run in lockstep, each bitwise scipy's `_minimize_neldermead`
 three calls (reflections, then expansion or contraction points, then shrunk
 vertices), and rows stop independently.  SPSA rows run in lockstep, each
 drawing from its own generator, with one call of every row's +/- pair per
-step.  The quasi-Newton method runs scipy's BFGS (imported only when it runs)
-row after row; a central-difference gradient is one call of 2N points.
+step.  The quasi-Newton method runs row after row, each a port of scipy
+1.17.1's BFGS for a callable jac: the same evaluations in the same order at
+bitwise the same points (its one-point value/gradient cache, the More-Thuente
+line search with its Wolfe-2 fallback, and a stop where both fail), with
+numpy alone; a central-difference gradient is one call of 2N points.
 `restart_search` draws, runs, scores and reports QAOA and VQE restarts.
 """
 
@@ -37,6 +40,10 @@ _TRIAL = np.array([[1 + RHO * CHI, RHO * CHI], [1 + RHO, RHO], [1 + PSI * RHO, P
 _TIES_TAKE = np.array([False, True, True, False])
 # Spall's SPSA gain exponents of the step size and of the perturbation size
 SPSA_ALPHA, SPSA_GAMMA = 0.602, 0.101
+# scipy's BFGS line-search settings: sufficient decrease and curvature, the step bounds, DCSRCH's interval tolerance
+LS_C1, LS_C2 = 1e-4, 0.9
+LS_AMIN, LS_AMAX = 1e-100, 1e100
+LS_XTOL = 1e-14
 
 
 def _require(config: object, counts: tuple = (), nonnegative: tuple = (), positive: tuple = ()) -> None:
@@ -269,10 +276,286 @@ def _spsa(log: _Log, theta: np.ndarray, config: Spsa, seeds: Sequence[int]) -> N
     log(rows, theta)
 
 
-def _fd_quasi_newton(log: _Log, X0: np.ndarray, config: FdQuasiNewton) -> None:
-    """scipy's BFGS from each row of X0 in turn, with central-difference gradients of step eps."""
-    from scipy.optimize import minimize as scipy_minimize
+class _Memo:
+    """scipy's ScalarFunction cache: the value and gradient at one point, each computed at most once there.
 
+    A point that is not np.array_equal to the cached one replaces it; an equal
+    one (say, with the other sign of a zero) reads the cache, or is computed at
+    the cached point.
+    """
+
+    def __init__(self, fun: Callable[[np.ndarray], float], grad: Callable[[np.ndarray], np.ndarray]):
+        self.fun, self.grad = fun, grad
+        self.x, self.f, self.g = None, None, None
+
+    def _move(self, x: np.ndarray) -> None:
+        if not np.array_equal(x, self.x):
+            self.x, self.f, self.g = x, None, None
+
+    def value(self, x: np.ndarray) -> float:
+        self._move(x)
+        if self.f is None:
+            self.f = self.fun(self.x)
+        return self.f
+
+    def gradient(self, x: np.ndarray) -> np.ndarray:
+        self._move(x)
+        if self.g is None:
+            self.g = self.grad(self.x)
+        return self.g
+
+
+def _dcstep(stx, fx, dx, sty, fy, dy, stp, fp, dp, brackt, stpmin, stpmax):
+    """MINPACK's DCSTEP, as scipy writes it: the safeguarded cubic or quadratic step and the updated interval."""
+    sgnd = np.sign(dp) * np.sign(dx)
+    with np.errstate(invalid="ignore", over="ignore"):
+        if fp > fx:
+            theta = 3.0 * (fx - fp) / (stp - stx) + dx + dp
+            s = max(abs(theta), abs(dx), abs(dp))
+            gamma = s * np.sqrt((theta / s) ** 2 - (dx / s) * (dp / s))
+            if stp < stx:
+                gamma *= -1
+            p = (gamma - dx) + theta
+            q = ((gamma - dx) + gamma) + dp
+            stpc = stx + p / q * (stp - stx)
+            stpq = stx + ((dx / ((fx - fp) / (stp - stx) + dx)) / 2.0) * (stp - stx)
+            stpf = stpc if abs(stpc - stx) <= abs(stpq - stx) else stpc + (stpq - stpc) / 2.0
+            brackt = True
+        elif sgnd < 0.0:
+            theta = 3 * (fx - fp) / (stp - stx) + dx + dp
+            s = max(abs(theta), abs(dx), abs(dp))
+            gamma = s * np.sqrt((theta / s) ** 2 - (dx / s) * (dp / s))
+            if stp > stx:
+                gamma *= -1
+            p = (gamma - dp) + theta
+            q = ((gamma - dp) + gamma) + dx
+            stpc = stp + p / q * (stx - stp)
+            stpq = stp + (dp / (dp - dx)) * (stx - stp)
+            stpf = stpc if abs(stpc - stp) > abs(stpq - stp) else stpq
+            brackt = True
+        elif abs(dp) < abs(dx):
+            theta = 3 * (fx - fp) / (stp - stx) + dx + dp
+            s = max(abs(theta), abs(dx), abs(dp))
+            gamma = s * np.sqrt(max(0, (theta / s) ** 2 - (dx / s) * (dp / s)))
+            if stp > stx:
+                gamma = -gamma
+            p = (gamma - dp) + theta
+            q = (gamma + (dx - dp)) + gamma
+            r = p / q
+            if r < 0 and gamma != 0:
+                stpc = stp + r * (stx - stp)
+            else:
+                stpc = stpmax if stp > stx else stpmin
+            stpq = stp + (dp / (dp - dx)) * (stx - stp)
+            if brackt:
+                stpf = stpc if abs(stpc - stp) < abs(stpq - stp) else stpq
+                bound = stp + 0.66 * (sty - stp)
+                stpf = min(bound, stpf) if stp > stx else max(bound, stpf)
+            else:
+                stpf = np.clip(stpc if abs(stpc - stp) > abs(stpq - stp) else stpq, stpmin, stpmax)
+        elif brackt:
+            theta = 3.0 * (fp - fy) / (sty - stp) + dy + dp
+            s = max(abs(theta), abs(dy), abs(dp))
+            gamma = s * np.sqrt((theta / s) ** 2 - (dy / s) * (dp / s))
+            if stp > sty:
+                gamma = -gamma
+            p = (gamma - dp) + theta
+            q = ((gamma - dp) + gamma) + dy
+            stpf = stp + p / q * (sty - stp)
+        else:
+            stpf = stpmax if stp > stx else stpmin
+    if fp > fx:
+        sty, fy, dy = stp, fp, dp
+    else:
+        if sgnd < 0:
+            sty, fy, dy = stx, fx, dx
+        stx, fx, dx = stp, fp, dp
+    return stx, fx, dx, sty, fy, dy, stpf, brackt
+
+
+def _dcsrch(phi: Callable, derphi: Callable, stp, finit: float, ginit):
+    """MINPACK's DCSRCH (More & Thuente 1994) as scipy's line_search_wolfe1 runs it: (step, value) or (None, None).
+
+    It makes at most 100 evaluations of phi and derphi, and tests the first 99.
+    """
+    if stp < LS_AMIN or stp > LS_AMAX or ginit >= 0:
+        return None, None
+    brackt, stage = False, 1
+    gtest = LS_C1 * ginit
+    width = LS_AMAX - LS_AMIN
+    width1 = width / 0.5
+    stx, fx, gx = 0.0, finit, ginit
+    sty, fy, gy = 0.0, finit, ginit
+    stmin, stmax = 0, stp + 4.0 * stp
+    f, g = phi(stp), derphi(stp)
+    for _ in range(99):
+        ftest = finit + stp * gtest
+        if stage == 1 and f <= ftest and g >= 0:
+            stage = 2
+        if f <= ftest and abs(g) <= LS_C2 * -ginit:
+            return stp, f
+        if (brackt and (stp <= stmin or stp >= stmax or stmax - stmin <= LS_XTOL * stmax)
+                or stp == LS_AMAX and f <= ftest and g <= gtest or stp == LS_AMIN and (f > ftest or g >= gtest)):
+            return None, None
+        if stage == 1 and f <= fx and f > ftest:
+            # the modified function f - stp * gtest
+            stx, fxm, gxm, sty, fym, gym, stp, brackt = _dcstep(
+                stx, fx - stx * gtest, gx - gtest, sty, fy - sty * gtest, gy - gtest,
+                stp, f - stp * gtest, g - gtest, brackt, stmin, stmax)
+            fx, fy, gx, gy = fxm + stx * gtest, fym + sty * gtest, gxm + gtest, gym + gtest
+        else:
+            stx, fx, gx, sty, fy, gy, stp, brackt = _dcstep(stx, fx, gx, sty, fy, gy, stp, f, g, brackt, stmin, stmax)
+        if brackt:
+            if abs(sty - stx) >= 0.66 * width1:
+                stp = stx + 0.5 * (sty - stx)
+            width1, width = width, abs(sty - stx)
+            stmin, stmax = min(stx, sty), max(stx, sty)
+        else:
+            stmin, stmax = stp + 1.1 * (stp - stx), stp + 4.0 * (stp - stx)
+        stp = np.clip(stp, LS_AMIN, LS_AMAX)
+        if brackt and (stp <= stmin or stp >= stmax or stmax - stmin <= LS_XTOL * stmax):
+            stp = stx
+        if not np.isfinite(stp):
+            return None, None
+        f, g = phi(stp), derphi(stp)
+    return None, None
+
+
+def _minimizer(a, fa, fpa, b, fb, c=None, fc=None):
+    """scipy's _cubicmin through (a, fa, fpa), (b, fb), (c, fc), or its _quadmin without c; None where it fails."""
+    with np.errstate(divide="raise", over="raise", invalid="raise"):
+        try:
+            if c is None:
+                db = b - a * 1.0
+                B = (fb - fa - fpa * db) / (db * db)
+                xmin = a - fpa / (2.0 * B)
+            else:
+                db, dc = b - a, c - a
+                denom = (db * dc) ** 2 * (db - dc)
+                d1 = np.array([[dc ** 2, -db ** 2], [-dc ** 3, db ** 3]])
+                A, B = np.dot(d1, np.asarray([fb - fa - fpa * db, fc - fa - fpa * dc]).flatten())
+                A /= denom
+                B /= denom
+                xmin = a + (-B + np.sqrt(B * B - 3 * A * fpa)) / (3 * A)
+        except ArithmeticError:
+            return None
+    return xmin if np.isfinite(xmin) else None
+
+
+def _zoom(a_lo, a_hi, phi_lo, phi_hi, derphi_lo, phi: Callable, derphi: Callable, phi0: float, derphi0):
+    """scipy's _zoom (Nocedal & Wright's Algorithm 3.6): (step, value), or (None, None) after 11 trial steps."""
+    phi_rec, a_rec = phi0, 0
+    for i in range(11):
+        dalpha = a_hi - a_lo
+        a, b = (a_hi, a_lo) if dalpha < 0 else (a_lo, a_hi)
+        if i > 0:
+            cchk = 0.2 * dalpha
+            a_j = _minimizer(a_lo, phi_lo, derphi_lo, a_hi, phi_hi, a_rec, phi_rec)
+        if i == 0 or a_j is None or a_j > b - cchk or a_j < a + cchk:
+            qchk = 0.1 * dalpha
+            a_j = _minimizer(a_lo, phi_lo, derphi_lo, a_hi, phi_hi)
+            if a_j is None or a_j > b - qchk or a_j < a + qchk:
+                a_j = a_lo + 0.5 * dalpha
+        phi_aj = phi(a_j)
+        if phi_aj > phi0 + LS_C1 * a_j * derphi0 or phi_aj >= phi_lo:
+            phi_rec, a_rec, a_hi, phi_hi = phi_hi, a_hi, a_j, phi_aj
+            continue
+        derphi_aj = derphi(a_j)
+        if abs(derphi_aj) <= -LS_C2 * derphi0:
+            return a_j, phi_aj
+        if derphi_aj * (a_hi - a_lo) >= 0:
+            phi_rec, a_rec, a_hi, phi_hi = phi_hi, a_hi, a_lo, phi_lo
+        else:
+            phi_rec, a_rec = phi_lo, a_lo
+        a_lo, phi_lo, derphi_lo = a_j, phi_aj, derphi_aj
+    return None, None
+
+
+def _wolfe2(phi: Callable, derphi: Callable, alpha1, phi0: float, derphi0):
+    """scipy's line_search_wolfe2 (Nocedal & Wright's Algorithm 3.5) from step alpha1: (step, value) or (None, None).
+
+    After 10 steps without a bracket it returns the last step, whose gradient is then computed apart.
+    """
+    alpha0, phi_a0, derphi_a0 = 0, phi0, derphi0
+    phi_a1 = phi(alpha1)
+    for i in range(10):
+        if alpha1 == 0:
+            return None, None
+        if phi_a1 > phi0 + LS_C1 * alpha1 * derphi0 or (phi_a1 >= phi_a0 and i > 0):
+            return _zoom(alpha0, alpha1, phi_a0, phi_a1, derphi_a0, phi, derphi, phi0, derphi0)
+        derphi_a1 = derphi(alpha1)
+        if abs(derphi_a1) <= -LS_C2 * derphi0:
+            return alpha1, phi_a1
+        if derphi_a1 >= 0:
+            return _zoom(alpha1, alpha0, phi_a1, phi_a0, derphi_a1, phi, derphi, phi0, derphi0)
+        alpha0, alpha1 = alpha1, min(2 * alpha1, LS_AMAX)
+        phi_a0, phi_a1, derphi_a0 = phi_a1, phi(alpha1), derphi_a1
+    return alpha1, phi_a1
+
+
+def _norm2(v: np.ndarray):
+    """scipy's vecnorm(v, 2), whose rounding the step test below keeps."""
+    return np.sum(np.abs(v) ** 2, axis=0) ** 0.5
+
+
+def _bfgs(fun: Callable[[np.ndarray], float], grad: Callable[[np.ndarray], np.ndarray], x0: np.ndarray,
+          max_iter: int, g_tol: float) -> None:
+    """scipy's _minimize_bfgs for a callable jac, evaluation for evaluation.
+
+    The More-Thuente search runs first; where it fails, the bracketing search
+    of Nocedal & Wright does; where both fail, the descent stops.  Objective
+    values are finite (the log refuses others), so scipy's test for an
+    infinite value never stops it.
+    """
+    memo = _Memo(fun, grad)
+    old_fval = memo.value(x0)
+    gfk = memo.gradient(x0)
+    I = np.eye(len(x0), dtype=int)
+    Hk = I
+    old_old_fval = old_fval + np.linalg.norm(gfk) / 2  # an initial step of about 1
+    xk, k = x0, 0
+    gnorm = np.amax(np.abs(gfk))
+    while gnorm > g_tol and k < max_iter:
+        pk = -np.dot(Hk, gfk)
+        derphi0 = np.dot(gfk, pk)
+        alpha1 = 1.0
+        if derphi0 != 0:
+            alpha1 = min(1.0, 1.01 * 2 * (old_fval - old_old_fval) / derphi0)
+            if alpha1 < 0:
+                alpha1 = 1.0
+
+        def phi(s):
+            return memo.value(xk + s * pk)
+
+        def derphi(s):
+            return np.dot(memo.gradient(xk + s * pk), pk)
+
+        alpha_k, fval = _dcsrch(phi, derphi, alpha1, old_fval, derphi0)
+        if alpha_k is None:
+            alpha_k, fval = _wolfe2(phi, derphi, alpha1, old_fval, derphi0)
+            if alpha_k is None:
+                break
+        old_old_fval, old_fval = old_fval, fval
+        sk = alpha_k * pk
+        xk = xk + sk
+        # the gradient the line search ended on, or a new one where it ended on a value alone
+        gfkp1 = memo.gradient(xk)
+        yk = gfkp1 - gfk
+        gfk = gfkp1
+        k += 1
+        gnorm = np.amax(np.abs(gfk))
+        # scipy's step test with xrtol = 0: a zero step stops (a NaN norm of xk never does)
+        if gnorm <= g_tol or alpha_k * _norm2(pk) <= 0 * _norm2(xk):
+            break
+        rhok_inv = np.dot(yk, sk)
+        rhok = 1000.0 if rhok_inv == 0.0 else 1.0 / rhok_inv
+        A1 = I - sk[:, np.newaxis] * yk[np.newaxis, :] * rhok
+        A2 = I - yk[:, np.newaxis] * sk[np.newaxis, :] * rhok
+        Hk = np.dot(A1, np.dot(Hk, A2)) + (rhok * sk[:, np.newaxis] * sk[np.newaxis, :])
+
+
+def _fd_quasi_newton(log: _Log, X0: np.ndarray, config: FdQuasiNewton) -> None:
+    """BFGS from each row of X0 in turn, with central-difference gradients of step eps."""
     steps = config.eps * np.eye(X0.shape[1])
     for row, x0 in zip(np.arange(len(X0))[:, None], X0):
         def grad(x: np.ndarray) -> np.ndarray:
@@ -280,8 +563,7 @@ def _fd_quasi_newton(log: _Log, X0: np.ndarray, config: FdQuasiNewton) -> None:
             f = log(row, np.stack([x + steps, x - steps], axis=1)[None])[0]
             return (f[:, 0] - f[:, 1]) / (2.0 * config.eps)
 
-        scipy_minimize(lambda x: float(log(row, x[None])[0]), x0, method="BFGS", jac=grad,
-                       options={"maxiter": config.max_iter, "gtol": config.g_tol})
+        _bfgs(lambda x: float(log(row, x[None])[0]), grad, x0, config.max_iter, config.g_tol)
 
 
 def minimize_batch(

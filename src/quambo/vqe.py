@@ -111,20 +111,31 @@ def run_program(program: Program, theta: np.ndarray) -> np.ndarray:
     run slower per row.
     """
     theta = np.asarray(theta, dtype=float)
-    batch = theta.ndim == 2
-    K = len(theta) if batch else 1
-    if K > 1 and K << program.m > EV_BATCH_AMPLITUDES:
-        rows = max(1, EV_BATCH_AMPLITUDES >> program.m)
-        return np.concatenate([run_program(program, theta[k:k + rows]) for k in range(0, K, rows)])
-    # a batch of one works on 1-D arrays, whose ufunc calls cost less
+    psi = _run_rotations(program, ry_table(theta))
+    return psi if theta.ndim == 2 else psi.reshape(-1)
+
+
+def ry_table(theta: np.ndarray) -> np.ndarray:
+    """R_y(theta[k, p]) = [[c, -s], [s, c]] at [p, k, 0] of a (P, K, 1, 2, 2) strided view of one (c, -s, s, c) table.
+
+    theta is (P,) or (K, P); a batch of one works on 1-D arrays, whose ufunc calls cost less.
+    """
+    K = len(theta) if theta.ndim == 2 else 1
     half = 0.5 * (theta if K > 1 else theta.reshape(-1))
     rot = np.empty((4,) + half.shape)
     np.cos(half, out=rot[0])
     np.sin(half, out=rot[2])
     np.negative(rot[2], out=rot[1])
     rot[3] = rot[0]
-    # rot[p, k, 0] = R_y(theta[k, p]) = [[c, -s], [s, c]], a strided view of the (c, -s, s, c) table
-    rot = rot.T.reshape(-1, K, 1, 2, 2)
+    return rot.T.reshape(-1, K, 1, 2, 2)
+
+
+def _run_rotations(program: Program, rot: np.ndarray) -> np.ndarray:
+    """run_program's (K, 2^m) amplitudes from the R_y table of its K points (ry_table), in chunks of rows."""
+    K = rot.shape[1]
+    if K > 1 and K << program.m > EV_BATCH_AMPLITUDES:
+        rows = max(1, EV_BATCH_AMPLITUDES >> program.m)
+        return np.concatenate([_run_rotations(program, rot[:, k:k + rows]) for k in range(0, K, rows)])
     if K == 1:
         psi = program.start
     else:
@@ -139,7 +150,7 @@ def run_program(program: Program, theta: np.ndarray) -> np.ndarray:
             # kron(R^T, I_stride) of each row: (K, 2, 1, 2, 1) * (stride, 1, stride)
             kron = rot[k].transpose(0, 3, 1, 2)[..., None] * eye
             psi = psi.reshape(view) @ kron.reshape(-1, view[2], view[2])
-    return psi.reshape(K, -1) if batch else psi.reshape(-1)
+    return psi.reshape(K, -1)
 
 
 @dataclass(frozen=True)
@@ -289,18 +300,20 @@ def ev_causal_cone_sampling_batch(
 ) -> np.ndarray:
     """Estimate <H> at each point of Theta (K, P) by sampling each Z / ZZ term from its own cone circuit.
 
-    Each term's cone circuit runs once for all K points.  Terms are sampled
+    Each term's cone circuit runs once for all K points, from one R_y table
+    of Theta built for all terms.  Terms are sampled
     independently, point k's term t with child t of seeds[k] (qubo.child_seed);
     the extra variance from independent sampling is part of the estimator.
     A term's estimate is the integer sum of its draws times the targets'
     parity.
     """
     Theta = _points(ansatz, Theta, seeds)
+    rot = ry_table(Theta)  # every cone circuit indexes the ansatz's parameters
     totals = [ising.offset] * len(Theta)
     terms = sorted(ising.h.items()) + sorted(ising.J.items())
     for t, (term, coeff) in enumerate(terms):
         reduced, parity = ansatz.cone(term)
-        for k, a in enumerate(run_program(reduced.program, Theta)):
+        for k, a in enumerate(_run_rotations(reduced.program, rot)):
             draws = sample_indices(StateVector(reduced.program.m, a), shots_per_term, child_seed(seeds[k], t))
             totals[k] += coeff * float(draws @ parity) / shots_per_term
     return np.array(totals, dtype=float)

@@ -762,10 +762,33 @@ def test_state_cap_is_checked_before_allocating(tmp_path, capsys, command):
     assert peak < 50e6
 
 
-def test_import_leaves_scipy_optimize_unloaded():
-    # scipy.optimize is imported only when the quasi-Newton optimizer runs
+# One tiny run of each command that writes a file, and vqe with each optimizer kind.
+NUMPY_ONLY_RUNS = {
+    "encode": ("encode", PROBLEM_A + "[encode]\nencoding = complement\n"),
+    "oracle": ("oracle", PROBLEM_LINE4),
+    "qaoa": ("qaoa", TestQaoa.CONFIG),
+    "baseline": ("baseline", PROBLEM_LINE4 + "[heuristic]\nalgorithm = tabu\nrestarts = 2\nmax_iter = 20\n"),
+    "anneal": ("anneal", PROBLEM_A + "[anneal]\nlambda_ratios = 0.5,1.0\nreads = 10\nsweeps = 10\n"),
+    **{f"vqe-{kind}": ("vqe", PROBLEM_A + "[vqe]\nencoding = complement\nlayers = 1\nmethod = sv\nrestarts = 2\n"
+                       f"[optimizer]\nkind = {kind}\n{iters} = 4\n")
+       for kind, iters in (("nelder-mead", "max_iter"), ("spsa", "n_iter"), ("fd-quasi-newton", "max_iter"))},
+}
+
+
+def test_every_command_runs_on_numpy_alone(tmp_path):
+    # with every scipy import failing, each run exits 0 and writes what an in-process run writes
+    runs = []
+    for name, (command, text) in NUMPY_ONLY_RUNS.items():
+        seed = ["--seed", "3"] if command != "encode" else []
+        args = [command, "--config", write(tmp_path, f"{name}.ini", text), *seed]
+        assert main(args + ["--out", str(tmp_path / f"{name}.expected")]) == 0
+        runs.append(args + ["--out", str(tmp_path / f"{name}.out")])
     src = str(Path(quambo.__file__).resolve().parent.parent)
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
-    code = "import sys, quambo.cli; print('scipy.optimize' in sys.modules)"
-    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
-    assert done.stdout.strip() == "False"
+    code = ("import json, sys\nsys.modules['scipy'] = None\nfrom quambo.cli import main\n"
+            "print(json.dumps([main(args) for args in json.loads(sys.argv[1])]))")
+    done = subprocess.run([sys.executable, "-c", code, json.dumps(runs)], env=env, capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    assert json.loads(done.stdout.splitlines()[-1]) == [0] * len(runs)
+    for name in NUMPY_ONLY_RUNS:
+        assert (tmp_path / f"{name}.out").read_bytes() == (tmp_path / f"{name}.expected").read_bytes(), name

@@ -1,9 +1,12 @@
 """Tests for the outer-loop minimizers."""
 
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
 import pytest
+import scipy.optimize._linesearch as scipy_line_search
+import scipy.optimize._optimize as scipy_bfgs
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -17,6 +20,7 @@ from quambo.optimize import (
     spsa_schedules,
     spsa_step,
 )
+from quambo.optimize import _dcsrch, _wolfe2
 from quambo.problems import FacilityProblem, encode_single_complement
 from quambo.qaoa import InitSpec, MixerSpec, QaoaContext
 
@@ -194,13 +198,14 @@ class TestSpsaAndQuasiNewtonMatchReference:
         n=st.integers(1, 8),
         rows=st.sampled_from([1, 2, 5]),
         kind=st.sampled_from(["spsa", "fd-quasi-newton"]),
+        name=st.sampled_from(["quadratic", "rosenbrock", "plateau"]),
         iters=st.integers(1, 40),
-        eps=st.sampled_from([0.1, 1e-3]),
+        eps=st.sampled_from([0.1, 1e-3, 0.5]),
     )
     @settings(max_examples=40, deadline=None)
-    def test_random_quadratics(self, seed, n, rows, kind, iters, eps):
+    def test_random_objectives(self, seed, n, rows, kind, name, iters, eps):
         rng = np.random.default_rng(seed)
-        f = objectives(rng, n)["quadratic"]
+        f = objectives(rng, n)[name]
         seeds = rng.integers(0, 2**31, rows).tolist()
         config = spsa_or_quasi_newton(kind, iters, eps)
         assert_rows_match_reference(rowwise(f), f, rng.uniform(-2.0, 2.0, (rows, n)), config, seeds)
@@ -214,6 +219,67 @@ class TestSpsaAndQuasiNewtonMatchReference:
         X0 = rng.uniform(0.0, 2.0 * np.pi, (rows, 2 * p))
         config = spsa_or_quasi_newton(kind, iters, 0.1)
         assert_rows_match_reference(lambda X: QAOA_A.ev_batch(X, p), lambda x: QAOA_A.ev(x, p), X0, config, seeds)
+
+    def test_every_line_search_branch_matches(self, monkeypatch):
+        # count, in the scipy reference only, the fallback search, its zoom and the failed searches that stop a row
+        seen = {"fallback": 0, "zoom": 0, "stop": 0}
+
+        def counted(key, fun):
+            def wrapper(*args, **kwargs):
+                seen[key] += 1
+                out = fun(*args, **kwargs)
+                seen["stop"] += key == "fallback" and out[0] is None
+                return out
+            return wrapper
+
+        monkeypatch.setattr(scipy_bfgs, "line_search_wolfe2", counted("fallback", scipy_bfgs.line_search_wolfe2))
+        monkeypatch.setattr(scipy_line_search, "_zoom", counted("zoom", scipy_line_search._zoom))
+        rng = np.random.default_rng(7)
+        for name in ["quadratic", "rosenbrock", "plateau"] * 4:
+            n = int(rng.integers(1, 6))
+            f = objectives(rng, n)[name]
+            config = FdQuasiNewton(eps=float(rng.choice([0.1, 1e-3, 0.5])), max_iter=int(rng.integers(5, 40)))
+            assert_rows_match_reference(rowwise(f), f, rng.uniform(-2.0, 2.0, (2, n)), config, [0, 0])
+        assert min(seen.values()) >= 1, seen
+
+    @given(seed=st.integers(0, 2**31 - 1), scale=st.sampled_from([0.01, 1.0, 10.0]),
+           gap=st.sampled_from([0.0, 0.01, 1.0]))
+    @settings(max_examples=1000, deadline=None)
+    def test_line_searches_match_scipy(self, seed, scale, gap):
+        # both searches on a wiggly 1-D function: the same trial steps in the same order, and the same outcome
+        rng = np.random.default_rng(seed)
+        c, shift = rng.normal(size=5) * scale, rng.normal()
+        phi0 = float(np.polyval(c, shift))
+        derphi0 = np.float64(np.polyval(np.polyder(c), shift) + 2.1)
+        old_phi0 = phi0 + gap * rng.normal()
+        alpha1 = 1.0
+        if derphi0 != 0:
+            alpha1 = min(1.0, 1.01 * 2 * (phi0 - old_phi0) / derphi0)
+            if alpha1 < 0:
+                alpha1 = 1.0
+
+        def recorded(calls):
+            def phi(a):
+                calls.append(("phi", a))
+                return float(np.polyval(c, a + shift) + 0.3 * np.sin(7 * a))
+
+            def derphi(a):
+                calls.append(("derphi", a))
+                return np.float64(np.polyval(np.polyder(c), a + shift) + 2.1 * np.cos(7 * a))
+            return phi, derphi
+
+        def step_and_value(found):
+            return found[0], (found[1] if found[0] is not None else None)
+
+        ours, theirs = [], []
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", scipy_line_search.LineSearchWarning)
+            want = scipy_line_search.scalar_search_wolfe1(*recorded(theirs), phi0, old_phi0, derphi0,
+                                                          amax=1e100, amin=1e-100)
+            assert _dcsrch(*recorded(ours), alpha1, phi0, derphi0) == step_and_value(want)
+            want = scipy_line_search.scalar_search_wolfe2(*recorded(theirs), phi0, old_phi0, derphi0, amax=1e100)
+            assert _wolfe2(*recorded(ours), alpha1, phi0, derphi0) == step_and_value(want)
+        assert ours == theirs
 
     def test_one_gradient_is_one_call_of_2p_points(self):
         calls = []

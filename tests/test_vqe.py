@@ -251,8 +251,8 @@ class TestBatchedCircuit:
         Theta = np.random.default_rng(4).uniform(0, 2 * np.pi, (11, ansatz.n_params))
         whole = run_program(ansatz.program, Theta)
         seen = []
-        run = vqe.run_program
-        monkeypatch.setattr(vqe, "run_program", lambda p, T: seen.append(len(T)) or run(p, T))
+        run = vqe._run_rotations  # the chunks recurse below run_program, on slices of one R_y table
+        monkeypatch.setattr(vqe, "_run_rotations", lambda p, rot: seen.append(rot.shape[1]) or run(p, rot))
         monkeypatch.setattr(vqe, "EV_BATCH_AMPLITUDES", 3 * 32)
         assert np.array_equal(vqe.run_program(ansatz.program, Theta), whole)
         assert seen == [11, 3, 3, 3, 2]
@@ -311,10 +311,13 @@ class TestBatchEstimators:
     def test_cone_circuits_run_once_per_call(self, setup, points, monkeypatch):
         model, ansatz, _ = setup
         ising = qubo_to_ising(model)
-        runs = []
-        run = vqe.run_program
-        monkeypatch.setattr(vqe, "run_program", lambda p, T: runs.append(len(T)) or run(p, T))
+        tables, runs = [], []
+        table, run = vqe.ry_table, vqe._run_rotations
+        monkeypatch.setattr(vqe, "ry_table", lambda T: tables.append(T.shape) or table(T))
+        monkeypatch.setattr(vqe, "_run_rotations", lambda p, rot: runs.append(rot.shape[1]) or run(p, rot))
         ev_causal_cone_sampling_batch(ansatz, points, ising, 50, list(range(len(points))))
+        # one R_y table per call, shared by every term's cone circuit
+        assert tables == [np.shape(points)]
         assert runs == [len(points)] * (len(ising.h) + len(ising.J))
 
     def test_one_seed_per_point(self, setup, points):
