@@ -102,11 +102,9 @@ def _anneal(ising: IsingModel, schedule: AnnealSchedule, seed_state: str | None)
     kind = "forward" if seed_state is None else "reverse"
     if schedule.kind != kind:
         raise ValueError(f"a {kind} anneal needs a {kind} schedule, got a {schedule.kind} one")
-    if seed_state is not None and (len(seed_state) != ising.n or set(seed_state) - {"0", "1"}):
-        raise ValueError(f"need a seed state of {ising.n} characters 0/1, got {seed_state!r}")
     CapacityError.check(ising.n, ANNEAL_CAP, "anneal")
-    diag = energy_vector(ising)
     start = uniform_state(ising.n) if seed_state is None else basis_state(ising.n, seed_state)
+    diag = energy_vector(ising)
     state = StateVector(ising.n, _propagate(start.amplitudes, diag, schedule))
     return state, float(state.probabilities()[np.abs(diag - diag.min()) < TIE_TOL].sum())
 
@@ -117,7 +115,7 @@ def simulate_forward_anneal(ising: IsingModel, schedule: AnnealSchedule) -> tupl
 
 
 def simulate_reverse_anneal(ising: IsingModel, seed_state: str, schedule: AnnealSchedule) -> tuple[StateVector, float]:
-    """Integrate i dpsi/dt = H(s(t)) psi from a basis seed under a reverse schedule."""
+    """Integrate i dpsi/dt = H(s(t)) psi from a basis seed (a bitstring or 0/1 sequence) under a reverse schedule."""
     return _anneal(ising, schedule, seed_state)
 
 

@@ -20,7 +20,7 @@ from typing import Sequence
 import numpy as np
 
 from .problems import Encoding, FacilityProblem, decode_solution, distance_matrix
-from .qubo import SEARCH_TOL, TIE_TOL, CapacityError, QuboModel, child_seed, rows_where
+from .qubo import SEARCH_TOL, TIE_TOL, CapacityError, QuboModel, child_seed, rows_where, strings_from_bits
 
 ORACLE_CAP = 10_000_000  # placements exact_facility_optimum may enumerate
 TABU_CHUNK_ROWS = 256  # tabu searches batched_tabu_search runs together
@@ -107,10 +107,6 @@ def _start(model: QuboModel, seeds: Sequence[int]):
     return rngs, Q, F, E
 
 
-def _bitstrings(Q: np.ndarray) -> list[str]:
-    return [row.tobytes().decode("ascii") for row in ((Q < 0) + ord("0")).astype(np.uint8)]
-
-
 class _Best:
     """Each chain's lowest energy so far and its spins; a chain improves when it gets more than SEARCH_TOL lower."""
 
@@ -161,7 +157,7 @@ def batched_simulated_annealing(
                 F[a] += W[sites[t][a]] * q[:, None]  # W is symmetric: row i is column i
                 E[a] += delta[a]
                 best.update(Q, E)
-    return _bitstrings(best.Q), best.E
+    return strings_from_bits(best.Q < 0), best.E
 
 
 def batched_tabu_search(model: QuboModel, config: Tabu, seeds: Sequence[int]) -> tuple[list[str], np.ndarray]:
@@ -199,7 +195,7 @@ def batched_tabu_search(model: QuboModel, config: Tabu, seeds: Sequence[int]) ->
         E[rows] += delta.reshape(-1)[k]
         tabu_until[k] = it + 1 + tenure
         best.update(Q, E)
-    return _bitstrings(best.Q), best.E
+    return strings_from_bits(best.Q < 0), best.E
 
 
 def simulated_annealing(model: QuboModel, config: SimAnneal, seed: int) -> tuple[str, float]:

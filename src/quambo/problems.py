@@ -23,7 +23,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .qubo import CapacityError, QuboModel, SpectrumEntry, bits_from_string, energies_at, enumerate_spectrum, read_only
+from .qubo import CapacityError, QuboModel, SpectrumEntry, bits_of, energies_at, enumerate_spectrum, read_only
 from .simulator import STATE_CAP
 
 GEOMETRIES = {"grid": ("rows", "cols"), "line": ("cols",)}  # each geometry's size keys, in tuple order
@@ -34,8 +34,8 @@ METRICS = ("squared-euclidean", "euclidean", "manhattan")  # the distances of di
 class FacilityProblem:
     """Problem instance: geometry, ambulance count, metric and penalty weight.
 
-    geometry is ``("line", L)`` or ``("grid", rows, cols)`` with unit-spaced
-    integer coordinates.  At most one of lambda_ (config key lambda) and
+    geometry is ``("line", L)`` or ``("grid", rows, cols)``, each size an int >= 1,
+    with unit-spaced integer coordinates.  At most one of lambda_ (config key lambda) and
     lambda_ratio may be set, finite and >= 0; lambda_ratio expresses the
     penalty as a multiple of the largest pairwise distance.  Only an encoder
     that adds a penalty needs one (penalty_weight).
@@ -49,8 +49,11 @@ class FacilityProblem:
     forbid_colocation: bool = False
 
     def __post_init__(self) -> None:
-        if self.geometry[0] not in GEOMETRIES:
+        kind, *sizes = self.geometry
+        if kind not in GEOMETRIES:
             raise ValueError(f"unknown geometry {self.geometry!r}")
+        if len(sizes) != len(GEOMETRIES[kind]) or not all(isinstance(k, (int, np.integer)) and k > 0 for k in sizes):
+            raise ValueError(f"a {kind} geometry needs {', '.join(GEOMETRIES[kind])} (ints >= 1), got {tuple(sizes)}")
         if self.metric not in METRICS:
             raise ValueError(f"unknown metric {self.metric!r}; valid metrics: {', '.join(METRICS)}")
         if self.lambda_ is not None and self.lambda_ratio is not None:
@@ -66,11 +69,8 @@ class FacilityProblem:
         return math.prod(self.geometry[1:])
 
     def coordinates(self) -> np.ndarray:
-        """Integer (x, y) coordinates of every location, row-major for grids."""
-        if self.geometry[0] == "line":
-            return np.array([(i, 0) for i in range(self.geometry[1])])
-        rows, cols = self.geometry[1], self.geometry[2]
-        return np.array([(r, c) for r in range(rows) for c in range(cols)])
+        """Integer (x, y) coordinates of every location, row-major for grids; a line is one column of L rows."""
+        return np.argwhere(np.ones((*self.geometry[1:], 1)[:2], dtype=bool))
 
     def penalty_weight(self) -> float:
         if self.lambda_ is not None:
@@ -238,11 +238,9 @@ def encode_position_linear(
     return model, enc
 
 
-def is_feasible(encoding: Encoding, s: str | Sequence[int]) -> bool:
-    """True iff every Hamming-weight target of the encoding holds."""
-    bits = bits_from_string(s) if isinstance(s, str) else np.asarray(s)
-    if len(bits) != encoding.n:
-        raise ValueError(f"state length {len(bits)} != {encoding.n}")
+def is_feasible(encoding: Encoding, s: str | Sequence[int] | np.ndarray) -> bool:
+    """True iff every Hamming-weight target of the encoding holds at s, a bitstring or 0/1 sequence (qubo.bits_of)."""
+    bits = bits_of(s, encoding.n)
     return all(int(bits[lo:hi].sum()) == w for (lo, hi), w in encoding.hamming_targets)
 
 
@@ -262,32 +260,27 @@ def feasible_indices(encoding: Encoding) -> np.ndarray:
     return indices
 
 
-def decode_solution(encoding: Encoding, s: str) -> float:
-    """The total distance of the placement a feasible state encodes.
+def decode_solution(encoding: Encoding, s: str | Sequence[int] | np.ndarray) -> float:
+    """The total distance of the placement that s, a feasible bitstring or 0/1 sequence (qubo.bits_of), encodes.
 
     ComplementSingle: every site's distance to the ambulance; PositionLinear:
     every site's distance to every ambulance (the encoding's linear field);
     StartDest: every site's distance to the ambulance that serves it.
     """
-    if not is_feasible(encoding, s):
+    bits = bits_of(s, encoding.n)
+    if not is_feasible(encoding, bits):
         raise ValueError(f"cannot decode infeasible state {s!r}")
-    bits = bits_from_string(s)
     dist = encoding.distances
-    L = encoding.problem.num_locations
 
     if encoding.variant == "ComplementSingle":
         return float(dist[int(np.flatnonzero(bits == 0)[0])].sum())
     if encoding.variant == "PositionLinear":
         return float(sum(dist[p].sum() for p in np.flatnonzero(bits == 1)))
-    m = encoding.problem.ambulances
-    positions = [int(np.flatnonzero(bits[a * L : (a + 1) * L])[0]) for a in range(m)]
-    assignments = []
-    for l in range(L):
-        servers = [a for a in range(m) if bits[m * L + a * L + l]]
-        if len(servers) != 1:
-            raise ValueError(f"site {l} served {len(servers)} times in {s!r}")
-        assignments.append(servers[0])
-    return float(sum(dist[positions[assignments[l]], l] for l in range(L)))
+    starts, serves = bits.reshape(2, encoding.problem.ambulances, -1)  # one-hot start blocks, then served sites
+    if (bad := np.flatnonzero(serves.sum(axis=0) != 1)).size:
+        raise ValueError(f"sites {bad.tolist()} are not served exactly once in {s!r}")
+    positions = starts[serves.argmax(axis=0)].argmax(axis=1)  # site l's server starts at positions[l]
+    return float(sum(dist[positions].diagonal().tolist()))
 
 
 def feasible_sector(model: QuboModel, encoding: Encoding) -> tuple[np.ndarray, np.ndarray]:

@@ -2,7 +2,9 @@
 
 Bit convention used everywhere in this package: bit i of a basis index is
 qubit/variable i (least-significant bit = variable 0).  When a state is
-rendered as a string, variable 0 is the leftmost character.
+rendered as a string, variable 0 is the leftmost character.  Every state the
+package takes goes through the one parser, `bits_of` (it refuses a wrong length
+or an entry other than 0/1), and every state it prints through `strings_from_bits`.
 """
 
 from __future__ import annotations
@@ -130,10 +132,21 @@ class SpectrumEntry:
     states: list[str]
 
 
-def bits_from_string(s: str) -> np.ndarray:
-    if any(c not in "01" for c in s):
-        raise ValueError(f"not a bitstring: {s!r}")
-    return np.array([int(c) for c in s], dtype=np.int8)
+def bits_of(state: str | Sequence[int] | np.ndarray, n: int) -> np.ndarray:
+    """The int8 bits of a bitstring or 0/1 sequence of n entries, variable 0 first: the one parser of a state."""
+    text = isinstance(state, str)  # one byte per character; only a string of 0s and 1s strips to ""
+    bits = np.frombuffer(state.encode("ascii", "replace"), np.uint8) - ord("0") if text else np.asarray(state)
+    if bits.shape != (n,):
+        raise ValueError(f"need a state of {n} bits, got {bits.size}: {state!r}")
+    if state.strip("01") if text else not ((bits == 0) | (bits == 1)).all():
+        raise ValueError(f"need a state of bits 0/1, got {state!r}")
+    return bits.astype(np.int8)
+
+
+def strings_from_bits(bits: np.ndarray) -> list[str]:
+    """Each row of a (rows, n) table of 0/1 bits as a bitstring, variable 0 leftmost: the one renderer of a state."""
+    table = np.ascontiguousarray(np.asarray(bits, dtype=np.uint8) + ord("0"))
+    return table.view(f"S{table.shape[1]}").ravel().astype(str).tolist()
 
 
 def string_from_index(index: int, n: int) -> str:
@@ -144,14 +157,13 @@ def string_from_index(index: int, n: int) -> str:
 def strings_from_indices(indices: Sequence[int] | np.ndarray, n: int) -> list[str]:
     """string_from_index of every index, rendered from one bit table."""
     idx = np.asarray(indices)
-    bits = (idx[:, None] >> np.arange(n).astype(idx.dtype)) & 1
-    table = np.ascontiguousarray(bits.astype(np.uint8) + ord("0"))
-    return table.view(f"S{n}").ravel().astype(str).tolist()
+    return strings_from_bits((idx[:, None] >> np.arange(n).astype(idx.dtype)) & 1)
 
 
-def index_from_string(s: str | Sequence[int] | np.ndarray) -> int:
-    """Basis index of a bitstring or 0/1 sequence, variable 0 first."""
-    return sum(int(c) << i for i, c in enumerate(s))
+def index_from_string(s: str | Sequence[int] | np.ndarray, n: int | None = None) -> int:
+    """Basis index of a bitstring or 0/1 sequence (bits_of, of n bits if n is given), variable 0 first."""
+    bits = bits_of(s, len(s) if n is None else n)
+    return int.from_bytes(np.packbits(bits, bitorder="little").tobytes(), "little")
 
 
 def energies_at(model: QuboModel | IsingModel, indices: Sequence[int] | np.ndarray) -> np.ndarray:
@@ -189,13 +201,8 @@ def energies_at(model: QuboModel | IsingModel, indices: Sequence[int] | np.ndarr
 
 
 def energy_qubo(model: QuboModel, s: str | Sequence[int] | np.ndarray) -> float:
-    """Evaluate the QUBO cost for one binary assignment."""
-    bits = bits_from_string(s) if isinstance(s, str) else np.asarray(s)
-    if len(bits) != model.n:
-        raise ValueError(f"state length {len(bits)} != n={model.n}")
-    if not np.isin(bits, (0, 1)).all():
-        raise ValueError(f"not a binary assignment: {s!r}")
-    return float(energies_at(model, [index_from_string(bits)])[0])
+    """Evaluate the QUBO cost for one binary assignment: a bitstring or 0/1 sequence of model.n bits (bits_of)."""
+    return float(energies_at(model, [index_from_string(s, model.n)])[0])
 
 
 def qubo_to_ising(model: QuboModel) -> IsingModel:
@@ -236,6 +243,8 @@ def enumerate_spectrum(
     subset without touching the full space (used for large constrained sectors).
     A level holds every state within TIE_TOL of its lowest energy, which it reports.
     """
+    if (states is None) != (energies is None):
+        raise ValueError("pass states and energies together, or neither")
     if states is None:
         energies = energy_vector(model)  # checks SPECTRUM_CAP first
         states = np.arange(len(energies))

@@ -18,10 +18,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from math import comb
+from typing import Sequence
 
 import numpy as np
 
-from .qubo import CapacityError, read_only, strings_from_indices
+from .qubo import CapacityError, index_from_string, read_only, strings_from_indices
 
 STATE_CAP = 24
 LOCAL_UNITARY_CAP = 12
@@ -61,8 +62,11 @@ def uniform_state(n: int) -> StateVector:
     return StateVector(n, np.full(dim, dim**-0.5, dtype=complex))
 
 
-def basis_state(n: int, bitstring: str | int) -> StateVector:
-    index = bitstring if isinstance(bitstring, int) else sum(int(c) << i for i, c in enumerate(bitstring))
+def basis_state(n: int, state: str | Sequence[int] | np.ndarray | int) -> StateVector:
+    """|state>, given as a basis index 0 <= index < 2^n or as a bitstring or 0/1 sequence of n bits (qubo.bits_of)."""
+    index = state if isinstance(state, (int, np.integer)) else index_from_string(state, n)
+    if not 0 <= index < 1 << n:
+        raise ValueError(f"need a basis index 0 <= index < {1 << n}, got {index}")
     amps = np.zeros(1 << n, dtype=complex)
     amps[index] = 1.0
     return StateVector(n, amps)

@@ -1,5 +1,7 @@
 """Tests for the annealing toolbox: dynamics, TTS, parameter sweeps."""
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -178,10 +180,28 @@ class TestReverseAnneal:
         with pytest.raises(ValueError, match="a reverse anneal needs a reverse schedule, got a forward one"):
             simulate_reverse_anneal(two_spin_model(), "11", AnnealSchedule("forward", T=1.0))
 
-    @pytest.mark.parametrize("seed_state", ["1", "111", "1x", ""])
-    def test_seed_must_be_n_bits(self, seed_state):
-        with pytest.raises(ValueError, match=f"need a seed state of 2 characters 0/1, got {seed_state!r}"):
-            simulate_reverse_anneal(two_spin_model(), seed_state, AnnealSchedule("reverse", T=1.0, steps=4))
+    @pytest.mark.parametrize("seed_state, message", [
+        ("1", "need a state of 2 bits, got 1: '1'"),
+        ("111", "need a state of 2 bits, got 3: '111'"),
+        ("", "need a state of 2 bits, got 0: ''"),
+        ([1, 1, 0], "need a state of 2 bits, got 3: [1, 1, 0]"),
+        ("1x", "need a state of bits 0/1, got '1x'"),
+        ("12", "need a state of bits 0/1, got '12'"),
+        ([2, 0], "need a state of bits 0/1, got [2, 0]"),
+        ([1, -1], "need a state of bits 0/1, got [1, -1]"),
+        ([0.5, 1], "need a state of bits 0/1, got [0.5, 1]"),
+    ])
+    def test_seed_must_be_n_bits(self, seed_state, message):
+        """The seed goes through qubo.bits_of: one message per fault, before the model's energies are built."""
+        schedule = AnnealSchedule("reverse", T=1.0, steps=4)
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            simulate_reverse_anneal(two_spin_model(), seed_state, schedule)
+
+    def test_seed_may_be_a_sequence(self):
+        schedule = AnnealSchedule("reverse", T=2.0, steps=20, s_min=0.5, hold=1.0)
+        by_string = simulate_reverse_anneal(two_spin_model(), "01", schedule)
+        by_list = simulate_reverse_anneal(two_spin_model(), [0, 1], schedule)
+        assert np.array_equal(by_string[0].amplitudes, by_list[0].amplitudes) and by_string[1] == by_list[1]
 
     def test_size_cap(self):
         with pytest.raises(CapacityError, match="n=11 exceeds anneal cap 10"):

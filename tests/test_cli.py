@@ -131,6 +131,8 @@ class TestProblem:
         ("lambda = 40", "lambda = -1", "need a finite lambda >= 0, got -1.0"),
         ("lambda = 40", "lambda_ratio = inf", "need a finite lambda_ratio >= 0, got inf"),
         ("line", "grid", "problem geometry 'grid' needs key 'rows'"),
+        ("line\ncols = 5", "grid\nrows = -1\ncols = -3", "a grid geometry needs rows, cols (ints >= 1), got (-1, -3)"),
+        ("cols = 5", "cols = 0", "a line geometry needs cols (ints >= 1), got (0,)"),
         ("lambda = 40", "lambda = 40\nforbid_colocation = maybe",
          "unknown boolean 'maybe'; valid booleans: 1, yes, true, on, 0, no, false, off "
          "(in [problem] forbid_colocation = maybe)"),

@@ -348,11 +348,19 @@ class TestSimulatedAnnealing:
             model, SimAnneal(sweeps=100), 7
         )
 
-    def test_invalid_config(self):
-        with pytest.raises(ValueError):
-            SimAnneal(sweeps=0)
-        with pytest.raises(ValueError):
-            SimAnneal(beta_initial=5.0, beta_final=1.0)
+    @pytest.mark.parametrize("make, message", [
+        (lambda: SimAnneal(sweeps=0), "need sweeps >= 1 and 0 < beta_initial < beta_final"),
+        (lambda: SimAnneal(beta_initial=5.0, beta_final=1.0), "need sweeps >= 1 and 0 < beta_initial < beta_final"),
+        (lambda: SimAnneal(beta_final=float("inf")), "need a finite beta_final, got inf"),
+        (lambda: Tabu(max_iter=0), "need max_iter >= 1"),
+        (lambda: Tabu(tenure=0), "need tenure >= 1, got 0"),
+        (lambda: restart_harness(Tabu(), QuboModel(n=2), restarts=0, seed=0), "need restarts >= 1, got 0"),
+        (lambda: anneal_parameter_sweep(FacilityProblem(("line", 2)), [1.0], sweeps=5, reads=0, seed=0),
+         "need reads >= 1, got 0"),
+    ])
+    def test_invalid_config(self, make, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            make()
 
 
 class TestTabuSearch:

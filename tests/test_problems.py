@@ -1,5 +1,7 @@
 """Tests for the facility-location encoders and their feasibility metadata."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -97,6 +99,16 @@ class TestComplementSingle:
             feas = [energy_qubo(model, string_from_index(i, 5)) for i in feasible_indices(enc)]
             assert (e_bad > max(feas)) == above
 
+    def test_a_state_is_a_bitstring_or_a_0_1_sequence(self):
+        _, enc = encode_single_complement(FacilityProblem(("line", 3), 1, lambda_=1.0))
+        assert decode_solution(enc, [1, 1, 0]) == decode_solution(enc, "110") == 5.0
+        assert decode_solution(enc, np.array([0, 1, 1])) == decode_solution(enc, "011") == 5.0
+        assert is_feasible(enc, (1, 0, 1)) and not is_feasible(enc, [1, 1, 1])
+        with pytest.raises(ValueError, match=re.escape("need a state of bits 0/1, got [2, -1, 1]")):
+            is_feasible(enc, [2, -1, 1])
+        with pytest.raises(ValueError, match=re.escape("cannot decode infeasible state [1, 1, 1]")):
+            decode_solution(enc, [1, 1, 1])
+
     def test_argmin_matches_decoded_distance(self):
         model, enc = encode_a(20)
         best_cost, best_dist = None, None
@@ -184,6 +196,31 @@ class TestStartDest:
         assert len(calls) == 1 and any(want)
         assert not enc.distances.flags.writeable
 
+    @pytest.mark.parametrize("geometry, m", [(("line", 4), 2), (("grid", 2, 2), 2), (("line", 3), 3), (("line", 3), 1)])
+    def test_decode_equals_the_per_site_loop(self, geometry, m):
+        """Each site's distance to the start of the one ambulance that serves it, summed site by site."""
+        _, enc = encode_start_dest(FacilityProblem(geometry, m, lambda_=1.0))
+        L = enc.problem.num_locations
+
+        def reference(bits):
+            positions = [bits[a * L:(a + 1) * L].index(1) for a in range(m)]
+            total = 0
+            for l in range(L):
+                servers = [a for a in range(m) if bits[m * L + a * L + l]]
+                if len(servers) != 1:
+                    return None
+                total += enc.distances[positions[servers[0]], l]
+            return float(total)
+
+        for index in feasible_indices(enc):
+            s = string_from_index(int(index), enc.n)
+            want = reference([int(c) for c in s])
+            if want is None:
+                with pytest.raises(ValueError, match="are not served exactly once in"):
+                    decode_solution(enc, s)
+            else:
+                assert decode_solution(enc, s) == want
+
     def test_decode_rejects_double_service(self, encoded):
         _, enc = encoded
         bits = ["0"] * 16
@@ -215,6 +252,16 @@ class TestPositionLinear:
     def test_feasible_count_problem_c(self):
         _, enc = encode_position_linear(problem_variant("C"))
         assert sum(1 for _ in feasible_indices(enc)) == 28
+
+    def test_decode_sums_each_ambulance_field(self):
+        problem = FacilityProblem(("line", 4), 2)
+        model, enc = encode_position_linear(problem, include_penalty=False)
+        for s in ("1001", "0110", "1100", [0, 0, 1, 1]):
+            ambulances = [i for i in range(4) if int(s[i]) == 1]
+            assert decode_solution(enc, s) == sum(model.linear[i] for i in ambulances)
+        assert decode_solution(enc, "1001") == 28.0
+        with pytest.raises(ValueError, match="^cannot decode infeasible state '1000'$"):
+            decode_solution(enc, "1000")
 
     def test_weight_m_penalty_zero(self):
         with_pen, _ = encode_position_linear(FacilityProblem(("line", 4), 2, lambda_=11.0), include_penalty=True)
@@ -314,6 +361,27 @@ class TestProblemFiles:
         with pytest.raises(ValueError, match=f"^{message}$"):
             FacilityProblem(("line", 5), 1, **weights)
         assert FacilityProblem(("line", 5), 1, **{key: 0.0 for key in weights}).penalty_weight() == 0.0
+
+    @pytest.mark.parametrize("args, message", [
+        ((("grid", -1, -3),), "a grid geometry needs rows, cols (ints >= 1), got (-1, -3)"),
+        ((("line", 3, 4),), "a line geometry needs cols (ints >= 1), got (3, 4)"),
+        ((("grid", 3),), "a grid geometry needs rows, cols (ints >= 1), got (3,)"),
+        ((("line", 0),), "a line geometry needs cols (ints >= 1), got (0,)"),
+        ((("line", 2.0),), "a line geometry needs cols (ints >= 1), got (2.0,)"),
+        ((("circle", 3),), "unknown geometry ('circle', 3)"),
+        ((("line", 3), 1, "taxicab"), "unknown metric 'taxicab'; valid metrics: squared-euclidean, euclidean, manhattan"),
+        ((("line", 3), 4), "need num_locations >= ambulances >= 1"),
+        ((("grid", 2, 2), 0), "need num_locations >= ambulances >= 1"),
+    ])
+    def test_bad_problem_is_refused(self, args, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            FacilityProblem(*args)
+
+    def test_geometry_sizes_may_be_numpy_ints(self):
+        problem = FacilityProblem(("grid", np.int64(2), np.int64(3)), 2)
+        assert problem.num_locations == 6
+        assert problem.coordinates().tolist() == [[0, 0], [0, 1], [0, 2], [1, 0], [1, 1], [1, 2]]
+        assert FacilityProblem(("line", 3)).coordinates().tolist() == [[0, 0], [1, 0], [2, 0]]
 
     def test_degenerate_geometry(self):
         problem = FacilityProblem(("grid", 1, 1), 1, lambda_=1.0)

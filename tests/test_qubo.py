@@ -1,26 +1,40 @@
 """Tests for QUBO / Ising models, conversion and spectrum enumeration."""
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from quambo.problems import FacilityProblem, encode_single_complement, feasible_spectrum
+from quambo.anneal import AnnealSchedule, simulate_reverse_anneal
+from quambo.problems import (
+    FacilityProblem,
+    decode_solution,
+    encode_single_complement,
+    feasible_sector,
+    feasible_spectrum,
+    is_feasible,
+)
 from quambo.qubo import (
     ENERGY_CHUNK,
     CapacityError,
     IsingModel,
     QuboModel,
-    bits_from_string,
+    bits_of,
     energies_at,
     energy_qubo,
     energy_vector,
     enumerate_spectrum,
+    index_from_string,
     model_to_text,
     qubo_to_ising,
     string_from_index,
+    strings_from_bits,
     strings_from_indices,
 )
+
+from quambo.simulator import basis_state
 
 from references import reference_energy_ising
 
@@ -77,7 +91,7 @@ class TestEnergyKernel:
     def test_ising_evaluators_equal_the_per_state_loop(self, model, data):
         ising = IsingModel(model.n, h=model.linear, J=model.quadratic, offset=model.offset)
         dim = 1 << model.n
-        spins = [1 - 2 * bits_from_string(string_from_index(i, model.n)) for i in range(dim)]
+        spins = [1 - 2 * bits_of(string_from_index(i, model.n), model.n) for i in range(dim)]
         reference = np.array([reference_energy_ising(ising, z) for z in spins])
         assert np.array_equal(energy_vector(ising), reference)
         indices = data.draw(st.lists(st.integers(min_value=0, max_value=dim - 1), max_size=20))
@@ -230,7 +244,7 @@ class TestConversion:
         ising = qubo_to_ising(model)
         for idx in range(1 << n):
             s = string_from_index(idx, n)
-            z = 1 - 2 * bits_from_string(s)
+            z = 1 - 2 * bits_of(s, n)
             assert reference_energy_ising(ising, z) == pytest.approx(energy_qubo(model, s), abs=1e-12)
 
 
@@ -269,6 +283,87 @@ class TestSpectrum:
         problem = FacilityProblem(("grid", 3, 3), 1, metric="euclidean", lambda_=10.0)
         spectrum = feasible_spectrum(*encode_single_complement(problem))
         assert [len(e.states) for e in spectrum] == [1, 4, 4]
+
+
+def state_entry_points():
+    """Every function that takes one state, as a function of that state on the 3-site complement encoding."""
+    model, enc = encode_single_complement(FacilityProblem(("line", 3), 1, lambda_=1.0))
+    ising, schedule = qubo_to_ising(model), AnnealSchedule("reverse", T=1.0, steps=2)
+    return {
+        "bits_of": lambda s: bits_of(s, 3),
+        "index_from_string": lambda s: index_from_string(s, 3),
+        "energy_qubo": lambda s: energy_qubo(model, s),
+        "is_feasible": lambda s: is_feasible(enc, s),
+        "decode_solution": lambda s: decode_solution(enc, s),
+        "basis_state": lambda s: basis_state(3, s),
+        "simulate_reverse_anneal": lambda s: simulate_reverse_anneal(ising, s, schedule),
+    }
+
+
+class TestStateCodec:
+    @pytest.mark.parametrize("entry", list(state_entry_points()))
+    @pytest.mark.parametrize("state, message", [
+        ("11", "need a state of 3 bits, got 2: '11'"),
+        ("1101", "need a state of 3 bits, got 4: '1101'"),
+        ([1, 1, 0, 1], "need a state of 3 bits, got 4: [1, 1, 0, 1]"),
+        ((), "need a state of 3 bits, got 0: ()"),
+        ([[1, 1, 0]], "need a state of 3 bits, got 3: [[1, 1, 0]]"),
+        ("1x0", "need a state of bits 0/1, got '1x0'"),
+        ("120", "need a state of bits 0/1, got '120'"),
+        ([2, -1, 1], "need a state of bits 0/1, got [2, -1, 1]"),
+        (np.array([1, 0, 3]), "need a state of bits 0/1, got array([1, 0, 3])"),
+        ([1.0, 0.5, 0.0], "need a state of bits 0/1, got [1.0, 0.5, 0.0]"),
+        (["1", "1", "0"], "need a state of bits 0/1, got ['1', '1', '0']"),
+    ])
+    def test_every_entry_point_refuses_a_bad_state_with_one_message(self, entry, state, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            state_entry_points()[entry](state)
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_parser_and_renderer_round_trip(self, n):
+        strings = [string_from_index(i, n) for i in range(1 << n)]
+        table = np.array([bits_of(s, n) for s in strings])
+        assert table.dtype == np.int8
+        assert np.array_equal(table, [bits_of(list(map(int, s)), n) for s in strings])
+        assert np.array_equal(table, [bits_of(np.array([c == "1" for c in s]), n) for s in strings])
+        assert strings_from_bits(table) == strings == strings_from_indices(np.arange(1 << n), n)
+        assert [index_from_string(s) for s in strings] == list(range(1 << n))
+
+    def test_parsed_bits_do_not_alias_the_input(self):
+        given = np.array([0, 1, 1], dtype=np.int8)
+        bits_of(given, 3)[0] = 1
+        assert given.tolist() == [0, 1, 1]
+
+    @pytest.mark.parametrize("rows, n", [(1, 5), (150, 100), (200, 16)])
+    def test_renderer_joins_each_row(self, rows, n):
+        table = np.random.default_rng(rows).random((rows, n)) < 0.5
+        assert strings_from_bits(table) == ["".join("1" if b else "0" for b in row) for row in table]
+
+
+class TestModelKeys:
+    @pytest.mark.parametrize("kind, terms, message", [
+        (QuboModel, {"linear": {2: 1.0}}, "linear index 2 out of range for n=2"),
+        (QuboModel, {"linear": {-1: 1.0}}, "linear index -1 out of range for n=2"),
+        (QuboModel, {"quadratic": {(1, 0): 1.0}}, "quadratic key (1, 0) not strictly upper triangular"),
+        (QuboModel, {"quadratic": {(0, 0): 1.0}}, "quadratic key (0, 0) not strictly upper triangular"),
+        (QuboModel, {"quadratic": {(0, 2): 1.0}}, "quadratic key (0, 2) not strictly upper triangular"),
+        (IsingModel, {"h": {2: 1.0}}, "field index 2 out of range for n=2"),
+        (IsingModel, {"J": {(1, 0): 1.0}}, "coupling key (1, 0) not strictly upper triangular"),
+        (IsingModel, {"J": {(-1, 1): 1.0}}, "coupling key (-1, 1) not strictly upper triangular"),
+    ])
+    def test_keys_out_of_range_or_below_the_diagonal_are_refused(self, kind, terms, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            kind(n=2, **terms)
+
+
+class TestSpectrumSubset:
+    @pytest.mark.parametrize("given", ["states", "energies"])
+    def test_states_and_energies_come_together(self, given):
+        model, enc = encode_single_complement(FacilityProblem(("line", 4), 1, lambda_=1.0))
+        subset = dict(zip(("states", "energies"), feasible_sector(model, enc)))
+        with pytest.raises(ValueError, match="^pass states and energies together, or neither$"):
+            enumerate_spectrum(model, **{given: subset[given]})
+        assert [sorted(e.states) for e in enumerate_spectrum(model, **subset)] == [["1011", "1101"], ["0111", "1110"]]
 
 
 class TestSerialization:

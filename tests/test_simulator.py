@@ -1,5 +1,6 @@
 """Tests for the exact statevector simulator and the gate references built on it."""
 
+import re
 import tracemalloc
 
 import numpy as np
@@ -40,6 +41,29 @@ class TestPreparation:
     def test_cap(self):
         with pytest.raises(ValueError):
             uniform_state(25)
+
+    @pytest.mark.parametrize("state, message", [
+        ("01", "need a state of 3 bits, got 2: '01'"),
+        ("0x1", "need a state of bits 0/1, got '0x1'"),
+        ([1, 2, 0], "need a state of bits 0/1, got [1, 2, 0]"),
+        (-1, "need a basis index 0 <= index < 8, got -1"),
+        (8, "need a basis index 0 <= index < 8, got 8"),
+        (np.int64(9), "need a basis index 0 <= index < 8, got 9"),
+    ])
+    def test_basis_state_refuses_a_state_outside_the_register(self, state, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            basis_state(3, state)
+
+    def test_basis_state_forms_agree(self):
+        for index in range(8):
+            s = string_from_index(index, 3)
+            want = np.eye(8)[index]
+            for state in (index, np.int64(index), s, [int(c) for c in s], np.array([c == "1" for c in s])):
+                assert np.array_equal(basis_state(3, state).amplitudes, want)
+
+    def test_state_vector_of_the_wrong_length(self):
+        with pytest.raises(ValueError, match="^amplitude array has wrong length$"):
+            StateVector(2, np.zeros(3, dtype=complex))
 
 
 class TestPhaseSeparator:
