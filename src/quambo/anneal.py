@@ -20,7 +20,7 @@ import numpy as np
 from .heuristics import SimAnneal, batched_simulated_annealing, restart_seeds
 from .problems import FacilityProblem, encode_start_dest
 from .qaoa import RunMetrics, Scorer, metrics
-from .qubo import TIE_TOL, CapacityError, IsingModel, energies_at, energy_vector, index_from_string
+from .qubo import TIE_TOL, CapacityError, IsingModel, energies_at, energy_vector
 from .simulator import StateVector, uniform_state, basis_state
 
 ANNEAL_CAP = 10
@@ -134,24 +134,30 @@ def anneal_parameter_sweep(
     """Encode at each lambda ratio, take `reads` annealer reads, score the multiset.
 
     The stand-in annealer's read r at ratio j is the best state of one
-    SimAnneal(sweeps) chain seeded with child r of child j of seed; all reads
-    of a ratio run as one batch of chains.  ev is the mean model energy over
-    all reads.  The sector does not depend on lambda and the start/destination
-    sector_shift is 0 at every weight, so every ratio scores exactly against the
-    first ratio's encoding: the sector is enumerated once per sweep, and each
-    ratio adds one pass of its model's energies, held only while it is scored.
+    SimAnneal(sweeps) chain of ratio j's model seeded with child r of child j
+    of seed; the reads of all ratios run as one batch of chains, whose best
+    bits become basis indices in one array expression.  ev is the mean model
+    energy over a ratio's reads.  The sector does not depend on lambda and the
+    start/destination sector_shift is 0 at every weight, so every ratio scores
+    exactly against the first ratio's encoding: its sector (caps checked
+    before any read) and block masks are built once per sweep, and each
+    ratio's sector energies (feasible_sector) are held only while it is scored.
     """
     if reads < 1:
         raise ValueError(f"need reads >= 1, got {reads}")
+    if not lambda_ratios:
+        raise ValueError("need at least one lambda ratio")
     problems = [replace(problem, lambda_=None, lambda_ratio=ratio) for ratio in lambda_ratios]  # each checked first
-    config = SimAnneal(sweeps)
-    out, first = [], None
-    for ratio, prob, ratio_seed in zip(lambda_ratios, problems, restart_seeds(seed, len(problems))):
-        model, encoding = encode_start_dest(prob)
-        first = first or encoding
+    models, encodings = zip(*map(encode_start_dest, problems))
+    first = encodings[0]
+    first.sector  # the sector caps are checked before any read is taken
+    chains = [model for model in models for _r in range(reads)]
+    seeds = [read for ratio_seed in restart_seeds(seed, len(problems)) for read in restart_seeds(ratio_seed, reads)]
+    bits, _energies = batched_simulated_annealing(chains, SimAnneal(sweeps), seeds)
+    indices = (bits @ (1 << np.arange(first.n))).reshape(len(models), reads)
+    out = []
+    for ratio, model, read_indices in zip(lambda_ratios, models, indices):
         scorer = Scorer.of(model, first)
-        states, _energies = batched_simulated_annealing(model, config, restart_seeds(ratio_seed, reads))
-        read_indices = np.array([index_from_string(s) for s in states])
         ev = float(energies_at(model, read_indices).mean())
         out.append((ratio, metrics(scorer, scorer.counts(read_indices), total=reads, ev=ev)))
         del scorer  # the next ratio's energies replace this one's

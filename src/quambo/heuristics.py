@@ -7,7 +7,11 @@ update is elementwise on the rows that move.  Each chain draws from its own
 generator in the order a single run would (initial bits, then per sweep a
 permutation and n uniforms), and each row's start is computed as a single
 run computes it, so a chain's result is bitwise the same alone or in any
-batch.  `tabu_search` and `simulated_annealing` are batches of one.
+batch.  An SA batch may give each chain its own model of one n (the lambda
+sweep runs every ratio's reads as one batch): the distinct models are
+stacked into one (models * n, n) coupling table read at per-chain row
+offsets.  The batched searches return each chain's best bits, (R, n) bool;
+`restart_harness`, `tabu_search` and `simulated_annealing` render strings.
 """
 
 from __future__ import annotations
@@ -88,20 +92,20 @@ def restart_seeds(seed: int, count: int) -> list[int]:
     return [child_seed(seed, r) for r in range(count)]
 
 
-def _start(model: QuboModel, seeds: Sequence[int]):
+def _start(models: Sequence[QuboModel], seeds: Sequence[int], n: int):
     """Per-chain generators, then the spins Q = 1 - 2s of random initial states, their fields and energies.
 
-    Each row is drawn and evaluated exactly as a single run does it (a batched
-    matmul could round differently).  Q[r, i] is the energy change factor of
-    flipping bit i of chain r: exactly +1 or -1, negated by the flip.
+    Row r is drawn and evaluated exactly as a single run of models[r] does it
+    (a batched matmul could round differently).  Q[r, i] is the energy change
+    factor of flipping bit i of chain r: exactly +1 or -1, negated by the flip.
     """
-    lin, W = model.dense
     rngs = [np.random.default_rng(seed) for seed in seeds]
-    Q = np.zeros((len(rngs), model.n))
+    Q = np.zeros((len(rngs), n))
     F = np.zeros_like(Q)
     E = np.zeros(len(rngs))
-    for r, rng in enumerate(rngs):
-        s = rng.integers(0, 2, size=model.n).astype(float)
+    for r, (model, rng) in enumerate(zip(models, rngs)):
+        lin, W = model.dense
+        s = rng.integers(0, 2, size=n).astype(float)
         f = W @ s
         Q[r], F[r], E[r] = 1.0 - 2.0 * s, f, model.offset + lin @ s + 0.5 * s @ f
     return rngs, Q, F, E
@@ -114,37 +118,51 @@ class _Best:
         self.Q, self.E, self.bar = Q.copy(), E.copy(), E - SEARCH_TOL
 
     def update(self, Q: np.ndarray, E: np.ndarray) -> None:
-        better = np.flatnonzero(E < self.bar)
+        better = (E < self.bar).nonzero()[0]  # np.flatnonzero, without its Python-level call layers
         if better.size:
             self.Q[better], self.E[better], self.bar[better] = Q[better], E[better], E[better] - SEARCH_TOL
 
 
 def batched_simulated_annealing(
-    model: QuboModel, config: SimAnneal, seeds: Sequence[int]
-) -> tuple[list[str], np.ndarray]:
-    """One SA chain per seed, run in lockstep: each chain's best state and energy.
+    models: QuboModel | Sequence[QuboModel], config: SimAnneal, seeds: Sequence[int]
+) -> tuple[np.ndarray, np.ndarray]:
+    """One SA chain per seed, run in lockstep: each chain's best bits (R, n) and energy (R,).
 
+    models is one model for every chain, or one model per chain, all of one n.
     Metropolis single-flip sweeps in a per-chain random order under a
     geometric inverse-temperature ramp.
     """
-    lin, W = model.dense
-    n = model.n
-    rngs, Q, F, E = _start(model, seeds)
+    one = isinstance(models, QuboModel)
+    chains = [models] * len(seeds) if one else list(models)
+    distinct = list({id(model): model for model in ([models] if one else chains)}.values())
+    if len(chains) != len(seeds) or not distinct:
+        raise ValueError(f"need one model per seed, got {len(chains)} models for {len(seeds)} seeds")
+    n = distinct[0].n
+    if any(model.n != n for model in distinct):
+        raise ValueError(f"the chains' models need one n, got {sorted({model.n for model in distinct})}")
+    # the distinct models stacked: chain r reads lin[row[r] + i] and W[row[r] + i], row[r] = n * (its model's place)
+    place = {id(model): k for k, model in enumerate(distinct)}
+    row = np.array([n * place[id(model)] for model in chains], dtype=np.intp)
+    lin = np.concatenate([model.dense[0] for model in distinct])
+    W = np.concatenate([model.dense[1] for model in distinct])
+    rngs, Q, F, E = _start(chains, seeds, n)
     best = _Best(Q, E)
     Qf, Ff = Q.reshape(-1), F.reshape(-1)  # flat views: [r, i] is [r * n + i]
     base = np.arange(len(rngs)) * n
     order = np.zeros(Q.shape, dtype=np.intp)
     U = np.zeros_like(Q)
+    draws = [(rng.shuffle, perm, rng.random, u) for perm, u, rng in zip(order, U, rngs)]  # bound once per batch
     # exp(-beta * delta) may overflow on downhill moves, which are accepted without it
     with np.errstate(over="ignore"):
         for beta in np.geomspace(config.beta_initial, config.beta_final, config.sweeps):
             order[:] = np.arange(n)  # each row shuffled in place: the stream of rng.permutation(n)
-            for row, u, rng in zip(order, U, rngs):
-                rng.shuffle(row)
-                rng.random(out=u)
+            for shuffle, perm, random, u in draws:
+                shuffle(perm)
+                random(out=u)
             # row t of each: the t-th flip of every chain
-            sites, flat = order.T.copy(), (order + base[:, None]).T.copy()
-            lin_t, U_t = lin[order].T.copy(), U.T.copy()
+            stacked = order + row[:, None]  # each flip's row of the stacked tables
+            sites, flat = stacked.T.copy(), (order + base[:, None]).T.copy()
+            lin_t, U_t = lin[stacked].T.copy(), U.T.copy()
             for t in range(n):
                 k = flat[t]
                 q = Qf[k]
@@ -157,11 +175,11 @@ def batched_simulated_annealing(
                 F[a] += W[sites[t][a]] * q[:, None]  # W is symmetric: row i is column i
                 E[a] += delta[a]
                 best.update(Q, E)
-    return strings_from_bits(best.Q < 0), best.E
+    return best.Q < 0, best.E
 
 
-def batched_tabu_search(model: QuboModel, config: Tabu, seeds: Sequence[int]) -> tuple[list[str], np.ndarray]:
-    """One tabu search per seed, run in lockstep: each search's best state and energy.
+def batched_tabu_search(model: QuboModel, config: Tabu, seeds: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
+    """One tabu search per seed, run in lockstep: each search's best bits (R, n) and energy (R,).
 
     Steepest single-flip descent (first index on ties) with a recency tabu
     list and aspiration; a row with no allowed move skips the iteration.
@@ -171,10 +189,10 @@ def batched_tabu_search(model: QuboModel, config: Tabu, seeds: Sequence[int]) ->
     if len(seeds) > TABU_CHUNK_ROWS:
         parts = [batched_tabu_search(model, config, seeds[k:k + TABU_CHUNK_ROWS])
                  for k in range(0, len(seeds), TABU_CHUNK_ROWS)]
-        return [state for states, _e in parts for state in states], np.concatenate([e for _s, e in parts])
+        return np.concatenate([bits for bits, _e in parts]), np.concatenate([e for _b, e in parts])
     lin, W = model.dense
     tenure = config.tenure if config.tenure is not None else max(10, model.n // 4)
-    _, Q, F, E = _start(model, seeds)
+    _, Q, F, E = _start([model] * len(seeds), seeds, model.n)
     best = _Best(Q, E)
     Qf, tabu_until = Q.reshape(-1), np.zeros(Q.size, dtype=np.int64)
     base = np.arange(len(E)) * model.n
@@ -195,19 +213,19 @@ def batched_tabu_search(model: QuboModel, config: Tabu, seeds: Sequence[int]) ->
         E[rows] += delta.reshape(-1)[k]
         tabu_until[k] = it + 1 + tenure
         best.update(Q, E)
-    return strings_from_bits(best.Q < 0), best.E
+    return best.Q < 0, best.E
 
 
 def simulated_annealing(model: QuboModel, config: SimAnneal, seed: int) -> tuple[str, float]:
-    """One SA chain: a batch of one."""
-    states, energies = batched_simulated_annealing(model, config, [seed])
-    return states[0], float(energies[0])
+    """One SA chain: a batch of one, its best state rendered."""
+    bits, energies = batched_simulated_annealing(model, config, [seed])
+    return strings_from_bits(bits)[0], float(energies[0])
 
 
 def tabu_search(model: QuboModel, config: Tabu, seed: int) -> tuple[str, float]:
-    """One tabu search: a batch of one."""
-    states, energies = batched_tabu_search(model, config, [seed])
-    return states[0], float(energies[0])
+    """One tabu search: a batch of one, its best state rendered."""
+    bits, energies = batched_tabu_search(model, config, [seed])
+    return strings_from_bits(bits)[0], float(energies[0])
 
 
 @dataclass
@@ -236,7 +254,8 @@ def restart_harness(
     if restarts < 1:
         raise ValueError(f"need restarts >= 1, got {restarts}")
     solve = batched_simulated_annealing if isinstance(config, SimAnneal) else batched_tabu_search
-    states, energies = solve(model, config, restart_seeds(seed, restarts))
+    bits, energies = solve(model, config, restart_seeds(seed, restarts))
+    states = strings_from_bits(bits)
     best_e = np.inf
     best_state = ""
     hits = 0

@@ -111,6 +111,16 @@ class Encoding:
         return read_only(distance_matrix(self.problem))
 
     @cached_property
+    def block_masks(self) -> list[np.ndarray]:
+        """Each Hamming block's choice masks (int64, read-only, in itertools.combinations order), built once per
+        encoding after the sector caps are checked: a feasible state is one mask of every block, summed."""
+        count = math.prod(math.comb(hi - lo, w) for (lo, hi), w in self.hamming_targets)
+        CapacityError.check(count, 1 << STATE_CAP, "feasible sector", "feasible states")
+        CapacityError.check(self.n, 63, "feasible sector")
+        return [read_only(np.fromiter(map(sum, itertools.combinations([1 << q for q in range(lo, hi)], w)), np.int64))
+                for (lo, hi), w in self.hamming_targets]
+
+    @cached_property
     def sector(self) -> np.ndarray:
         """feasible_indices, built once per encoding (read-only); encodings of one problem at any weight share it."""
         return read_only(feasible_indices(self))
@@ -247,16 +257,12 @@ def is_feasible(encoding: Encoding, s: str | Sequence[int] | np.ndarray) -> bool
 def feasible_indices(encoding: Encoding) -> np.ndarray:
     """All feasible basis indices (int64), checked against the sector caps before anything is built.
 
-    Outer sums of each Hamming block's choice masks, the first block varying
-    slowest: the order of itertools.product over the blocks' combinations.
+    Outer sums of each Hamming block's choice masks (Encoding.block_masks), the
+    first block varying slowest: the order of itertools.product over the blocks' combinations.
     """
-    count = math.prod(math.comb(hi - lo, w) for (lo, hi), w in encoding.hamming_targets)
-    CapacityError.check(count, 1 << STATE_CAP, "feasible sector", "feasible states")
-    CapacityError.check(encoding.n, 63, "feasible sector")
     indices = np.zeros(1, dtype=np.int64)
-    for (lo, hi), w in encoding.hamming_targets:
-        masks = [sum(1 << q for q in ones) for ones in itertools.combinations(range(lo, hi), w)]
-        indices = np.add.outer(indices, np.array(masks, dtype=np.int64)).reshape(-1)
+    for masks in encoding.block_masks:
+        indices = np.add.outer(indices, masks).reshape(-1)
     return indices
 
 
@@ -288,12 +294,39 @@ def feasible_sector(model: QuboModel, encoding: Encoding) -> tuple[np.ndarray, n
 
     Each energy is the model energy plus encoding.sector_shift, so the penalty's minimum over the sector
     is 0: the complement penalty vanishes there, while the start/destination penalty keeps its variation
-    within the sector (forbid_colocation), so the ground set matches the full cost function.  Each call
-    adds one energy pass of the model over encoding.sector.
+    within the sector (forbid_colocation), so the ground set matches the full cost function.
+
+    A one-block encoding takes one energies_at pass over encoding.sector.  With more blocks the sector is
+    the outer sum of the blocks' choice masks, so its energies are the offset plus a broadcast sum of
+    energies_at tables: one per block, over its masks, and one per block pair that a quadratic term
+    spans, over the pair's outer-sum masks.  Only the order of the sums differs from one energies_at
+    pass, so the two are bitwise equal whenever every coefficient and partial sum is an exact binary
+    fraction (integer distances, a weight of a few binary places), and agree to rounding otherwise.
     """
-    energies = energies_at(model, encoding.sector)
+    indices = encoding.sector  # checks the sector caps before any mask or table is built
+    if len(encoding.hamming_targets) == 1:
+        energies = energies_at(model, indices)
+    else:
+        energies = _block_table_energies(model, encoding)
     energies += encoding.sector_shift
-    return encoding.sector, energies
+    return indices, energies
+
+
+def _block_table_energies(model: QuboModel, encoding: Encoding) -> np.ndarray:
+    """The model's energies over a sector of several blocks (which ascend and cover every qubit), from tables."""
+    masks = encoding.block_masks
+    block_of = [b for b, ((lo, hi), _w) in enumerate(encoding.hamming_targets) for _q in range(lo, hi)]
+    terms: dict[tuple[int, ...], tuple[dict, dict]] = {}  # the blocks a term touches -> its (linear, quadratic)
+    for i, c in model.linear.items():
+        terms.setdefault((block_of[i],), ({}, {}))[0][i] = c
+    for (i, j), c in model.quadratic.items():
+        terms.setdefault(tuple(sorted({block_of[i], block_of[j]})), ({}, {}))[1][i, j] = c
+    energies = np.full([len(m) for m in masks], model.offset)
+    for blocks, (linear, quadratic) in terms.items():
+        at = masks[blocks[0]] if len(blocks) == 1 else np.add.outer(masks[blocks[0]], masks[blocks[1]])
+        shape = [len(m) if b in blocks else 1 for b, m in enumerate(masks)]
+        energies += energies_at(QuboModel(model.n, linear, quadratic), at).reshape(shape)
+    return energies.reshape(-1)
 
 
 def feasible_spectrum(model: QuboModel, encoding: Encoding) -> list[SpectrumEntry]:

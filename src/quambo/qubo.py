@@ -55,7 +55,7 @@ def rows_where(mask: np.ndarray):
     count = np.count_nonzero(mask)
     if count == mask.size:
         return slice(None)
-    return np.flatnonzero(mask) if count else None
+    return mask.nonzero()[0] if count else None  # of a 1-D mask: np.flatnonzero without its call layers
 
 
 @dataclass
@@ -72,6 +72,8 @@ class QuboModel:
     offset: float = 0.0
 
     def __post_init__(self) -> None:
+        if self.n < 1:
+            raise ValueError(f"need n >= 1 variables, got n={self.n}")
         for i in self.linear:
             if not 0 <= i < self.n:
                 raise ValueError(f"linear index {i} out of range for n={self.n}")
@@ -111,6 +113,8 @@ class IsingModel:
     offset: float = 0.0
 
     def __post_init__(self) -> None:
+        if self.n < 1:
+            raise ValueError(f"need n >= 1 spins, got n={self.n}")
         for i in self.h:
             if not 0 <= i < self.n:
                 raise ValueError(f"field index {i} out of range for n={self.n}")

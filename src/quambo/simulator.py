@@ -58,12 +58,14 @@ class SampleSet:
 
 
 def uniform_state(n: int) -> StateVector:
+    CapacityError.check(n, STATE_CAP, "statevector")  # before the 2^n amplitudes are allocated
     dim = 1 << n
     return StateVector(n, np.full(dim, dim**-0.5, dtype=complex))
 
 
 def basis_state(n: int, state: str | Sequence[int] | np.ndarray | int) -> StateVector:
     """|state>, given as a basis index 0 <= index < 2^n or as a bitstring or 0/1 sequence of n bits (qubo.bits_of)."""
+    CapacityError.check(n, STATE_CAP, "statevector")  # before the 2^n amplitudes are allocated
     index = state if isinstance(state, (int, np.integer)) else index_from_string(state, n)
     if not 0 <= index < 1 << n:
         raise ValueError(f"need a basis index 0 <= index < {1 << n}, got {index}")

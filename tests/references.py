@@ -2,17 +2,20 @@
 the feasible-index generator, the sector energies with the penalty floor found numerically,
 the QAOA initial states and cost split, the XY-ring mixer, R_y and CNOT gates, scipy's
 Nelder-Mead, the one-row SPSA and finite-difference BFGS loops, the one-vector QAOA evaluator,
-the per-column INTERP/EXTRAP depth extenders, the one-vector VQE circuit and the step-by-step
-anneal propagator."""
+the per-column INTERP/EXTRAP depth extenders, the one-vector VQE circuit, the step-by-step
+anneal propagator and the per-ratio lambda sweep."""
 
 import itertools
+from dataclasses import replace
 
 import numpy as np
 from scipy.optimize import minimize as scipy_minimize
 
+from quambo.heuristics import SimAnneal, batched_simulated_annealing, restart_seeds
 from quambo.optimize import FdQuasiNewton, Spsa, spsa_schedules
-from quambo.problems import distance_matrix, is_feasible
-from quambo.qubo import QuboModel, energies_at, energy_vector, string_from_index
+from quambo.problems import distance_matrix, encode_start_dest, is_feasible
+from quambo.qaoa import Scorer, metrics
+from quambo.qubo import QuboModel, energies_at, energy_vector, index_from_string, string_from_index, strings_from_bits
 from quambo.simulator import apply_local_unitary, basis_state, uniform_state, xy_ring_eigensystem
 from quambo.vqe import NARROW_MIN_ROWS, NARROW_STRIDE
 
@@ -317,3 +320,18 @@ def reference_propagate(psi, diag, schedule):
         vals, vecs = np.linalg.eigh(H)
         psi = (vecs * np.exp(-1j * dt * vals)) @ (vecs.conj().T @ psi)
     return psi
+
+
+def reference_parameter_sweep(problem, lambda_ratios, sweeps, reads, seed):
+    """The lambda sweep one ratio at a time: one SA batch of the ratio's model, each read's index parsed from its
+    rendered state, and one energies_at pass over the first ratio's sector: the oracle of anneal_parameter_sweep."""
+    out, first = [], None
+    for ratio, ratio_seed in zip(lambda_ratios, restart_seeds(seed, len(lambda_ratios))):
+        model, encoding = encode_start_dest(replace(problem, lambda_=None, lambda_ratio=ratio))
+        first = first or encoding
+        scorer = Scorer(first.sector, energies_at(model, first.sector) + first.sector_shift, first.sector_order)
+        bits, _energies = batched_simulated_annealing(model, SimAnneal(sweeps), restart_seeds(ratio_seed, reads))
+        indices = np.array([index_from_string(state) for state in strings_from_bits(bits)])
+        ev = float(energies_at(model, indices).mean())
+        out.append((ratio, metrics(scorer, scorer.counts(indices), total=reads, ev=ev)))
+    return out

@@ -20,7 +20,7 @@ from quambo.problems import FacilityProblem, encode_start_dest
 from quambo.qaoa import Scorer, metrics
 from quambo.qubo import TIE_TOL, CapacityError, IsingModel, energies_at, energy_vector, index_from_string
 from quambo.simulator import basis_state, uniform_state
-from references import reference_propagate
+from references import reference_parameter_sweep, reference_propagate
 
 
 def two_spin_model():
@@ -239,6 +239,19 @@ class TestSweep:
         assert [ratio for ratio, _ in out] == [1.0, 5.0]
         for _, m in out:
             assert 0.0 <= m.p_gnd <= m.p_feas <= 1.0
+
+    @pytest.mark.parametrize("geometry, m, forbid", [(("line", 4), 2, False), (("grid", 2, 2), 2, True),
+                                                     (("grid", 3, 2), 2, False)])
+    @pytest.mark.parametrize("seed", [1, 3, 7])
+    def test_one_batch_sweep_equals_the_per_ratio_sweep(self, geometry, m, forbid, seed):
+        problem = FacilityProblem(geometry, m, lambda_ratio=1.0, forbid_colocation=forbid)
+        ratios, sweeps, reads = [0.5, 1.0, 10.0], 12, 20
+        want = reference_parameter_sweep(problem, ratios, sweeps, reads, seed)
+        assert anneal_parameter_sweep(problem, ratios, sweeps, reads, seed) == want
+
+    def test_sweep_needs_a_ratio(self):
+        with pytest.raises(ValueError, match="^need at least one lambda ratio$"):
+            anneal_parameter_sweep(FacilityProblem(("line", 3), 1), [], 10, reads=5, seed=1)
 
     def test_sweep_equals_one_scorer_per_ratio_with_one_enumeration(self, monkeypatch):
         # each ratio scored against its own encoding's sector, as Scorer.of builds it

@@ -5,6 +5,7 @@ per-restart loops they replaced, kept here as the reference.
 """
 
 import itertools
+import re
 
 import numpy as np
 import pytest
@@ -32,7 +33,7 @@ from quambo.problems import (
     encode_start_dest,
 )
 from quambo.qaoa import Scorer, metrics
-from quambo.qubo import CapacityError, QuboModel, energy_qubo, energy_vector, index_from_string
+from quambo.qubo import CapacityError, QuboModel, energy_qubo, energy_vector, index_from_string, strings_from_bits
 
 
 def random_qubo(n, rng, integral=False):
@@ -167,8 +168,9 @@ class TestBatchedKernels:
         rng = np.random.default_rng(seed)
         model = random_qubo(n, rng, integral)
         seeds = [int(x) for x in rng.integers(2**31, size=R)]
-        states, energies = batched_tabu_search(model, config, seeds)
-        assert list(zip(states, energies.tolist())) == [reference_tabu_search(model, config, s) for s in seeds]
+        bits, energies = batched_tabu_search(model, config, seeds)
+        assert list(zip(strings_from_bits(bits), energies.tolist())) == [
+            reference_tabu_search(model, config, s) for s in seeds]
         assert tabu_search(model, config, seeds[0]) == reference_tabu_search(model, config, seeds[0])
 
     @given(st.integers(0, 2**32 - 1), st.integers(1, 12), st.integers(1, 9), st.booleans(), sa_configs)
@@ -177,9 +179,34 @@ class TestBatchedKernels:
         rng = np.random.default_rng(seed)
         model = random_qubo(n, rng, integral)
         seeds = [int(x) for x in rng.integers(2**31, size=R)]
-        states, energies = batched_simulated_annealing(model, config, seeds)
-        assert list(zip(states, energies.tolist())) == [reference_simulated_annealing(model, config, s) for s in seeds]
+        bits, energies = batched_simulated_annealing(model, config, seeds)
+        assert list(zip(strings_from_bits(bits), energies.tolist())) == [
+            reference_simulated_annealing(model, config, s) for s in seeds]
         assert simulated_annealing(model, config, seeds[0]) == reference_simulated_annealing(model, config, seeds[0])
+
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 10), st.lists(st.integers(0, 2), min_size=1, max_size=9),
+           st.booleans(), sa_configs)
+    @settings(max_examples=40, deadline=None)
+    def test_sa_mixed_models_equal_each_models_own_batch(self, seed, n, picks, integral, config):
+        # chain r runs model picks[r]; each model's rows equal that model's batch alone, bit for bit
+        rng = np.random.default_rng(seed)
+        models = [random_qubo(n, rng, integral) for _ in range(3)]
+        seeds = [int(x) for x in rng.integers(2**31, size=len(picks))]
+        bits, energies = batched_simulated_annealing([models[k] for k in picks], config, seeds)
+        assert bits.shape == (len(picks), n) and bits.dtype == bool
+        for k, model in enumerate(models):
+            rows = [r for r, pick in enumerate(picks) if pick == k]
+            own_bits, own_energies = batched_simulated_annealing(model, config, [seeds[r] for r in rows])
+            assert np.array_equal(bits[rows], own_bits) and energies[rows].tobytes() == own_energies.tobytes()
+
+    @pytest.mark.parametrize("models, seeds, message", [
+        ([QuboModel(2)], [1, 2], "need one model per seed, got 1 models for 2 seeds"),
+        ([], [], "need one model per seed, got 0 models for 0 seeds"),
+        ([QuboModel(2), QuboModel(3)], [1, 2], "the chains' models need one n, got [2, 3]"),
+    ])
+    def test_sa_batch_needs_one_model_per_seed_of_one_n(self, models, seeds, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            batched_simulated_annealing(models, SimAnneal(sweeps=2), seeds)
 
     @given(st.integers(0, 2**32 - 1), st.integers(1, 10), st.integers(1, 9), st.booleans(),
            st.one_of(tabu_configs, sa_configs))
@@ -229,11 +256,11 @@ class TestBatchedKernels:
         model = random_qubo(9, rng)
         config = Tabu(max_iter=30)
         seeds = [int(x) for x in rng.integers(2**31, size=11)]
-        states, energies = batched_tabu_search(model, config, seeds)
+        bits, energies = batched_tabu_search(model, config, seeds)
         monkeypatch.setattr(heuristics, "TABU_CHUNK_ROWS", 4)
         chunked = batched_tabu_search(model, config, seeds)
-        assert chunked[0] == states and np.array_equal(chunked[1], energies)
-        assert list(zip(states, energies.tolist())) == [reference_tabu_search(model, config, s) for s in seeds]
+        assert np.array_equal(chunked[0], bits) and np.array_equal(chunked[1], energies)
+        assert list(zip(strings_from_bits(bits), energies.tolist())) == [reference_tabu_search(model, config, s) for s in seeds]
 
     def test_tabu_rows_without_an_allowed_move_are_skipped(self):
         # with a tenure of at least n every flip can be tabu at once, so some
@@ -248,8 +275,8 @@ class TestBatchedKernels:
             skipped = [[] for _ in seeds]
             expected = [reference_tabu_search(model, config, s, skipped[r]) for r, s in enumerate(seeds)]
             mixed += bool(set().union(*skipped) - set.intersection(*map(set, skipped)))
-            states, energies = batched_tabu_search(model, config, seeds)
-            assert list(zip(states, energies.tolist())) == expected, trial
+            bits, energies = batched_tabu_search(model, config, seeds)
+            assert list(zip(strings_from_bits(bits), energies.tolist())) == expected, trial
         assert mixed
 
     def test_sa_rejects_every_uphill_move_at_high_beta(self):
@@ -257,7 +284,8 @@ class TestBatchedKernels:
         model = random_qubo(8, rng)
         config = SimAnneal(sweeps=20, beta_initial=1e8, beta_final=1e9)
         seeds = [int(x) for x in rng.integers(2**31, size=7)]
-        states, energies = batched_simulated_annealing(model, config, seeds)
+        bits, energies = batched_simulated_annealing(model, config, seeds)
+        states = strings_from_bits(bits)
         assert list(zip(states, energies.tolist())) == [reference_simulated_annealing(model, config, s) for s in seeds]
         # pure descent ends in a single-flip local minimum
         for state, e in zip(states, energies):
@@ -268,9 +296,9 @@ class TestBatchedKernels:
 
     def test_empty_batch(self):
         model = random_qubo(4, np.random.default_rng(0))
-        for states, energies in (batched_tabu_search(model, Tabu(), []),
-                                 batched_simulated_annealing(model, SimAnneal(sweeps=5), [])):
-            assert states == [] and energies.shape == (0,)
+        for bits, energies in (batched_tabu_search(model, Tabu(), []),
+                               batched_simulated_annealing(model, SimAnneal(sweeps=5), [])):
+            assert strings_from_bits(bits) == [] and bits.shape == (0, 4) and energies.shape == (0,)
 
 
 class TestExactOptimum:

@@ -1,9 +1,13 @@
 """Tests for the facility-location encoders and their feasibility metadata."""
 
+import itertools
+import math
 import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from quambo import problems
 from quambo.problems import (
@@ -19,7 +23,7 @@ from quambo.problems import (
     is_feasible,
     problem_variant,
 )
-from quambo.qubo import CapacityError, energy_qubo, string_from_index
+from quambo.qubo import CapacityError, energies_at, energy_qubo, string_from_index
 from references import reference_feasible_energies, reference_feasible_indices
 
 # Cost table for the 5-location single-ambulance problem; the first row of the
@@ -34,6 +38,23 @@ COST_TABLE = {
     "01111": (None, -180, -340, -500, -660, -1620),
     "11110": (None, -180, -340, -500, -660, -1620),
 }
+
+
+@st.composite
+def sector_problems(draw):
+    """(encoder, problem) over every encoder, metric and penalty form; a weight of eighths, or any float."""
+    encoder = draw(st.sampled_from([encode_single_complement, encode_position_linear, encode_start_dest]))
+    geometry = draw(st.sampled_from([("line", 2), ("line", 3), ("line", 5), ("grid", 2, 2), ("grid", 2, 3)]))
+    locations = math.prod(geometry[1:])
+    # at most 2 start/destination ambulances: 3 on 6 sites are 4 009 824 feasible states
+    most = {encode_single_complement: 1, encode_position_linear: 3, encode_start_dest: 2}[encoder]
+    m = draw(st.integers(1, min(locations, most)))
+    forbid = encoder is encode_start_dest and draw(st.booleans())
+    weight = draw(st.one_of(st.integers(0, 800).map(lambda k: k / 8), st.floats(0, 100)))
+    key = draw(st.sampled_from(["lambda_", "lambda_ratio"]))
+    problem = FacilityProblem(geometry, m, draw(st.sampled_from(problems.METRICS)), forbid_colocation=forbid,
+                              **{key: weight})
+    return encoder, problem
 
 
 def encode_a(lam):
@@ -325,6 +346,33 @@ class TestFeasibleSector:
                     assert energies.tobytes() == want.tobytes(), (metric, weight)
                 else:
                     np.testing.assert_allclose(energies, want, rtol=0, atol=1e-12 * np.abs(want).max())
+
+    @given(sector_problems())
+    @settings(max_examples=80, deadline=None)
+    def test_block_tables_equal_one_energy_pass(self, drawn):
+        """feasible_sector's energies against one energies_at pass over the sector: bitwise for one block, and
+        wherever the distances and the weight are exact binary fractions; within 1e-12 of the largest otherwise."""
+        encoder, problem = drawn
+        model, enc = encoder(problem)
+        indices, energies = feasible_sector(model, enc)
+        want = energies_at(model, enc.sector) + enc.sector_shift
+        assert indices is enc.sector
+        if len(enc.hamming_targets) == 1 or np.all(np.append(enc.distances, problem.penalty_weight()) * 8 % 1 == 0):
+            assert energies.tobytes() == want.tobytes()
+        else:
+            np.testing.assert_allclose(energies, want, rtol=0, atol=1e-12 * np.abs(want).max())
+
+    def test_block_masks_are_built_once_and_shared(self, monkeypatch):
+        model, enc = encode_start_dest(FacilityProblem(("grid", 2, 2), 2, lambda_ratio=1.0))
+        masks = enc.block_masks
+        assert [m.tolist() for m in masks] == [[1, 2, 4, 8], [16, 32, 64, 128],
+                                               [sum(1 << (8 + q) for q in ones)
+                                                for ones in itertools.combinations(range(8), 4)]]
+        assert all(not m.flags.writeable for m in masks)
+        monkeypatch.setattr(problems, "itertools", None)  # neither the sector nor the tables list choices again
+        assert enc.sector.tolist() == list(reference_feasible_indices(enc))
+        feasible_sector(model, enc)
+        assert enc.block_masks is masks
 
     def test_sector_is_built_once_per_encoding(self, monkeypatch):
         calls = []

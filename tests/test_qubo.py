@@ -355,6 +355,15 @@ class TestModelKeys:
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             kind(n=2, **terms)
 
+    @pytest.mark.parametrize("kind, n, message", [
+        (QuboModel, 0, "need n >= 1 variables, got n=0"),
+        (QuboModel, -2, "need n >= 1 variables, got n=-2"),
+        (IsingModel, 0, "need n >= 1 spins, got n=0"),
+    ])
+    def test_a_model_without_variables_is_refused(self, kind, n, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            kind(n=n)
+
 
 class TestSpectrumSubset:
     @pytest.mark.parametrize("given", ["states", "energies"])

@@ -39,8 +39,17 @@ class TestPreparation:
         assert np.allclose(state.amplitudes, 32**-0.5)
 
     def test_cap(self):
-        with pytest.raises(ValueError):
-            uniform_state(25)
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError):
+                uniform_state(25)
+            for state in (0, "0" * 25):
+                with pytest.raises(CapacityError, match="^n=25 exceeds statevector cap 24$"):
+                    basis_state(25, state)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1e6  # refused before the 2^n amplitudes are allocated
 
     @pytest.mark.parametrize("state, message", [
         ("01", "need a state of 3 bits, got 2: '01'"),
