@@ -7,7 +7,7 @@ update is elementwise on the rows that move.  Each chain draws from its own
 generator in the order a single run would (initial bits, then per sweep a
 permutation and n uniforms), and each row's start is computed as a single
 run computes it, so a chain's result is bitwise the same alone or in any
-batch.  An SA batch may give each chain its own model of one n (the lambda
+batch.  An SA batch takes one model per chain, all of one n (the lambda
 sweep runs every ratio's reads as one batch): the distinct models are
 stacked into one (models * n, n) coupling table read at per-chain row
 offsets.  The batched searches return each chain's best bits, (R, n) bool;
@@ -124,28 +124,25 @@ class _Best:
 
 
 def batched_simulated_annealing(
-    models: QuboModel | Sequence[QuboModel], config: SimAnneal, seeds: Sequence[int]
+    models: Sequence[QuboModel], config: SimAnneal, seeds: Sequence[int]
 ) -> tuple[np.ndarray, np.ndarray]:
     """One SA chain per seed, run in lockstep: each chain's best bits (R, n) and energy (R,).
 
-    models is one model for every chain, or one model per chain, all of one n.
-    Metropolis single-flip sweeps in a per-chain random order under a
-    geometric inverse-temperature ramp.
+    models[r] is chain r's model; all are of one n.  Metropolis single-flip
+    sweeps in a per-chain random order under a geometric inverse-temperature ramp.
     """
-    one = isinstance(models, QuboModel)
-    chains = [models] * len(seeds) if one else list(models)
-    distinct = list({id(model): model for model in ([models] if one else chains)}.values())
-    if len(chains) != len(seeds) or not distinct:
-        raise ValueError(f"need one model per seed, got {len(chains)} models for {len(seeds)} seeds")
+    distinct = list({id(model): model for model in models}.values())
+    if len(models) != len(seeds) or not distinct:
+        raise ValueError(f"need one model per seed, got {len(models)} models for {len(seeds)} seeds")
     n = distinct[0].n
     if any(model.n != n for model in distinct):
         raise ValueError(f"the chains' models need one n, got {sorted({model.n for model in distinct})}")
     # the distinct models stacked: chain r reads lin[row[r] + i] and W[row[r] + i], row[r] = n * (its model's place)
     place = {id(model): k for k, model in enumerate(distinct)}
-    row = np.array([n * place[id(model)] for model in chains], dtype=np.intp)
+    row = np.array([n * place[id(model)] for model in models], dtype=np.intp)
     lin = np.concatenate([model.dense[0] for model in distinct])
     W = np.concatenate([model.dense[1] for model in distinct])
-    rngs, Q, F, E = _start(chains, seeds, n)
+    rngs, Q, F, E = _start(models, seeds, n)
     best = _Best(Q, E)
     Qf, Ff = Q.reshape(-1), F.reshape(-1)  # flat views: [r, i] is [r * n + i]
     base = np.arange(len(rngs)) * n
@@ -218,7 +215,7 @@ def batched_tabu_search(model: QuboModel, config: Tabu, seeds: Sequence[int]) ->
 
 def simulated_annealing(model: QuboModel, config: SimAnneal, seed: int) -> tuple[str, float]:
     """One SA chain: a batch of one, its best state rendered."""
-    bits, energies = batched_simulated_annealing(model, config, [seed])
+    bits, energies = batched_simulated_annealing([model], config, [seed])
     return strings_from_bits(bits)[0], float(energies[0])
 
 
@@ -253,8 +250,11 @@ def restart_harness(
     """
     if restarts < 1:
         raise ValueError(f"need restarts >= 1, got {restarts}")
-    solve = batched_simulated_annealing if isinstance(config, SimAnneal) else batched_tabu_search
-    bits, energies = solve(model, config, restart_seeds(seed, restarts))
+    seeds = restart_seeds(seed, restarts)
+    if isinstance(config, SimAnneal):
+        bits, energies = batched_simulated_annealing([model] * restarts, config, seeds)
+    else:
+        bits, energies = batched_tabu_search(model, config, seeds)
     states = strings_from_bits(bits)
     best_e = np.inf
     best_state = ""

@@ -121,6 +121,11 @@ class Encoding:
                 for (lo, hi), w in self.hamming_targets]
 
     @cached_property
+    def block_of(self) -> list[int]:
+        """The Hamming block of each qubit: the blocks ascend and cover all n qubits, as every encoder lays them."""
+        return [b for b, ((lo, hi), _w) in enumerate(self.hamming_targets) for _q in range(lo, hi)]
+
+    @cached_property
     def sector(self) -> np.ndarray:
         """feasible_indices, built once per encoding (read-only); encodings of one problem at any weight share it."""
         return read_only(feasible_indices(self))
@@ -296,37 +301,32 @@ def feasible_sector(model: QuboModel, encoding: Encoding) -> tuple[np.ndarray, n
     is 0: the complement penalty vanishes there, while the start/destination penalty keeps its variation
     within the sector (forbid_colocation), so the ground set matches the full cost function.
 
-    A one-block encoding takes one energies_at pass over encoding.sector.  With more blocks the sector is
-    the outer sum of the blocks' choice masks, so its energies are the offset plus a broadcast sum of
+    The sector is the outer sum of the blocks' choice masks, so its energies are a broadcast sum of
     energies_at tables: one per block, over its masks, and one per block pair that a quadratic term
-    spans, over the pair's outer-sum masks.  Only the order of the sums differs from one energies_at
-    pass, so the two are bitwise equal whenever every coefficient and partial sum is an exact binary
+    spans, over the pair's outer-sum masks; the offset goes into block 0's table.  One block gives one
+    table, bitwise one energies_at pass over the sector.  With more blocks only the order of the sums
+    differs, so the two are bitwise equal whenever every coefficient and partial sum is an exact binary
     fraction (integer distances, a weight of a few binary places), and agree to rounding otherwise.
     """
     indices = encoding.sector  # checks the sector caps before any mask or table is built
-    if len(encoding.hamming_targets) == 1:
-        energies = energies_at(model, indices)
-    else:
-        energies = _block_table_energies(model, encoding)
-    energies += encoding.sector_shift
-    return indices, energies
-
-
-def _block_table_energies(model: QuboModel, encoding: Encoding) -> np.ndarray:
-    """The model's energies over a sector of several blocks (which ascend and cover every qubit), from tables."""
-    masks = encoding.block_masks
-    block_of = [b for b, ((lo, hi), _w) in enumerate(encoding.hamming_targets) for _q in range(lo, hi)]
-    terms: dict[tuple[int, ...], tuple[dict, dict]] = {}  # the blocks a term touches -> its (linear, quadratic)
+    masks, block_of = encoding.block_masks, encoding.block_of
+    terms: dict[tuple[int, ...], tuple[dict, dict]] = {(0,): ({}, {})}  # the blocks a term touches -> its terms
     for i, c in model.linear.items():
         terms.setdefault((block_of[i],), ({}, {}))[0][i] = c
     for (i, j), c in model.quadratic.items():
         terms.setdefault(tuple(sorted({block_of[i], block_of[j]})), ({}, {}))[1][i, j] = c
-    energies = np.full([len(m) for m in masks], model.offset)
-    for blocks, (linear, quadratic) in terms.items():
+    energies = np.empty([len(m) for m in masks])
+    for k, (blocks, (linear, quadratic)) in enumerate(terms.items()):
         at = masks[blocks[0]] if len(blocks) == 1 else np.add.outer(masks[blocks[0]], masks[blocks[1]])
-        shape = [len(m) if b in blocks else 1 for b, m in enumerate(masks)]
-        energies += energies_at(QuboModel(model.n, linear, quadratic), at).reshape(shape)
-    return energies.reshape(-1)
+        table = energies_at(QuboModel(model.n, linear, quadratic, model.offset if k == 0 else 0.0), at)
+        table = table.reshape([len(m) if b in blocks else 1 for b, m in enumerate(masks)])
+        if k == 0:
+            energies[...] = table
+        else:
+            energies += table
+    energies = energies.reshape(-1)
+    energies += encoding.sector_shift
+    return indices, energies
 
 
 def feasible_spectrum(model: QuboModel, encoding: Encoding) -> list[SpectrumEntry]:

@@ -258,7 +258,7 @@ class QaoaContext:
         """
         if self.mixer.n_gamma == 1:
             return [self.model]
-        block_of = [b for b, ((lo, hi), _w) in enumerate(self.encoding.hamming_targets) for _q in range(lo, hi)]
+        block_of = self.encoding.block_of
         terms = [({}, {}, offset) for offset in (self.model.offset, 0.0, 0.0)]
         for i, c in self.model.linear.items():
             terms[block_of[i]][0][i] = c

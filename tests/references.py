@@ -330,7 +330,8 @@ def reference_parameter_sweep(problem, lambda_ratios, sweeps, reads, seed):
         model, encoding = encode_start_dest(replace(problem, lambda_=None, lambda_ratio=ratio))
         first = first or encoding
         scorer = Scorer(first.sector, energies_at(model, first.sector) + first.sector_shift, first.sector_order)
-        bits, _energies = batched_simulated_annealing(model, SimAnneal(sweeps), restart_seeds(ratio_seed, reads))
+        seeds = restart_seeds(ratio_seed, reads)
+        bits, _energies = batched_simulated_annealing([model] * reads, SimAnneal(sweeps), seeds)
         indices = np.array([index_from_string(state) for state in strings_from_bits(bits)])
         ev = float(energies_at(model, indices).mean())
         out.append((ratio, metrics(scorer, scorer.counts(indices), total=reads, ev=ev)))

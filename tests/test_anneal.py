@@ -261,7 +261,7 @@ class TestSweep:
         for ratio, ratio_seed in zip(ratios, restart_seeds(seed, len(ratios))):
             model, enc = encode_start_dest(FacilityProblem(("grid", 2, 2), 2, lambda_ratio=ratio))
             scorer = Scorer.of(model, enc)
-            states, _e = batched_simulated_annealing(model, SimAnneal(sweeps), restart_seeds(ratio_seed, reads))
+            states, _e = batched_simulated_annealing([model] * reads, SimAnneal(sweeps), restart_seeds(ratio_seed, reads))
             indices = np.array([index_from_string(s) for s in states])
             ev = float(energies_at(model, indices).mean())
             want.append((ratio, metrics(scorer, scorer.counts(indices), total=reads, ev=ev)))

@@ -179,7 +179,7 @@ class TestBatchedKernels:
         rng = np.random.default_rng(seed)
         model = random_qubo(n, rng, integral)
         seeds = [int(x) for x in rng.integers(2**31, size=R)]
-        bits, energies = batched_simulated_annealing(model, config, seeds)
+        bits, energies = batched_simulated_annealing([model] * R, config, seeds)
         assert list(zip(strings_from_bits(bits), energies.tolist())) == [
             reference_simulated_annealing(model, config, s) for s in seeds]
         assert simulated_annealing(model, config, seeds[0]) == reference_simulated_annealing(model, config, seeds[0])
@@ -196,7 +196,9 @@ class TestBatchedKernels:
         assert bits.shape == (len(picks), n) and bits.dtype == bool
         for k, model in enumerate(models):
             rows = [r for r, pick in enumerate(picks) if pick == k]
-            own_bits, own_energies = batched_simulated_annealing(model, config, [seeds[r] for r in rows])
+            if not rows:
+                continue
+            own_bits, own_energies = batched_simulated_annealing([model] * len(rows), config, [seeds[r] for r in rows])
             assert np.array_equal(bits[rows], own_bits) and energies[rows].tobytes() == own_energies.tobytes()
 
     @pytest.mark.parametrize("models, seeds, message", [
@@ -284,7 +286,7 @@ class TestBatchedKernels:
         model = random_qubo(8, rng)
         config = SimAnneal(sweeps=20, beta_initial=1e8, beta_final=1e9)
         seeds = [int(x) for x in rng.integers(2**31, size=7)]
-        bits, energies = batched_simulated_annealing(model, config, seeds)
+        bits, energies = batched_simulated_annealing([model] * len(seeds), config, seeds)
         states = strings_from_bits(bits)
         assert list(zip(states, energies.tolist())) == [reference_simulated_annealing(model, config, s) for s in seeds]
         # pure descent ends in a single-flip local minimum
@@ -296,9 +298,10 @@ class TestBatchedKernels:
 
     def test_empty_batch(self):
         model = random_qubo(4, np.random.default_rng(0))
-        for bits, energies in (batched_tabu_search(model, Tabu(), []),
-                               batched_simulated_annealing(model, SimAnneal(sweeps=5), [])):
-            assert strings_from_bits(bits) == [] and bits.shape == (0, 4) and energies.shape == (0,)
+        bits, energies = batched_tabu_search(model, Tabu(), [])
+        assert strings_from_bits(bits) == [] and bits.shape == (0, 4) and energies.shape == (0,)
+        with pytest.raises(ValueError, match="^need one model per seed, got 0 models for 0 seeds$"):
+            batched_simulated_annealing([], SimAnneal(sweeps=5), [])  # an SA batch's n comes from its models
 
 
 class TestExactOptimum:

@@ -23,7 +23,7 @@ from quambo.problems import (
     is_feasible,
     problem_variant,
 )
-from quambo.qubo import CapacityError, energies_at, energy_qubo, string_from_index
+from quambo.qubo import CapacityError, QuboModel, energies_at, energy_qubo, string_from_index
 from references import reference_feasible_energies, reference_feasible_indices
 
 # Cost table for the 5-location single-ambulance problem; the first row of the
@@ -361,6 +361,13 @@ class TestFeasibleSector:
             assert energies.tobytes() == want.tobytes()
         else:
             np.testing.assert_allclose(energies, want, rtol=0, atol=1e-12 * np.abs(want).max())
+
+    def test_an_int_offset_gives_float_energies(self):
+        _, enc = encode_start_dest(FacilityProblem(("line", 3), 2, lambda_=1.0))  # three blocks
+        model = QuboModel(enc.n, {0: 1.0, 7: 0.5}, {(1, 8): 2.0}, offset=1)
+        indices, energies = feasible_sector(model, enc)
+        assert energies.dtype == np.float64
+        assert energies.tobytes() == (energies_at(model, indices) + enc.sector_shift).tobytes()
 
     def test_block_masks_are_built_once_and_shared(self, monkeypatch):
         model, enc = encode_start_dest(FacilityProblem(("grid", 2, 2), 2, lambda_ratio=1.0))
