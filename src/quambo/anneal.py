@@ -4,9 +4,10 @@ H(s) = (1 - s) * H_init + s * H_problem with a transverse-field driver whose
 ground state is the uniform superposition.  Each step applies the exact
 exp(-i dt H(s)) at its midpoint s by one dense eigensolve; a run of equal s (a
 hold) is one exponential.  A reverse schedule's rising leg mirrors its falling
-leg bitwise and each step's exponential is complex symmetric, so the falling
-half is one matrix P and the anneal is P^T [U_mid] P psi.  The cap stays at 10
-qubits: a Krylov or Chebyshev propagator needs about dt * (spectral width) / 2
+leg P = U_h ... U_1 bitwise and each U is complex symmetric, so the rising leg,
+P^T = U_1 ... U_h, replays the falling runs' kept eigensystems on the state in
+reverse order, by matrix-vector products only.  The cap stays at 10 qubits:
+a Krylov or Chebyshev propagator needs about dt * (spectral width) / 2
 matrix-vector products per step, more than 2^n on the stiff penalty models.
 """
 
@@ -24,6 +25,10 @@ from .qubo import TIE_TOL, CapacityError, IsingModel, energies_at, energy_vector
 from .simulator import StateVector, uniform_state, basis_state
 
 ANNEAL_CAP = 10
+# Floats a reverse anneal keeps of its falling runs' eigensystems (dim^2 + 2 dim each), 64 MiB: 7 at the cap, where a
+# 30-step reverse anneal then peaks at the 80 MiB that building its falling leg as a matrix took.  Later runs are
+# solved again on the rising leg from the same H, bitwise the same eigh, so the state does not depend on the bound.
+ANNEAL_KEEP_FLOATS = 1 << 23
 
 
 @dataclass
@@ -71,30 +76,39 @@ class AnnealSchedule:
 
 
 def _propagate(psi: np.ndarray, diag: np.ndarray, schedule: AnnealSchedule) -> np.ndarray:
-    """psi after exp(-i dt H(s)) at each step's midpoint s; a reverse anneal is P^T [U_mid] P psi."""
+    """psi after exp(-i dt H(s)) at each step's midpoint s; a reverse anneal replays its falling leg in reverse."""
     dim, s_mid, dt = len(diag), schedule.midpoints(), schedule.duration / schedule.steps
     idx = np.arange(dim)
     flips = (idx ^ (1 << np.arange(dim.bit_length() - 1))[:, None], idx)  # the driver -sum_i X_i
     H = np.zeros((dim, dim))
 
-    def evolve(X: np.ndarray, s_values: np.ndarray) -> np.ndarray:
-        """Each exp(-i dt H(s)) applied in turn to the columns of X; a run of equal s is one exponential."""
+    def runs(s_values: np.ndarray) -> list[tuple[float, int]]:  # each run of equal s is one exponential
         starts = np.flatnonzero(np.diff(s_values, prepend=np.nan))  # where s changes
-        for start, stop in zip(starts, [*starts[1:], len(s_values)]):
-            s = s_values[start]
+        return [(s_values[start], stop - start) for start, stop in zip(starts, [*starts[1:], len(s_values)])]
+
+    def step(x: np.ndarray, s: float, steps: int, pair: tuple | None = None) -> tuple[np.ndarray, tuple]:
+        """x after exp(-i steps dt H(s)) from its (phase, real eigenvectors) pair, solved by one eigh if not given."""
+        if pair is None:
             H[flips] = s - 1.0
             H.flat[:: dim + 1] = s * diag
             vals, V = np.linalg.eigh(H)
-            # V (phase * (V^T X)) as real products on X's float view, without a complex copy of V
-            Y = np.exp(-1j * ((stop - start) * dt) * vals)[:, None] * (V.T @ X.view(float)).view(complex)
-            X = (V @ Y.view(float)).view(complex)
-        return X
+            pair = np.exp(-1j * (steps * dt) * vals), V
+        phase, V = pair
+        # V (phase * (V^T x)) as real products on x's float view, without a complex copy of V
+        y = phase[:, None] * (V.T @ x.view(float)).view(complex)
+        return (V @ y.view(float)).view(complex), pair
 
-    if schedule.kind == "forward":
-        return evolve(psi[:, None], s_mid)[:, 0]
-    half = schedule.steps // 2
-    P = evolve(np.eye(dim, dtype=complex), s_mid[:half])  # the falling half; the rising half is P^T
-    return P.T @ evolve(P @ psi[:, None], s_mid[half : schedule.steps - half])[:, 0]
+    half = schedule.steps // 2 if schedule.kind == "reverse" else 0
+    keep = ANNEAL_KEEP_FLOATS // (dim * (dim + 2))  # the falling runs whose eigensystems are kept
+    x, falling, kept = psi[:, None], runs(s_mid[:half]), []
+    for s, steps in falling:
+        x, pair = step(x, s, steps)
+        kept.append(pair if len(kept) < keep else None)
+    for s, steps in runs(s_mid[half : schedule.steps - half]):
+        x, _pair = step(x, s, steps)
+    for (s, steps), pair in zip(falling[::-1], kept[::-1]):  # the rising leg: P^T = U_1 ... U_h
+        x, _pair = step(x, s, steps, pair)
+    return x[:, 0]
 
 
 def _anneal(ising: IsingModel, schedule: AnnealSchedule, seed_state: str | None) -> tuple[StateVector, float]:

@@ -132,8 +132,10 @@ class Encoding:
 
     @cached_property
     def sector_order(self) -> np.ndarray:
-        """np.argsort of the sector, built once per encoding (read-only) for every Scorer of it."""
-        return read_only(np.argsort(self.sector))
+        """np.argsort of the sector, built once per encoding (read-only) for every Scorer of it.  The blocks hold
+        ascending bit ranges, so it is the blocks' own argsorts at their sector strides, the last block slowest."""
+        sorts = [np.argsort(masks) for masks in self.block_masks]
+        return read_only(np.ravel_multi_index(np.ix_(*sorts[::-1])[::-1], [len(s) for s in sorts]).reshape(-1))
 
 
 def add_penalty(linear: dict, quadratic: dict, qubits: Sequence[int], lam: float, w: int) -> float:

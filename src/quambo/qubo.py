@@ -153,13 +153,8 @@ def strings_from_bits(bits: np.ndarray) -> list[str]:
     return table.view(f"S{table.shape[1]}").ravel().astype(str).tolist()
 
 
-def string_from_index(index: int, n: int) -> str:
-    """Render basis index as a bitstring, variable 0 leftmost."""
-    return "".join(str((index >> i) & 1) for i in range(n))
-
-
 def strings_from_indices(indices: Sequence[int] | np.ndarray, n: int) -> list[str]:
-    """string_from_index of every index, rendered from one bit table."""
+    """Each basis index as a bitstring of n bits, variable 0 leftmost, rendered from one bit table."""
     idx = np.asarray(indices)
     return strings_from_bits((idx[:, None] >> np.arange(n).astype(idx.dtype)) & 1)
 

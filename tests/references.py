@@ -1,9 +1,9 @@
-"""Reference implementations the tests check quambo against: the per-state Ising energy loop,
-the feasible-index generator, the sector energies with the penalty floor found numerically,
-the QAOA initial states and cost split, the XY-ring mixer, R_y and CNOT gates, scipy's
-Nelder-Mead, the one-row SPSA and finite-difference BFGS loops, the one-vector QAOA evaluator,
-the per-column INTERP/EXTRAP depth extenders, the one-vector VQE circuit, the step-by-step
-anneal propagator and the per-ratio lambda sweep."""
+"""Reference implementations the tests check quambo against: the bit-by-bit index renderer,
+the per-state Ising energy loop, the feasible-index generator, the sector energies with the
+penalty floor found numerically, the QAOA initial states and cost split, the XY-ring mixer,
+R_y and CNOT gates, scipy's Nelder-Mead, the one-row SPSA and finite-difference BFGS loops,
+the one-vector QAOA evaluator, the per-column INTERP/EXTRAP depth extenders, the one-vector
+VQE circuit, the step-by-step anneal propagator and the per-ratio lambda sweep."""
 
 import itertools
 from dataclasses import replace
@@ -15,9 +15,14 @@ from quambo.heuristics import SimAnneal, batched_simulated_annealing, restart_se
 from quambo.optimize import FdQuasiNewton, Spsa, spsa_schedules
 from quambo.problems import distance_matrix, encode_start_dest, is_feasible
 from quambo.qaoa import Scorer, metrics
-from quambo.qubo import QuboModel, energies_at, energy_vector, index_from_string, string_from_index, strings_from_bits
+from quambo.qubo import QuboModel, energies_at, energy_vector, index_from_string, strings_from_bits
 from quambo.simulator import apply_local_unitary, basis_state, uniform_state, xy_ring_eigensystem
 from quambo.vqe import NARROW_MIN_ROWS, NARROW_STRIDE
+
+
+def string_from_index(index, n):
+    """Render basis index as a bitstring, variable 0 leftmost, one bit at a time: the oracle of strings_from_indices."""
+    return "".join(str((index >> i) & 1) for i in range(n))
 
 
 def reference_energy_ising(model, z):

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from quambo import anneal, problems
 from quambo.anneal import (
     AnnealSchedule,
     anneal_parameter_sweep,
@@ -14,7 +15,6 @@ from quambo.anneal import (
     simulate_reverse_anneal,
     tts,
 )
-from quambo import problems
 from quambo.heuristics import SimAnneal, batched_simulated_annealing, restart_seeds
 from quambo.problems import FacilityProblem, encode_start_dest
 from quambo.qaoa import Scorer, metrics
@@ -157,6 +157,35 @@ class TestPropagator:
         else:
             simulate_reverse_anneal(two_spin_model(), "00", schedule)
         assert count == calls
+
+    @pytest.mark.parametrize("steps, hold", [(30, 1.0), (31, 0.4)])
+    def test_problem_c_size_matches_the_step_by_step_propagator(self, steps, hold):
+        """n = 8 with problem C's schedule shape, where the rising leg's replay saves the most."""
+        rng = np.random.default_rng(steps)
+        ising = IsingModel(8, h={i: rng.normal() for i in range(8)},
+                           J={(i, j): rng.normal() for i in range(8) for j in range(i + 1, 8)})
+        schedule = AnnealSchedule("reverse", T=5.0, steps=steps, s_min=0.5, hold=hold)
+        state, _ = simulate_reverse_anneal(ising, "10110010", schedule)
+        want = reference_propagate(basis_state(8, "10110010").amplitudes, energy_vector(ising), schedule)
+        assert np.abs(state.amplitudes - want).max() < 1e-10
+
+    @pytest.mark.parametrize("schedule", [REVERSE_A, REVERSE_C])
+    @pytest.mark.parametrize("kept", [0, 2])
+    def test_runs_past_the_keep_bound_are_solved_again_bitwise(self, monkeypatch, schedule, kept):
+        """A falling run whose eigensystem the bound does not hold costs one more eigh, and no bit of the state."""
+        rng = np.random.default_rng(11)
+        ising = IsingModel(5, h={i: rng.normal() for i in range(5)},
+                           J={(i, j): rng.normal() for i in range(5) for j in range(i + 1, 5)})
+        calls = []
+        eigh = np.linalg.eigh
+        monkeypatch.setattr(np.linalg, "eigh", lambda H: calls.append(H) or eigh(H))
+        state, p_gnd = simulate_reverse_anneal(ising, "01101", schedule)
+        falling = len(calls)  # an even step count has no middle step
+        monkeypatch.setattr(anneal, "ANNEAL_KEEP_FLOATS", kept * 32 * (32 + 2))
+        calls.clear()
+        again, p_again = simulate_reverse_anneal(ising, "01101", schedule)
+        assert np.array_equal(again.amplitudes, state.amplitudes) and p_again == p_gnd
+        assert len(calls) == 2 * falling - kept
 
 
 class TestReverseAnneal:

@@ -23,8 +23,8 @@ from quambo.problems import (
     is_feasible,
     problem_variant,
 )
-from quambo.qubo import CapacityError, QuboModel, energies_at, energy_qubo, string_from_index
-from references import reference_feasible_energies, reference_feasible_indices
+from quambo.qubo import CapacityError, QuboModel, energies_at, energy_qubo
+from references import reference_feasible_energies, reference_feasible_indices, string_from_index
 
 # Cost table for the 5-location single-ambulance problem; the first row of the
 # published table at lam=0 (-26) is inconsistent with every other column of
@@ -312,6 +312,7 @@ class TestFeasibleSector:
         enc.hamming_targets = [((0, 2), 0), ((2, 5), 2), ((5, 7), 2)]
         enc.n = 7
         assert feasible_indices(enc).tolist() == list(reference_feasible_indices(enc)) == [108, 116, 120]
+        assert enc.sector_order.tolist() == [0, 1, 2]
 
     @pytest.mark.parametrize("geometry, m, message", [
         # 16^2 start choices times C(32, 16) destination patterns
@@ -361,6 +362,15 @@ class TestFeasibleSector:
             assert energies.tobytes() == want.tobytes()
         else:
             np.testing.assert_allclose(energies, want, rtol=0, atol=1e-12 * np.abs(want).max())
+
+    @given(sector_problems())
+    @settings(max_examples=60, deadline=None)
+    def test_sector_order_is_the_argsort_of_the_sector(self, drawn):
+        """The blocks' own argsorts at their sector strides are the one permutation that sorts the distinct indices."""
+        encoder, problem = drawn
+        _, enc = encoder(problem)
+        assert np.array_equal(enc.sector_order, np.argsort(enc.sector))
+        assert enc.sector_order.dtype == np.intp and not enc.sector_order.flags.writeable
 
     def test_an_int_offset_gives_float_energies(self):
         _, enc = encode_start_dest(FacilityProblem(("line", 3), 2, lambda_=1.0))  # three blocks

@@ -29,14 +29,13 @@ from quambo.qubo import (
     index_from_string,
     model_to_text,
     qubo_to_ising,
-    string_from_index,
     strings_from_bits,
     strings_from_indices,
 )
 
 from quambo.simulator import basis_state
 
-from references import reference_energy_ising
+from references import reference_energy_ising, string_from_index
 
 
 def problem_a(lam):

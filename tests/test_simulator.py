@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from quambo.qubo import CapacityError, IsingModel, QuboModel, energy_vector, string_from_index
+from quambo.qubo import CapacityError, IsingModel, QuboModel, energy_vector
 from quambo.simulator import (
     SampleSet,
     StateVector,
@@ -22,7 +22,7 @@ from quambo.simulator import (
     xy_ring_eigensystem,
 )
 
-from references import apply_cnot, apply_ry, apply_xy_ring_mixer, masked_uniform_state
+from references import apply_cnot, apply_ry, apply_xy_ring_mixer, masked_uniform_state, string_from_index
 
 
 def norm(state):
