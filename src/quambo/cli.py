@@ -422,6 +422,13 @@ def cmd_summarize(args: argparse.Namespace) -> int:
     return 0
 
 
+def seed(text: str) -> int:
+    """A --seed value: an int >= 0, as numpy's generators take it; argparse names the flag in the error."""
+    if (value := int(text)) < 0:
+        raise argparse.ArgumentTypeError(f"need a seed >= 0, got {value}")
+    return value
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(prog="quambo", description=__doc__,
                                      formatter_class=argparse.RawDescriptionHelpFormatter)
@@ -438,7 +445,7 @@ def main(argv: list[str] | None = None) -> int:
     add("encode", cmd_encode)
     for name, fn in (("oracle", cmd_oracle), ("qaoa", cmd_qaoa), ("vqe", cmd_vqe), ("baseline", cmd_baseline),
                      ("anneal", cmd_anneal)):
-        add(name, fn).add_argument("--seed", type=int, default=0)  # every study records --seed in its manifest
+        add(name, fn).add_argument("--seed", type=seed, default=0)  # every study records --seed in its manifest
     p_tts = add("tts", cmd_tts, needs_config=False)
     p_tts.add_argument("--p-sol", type=float, required=True, dest="p_sol")
     p_tts.add_argument("--t-cycle", type=float, required=True, dest="t_cycle")

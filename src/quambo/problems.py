@@ -23,7 +23,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .qubo import CapacityError, QuboModel, SpectrumEntry, bits_of, energies_at, enumerate_spectrum, read_only
+from .qubo import CapacityError, QuboModel, SpectrumEntry, bits_of, block_energies, enumerate_spectrum, read_only
 from .simulator import STATE_CAP
 
 GEOMETRIES = {"grid": ("rows", "cols"), "line": ("cols",)}  # each geometry's size keys, in tuple order
@@ -119,11 +119,6 @@ class Encoding:
         CapacityError.check(self.n, 63, "feasible sector")
         return [read_only(np.fromiter(map(sum, itertools.combinations([1 << q for q in range(lo, hi)], w)), np.int64))
                 for (lo, hi), w in self.hamming_targets]
-
-    @cached_property
-    def block_of(self) -> list[int]:
-        """The Hamming block of each qubit: the blocks ascend and cover all n qubits, as every encoder lays them."""
-        return [b for b, ((lo, hi), _w) in enumerate(self.hamming_targets) for _q in range(lo, hi)]
 
     @cached_property
     def sector(self) -> np.ndarray:
@@ -301,32 +296,13 @@ def feasible_sector(model: QuboModel, encoding: Encoding) -> tuple[np.ndarray, n
 
     Each energy is the model energy plus encoding.sector_shift, so the penalty's minimum over the sector
     is 0: the complement penalty vanishes there, while the start/destination penalty keeps its variation
-    within the sector (forbid_colocation), so the ground set matches the full cost function.
-
-    The sector is the outer sum of the blocks' choice masks, so its energies are a broadcast sum of
-    energies_at tables: one per block, over its masks, and one per block pair that a quadratic term
-    spans, over the pair's outer-sum masks; the offset goes into block 0's table.  One block gives one
-    table, bitwise one energies_at pass over the sector.  With more blocks only the order of the sums
-    differs, so the two are bitwise equal whenever every coefficient and partial sum is an exact binary
-    fraction (integer distances, a weight of a few binary places), and agree to rounding otherwise.
+    within the sector (forbid_colocation), so the ground set matches the full cost function.  The sector is
+    the outer sum of the Hamming blocks' choice masks, so its energies are block_energies over those
+    blocks: one block is bitwise one energies_at pass, more agree with it to rounding (exactly for
+    binary-fraction coefficients).
     """
     indices = encoding.sector  # checks the sector caps before any mask or table is built
-    masks, block_of = encoding.block_masks, encoding.block_of
-    terms: dict[tuple[int, ...], tuple[dict, dict]] = {(0,): ({}, {})}  # the blocks a term touches -> its terms
-    for i, c in model.linear.items():
-        terms.setdefault((block_of[i],), ({}, {}))[0][i] = c
-    for (i, j), c in model.quadratic.items():
-        terms.setdefault(tuple(sorted({block_of[i], block_of[j]})), ({}, {}))[1][i, j] = c
-    energies = np.empty([len(m) for m in masks])
-    for k, (blocks, (linear, quadratic)) in enumerate(terms.items()):
-        at = masks[blocks[0]] if len(blocks) == 1 else np.add.outer(masks[blocks[0]], masks[blocks[1]])
-        table = energies_at(QuboModel(model.n, linear, quadratic, model.offset if k == 0 else 0.0), at)
-        table = table.reshape([len(m) if b in blocks else 1 for b, m in enumerate(masks)])
-        if k == 0:
-            energies[...] = table
-        else:
-            energies += table
-    energies = energies.reshape(-1)
+    energies = block_energies(model, [block for block, _w in encoding.hamming_targets], encoding.block_masks)[0]
     energies += encoding.sector_shift
     return indices, energies
 

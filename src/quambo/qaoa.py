@@ -22,7 +22,7 @@ import numpy as np
 
 from .optimize import OptimizerConfig, minimize_batch, restart_search
 from .problems import Encoding, feasible_sector
-from .qubo import TIE_TOL, CapacityError, QuboModel, energies_at, read_only
+from .qubo import TIE_TOL, CapacityError, QuboModel, block_energies, read_only
 from .simulator import EV_BATCH_AMPLITUDES, STATE_CAP, StateVector, xy_ring_eigensystem
 
 MIXER_KINDS = ("X", "XY", "ThreeXY")
@@ -169,9 +169,11 @@ class QaoaContext:
     indices are the outer sum of every block's patterns shifted to its range.
     A layer multiplies by the cost phase, applies V^T of every block's real
     mixer eigensystem (V, lambda), multiplies by exp(-i sum_b beta_b lambda_b)
-    and applies V again.  Cost rows (one per gamma family), eigensystems and
-    the initial state (InitSpec) are built once, read-only, in the engine
-    basis, where ev and metrics score; only run fills all 2^n amplitudes.
+    and applies V again.  Cost rows (qubo.block_energies over the engine
+    blocks, one row per gamma family), eigensystems and the initial state
+    (InitSpec) are built once, read-only, in the engine basis, where ev and
+    metrics score; only run fills all 2^n amplitudes.  use_sector=False keeps
+    the full basis.
     """
 
     def __init__(
@@ -180,7 +182,7 @@ class QaoaContext:
         model: QuboModel,
         mixer: MixerSpec,
         init: InitSpec,
-        use_sector: bool | None = None,
+        use_sector: bool = True,
     ):
         CapacityError.check(model.n, STATE_CAP, "statevector")
         self.encoding = encoding
@@ -204,11 +206,11 @@ class QaoaContext:
         self.sector_reason = self._sector_reason(use_sector)
         self.basis = "full" if self.sector_reason else "sector"
         blocks = self._blocks()
-        self.block_dims = [len(patterns) for _lo, patterns, _l, _v in blocks]
-        index = np.zeros((), dtype=np.int64)
-        self._steps = []
-        for axis, (lo, patterns, _vals, vecs) in enumerate(blocks):
-            index = np.add.outer(index, patterns << lo)
+        self.block_dims = [len(patterns) for _r, patterns, _l, _v in blocks]
+        index, masks, self._steps = np.zeros((), dtype=np.int64), [], []
+        for axis, ((lo, _hi), patterns, _vals, vecs) in enumerate(blocks):
+            masks.append(patterns << lo)
+            index = np.add.outer(index, masks[-1])
             pre, post = int(np.prod(self.block_dims[:axis])), int(np.prod(self.block_dims[axis + 1:]))
             self._steps.append(((pre, len(patterns), 2 * post), read_only(np.ascontiguousarray(vecs.T)), vecs))
         # engine amplitude i is the computational basis state _index[i]
@@ -223,16 +225,16 @@ class QaoaContext:
         self._mix_rows = read_only(np.hstack([np.outer(drive[:, b], block[2]) for b, block in enumerate(blocks)]))
         edges = np.cumsum([0] + self.block_dims)
         self._mix_slices = [slice(lo, hi) for lo, hi in zip(edges, edges[1:])]
-        rows = [energies_at(sub, self._index) for sub in self._gamma_models()]
-        self._cost_table, self._cost_index = _phase_table(np.array(rows))
+        rows = block_energies(model, [block for block, *_ in blocks], masks, mixer.n_gamma)
+        self._cost_table, self._cost_index = _phase_table(rows)
         self._cost = read_only(sum(rows[1:], rows[0]))
         # the engine position of each of scorer.indices: every feasible state is an engine basis state
         hit, at = self.scorer.find(self._index)
         self._feasible_at = read_only(np.flatnonzero(hit)[np.argsort(at)])
 
-    def _sector_reason(self, use_sector: bool | None) -> str:
+    def _sector_reason(self, use_sector: bool) -> str:
         """Why the engine cannot run in the Hamming-weight sector ("" when it can)."""
-        if use_sector is False:
+        if not use_sector:
             return "use_sector=False"
         if self.mixer.kind == "X":
             return "the X mixer does not conserve Hamming weight"
@@ -240,31 +242,16 @@ class QaoaContext:
             return f"the {self.init.kind} initial state is not inside the sector"
         return ""
 
-    def _blocks(self) -> list[tuple[int, np.ndarray, np.ndarray, np.ndarray]]:
-        """(lo, patterns, vals, vecs) per engine axis: bit t of the block's patterns is qubit lo + t."""
+    def _blocks(self) -> list[tuple[tuple[int, int], np.ndarray, np.ndarray, np.ndarray]]:
+        """((lo, hi), patterns, vals, vecs) per engine axis: bit t of the block's patterns is qubit lo + t."""
         if self.mixer.kind == "X":
             # near-equal blocks, highest qubits on axis 0, so the engine basis is the computational one
             count = -(-self.n // X_BLOCK_CAP)
             sizes = [self.n // count + (b < self.n % count) for b in range(count)]
             tops = np.cumsum([0] + sizes)
-            return [(self.n - hi, *_hadamard_eigensystem(hi - lo)) for lo, hi in zip(tops, tops[1:])]
-        return [(lo, *xy_ring_eigensystem(hi - lo, w if self.basis == "sector" else None))
+            return [((self.n - hi, self.n - lo), *_hadamard_eigensystem(hi - lo)) for lo, hi in zip(tops, tops[1:])]
+        return [((lo, hi), *xy_ring_eigensystem(hi - lo, w if self.basis == "sector" else None))
                 for (lo, hi), w in self.encoding.hamming_targets]
-
-    def _gamma_models(self) -> list[QuboModel]:
-        """The model per gamma family: itself, or with three gammas each term in its lower qubit's block's family.
-
-        The blocks ascend, so that is the family of a cross-block term's start-block qubit, as in the paper.
-        """
-        if self.mixer.n_gamma == 1:
-            return [self.model]
-        block_of = self.encoding.block_of
-        terms = [({}, {}, offset) for offset in (self.model.offset, 0.0, 0.0)]
-        for i, c in self.model.linear.items():
-            terms[block_of[i]][0][i] = c
-        for (i, j), c in self.model.quadratic.items():
-            terms[block_of[i]][1][i, j] = c
-        return [QuboModel(self.n, *family) for family in terms]
 
     @property
     def engine(self) -> dict:

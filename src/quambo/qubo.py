@@ -199,6 +199,32 @@ def energies_at(model: QuboModel | IsingModel, indices: Sequence[int] | np.ndarr
     return out.reshape(idx.shape)
 
 
+def block_energies(model: QuboModel, ranges: Sequence[tuple[int, int]], masks: Sequence[np.ndarray],
+                   families: int = 1) -> np.ndarray:
+    """The model's energies (families, states) over the outer sum of per-block index sets, block 0 varying slowest.
+
+    Block b holds the qubits range(*ranges[b]) and the index set masks[b].  Each term joins the energies_at
+    table of the one or two blocks it touches (over their masks, or the pair's outer-sum masks), the offset
+    joins block 0's, and the tables are broadcast-added in first-use order.  With families > 1 (one per
+    block) a table goes into the row of its lowest block.  One block is bitwise one energies_at pass; with
+    more only the order of the sums differs, so the two are bitwise equal when every coefficient and partial
+    sum is an exact binary fraction (integer distances, a weight of a few binary places), else to rounding.
+    """
+    block_of = {q: b for b, (lo, hi) in enumerate(ranges) for q in range(lo, hi)}
+    groups: dict[tuple[int, ...], tuple[dict, dict]] = {(0,): ({}, {})}  # the blocks a term touches -> its terms
+    for i, c in model.linear.items():
+        groups.setdefault((block_of[i],), ({}, {}))[0][i] = c
+    for (i, j), c in model.quadratic.items():
+        groups.setdefault(tuple(sorted({block_of[i], block_of[j]})), ({}, {}))[1][i, j] = c
+    dims = [len(m) for m in masks]
+    out = np.zeros((families, *dims))
+    for k, (blocks, (linear, quadratic)) in enumerate(groups.items()):
+        at = masks[blocks[0]] if len(blocks) == 1 else np.add.outer(masks[blocks[0]], masks[blocks[1]])
+        table = energies_at(QuboModel(model.n, linear, quadratic, model.offset if k == 0 else 0.0), at)
+        out[blocks[0] if families > 1 else 0] += table.reshape([d if b in blocks else 1 for b, d in enumerate(dims)])
+    return out.reshape(families, -1)
+
+
 def energy_qubo(model: QuboModel, s: str | Sequence[int] | np.ndarray) -> float:
     """Evaluate the QUBO cost for one binary assignment: a bitstring or 0/1 sequence of model.n bits (bits_of)."""
     return float(energies_at(model, [index_from_string(s, model.n)])[0])

@@ -654,6 +654,14 @@ def test_seed_is_refused_by_commands_that_draw_nothing(tmp_path, capsys, command
     assert exc.value.code == 2 and "unrecognized arguments: --seed 3" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["oracle", "qaoa", "vqe", "baseline", "anneal"])
+@pytest.mark.parametrize("value, error", [("-1", "need a seed >= 0, got -1"), ("x", "invalid seed value: 'x'")])
+def test_a_bad_seed_is_refused_when_parsed(tmp_path, capsys, command, value, error):
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--config", str(tmp_path / "unread.ini"), "--seed", value])
+    assert exc.value.code == 2 and f"argument --seed: {error}\n" in capsys.readouterr().err
+
+
 class TestSummarize:
     def test_mean_and_error(self, tmp_path, capsys):
         csv_path = write(

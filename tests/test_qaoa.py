@@ -127,19 +127,6 @@ class TestAnsatz:
         assert np.array_equal(table, want_table.T) and np.array_equal(index, want_index.reshape(-1))
         assert index.dtype == np.int64 and np.array_equal(table[:, index], rows)
 
-    def test_three_xy_diagonals_sum_to_full(self, encoded_b):
-        """The engine's cost rows are the reference split at its basis indices, bitwise, in either basis."""
-        model, enc = encoded_b
-        mixer = MixerSpec(kind="ThreeXY", angle_scheme=(3, 3))
-        for use_sector in (None, False):
-            ctx = QaoaContext(enc, model, mixer, InitSpec(kind="DickeBlocks"), use_sector=use_sector)
-            split = reference_phase_diagonals(ctx)
-            assert len(split) == 3 and len(ctx._cost_table) == 3
-            assert np.array_equal(ctx._cost_table[:, ctx._cost_index], np.array([d[ctx._index] for d in split]))
-            total = split[0] + split[1] + split[2]
-            assert np.array_equal(ctx._cost, total[ctx._index])
-            assert np.abs(total - energy_vector(model)).max() < 1e-9
-
     @pytest.mark.parametrize("scheme", [(1, 1), (3, 3)])
     def test_sector_fast_path_matches_full_simulation(self, encoded_b, scheme):
         model, enc = encoded_b
@@ -199,6 +186,37 @@ MIXERS += [("start-dest", "ThreeXY", scheme) for scheme in ((1, 1), (2, 1), (3, 
 INITS = ["Uniform", "Dicke", "DickeBlocks", "RandomFeasible"]
 
 
+# The mixers' encodings, plus problem B (n = 16: X in four descending blocks, against two at the n = 8
+# start/dest) and a euclidean start/dest problem, whose distances are not binary fractions.
+COST_ENCODINGS = {
+    **ENCODINGS,
+    "B": encode_start_dest(problem_variant("B")),
+    "euclidean": encode_start_dest(FacilityProblem(("grid", 2, 2), 2, metric="euclidean", lambda_ratio=1.0)),
+}
+COST_MIXERS = MIXERS + [("B", "X", None), ("B", "ThreeXY", (3, 3)),
+                        ("euclidean", "X", None), ("euclidean", "ThreeXY", (3, 3))]
+
+
+class TestCostRows:
+    @pytest.mark.parametrize("encoding, kind, scheme", COST_MIXERS)
+    def test_cost_rows_are_the_reference_diagonals(self, encoding, kind, scheme):
+        """The engine's cost rows are the reference diagonals at its basis indices, in either basis: bitwise for
+        integer distances, within 1e-12 of the largest energy for euclidean ones."""
+        model, enc = COST_ENCODINGS[encoding]
+        mixer = MixerSpec(kind, angle_scheme=scheme or (1, 1))
+        for use_sector in (True, False):
+            ctx = QaoaContext(enc, model, mixer, InitSpec("Uniform" if kind == "X" else "DickeBlocks"), use_sector)
+            want = np.array([diagonal[ctx._index] for diagonal in reference_phase_diagonals(ctx)])
+            got, total = ctx._cost_table[:, ctx._cost_index], sum(want[1:], want[0])
+            assert got.shape == want.shape == (mixer.n_gamma, len(ctx._index))
+            if encoding == "euclidean":
+                scale = 1e-12 * np.abs(want).max()
+                assert np.abs(got - want).max() <= scale and np.abs(ctx._cost - total).max() <= scale
+            else:
+                assert got.tobytes() == want.tobytes() and ctx._cost.tobytes() == total.tobytes()
+            assert np.abs(total - energy_vector(model)[ctx._index]).max() < 1e-9
+
+
 def reference_state(ctx, x, p):
     """The ansatz at the angles x of depth p, built gate by gate from the simulator primitives alone."""
     state = reference_initial_state(ctx)
@@ -230,9 +248,9 @@ class TestEngineAgainstPrimitives:
             spec = InitSpec(init, seed=5)
             in_sector = kind != "X" and init != "Uniform" and not (init == "Dicke" and len(rings) > 1)
             want = None
-            for use_sector in (None, False):
+            for use_sector in (True, False):
                 ctx = QaoaContext(enc, model, mixer, spec, use_sector=use_sector)
-                assert ctx.basis == ("sector" if in_sector and use_sector is None else "full")
+                assert ctx.basis == ("sector" if in_sector and use_sector else "full")
                 want = want or reference_state(ctx, x, 2)
                 assert np.abs(ctx.run(x, 2).amplitudes - want.amplitudes).max() < 1e-12
                 assert ctx.ev(x, 2) == pytest.approx(want.probabilities() @ sum(reference_phase_diagonals(ctx)),
@@ -247,7 +265,7 @@ def contexts():
         mixer = MixerSpec(kind, rings=rings if kind == "XY" else None, angle_scheme=scheme or (1, 1))
         for init in INITS:
             spec = InitSpec(init, seed=5)
-            for use_sector in (None, False):
+            for use_sector in (True, False):
                 ctx = QaoaContext(enc, model, mixer, spec, use_sector=use_sector)
                 yield f"{encoding}-{kind}{scheme or ''}-{init}-{ctx.basis}", ctx
 

@@ -22,6 +22,7 @@ from quambo.qubo import (
     IsingModel,
     QuboModel,
     bits_of,
+    block_energies,
     energies_at,
     energy_qubo,
     energy_vector,
@@ -174,6 +175,34 @@ class TestEnergyKernel:
     def test_non_binary_assignment(self):
         with pytest.raises(ValueError):
             energy_qubo(QuboModel(n=2, linear={0: 1.0}), [2, 0])
+
+
+class TestBlockEnergies:
+    """block_energies against one energies_at pass over the outer sum of the blocks' index sets."""
+
+    @given(st.integers(min_value=0, max_value=2**31 - 1), st.booleans())
+    @settings(max_examples=60, deadline=None)
+    def test_integer_models_equal_one_pass_bitwise(self, seed, descend):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(1, 10))
+        cuts = np.unique(rng.integers(1, n, size=int(rng.integers(0, 4)))).tolist() if n > 1 else []
+        ranges = list(zip([0, *cuts], [*cuts, n]))[::-1 if descend else 1]  # the X engine's blocks descend
+        masks = [rng.choice(1 << (hi - lo), size=int(rng.integers(1, 1 + (1 << (hi - lo)))), replace=False) << lo
+                 for lo, hi in ranges]
+        model = QuboModel(n, {i: int(rng.integers(-9, 10)) for i in range(n)},
+                          {(i, j): int(rng.integers(-9, 10)) for i in range(n) for j in range(i + 1, n)},
+                          int(rng.integers(-9, 10)))
+        index = masks[0]
+        for mask in masks[1:]:
+            index = np.add.outer(index, mask).reshape(-1)
+        assert block_energies(model, ranges, masks).tobytes() == energies_at(model, index).tobytes()
+        # one row per block: each term in the row of the lowest block it touches, the offset in block 0's
+        block = {q: b for b, (lo, hi) in enumerate(ranges) for q in range(lo, hi)}
+        families = [energies_at(QuboModel(n, {i: c for i, c in model.linear.items() if block[i] == f},
+                                          {(i, j): c for (i, j), c in model.quadratic.items()
+                                           if min(block[i], block[j]) == f},
+                                          model.offset if f == 0 else 0.0), index) for f in range(len(ranges))]
+        assert block_energies(model, ranges, masks, len(ranges)).tobytes() == np.array(families).tobytes()
 
 
 class TestEnergyQubo:
