@@ -429,33 +429,35 @@ def seed(text: str) -> int:
     return value
 
 
-def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(prog="quambo", description=__doc__,
-                                     formatter_class=argparse.RawDescriptionHelpFormatter)
-    sub = parser.add_subparsers(dest="command", required=True)
+@functools.cache
+def parser() -> argparse.ArgumentParser:
+    """The command line's parser, built once per process; main runs the command it parses by name (cmd_<name>)."""
+    top = argparse.ArgumentParser(prog="quambo", description=__doc__,
+                                  formatter_class=argparse.RawDescriptionHelpFormatter)
+    sub = top.add_subparsers(dest="command", required=True)
 
-    def add(name, fn, needs_config=True):
+    def add(name, needs_config=True):
         p = sub.add_parser(name)
         if needs_config:
             p.add_argument("--config", required=True)
         p.add_argument("--out", default=None)
-        p.set_defaults(fn=fn)
         return p
 
-    add("encode", cmd_encode)
-    for name, fn in (("oracle", cmd_oracle), ("qaoa", cmd_qaoa), ("vqe", cmd_vqe), ("baseline", cmd_baseline),
-                     ("anneal", cmd_anneal)):
-        add(name, fn).add_argument("--seed", type=seed, default=0)  # every study records --seed in its manifest
-    p_tts = add("tts", cmd_tts, needs_config=False)
+    add("encode")
+    for name in ("oracle", "qaoa", "vqe", "baseline", "anneal"):
+        add(name).add_argument("--seed", type=seed, default=0)  # every study records --seed in its manifest
+    p_tts = add("tts", needs_config=False)
     p_tts.add_argument("--p-sol", type=float, required=True, dest="p_sol")
     p_tts.add_argument("--t-cycle", type=float, required=True, dest="t_cycle")
-    p_sum = sub.add_parser("summarize")
-    p_sum.add_argument("csv")
-    p_sum.set_defaults(fn=cmd_summarize)
+    sub.add_parser("summarize").add_argument("csv")
+    return top
 
-    args = parser.parse_args(argv)
+
+def main(argv: list[str] | None = None) -> int:
+    args = parser().parse_args(argv)
     try:
-        return args.fn(args)
+        # looked up when called, so a command replaced on this module (a traced one) is the one that runs
+        return globals()[f"cmd_{args.command}"](args)
     except (ValueError, KeyError, OSError, configparser.Error) as exc:
         print(f"error: {' '.join(str(exc).split())}", file=sys.stderr)  # one line, configparser's too
         return 1

@@ -149,7 +149,8 @@ def batched_simulated_annealing(
     order = np.zeros(Q.shape, dtype=np.intp)
     U = np.zeros_like(Q)
     draws = [(rng.shuffle, perm, rng.random, u) for perm, u, rng in zip(order, U, rngs)]  # bound once per batch
-    # exp(-beta * delta) may overflow on downhill moves, which are accepted without it
+    # Metropolis in one comparison: U is in [0, 1) and beta > 0, so a downhill move (delta <= 0) has
+    # exp(-beta * delta) >= 1 > U, or inf where it overflows, and is accepted without a test of its own
     with np.errstate(over="ignore"):
         for beta in np.geomspace(config.beta_initial, config.beta_final, config.sweeps):
             order[:] = np.arange(n)  # each row shuffled in place: the stream of rng.permutation(n)
@@ -164,7 +165,7 @@ def batched_simulated_annealing(
                 k = flat[t]
                 q = Qf[k]
                 delta = q * (lin_t[t] + Ff[k])
-                a = rows_where((delta <= 0.0) | (U_t[t] < np.exp(-beta * delta)))
+                a = rows_where(U_t[t] < np.exp(-beta * delta))
                 if a is None:
                     continue
                 q = q[a]

@@ -166,7 +166,7 @@ def index_from_string(s: str | Sequence[int] | np.ndarray, n: int | None = None)
 
 
 def energies_at(model: QuboModel | IsingModel, indices: Sequence[int] | np.ndarray) -> np.ndarray:
-    """QUBO or Ising energies at an array of basis indices: the one energy kernel.
+    """QUBO or Ising energies at an array of basis indices: the one energy kernel (energy_vector: its bits over arange).
 
     Indices are taken ENERGY_CHUNK at a time; a chunk's bits become one float
     plane per variable (s_i in {0, 1}, or the spin z_i = 1 - 2 s_i), and each
@@ -253,10 +253,34 @@ def qubo_to_ising(model: QuboModel) -> IsingModel:
 
 
 def energy_vector(model: QuboModel | IsingModel, n_override: int | None = None) -> np.ndarray:
-    """Energies of all 2^n basis states, indexed by basis index (the cost diagonal)."""
+    """Energies of all 2^n basis states, indexed by basis index (the cost diagonal): energies_at over arange, bitwise.
+
+    From the offset, each term in energies_at's order adds c where its bits are set, through a strided view (an
+    Ising term adds +-c to every half or quadrant), so each energy gets energies_at's non-zero additions in order.
+    energies_at's c * 0 elsewhere only turns an offset of -0.0 into +0.0 if some c > 0: one += 0.0 does that here.
+    """
     n = model.n if n_override is None else n_override
     CapacityError.check(n, SPECTRUM_CAP, "spectrum")
-    return energies_at(model, np.arange(1 << n))
+    if n < model.n:
+        raise ValueError(f"need n_override >= the model's n = {model.n}, got {n}")
+    qubo = isinstance(model, QuboModel)
+    linear, quadratic = (model.linear, model.quadratic) if qubo else (model.h, model.J)
+    e = np.full(1 << n, model.offset)
+    for i, c in linear.items():
+        half = e.reshape(-1, 2, 1 << i)  # axis 1: bit i
+        if qubo:
+            half[:, 1] += c
+        else:
+            half += np.array([[c], [-c]])  # z_i c, with z_i = 1 - 2 s_i
+    for (i, j), c in quadratic.items():
+        quarter = e.reshape(-1, 2, 1 << (j - i - 1), 2, 1 << i)  # axes 1 and 3: bits j and i
+        if qubo:
+            quarter[:, 1, :, 1] += c
+        else:
+            quarter += np.array([[c, -c], [-c, c]])[:, None, :, None]  # z_i z_j c
+    if qubo and np.signbit(model.offset) and any(c > 0.0 for c in [*linear.values(), *quadratic.values()]):
+        e += 0.0
+    return e
 
 
 def enumerate_spectrum(

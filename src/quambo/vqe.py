@@ -74,30 +74,34 @@ class Program:
 
 def compile_circuit(m: int, gates: Sequence[Gate]) -> Program:
     """Fuse each run of consecutive CNOTs into one permutation; keep R_y steps in order."""
-    index = np.arange(1 << m, dtype=np.intp)
     steps: list = []
-    perm = None
+    run: list[Gate] = []
     for gate in gates:
         if gate.kind == "cnot":
-            control, target = gate.qubits
-            flip = index ^ (((index >> control) & 1) << target)
-            perm = flip if perm is None else perm[flip]
+            run.append(gate)
             continue
-        if perm is not None:
-            steps.append((None, read_only(perm), None))
-            perm = None
+        if run:
+            steps.append((None, _permutation(m, run), None))
+            run = []
         rows, stride = 1 << (m - 1 - gate.qubits[0]), 1 << gate.qubits[0]
         if stride == 1 or (stride <= NARROW_STRIDE and rows >= NARROW_MIN_ROWS):
             steps.append((gate.param_index, (-1, rows, 2 * stride), read_only(np.eye(stride)[:, None, :])))
         else:
             steps.append((gate.param_index, (-1, rows, 2, stride), None))
-    if perm is None and not steps:
-        perm = index  # a circuit without gates is one identity gather
-    if perm is not None:
-        steps.append((None, read_only(perm), None))
+    if run or not steps:  # a circuit without gates is one identity gather
+        steps.append((None, _permutation(m, run), None))
     start = np.zeros(1 << m)
     start[0] = 1.0
     return Program(m, len(gates), tuple(steps), read_only(start))
+
+
+def _permutation(m: int, run: Sequence[Gate]) -> np.ndarray:
+    """The gather index of the CNOT run f_1 ... f_k, perm[i] = f_1(f_2(... f_k(i))): gates act in place, last first."""
+    perm = np.arange(1 << m, dtype=np.intp)
+    for gate in reversed(run):
+        control, target = gate.qubits
+        perm ^= ((perm >> control) & 1) << target
+    return read_only(perm)
 
 
 def run_program(program: Program, theta: np.ndarray) -> np.ndarray:
@@ -172,6 +176,11 @@ class VqeAnsatz:
         return self.n * int(self.initial_layer) + 2 * (self.n - 1) * self.entangling_layers
 
     def gates(self) -> list[Gate]:
+        """The circuit's gates in order: a copy of the kept tuple that its program and cone circuits read."""
+        return list(self._gates)
+
+    @cached_property
+    def _gates(self) -> tuple[Gate, ...]:
         out: list[Gate] = []
         k = 0
         if self.initial_layer:
@@ -189,11 +198,11 @@ class VqeAnsatz:
             for q in range(1, self.n):
                 out.append(Gate("ry", (q,), k))
                 k += 1
-        return out
+        return tuple(out)
 
     @cached_property
     def program(self) -> Program:
-        return compile_circuit(self.n, self.gates())
+        return compile_circuit(self.n, self._gates)
 
     def cone(self, term: int | tuple[int, int]) -> tuple[ReducedAnsatz, np.ndarray]:
         """The term's cone circuit and the +-1 parity of its targets over the cone's basis, built once."""
@@ -275,11 +284,10 @@ def causal_cone(ansatz: VqeAnsatz, term: int | tuple[int, int]) -> tuple[set[int
     targets = (term,) if isinstance(term, int) else tuple(term)
     if any(not 0 <= q < ansatz.n for q in targets):
         raise ValueError(f"term {term!r} out of range")
-    gates = ansatz.gates()
     cone = set(targets)
     kept_reversed: list[Gate] = []
-    for gate in reversed(gates):
-        if any(q in cone for q in gate.qubits):
+    for gate in reversed(ansatz._gates):
+        if not cone.isdisjoint(gate.qubits):
             cone.update(gate.qubits)
             kept_reversed.append(gate)
     qubits = sorted(cone)

@@ -269,28 +269,37 @@ def reference_extrap_extend(beta, gamma, by):
     return tuple(np.vstack([m, np.zeros((by, m.shape[1]))]) for m in (beta, gamma))
 
 
+def reference_cnot_run(m, run):
+    """The gather index of a run of CNOTs (control, target), composed gate by gate as perm[flip].
+
+    The oracle of vqe.compile_circuit's fused permutations.
+    """
+    index = np.arange(1 << m, dtype=np.intp)
+    perm = index
+    for control, target in run:
+        perm = perm[index ^ (((index >> control) & 1) << target)]
+    return perm
+
+
 def reference_circuit_run(m, gates, theta):
     """A compiled VQE circuit run on one vector as it was before batching: the oracle of run_program.
 
-    Consecutive CNOTs fuse into one gather; each R_y is a 2x2 product along its
+    Consecutive CNOTs fuse into one gather (reference_cnot_run); each R_y is a 2x2 product along its
     qubit's axis, or, for a narrow block, one product with kron(R^T, I_stride).
     """
-    index = np.arange(1 << m, dtype=np.intp)
-    steps, perm = [], None
+    steps, run = [], []
     for gate in gates:
         if gate.kind == "cnot":
-            control, target = gate.qubits
-            flip = index ^ (((index >> control) & 1) << target)
-            perm = flip if perm is None else perm[flip]
+            run.append(gate.qubits)
             continue
-        if perm is not None:
-            steps.append(perm)
-            perm = None
+        if run:
+            steps.append(reference_cnot_run(m, run))
+            run = []
         rows, stride = 1 << (m - 1 - gate.qubits[0]), 1 << gate.qubits[0]
         narrow = stride == 1 or (stride <= NARROW_STRIDE and rows >= NARROW_MIN_ROWS)
         steps.append((gate.param_index, (rows, 2 * stride) if narrow else (rows, 2, stride), np.eye(stride) if narrow else None))
-    if perm is not None:
-        steps.append(perm)
+    if run:
+        steps.append(reference_cnot_run(m, run))
     half = 0.5 * np.asarray(theta, dtype=float)
     c, s = np.cos(half), np.sin(half)
     rot = np.array((c, -s, s, c)).T.reshape(-1, 2, 2)

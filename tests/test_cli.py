@@ -662,6 +662,17 @@ def test_a_bad_seed_is_refused_when_parsed(tmp_path, capsys, command, value, err
     assert exc.value.code == 2 and f"argument --seed: {error}\n" in capsys.readouterr().err
 
 
+def test_a_command_replaced_after_the_first_call_is_the_one_that_runs(tmp_path, monkeypatch):
+    """One parser per process, and main looks cmd_<command> up on the module when it runs: a traced command runs."""
+    cfg = write(tmp_path, "a.ini", PROBLEM_A)
+    assert main(["oracle", "--config", cfg, "--out", str(tmp_path / "a.csv")]) == 0
+    seen = []
+    monkeypatch.setattr("quambo.cli.cmd_oracle", lambda args: seen.append(args.command) or 0)
+    assert main(["oracle", "--config", cfg, "--out", str(tmp_path / "b.csv")]) == 0
+    assert seen == ["oracle"] and not (tmp_path / "b.csv").exists()
+    assert cli.parser() is cli.parser()
+
+
 class TestSummarize:
     def test_mean_and_error(self, tmp_path, capsys):
         csv_path = write(

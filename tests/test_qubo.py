@@ -134,6 +134,10 @@ class TestEnergyKernel:
         assert np.array_equal(got.view(np.int64), np.array(reference, dtype=float).view(np.int64))
         if kind == "qubo" and length:
             assert got[0] == 0.0 and np.signbit(got[0]) == (np.signbit(offset) and max(quadratic_values) < 0)
+        # the strided diagonal: every state's bits, those of the all-zero state's signed zero too
+        diagonal = energy_vector(model)
+        assert np.array_equal(diagonal.view(np.int64), energies_at(model, np.arange(1 << n)).view(np.int64))
+        assert np.array_equal(diagonal[indices].view(np.int64), got.view(np.int64))
 
     @pytest.mark.parametrize("kind", ["qubo", "ising"])
     def test_object_indices_beyond_63_bits_take_the_chunked_path(self, kind):

@@ -14,7 +14,7 @@ from quambo.problems import FacilityProblem, encode_single_complement
 from quambo.qaoa import Scorer, metrics
 from quambo.qubo import IsingModel, QuboModel, energy_vector, qubo_to_ising
 from quambo.simulator import StateVector, basis_state, sample
-from references import apply_cnot, apply_ry, reference_circuit_run
+from references import apply_cnot, apply_ry, reference_circuit_run, reference_cnot_run
 from quambo.vqe import (
     VqeAnsatz,
     apply_ansatz,
@@ -160,6 +160,34 @@ class TestCompiledCircuit:
             got = run_program(reduced.program, theta)
             want = reference_circuit(len(reduced.qubits), reduced.gates, theta)
             assert np.abs(got - want).max() <= 1e-12
+
+    @given(st.data())
+    @settings(max_examples=80, deadline=None)
+    def test_cnot_runs_equal_the_gate_by_gate_composition(self, data):
+        """Each fused run is the reference's perm[flip] composition, bitwise.
+
+        Runs are drawn as chains, each CNOT's control the previous one's target, so a run
+        whose gates were applied first to last, not last to first, gives another permutation.
+        """
+        m = data.draw(st.integers(2, 7), label="m")
+        qubit = st.integers(0, m - 1)
+        gates, runs = [], []
+        for _ in range(data.draw(st.integers(1, 6), label="pieces")):
+            if data.draw(st.booleans(), label="ry"):
+                gates.append(vqe.Gate("ry", (data.draw(qubit),), 0))
+                continue
+            if not gates or gates[-1].kind == "ry":
+                runs.append([])  # consecutive CNOTs are one run
+            control = data.draw(qubit)
+            for _ in range(data.draw(st.integers(1, 5), label="run length")):
+                target = data.draw(qubit.filter(lambda q: q != control))
+                runs[-1].append((control, target))
+                gates.append(vqe.Gate("cnot", (control, target)))
+                control = target
+        perms = [view for k, view, _ in vqe.compile_circuit(m, gates).steps if k is None]
+        assert len(perms) == len(runs)
+        for got, run in zip(perms, runs):
+            assert np.array_equal(got, reference_cnot_run(m, run))
 
     def test_cnot_runs_are_fused(self):
         summary = VqeAnsatz(5, entangling_layers=3).program.summary
