@@ -1,6 +1,6 @@
 """Config-driven command line front end.
 
-Subcommands: encode, oracle, qaoa, vqe, baseline, anneal, tts, summarize.
+Subcommands: encode, oracle, qaoa, vqe, baseline, anneal, tts.
 Configs are INI-style key-value files, checked in full by load_config
 before any work.  One runner (_study) takes each of the five study commands
 (oracle, qaoa, vqe, baseline, anneal) from config to results: it loads the
@@ -387,41 +387,6 @@ def cmd_tts(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_summarize(args: argparse.Namespace) -> int:
-    with open(args.csv) as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise SystemExit("error: empty CSV")
-        rows = [r for r in reader if r and r[0] != "summary"]
-    if not rows:
-        raise SystemExit("error: no data rows")
-    columns: dict[str, list[float]] = {}
-    for j, name in enumerate(header):
-        vals = []
-        for r in rows:
-            try:
-                vals.append(float(r[j]))
-            except (ValueError, IndexError):
-                vals = []
-                break
-        if vals:
-            columns[name] = vals
-    best_id = None
-    if "ev" in columns and "run_id" in header:
-        best_row = int(np.argmin(columns["ev"]))
-        best_id = rows[best_row][header.index("run_id")]
-    print("metric,mean,err,min,max")
-    for name, vals in columns.items():
-        arr = np.array(vals)
-        mean, err = qaoa.mean_and_err(arr)
-        print(f"{name},{_fmt(mean)},{_fmt(err)},{_fmt(arr.min())},{_fmt(arr.max())}")
-    if best_id is not None:
-        print(f"best_run,{best_id}")
-    return 0
-
-
 def seed(text: str) -> int:
     """A --seed value: an int >= 0, as numpy's generators take it; argparse names the flag in the error."""
     if (value := int(text)) < 0:
@@ -449,7 +414,6 @@ def parser() -> argparse.ArgumentParser:
     p_tts = add("tts", needs_config=False)
     p_tts.add_argument("--p-sol", type=float, required=True, dest="p_sol")
     p_tts.add_argument("--t-cycle", type=float, required=True, dest="t_cycle")
-    sub.add_parser("summarize").add_argument("csv")
     return top
 
 

@@ -309,8 +309,7 @@ def feasible_sector(model: QuboModel, encoding: Encoding) -> tuple[np.ndarray, n
 
 def feasible_spectrum(model: QuboModel, encoding: Encoding) -> list[SpectrumEntry]:
     """Spectrum over the feasible sector with the penalty floor removed (see feasible_sector)."""
-    indices, energies = feasible_sector(model, encoding)
-    return enumerate_spectrum(model, states=indices, energies=energies)
+    return enumerate_spectrum(model, *feasible_sector(model, encoding))
 
 
 # --- paper problem variants --------------------------------------------------

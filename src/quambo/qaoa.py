@@ -309,10 +309,10 @@ class QaoaContext:
         amps[self._index] = self._evolve(np.asarray(x, dtype=float)[None], p)[0]
         return StateVector(self.n, amps)
 
-    def metrics(self, x: np.ndarray, p: int, evals: int = 0) -> RunMetrics:
+    def metrics(self, x: np.ndarray, p: int) -> RunMetrics:
         """The figures of merit of the ansatz at the angles x of depth p from one evolution; ev is bitwise ev(x, p)."""
         probs = np.abs(self._evolve(np.asarray(x, dtype=float)[None], p)[0]) ** 2
-        return metrics(self.scorer, probs[self._feasible_at], ev=float(probs @ self._cost), evals=evals)
+        return metrics(self.scorer, probs[self._feasible_at], ev=float(probs @ self._cost))
 
     def ev_batch(self, X: np.ndarray, p: int) -> np.ndarray:
         """The cost expectation of each angle row of X (K, P) at depth p; row k is bitwise ev(X[k], p).
@@ -331,9 +331,7 @@ class QaoaContext:
         return float(self.ev_batch(np.asarray(x, dtype=float)[None], p)[0])
 
 
-def metrics(
-    scorer: Scorer, mass: np.ndarray, total: float = 1.0, ev: float = float("nan"), evals: int = 0
-) -> RunMetrics:
+def metrics(scorer: Scorer, mass: np.ndarray, total: float = 1.0, ev: float = float("nan")) -> RunMetrics:
     """p_feas, p_gnd and r_approx of a mass over the scorer's feasible states.
 
     mass is aligned with scorer.indices: |psi|^2 at those states (total 1)
@@ -343,27 +341,22 @@ def metrics(
     """
     p_feas = float(mass.sum() / total)
     if p_feas <= 0.0:
-        return RunMetrics(ev=ev, r_approx=0.0, p_feas=0.0, p_gnd=0.0, evals=evals)
+        return RunMetrics(ev=ev, r_approx=0.0, p_feas=0.0, p_gnd=0.0)
     p_gnd = float(mass[scorer.ground].sum() / total)
     if scorer.c_min == scorer.c_max:
         r = 1.0
     else:
         feas_ev = float(mass @ scorer.energies / total)
         r = (feas_ev - scorer.c_max * p_feas) / (p_feas * (scorer.c_min - scorer.c_max))
-    return RunMetrics(ev=ev, r_approx=r, p_feas=p_feas, p_gnd=p_gnd, evals=evals)
-
-
-def mean_and_err(values: Sequence[float]) -> tuple[float, float]:
-    """The mean of values and twice its standard error, with the population SD: 2 * SD / sqrt(n)."""
-    vals = np.asarray(values, dtype=float)
-    return float(vals.mean()), float(2.0 * vals.std(ddof=0) / np.sqrt(len(vals)))
+    return RunMetrics(ev=ev, r_approx=r, p_feas=p_feas, p_gnd=p_gnd)
 
 
 def summarize_metrics(runs: Sequence[RunMetrics]) -> dict[str, float]:
-    """Mean and 2 * SD-of-the-mean (mean_and_err) for each figure of merit."""
+    """The mean of each figure of merit and twice its standard error, with the population SD: 2 * SD / sqrt(n)."""
     out: dict[str, float] = {}
     for name in ("ev", "r_approx", "p_feas", "p_gnd"):
-        out[f"mean_{name}"], out[f"err_{name}"] = mean_and_err([getattr(m, name) for m in runs])
+        vals = np.asarray([getattr(m, name) for m in runs], dtype=float)
+        out[f"mean_{name}"], out[f"err_{name}"] = float(vals.mean()), float(2.0 * vals.std(ddof=0) / np.sqrt(len(vals)))
     return out
 
 
@@ -428,8 +421,7 @@ def increasing_p_schedule(
     nb = ctx.mixer.n_beta
 
     def record(x: np.ndarray, p: int, ev: float, evals: int) -> ScheduleLevel:
-        m = ctx.metrics(x, p, evals=evals)
-        return ScheduleLevel(p=p, x=x, metrics=replace(m, ev=ev))
+        return ScheduleLevel(p=p, x=x, metrics=replace(ctx.metrics(x, p), ev=ev, evals=evals))
 
     current = np.asarray(x0, dtype=float)
     p = len(current) // (nb + ctx.mixer.n_gamma)

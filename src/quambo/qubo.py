@@ -58,6 +58,28 @@ def rows_where(mask: np.ndarray):
     return mask.nonzero()[0] if count else None  # of a 1-D mask: np.flatnonzero without its call layers
 
 
+def checked_terms(model: QuboModel | IsingModel, linear: dict, quadratic: dict, words: str) -> tuple[dict, dict]:
+    """A model's one- and two-variable terms as floats without zeros, once its n, keys and energy bound are checked.
+
+    words names the variables and the two kinds of term in the messages ("variables linear quadratic").
+    |offset| + sum |c| bounds every energy and partial sum, so a model where it is not finite is refused.
+    """
+    units, one, two = words.split()
+    if model.n < 1:
+        raise ValueError(f"need n >= 1 {units}, got n={model.n}")
+    for i in linear:
+        if not 0 <= i < model.n:
+            raise ValueError(f"{one} index {i} out of range for n={model.n}")
+    for i, j in quadratic:
+        if not (0 <= i < j < model.n):
+            raise ValueError(f"{two} key {(i, j)} not strictly upper triangular")
+    linear = {i: float(c) for i, c in linear.items() if c != 0.0}
+    quadratic = {k: float(c) for k, c in quadratic.items() if c != 0.0}
+    if not np.isfinite(bound := abs(model.offset) + sum(map(abs, [*linear.values(), *quadratic.values()]))):
+        raise ValueError(f"need finite model energies, got |offset| + sum |c| = {bound}")
+    return linear, quadratic
+
+
 @dataclass
 class QuboModel:
     """Quadratic binary cost  offset + sum_i linear[i] s_i + sum_{i<j} quadratic[i,j] s_i s_j.
@@ -72,16 +94,7 @@ class QuboModel:
     offset: float = 0.0
 
     def __post_init__(self) -> None:
-        if self.n < 1:
-            raise ValueError(f"need n >= 1 variables, got n={self.n}")
-        for i in self.linear:
-            if not 0 <= i < self.n:
-                raise ValueError(f"linear index {i} out of range for n={self.n}")
-        for i, j in self.quadratic:
-            if not (0 <= i < j < self.n):
-                raise ValueError(f"quadratic key {(i, j)} not strictly upper triangular")
-        self.linear = {i: float(c) for i, c in self.linear.items() if c != 0.0}
-        self.quadratic = {k: float(c) for k, c in self.quadratic.items() if c != 0.0}
+        self.linear, self.quadratic = checked_terms(self, self.linear, self.quadratic, "variables linear quadratic")
 
     @cached_property
     def dense(self) -> tuple[np.ndarray, np.ndarray]:
@@ -113,16 +126,7 @@ class IsingModel:
     offset: float = 0.0
 
     def __post_init__(self) -> None:
-        if self.n < 1:
-            raise ValueError(f"need n >= 1 spins, got n={self.n}")
-        for i in self.h:
-            if not 0 <= i < self.n:
-                raise ValueError(f"field index {i} out of range for n={self.n}")
-        for i, j in self.J:
-            if not (0 <= i < j < self.n):
-                raise ValueError(f"coupling key {(i, j)} not strictly upper triangular")
-        self.h = {i: float(c) for i, c in self.h.items() if c != 0.0}
-        self.J = {k: float(c) for k, c in self.J.items() if c != 0.0}
+        self.h, self.J = checked_terms(self, self.h, self.J, "spins field coupling")
 
     @cached_property
     def diagonal(self) -> np.ndarray:
@@ -283,20 +287,11 @@ def energy_vector(model: QuboModel | IsingModel, n_override: int | None = None) 
     return e
 
 
-def enumerate_spectrum(
-    model: QuboModel, *, states: np.ndarray | None = None, energies: np.ndarray | None = None
-) -> list[SpectrumEntry]:
-    """Exact sorted spectrum over all 2^n states, or over the basis indices `states` at their `energies`, ties grouped.
+def enumerate_spectrum(model: QuboModel, states: np.ndarray, energies: np.ndarray) -> list[SpectrumEntry]:
+    """Exact sorted spectrum of the basis indices `states` at their `energies` (arrays, as they are), ties grouped.
 
-    `states` and `energies` (arrays, taken as they are) let callers restrict to a
-    subset without touching the full space (used for large constrained sectors).
     A level holds every state within TIE_TOL of its lowest energy, which it reports.
     """
-    if (states is None) != (energies is None):
-        raise ValueError("pass states and energies together, or neither")
-    if states is None:
-        energies = energy_vector(model)  # checks SPECTRUM_CAP first
-        states = np.arange(len(energies))
     order = np.argsort(energies, kind="stable")
     entries: list[SpectrumEntry] = []
     for e, s in zip(energies[order].tolist(), strings_from_indices(states[order], model.n)):

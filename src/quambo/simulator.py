@@ -4,13 +4,13 @@ Amplitude array index encodes qubit i at bit i (least significant bit =
 qubit 0); string rendering puts qubit 0 leftmost.  States are mutated in
 place by the apply_* operations.  The states built here are complex; a
 StateVector may also hold real amplitudes (the compiled VQE circuits in
-`quambo.vqe` produce float64 ones), which probabilities() and sampling
-accept alike.  The QAOA and VQE engines do not call the gate primitives
-(apply_phase_vector, apply_x_mixer, apply_local_unitary): the tests build
-the gate-by-gate references they check the engines against from them.
-The QAOA engine builds its initial states (Dicke and per-block Dicke
-products among them) in its own basis; `quambo.anneal` starts from
-uniform_state and basis_state.
+`quambo.vqe` produce float64 ones).  sample_indices draws from probabilities
+(|amplitude|^2), so the VQE estimators sample circuit rows as they are.
+The QAOA and VQE engines do not call the gate primitives (apply_phase_vector,
+apply_x_mixer, apply_local_unitary): the tests build the gate-by-gate
+references they check the engines against from them.  The QAOA engine
+builds its initial states (Dicke and per-block Dicke products among them)
+in its own basis; `quambo.anneal` starts from uniform_state and basis_state.
 """
 
 from __future__ import annotations
@@ -152,17 +152,16 @@ def xy_ring_eigensystem(m: int, weight: int | None = None) -> tuple[np.ndarray, 
     return read_only(patterns), read_only(vals), read_only(vecs)
 
 
-def sample_indices(state: StateVector, shots: int, seed) -> np.ndarray:
-    """Seeded i.i.d. computational-basis measurements: the number of draws of every basis index."""
+def sample_indices(probs: np.ndarray, shots: int, seed) -> np.ndarray:
+    """Seeded i.i.d. draws from the basis probabilities probs (|amplitude|^2): the number of draws of every index."""
     if shots < 1:
         raise ValueError("shots must be >= 1")
-    probs = state.probabilities()
     return np.random.default_rng(seed).multinomial(shots, probs / probs.sum())
 
 
 def sample(state: StateVector, shots: int, seed: int) -> SampleSet:
     """Seeded i.i.d. computational-basis measurements, as bitstring counts."""
-    draws = sample_indices(state, shots, seed)
+    draws = sample_indices(state.probabilities(), shots, seed)
     drawn = np.flatnonzero(draws)
     counts = dict(zip(strings_from_indices(drawn, state.n), draws[drawn].tolist()))
     return SampleSet(counts=counts, shots=shots)

@@ -263,7 +263,7 @@ def ev_all_qubit_sampling_batch(
     """Each point's mean model energy over full-register samples: one stacked circuit, point k drawn with seeds[k]."""
     amplitudes = run_program(ansatz.program, _points(ansatz, Theta, seeds))
     return np.array([
-        float(sample_indices(StateVector(ansatz.n, a), shots, seed) @ model.diagonal) / shots
+        float(sample_indices(np.abs(a) ** 2, shots, seed) @ model.diagonal) / shots
         for a, seed in zip(amplitudes, seeds)
     ])
 
@@ -322,7 +322,7 @@ def ev_causal_cone_sampling_batch(
     for t, (term, coeff) in enumerate(terms):
         reduced, parity = ansatz.cone(term)
         for k, a in enumerate(_run_rotations(reduced.program, rot)):
-            draws = sample_indices(StateVector(reduced.program.m, a), shots_per_term, child_seed(seeds[k], t))
+            draws = sample_indices(np.abs(a) ** 2, shots_per_term, child_seed(seeds[k], t))
             totals[k] += coeff * float(draws @ parity) / shots_per_term
     return np.array(totals, dtype=float)
 

@@ -673,31 +673,16 @@ def test_a_command_replaced_after_the_first_call_is_the_one_that_runs(tmp_path, 
     assert cli.parser() is cli.parser()
 
 
-class TestSummarize:
-    def test_mean_and_error(self, tmp_path, capsys):
-        csv_path = write(
-            tmp_path,
-            "runs.csv",
-            "run_id,ev,p_gnd\n0,3.0,0.0\n1,1.0,1.0\n",
-        )
-        assert main(["summarize", csv_path]) == 0
-        out = capsys.readouterr().out.strip().splitlines()
-        assert out[0] == "metric,mean,err,min,max"
-        table = {line.split(",")[0]: line.split(",")[1:] for line in out[1:] if "," in line}
-        assert float(table["p_gnd"][0]) == pytest.approx(0.5)
-        assert float(table["p_gnd"][1]) == pytest.approx(0.7071, abs=1e-4)
-        assert out[-1] == "best_run,1"
-
-    def test_skips_summary_rows(self, tmp_path, capsys):
-        csv_path = write(tmp_path, "runs.csv", "run_id,ev\n0,2.0\nsummary,2.0\n")
-        main(["summarize", csv_path])
-        out = capsys.readouterr().out
-        assert "best_run,0" in out
-
-    def test_empty_csv(self, tmp_path):
-        csv_path = write(tmp_path, "empty.csv", "")
-        with pytest.raises(SystemExit):
-            main(["summarize", csv_path])
+@pytest.mark.parametrize("command, section", [
+    ("qaoa", "[qaoa]\nencoding = complement\n"),
+    ("vqe", "[vqe]\nencoding = complement\nlayers = 1\n"),
+    ("baseline", "[heuristic]\nalgorithm = tabu\n"),
+], ids=["qaoa", "vqe", "baseline"])
+def test_a_penalty_whose_energies_overflow_is_one_error_line(tmp_path, capsys, command, section):
+    """lambda = 1e308 makes the model's energy bound |offset| + sum |c| overflow: the model refuses it."""
+    problem = "[problem]\ngeometry = line\ncols = 3\nambulances = 1\nlambda = 1e308\n"
+    assert_one_error(tmp_path, capsys, command, problem + section,
+                     "need finite model energies, got |offset| + sum |c| = inf")
 
 
 # Per golden file: the command and its config, run at seed 3.  No study evaluates a 2^16-amplitude

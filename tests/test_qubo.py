@@ -280,25 +280,31 @@ class TestConversion:
             assert reference_energy_ising(ising, z) == pytest.approx(energy_qubo(model, s), abs=1e-12)
 
 
+def full_spectrum(model):
+    """The spectrum over all 2^n states: enumerate_spectrum of arange(2^n) at energy_vector, which checks the cap."""
+    energies = energy_vector(model)
+    return enumerate_spectrum(model, np.arange(len(energies)), energies)
+
+
 class TestSpectrum:
     def test_problem_a_two_lowest(self):
-        entries = enumerate_spectrum(problem_a(10))
+        entries = full_spectrum(problem_a(10))
         assert entries[0].energy == -200
         assert sorted(entries[0].states) == ["11011", "11111"]
 
     def test_single_variable(self):
-        entries = enumerate_spectrum(QuboModel(n=1, linear={0: -3.0}))
+        entries = full_spectrum(QuboModel(n=1, linear={0: -3.0}))
         assert [(e.energy, e.states) for e in entries] == [(-3.0, ["1"]), (0.0, ["0"])]
 
     def test_covers_all_states(self):
         rng = np.random.default_rng(11)
         model = random_qubo(6, rng)
-        entries = enumerate_spectrum(model)
+        entries = full_spectrum(model)
         assert sum(len(e.states) for e in entries) == 64
 
     def test_cap(self):
         with pytest.raises(CapacityError):
-            enumerate_spectrum(QuboModel(n=27))
+            full_spectrum(QuboModel(n=27))
 
     @pytest.mark.parametrize("n", range(1, 25))
     def test_strings_from_bit_table(self, n):
@@ -396,15 +402,22 @@ class TestModelKeys:
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             kind(n=n)
 
+    @pytest.mark.parametrize("kind, terms, bound", [
+        (QuboModel, {"linear": {0: 1e308}, "quadratic": {(0, 1): -1e308}}, "inf"),
+        (IsingModel, {"h": {1: 1.0}, "offset": float("nan")}, "nan"),
+    ])
+    def test_a_model_whose_energies_cannot_be_finite_is_refused(self, kind, terms, bound):
+        """|offset| + sum |c| bounds every energy and partial sum: an overflowing or nan bound is refused."""
+        message = f"need finite model energies, got |offset| + sum |c| = {bound}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            kind(n=2, **terms)
+
 
 class TestSpectrumSubset:
-    @pytest.mark.parametrize("given", ["states", "energies"])
-    def test_states_and_energies_come_together(self, given):
+    def test_the_sector_spectrum_groups_the_given_states(self):
         model, enc = encode_single_complement(FacilityProblem(("line", 4), 1, lambda_=1.0))
-        subset = dict(zip(("states", "energies"), feasible_sector(model, enc)))
-        with pytest.raises(ValueError, match="^pass states and energies together, or neither$"):
-            enumerate_spectrum(model, **{given: subset[given]})
-        assert [sorted(e.states) for e in enumerate_spectrum(model, **subset)] == [["1011", "1101"], ["0111", "1110"]]
+        entries = enumerate_spectrum(model, *feasible_sector(model, enc))
+        assert [sorted(e.states) for e in entries] == [["1011", "1101"], ["0111", "1110"]]
 
 
 class TestSerialization:

@@ -275,7 +275,7 @@ class TestExpectationAndSampling:
         state = StateVector(6, amps / np.linalg.norm(amps))
         probs = np.abs(state.amplitudes) ** 2
         want = np.random.default_rng(31).multinomial(700, probs / probs.sum())
-        draws = sample_indices(state, 700, seed=31)
+        draws = sample_indices(state.probabilities(), 700, seed=31)
         assert np.array_equal(draws, want)
         expected = {string_from_index(int(i), 6): int(want[i]) for i in np.flatnonzero(want)}
         counts = sample(state, 700, seed=31).counts
@@ -283,9 +283,10 @@ class TestExpectationAndSampling:
 
     @pytest.mark.parametrize("shots", [0, -5])
     def test_shots_below_one_rejected(self, shots):
-        for fn in (sample, sample_indices):
+        state = uniform_state(2)
+        for fn, arg in ((sample, state), (sample_indices, state.probabilities())):
             with pytest.raises(ValueError, match="shots must be >= 1"):
-                fn(uniform_state(2), shots, seed=0)
+                fn(arg, shots, seed=0)
 
 
 @given(st.integers(min_value=0, max_value=2**31 - 1))

@@ -325,7 +325,7 @@ class TestBatchEstimators:
         seeds = [(3, k) for k in range(len(points))]
         values = ev_all_qubit_sampling_batch(ansatz, points, model, 300, seeds)
         for k, (theta, seed) in enumerate(zip(points, seeds)):
-            draws = simulator.sample_indices(apply_ansatz(ansatz, theta), 300, seed)
+            draws = simulator.sample_indices(apply_ansatz(ansatz, theta).probabilities(), 300, seed)
             assert values[k] == ev_all_qubit_sampling(ansatz, theta, model, 300, seed) == float(draws @ model.diagonal) / 300
 
     def test_causal_cone_sampling(self, setup, points):
