@@ -16,6 +16,7 @@ offsets.  The batched searches return each chain's best bits, (R, n) bool;
 
 from __future__ import annotations
 
+import contextlib
 import itertools
 import math
 from dataclasses import dataclass
@@ -245,9 +246,10 @@ def restart_harness(
 ) -> HarnessResult:
     """Aggregate seeded restarts of the config's heuristic: best energy, its frequency, and d_sol/d_min.
 
-    All restarts run as one batch and are aggregated in restart order.  d_sol
-    is the smallest decoded total distance over restarts whose returned state
-    decodes to a proper placement.
+    All restarts run as one batch and are aggregated on its bit table: the best
+    energy and its hits in restart order, and only the first best restart's bits
+    are rendered.  d_sol is the smallest decoded total distance over the distinct
+    returned states that decode to a proper placement.
     """
     if restarts < 1:
         raise ValueError(f"need restarts >= 1, got {restarts}")
@@ -256,33 +258,17 @@ def restart_harness(
         bits, energies = batched_simulated_annealing([model] * restarts, config, seeds)
     else:
         bits, energies = batched_tabu_search(model, config, seeds)
-    states = strings_from_bits(bits)
-    best_e = np.inf
-    best_state = ""
-    hits = 0
-    d_sol: float | None = None
-    distances: dict[str, float | None] = {}  # decoded total distance per distinct state
-    for state, e in zip(states, energies.tolist()):
+    best_e, best, hits = np.inf, 0, 0
+    for r, e in enumerate(energies.tolist()):
         if e < best_e - TIE_TOL:
-            best_e, best_state, hits = e, state, 1
+            best_e, best, hits = e, r, 1
         elif abs(e - best_e) <= TIE_TOL:
             hits += 1
-        if encoding is not None:
-            if state not in distances:
-                try:
-                    distances[state] = decode_solution(encoding, state)
-                except ValueError:
-                    distances[state] = None
-            d = distances[state]
-            if d is not None and (d_sol is None or d < d_sol):
-                d_sol = d
-    ratio = None
-    if d_sol is not None and d_min:
-        ratio = d_sol / d_min
-    return HarnessResult(
-        best_energy=float(best_e),
-        frequency_of_best=hits / restarts,
-        d_sol=d_sol,
-        ratio=ratio,
-        best_state=best_state,
-    )
+    d_sol: float | None = None
+    for row in np.unique(bits, axis=0) if encoding is not None else ():  # each distinct state decoded once
+        with contextlib.suppress(ValueError):
+            d = decode_solution(encoding, row)
+            d_sol = d if d_sol is None else min(d_sol, d)
+    return HarnessResult(best_energy=float(best_e), frequency_of_best=hits / restarts, d_sol=d_sol,
+                         ratio=d_sol / d_min if d_sol is not None and d_min else None,
+                         best_state=strings_from_bits(bits[best:best + 1])[0])

@@ -146,6 +146,16 @@ def add_penalty(linear: dict, quadratic: dict, qubits: Sequence[int], lam: float
     return lam * w * w
 
 
+def resolvable(model: QuboModel, enc: Encoding, dist: np.ndarray) -> tuple[QuboModel, Encoding]:
+    """An encoder's result, refused when rounding buries the objective: energies within |offset| + sum |c| of 0
+    round by up to that bound times 2^-52, which must stay below half the smallest nonzero distance."""
+    bound = abs(model.offset) + sum(map(abs, [*model.linear.values(), *model.quadratic.values()]))
+    if bound * 2.0**-52 >= (gap := dist[dist > 0].min(initial=np.inf)) / 2:
+        raise ValueError(f"need (|offset| + sum |c|) * 2^-52 below half the smallest distance {gap:g}, "
+                         f"got |offset| + sum |c| = {bound:g}; lower the penalty weight")
+    return model, enc
+
+
 def encode_single_complement(problem: FacilityProblem) -> tuple[QuboModel, Encoding]:
     """One-ambulance encoding over L qubits where a `0` marks the ambulance.
 
@@ -171,7 +181,7 @@ def encode_single_complement(problem: FacilityProblem) -> tuple[QuboModel, Encod
         n=L,
         sector_shift=shift,
     )
-    return model, enc
+    return resolvable(model, enc, dist)
 
 
 def encode_start_dest(problem: FacilityProblem) -> tuple[QuboModel, Encoding]:
@@ -215,7 +225,7 @@ def encode_start_dest(problem: FacilityProblem) -> tuple[QuboModel, Encoding]:
         problem=problem,
         n=n,
     )
-    return model, enc
+    return resolvable(model, enc, dist)
 
 
 def encode_position_linear(
@@ -233,9 +243,9 @@ def encode_position_linear(
         raise ValueError("lambda and lambda_ratio need include_penalty = true; position_linear does not read them")
     L = problem.num_locations
     m = problem.ambulances
-    fields = distance_matrix(problem).sum(axis=1)
+    dist = distance_matrix(problem)
 
-    linear = {i: float(fields[i]) for i in range(L)}
+    linear = {i: float(field) for i, field in enumerate(dist.sum(axis=1))}
     quadratic: dict[tuple[int, int], float] = {}
     offset = 0.0
     if include_penalty:
@@ -247,7 +257,7 @@ def encode_position_linear(
         problem=problem,
         n=L,
     )
-    return model, enc
+    return resolvable(model, enc, dist)
 
 
 def is_feasible(encoding: Encoding, s: str | Sequence[int] | np.ndarray) -> bool:
