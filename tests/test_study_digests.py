@@ -5,7 +5,7 @@ Two sets of runs are hashed.  Each study of bench/studies.py runs through
 times, so they are not); each Schrodinger anneal is hashed by its final
 amplitudes' bytes, a reverse anneal at every seed from the feasible seed state
 bench/run.py draws.  The small configs of PINNED run through `cli.main` at
-seed 3, keyed `pinned-<name>-seed3`.
+seed 3, keyed `pinned-<name>-seed3`; each is its own test case.
 
 This is the one place that compares output bytes, and the one place that pins
 what they depend on besides numpy's version.  Run as a script, the file sets
@@ -30,6 +30,8 @@ import subprocess
 import sys
 import tempfile
 from pathlib import Path
+
+import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 GOLDEN = Path(__file__).parent / "golden" / "study-digests.json"
@@ -121,12 +123,24 @@ def digests() -> dict[str, str]:
     return out
 
 
-def test_every_study_output_matches_its_digest():
+@pytest.fixture(scope="module")
+def pinned_digests() -> tuple[dict[str, str], dict[str, str]]:
+    """The digests of one pinned run of this script, and the ones on file."""
     run = subprocess.run([sys.executable, __file__], capture_output=True, text=True, timeout=600)
     assert run.returncode == 0, run.stderr
-    got, want = json.loads(run.stdout), json.loads(GOLDEN.read_text())
+    return json.loads(run.stdout), json.loads(GOLDEN.read_text())
+
+
+def test_every_study_output_matches_its_digest(pinned_digests):
+    got, want = pinned_digests
     assert got.keys() == want.keys()
-    assert [name for name in want if got[name] != want[name]] == []
+    assert [name for name in want if not name.startswith("pinned-") and got[name] != want[name]] == []
+
+
+@pytest.mark.parametrize("name", PINNED)
+def test_pinned_config_output_matches_its_digest(pinned_digests, name):
+    got, want = pinned_digests
+    assert got[f"pinned-{name}-seed3"] == want[f"pinned-{name}-seed3"]
 
 
 if __name__ == "__main__":
